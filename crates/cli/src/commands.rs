@@ -183,6 +183,11 @@ pub fn query(argv: Vec<String>) -> Result<()> {
         out.scan.trim_items_dropped,
         out.scan.trim_passes,
     );
+    if a.flag("explain") {
+        // The plan went out above; this is what executing it did, level
+        // by level, with each level's wall time.
+        print!("{}", out.report());
+    }
     let limit: usize = a.num("limit", 20usize)?;
     for &(si, ti) in out.pair_result.pairs.iter().take(limit) {
         let (s, s_sup) = &out.s_sets[si as usize];

@@ -30,6 +30,7 @@
 use cfq_constraints::{OneVar, SuccinctForm, Var};
 use cfq_mining::{generate_candidates, FrequentSets, WorkStats};
 use cfq_types::{Catalog, ItemId, Itemset};
+use std::time::Instant;
 
 /// Static configuration of one lattice.
 #[derive(Clone, Debug)]
@@ -64,6 +65,9 @@ pub struct LatticeRun<'a> {
     frequent: FrequentSets,
     /// Candidates awaiting counts: aligned (orig-sorted) orig and rank sets.
     pending: Option<(Vec<Itemset>, Vec<Itemset>)>,
+    /// When the pending level's candidate generation began; the level's
+    /// `micros` run from here to the end of [`Self::absorb_counts`].
+    level_started: Instant,
     /// Extra anti-monotone conditions injected between levels (J^k_max).
     extra_am: Vec<OneVar>,
     /// Levels completed.
@@ -89,6 +93,7 @@ impl<'a> LatticeRun<'a> {
             rank_levels: Vec::new(),
             frequent: FrequentSets::new(),
             pending: None,
+            level_started: Instant::now(),
             extra_am: Vec::new(),
             level: 0,
             done: false,
@@ -188,6 +193,7 @@ impl<'a> LatticeRun<'a> {
             return Vec::new();
         }
         assert!(self.pending.is_none(), "absorb_counts must be called first");
+        self.level_started = Instant::now();
         if self.cfg.max_level != 0 && self.level >= self.cfg.max_level {
             self.done = true;
             return Vec::new();
@@ -256,7 +262,10 @@ impl<'a> LatticeRun<'a> {
     }
 
     /// Absorbs the supports for the candidates returned by the last
-    /// [`Self::next_candidates`] call.
+    /// [`Self::next_candidates`] call. The level is recorded with the wall
+    /// time since that call began: generation, whatever trimming and
+    /// counting the executor did in between, and this absorption. On a
+    /// dovetailed scan both lattices' rows include the scan they shared.
     pub fn absorb_counts(&mut self, counts: &[u64]) {
         let (orig, rank) = self.pending.take().expect("no pending candidates");
         assert_eq!(orig.len(), counts.len(), "count vector length mismatch");
@@ -273,7 +282,7 @@ impl<'a> LatticeRun<'a> {
                 freq_orig.push((set, counts[i]));
             }
         }
-        self.stats.record_level(level, n_candidates, freq_orig.len() as u64);
+        let n_frequent = freq_orig.len() as u64;
 
         if level == 1 {
             // Rank space does not exist yet; store origs, remapped later.
@@ -285,6 +294,8 @@ impl<'a> LatticeRun<'a> {
         let empty = freq_orig.is_empty();
         self.frequent.push_level(freq_orig);
         self.level = level;
+        let micros = self.level_started.elapsed().as_micros() as u64;
+        self.stats.record_level_timed(level, n_candidates, n_frequent, micros);
         if empty {
             self.done = true;
         }

@@ -93,6 +93,10 @@ fn render_levels(out: &mut String, stats: &WorkStats) {
     for l in &stats.levels {
         let _ = write!(out, "{:>8}", l.frequent);
     }
+    let _ = write!(out, "\n  micros:    ");
+    for l in &stats.levels {
+        let _ = write!(out, "{:>8}", l.micros);
+    }
     let _ = writeln!(out);
 }
 
@@ -120,6 +124,7 @@ mod tests {
         assert!(report.contains("[iterative bounds]"));
         assert!(report.contains("[pairs]"));
         assert!(report.contains("candidates:"));
+        assert!(report.contains("micros:"));
         assert!(report.contains("database scans:"));
     }
 

@@ -5,15 +5,17 @@
 //! against the database. *How* is a first-class choice, selected the same
 //! way `--trim` already is:
 //!
-//! * [`CountingBackend::Horizontal`] — per-level row scans through the
-//!   trie counter (optionally trimmed and sharded; the default).
+//! * [`CountingBackend::Horizontal`] — per-level row scans (optionally
+//!   trimmed and sharded; the default): dense histogram and pair-triangle
+//!   kernels at levels 1–2, the trie counter below them.
 //! * [`CountingBackend::Tidset`] — invert once into sorted-u32 tid lists
 //!   ([`crate::vertical`]) and count by merge intersection.
 //! * [`CountingBackend::Bitmap`] — invert once into u64 tid-bitmaps
 //!   ([`crate::bitmap`]): AND + popcount, diffsets at deep levels.
-//! * [`CountingBackend::Auto`] — per-level crossover: bitmaps where the
-//!   word volume beats the (trimmed) horizontal scan volume, horizontal
-//!   scans where trim has made rows cheaper than words.
+//! * [`CountingBackend::Auto`] — per-level crossover: horizontal at
+//!   levels 1–2 (the dense kernels), then bitmaps where the word volume
+//!   beats the (trimmed) horizontal scan volume, horizontal scans where
+//!   trim has made rows cheaper than words.
 //!
 //! [`CountingRun`] owns the per-run state: lazily built indices (whose
 //! one inversion pass is accounted as a database scan) and the per-level
@@ -32,14 +34,16 @@ use cfq_types::{Itemset, TransactionDb};
 /// Which support-counting substrate a mining run uses.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum CountingBackend {
-    /// Horizontal row scans (trie counter), one scan per level.
+    /// Horizontal row scans (dense kernels, then the trie counter), one
+    /// scan per level.
     #[default]
     Horizontal,
     /// Vertical sorted-u32 tidset intersection (Eclat lists).
     Tidset,
     /// Vertical u64 tid-bitmaps: AND + popcount, diffsets deep down.
     Bitmap,
-    /// Per-level crossover between `Bitmap` and `Horizontal`.
+    /// `Horizontal` at levels 1–2, then a per-level crossover between
+    /// `Bitmap` and `Horizontal`.
     Auto,
 }
 
@@ -85,7 +89,7 @@ impl std::fmt::Display for CountingBackend {
 /// What a level actually counts with after `Auto` resolution.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ResolvedBackend {
-    /// Horizontal row scan — the caller keeps its trim + trie path.
+    /// Horizontal row scan — the caller keeps its trim + row-counting path.
     Horizontal,
     /// Sorted-u32 tidset intersection against the lazily built index.
     Tidset,
@@ -131,37 +135,25 @@ impl<'a> CountingRun<'a> {
 
     /// Decides how to count level `level`'s `n_candidates` candidates.
     ///
-    /// `Auto`'s crossover compares the level's vertical word volume
-    /// (`n_candidates × words-per-item`) against the horizontal scan
-    /// volume the trimmed database would cost — the last [`ScanStats`]
-    /// extent, i.e. the per-level density the stats layer already tracks.
-    /// Dense early levels win for bitmaps (one word covers 64 rows);
-    /// once trim has shrunk the live rows below the word volume, the
-    /// horizontal scan is the cheaper read.
+    /// `Auto` counts levels 1–2 horizontally; from level 3 on its
+    /// crossover compares the level's vertical word volume
+    /// (`n_candidates × words-per-item`, plus the index build while that
+    /// is still owed) against what the trie would do on the database the
+    /// last scan saw — the last [`ScanStats`] extent, i.e. the per-level
+    /// density the stats layer already tracks.
     pub fn resolve(&self, level: usize, n_candidates: usize, scan: &ScanStats) -> ResolvedBackend {
         match self.backend {
             CountingBackend::Horizontal => ResolvedBackend::Horizontal,
             CountingBackend::Tidset => ResolvedBackend::Tidset,
             CountingBackend::Bitmap => ResolvedBackend::Bitmap,
             CountingBackend::Auto => {
-                // Levels 1–2 are always dense enough for words: level 1 is
-                // free off the index, level 2 is the candidate flood where
-                // 64-rows-per-word wins by construction.
-                if level <= 2 {
-                    return ResolvedBackend::Bitmap;
-                }
-                let words = self.db.len().div_ceil(64) as u64;
-                let word_volume = (n_candidates as u64).saturating_mul(words);
-                let horizontal_volume = scan
-                    .extents
-                    .last()
-                    .map(|e| e.items)
-                    .unwrap_or(self.db.total_items() as u64);
-                if word_volume <= horizontal_volume {
-                    ResolvedBackend::Bitmap
-                } else {
-                    ResolvedBackend::Horizontal
-                }
+                let basis = AutoBasis {
+                    rows: self.db.len() as u64,
+                    items: self.db.total_items() as u64,
+                    n_items: self.db.n_items(),
+                    index_built: self.bitmap.is_some(),
+                };
+                resolve_auto(&basis, level, n_candidates, scan)
             }
         }
     }
@@ -211,6 +203,64 @@ impl<'a> CountingRun<'a> {
                 counts
             }
         }
+    }
+}
+
+/// The database side of `Auto`'s crossover: the untrimmed database's
+/// shape and whether the bitmap index over it has been paid for yet.
+pub(crate) struct AutoBasis {
+    pub rows: u64,
+    pub items: u64,
+    pub n_items: usize,
+    pub index_built: bool,
+}
+
+/// Cost of one bitmap word (AND + popcount, with the prefix bookkeeping
+/// around it), of inverting one item occurrence into the index, and of
+/// passing one item occurrence through a trim pass — each in trie merge
+/// steps, the unit of `Auto`'s crossover. Fitted to per-level timings of
+/// the §7.2 database over 100- to 1,000-item universes (EXPERIMENTS E18).
+const WORD_STEPS: u64 = 12;
+const INVERT_STEPS: u64 = 8;
+const TRIM_STEPS: u64 = 12;
+
+/// `Auto`'s per-level choice, shared by [`CountingRun::resolve`] and the
+/// sharded run (whose basis is the *global* database, so a sharded run
+/// resolves each level exactly like its unsharded twin).
+///
+/// Levels 1–2 are horizontal: the dense histogram and pair-triangle
+/// kernels of [`crate::counter::count_supports_with`] cost one pass over
+/// the rows however many candidates there are, where bitmaps pay one AND
+/// per candidate — and level 2 is the candidate flood. From level 3 on two
+/// estimates are compared. Vertical: one word per 64 rows per candidate,
+/// plus the inversion pass over every item occurrence while the index is
+/// still unbuilt. Horizontal: on the database the last scan saw, a trim
+/// pass over its item occurrences, then the trie merging its root list —
+/// at most one root per candidate and per item — against every row.
+pub(crate) fn resolve_auto(
+    basis: &AutoBasis,
+    level: usize,
+    n_candidates: usize,
+    scan: &ScanStats,
+) -> ResolvedBackend {
+    if level <= 2 {
+        return ResolvedBackend::Horizontal;
+    }
+    let n_candidates = n_candidates as u64;
+    let build = if basis.index_built { 0 } else { INVERT_STEPS.saturating_mul(basis.items) };
+    let vertical = WORD_STEPS
+        .saturating_mul(n_candidates)
+        .saturating_mul(basis.rows.div_ceil(64))
+        .saturating_add(build);
+    let (live_rows, live_items) =
+        scan.extents.last().map_or((basis.rows, basis.items), |e| (e.rows, e.items));
+    let roots = n_candidates.min(basis.n_items as u64);
+    let horizontal =
+        live_rows.saturating_mul(roots).saturating_add(TRIM_STEPS.saturating_mul(live_items));
+    if vertical <= horizontal {
+        ResolvedBackend::Bitmap
+    } else {
+        ResolvedBackend::Horizontal
     }
 }
 
@@ -314,17 +364,26 @@ mod tests {
         let db = TransactionDb::new(7, rows).unwrap();
         let run = CountingRun::new(&db, CountingBackend::Auto);
         let mut scan = ScanStats::default();
-        // Early levels: always bitmap.
-        assert_eq!(run.resolve(1, 7, &scan), ResolvedBackend::Bitmap);
-        assert_eq!(run.resolve(2, 21, &scan), ResolvedBackend::Bitmap);
-        // Deep level, fat horizontal extent: word volume (5×10=50) is far
-        // below 1280 scanned items → stay vertical.
+        // Levels 1–2: always the dense horizontal kernels.
+        assert_eq!(run.resolve(1, 7, &scan), ResolvedBackend::Horizontal);
+        assert_eq!(run.resolve(2, 21, &scan), ResolvedBackend::Horizontal);
+        // Level 3, 5 candidates, the level-2 scan saw the whole database.
+        // Vertical: 12·5·10 words + 8·1280 to build = 10,840 steps;
+        // horizontal: 640·5 root merges + 12·1280 to trim = 18,560.
         scan.record_extent(2, 640, 1280);
         assert_eq!(run.resolve(3, 5, &scan), ResolvedBackend::Bitmap);
-        // Trim collapsed the live rows to 30 items: 50 words > 30 items →
-        // horizontal wins the crossover.
-        scan.record_extent(3, 15, 30);
+        // Trim has halved the rows (1,500 + 7,200 = 8,700 steps): not
+        // worth building an index for …
+        scan.record_extent(3, 300, 600);
         assert_eq!(run.resolve(4, 5, &scan), ResolvedBackend::Horizontal);
+        // … but worth using one that is already paid for (600 steps).
+        let mut built = CountingRun::new(&db, CountingBackend::Auto);
+        built.count_vertical(ResolvedBackend::Bitmap, &[], 3, &mut WorkStats::new());
+        assert_eq!(built.resolve(4, 5, &scan), ResolvedBackend::Bitmap);
+        // Once trim has collapsed the live rows (15·5 + 12·30 = 435), even
+        // a built index loses.
+        scan.record_extent(4, 15, 30);
+        assert_eq!(built.resolve(5, 5, &scan), ResolvedBackend::Horizontal);
     }
 
     #[test]

@@ -23,9 +23,23 @@ where
         return Vec::new();
     }
     debug_assert!(frequent.windows(2).all(|w| w[0] < w[1]), "frequent sets must be sorted");
-    let lookup: FxHashSet<&Itemset> = frequent.iter().collect();
     let k = frequent[0].len();
     debug_assert!(frequent.iter().all(|s| s.len() == k));
+    if k == 1 {
+        // Both 1-subsets of a joined pair are the frequent singletons it
+        // was joined from: there is nothing to look up or prune. Kept apart
+        // from the general loop below, which takes twice as long on the
+        // level-2 flood (315k pairs: 5.5 ms here, 7.9–10.7 ms there).
+        let n = frequent.len();
+        let mut out = Vec::with_capacity(n * (n - 1) / 2);
+        for (a, first) in frequent.iter().enumerate() {
+            out.extend(frequent[a + 1..].iter().map(|second| {
+                first.apriori_join(second).expect("sorted distinct singletons always join")
+            }));
+        }
+        return out;
+    }
+    let lookup: FxHashSet<&Itemset> = frequent.iter().collect();
 
     let mut out = Vec::new();
     let mut group_start = 0usize;

@@ -1,9 +1,13 @@
 //! Support counting.
 //!
-//! [`TrieCounter`] is the production counter: candidates are loaded into a
-//! prefix trie and each transaction is streamed through it once, so a level
-//! costs one database scan regardless of candidate count. [`NaiveCounter`]
-//! is the obviously-correct reference used by tests and tiny instances.
+//! [`count_supports_with`] is the production entry point: it counts any
+//! number of candidate batches in one pass over the rows — sorted batches
+//! of singletons through an item histogram, sorted batches of pairs through
+//! a rank-indexed triangle, everything else through a prefix trie.
+//! [`TrieCounter`] is the plain trie on its own (the reference the dense
+//! kernels are tested against, and what FUP counts with);
+//! [`NaiveCounter`] is the obviously-correct oracle for tests and tiny
+//! instances.
 
 use cfq_types::transaction::contains_sorted;
 use cfq_types::{DbChunk, ItemId, Itemset, TransactionDb};
@@ -212,59 +216,228 @@ pub fn count_supports(db: &TransactionDb, batches: &[&[Itemset]]) -> Vec<Vec<u64
 
 /// [`count_supports`] with `threads` workers sharding the transactions
 /// (still one logical scan). `threads == 0` uses all available cores.
+///
+/// Sorted batches of singletons or of pairs are counted by the dense
+/// kernels below (an item histogram, a rank-indexed pair triangle); every
+/// other batch goes through the trie. The choice is made per batch from the
+/// batch and the database alone, so callers see the same counts either way.
 pub fn count_supports_with(
     db: &TransactionDb,
     batches: &[&[Itemset]],
     threads: usize,
 ) -> Vec<Vec<u64>> {
-    let tries: Vec<(Trie, std::ops::Range<u32>, usize)> = batches
-        .iter()
-        .map(|b| {
-            debug_assert!(b.windows(2).all(|w| w[0] < w[1]));
-            let trie = Trie::build(b);
-            let roots = 0..trie.n_roots(b);
-            (trie, roots, b.len())
-        })
-        .collect();
+    let plans: Vec<BatchPlan> = batches.iter().map(|b| BatchPlan::choose(db, b)).collect();
+    let any_singles = plans.iter().any(|p| matches!(p, BatchPlan::Singles));
     let threads = resolve_threads(threads);
+    let zeros = || -> Vec<Vec<u64>> { batches.iter().map(|b| vec![0u64; b.len()]).collect() };
     let count_chunk = |chunk: DbChunk<'_>| -> Vec<Vec<u64>> {
-        let mut counts: Vec<Vec<u64>> =
-            tries.iter().map(|(_, _, n)| vec![0u64; *n]).collect();
+        let mut counts = zeros();
+        // One histogram serves every singleton batch: the support of {i}
+        // does not depend on which batch asks.
+        let mut hist = vec![0u32; if any_singles { db.n_items() } else { 0 }];
+        let mut triangles: Vec<Vec<u32>> = plans
+            .iter()
+            .map(|p| match p {
+                BatchPlan::Pairs(ranks) => vec![0u32; ranks.cells()],
+                _ => Vec::new(),
+            })
+            .collect();
+        let mut row_ranks: Vec<u32> = Vec::new();
         for t in chunk.iter() {
-            for (bi, (trie, roots, _)) in tries.iter().enumerate() {
-                trie.count_transaction(roots.clone(), t, &mut counts[bi]);
+            if any_singles {
+                for &i in t {
+                    hist[i.index()] += 1;
+                }
+            }
+            for (bi, plan) in plans.iter().enumerate() {
+                match plan {
+                    BatchPlan::Pairs(ranks) => {
+                        ranks.add_row(t, &mut row_ranks, &mut triangles[bi])
+                    }
+                    BatchPlan::Trie(trie, roots) => {
+                        trie.count_transaction(roots.clone(), t, &mut counts[bi])
+                    }
+                    BatchPlan::Singles | BatchPlan::Reference => {}
+                }
+            }
+        }
+        for (bi, plan) in plans.iter().enumerate() {
+            match plan {
+                BatchPlan::Singles => {
+                    for (n, c) in counts[bi].iter_mut().zip(batches[bi]) {
+                        // A candidate outside the universe occurs in no row.
+                        *n = hist.get(c.as_slice()[0].index()).map_or(0, |&h| u64::from(h));
+                    }
+                }
+                BatchPlan::Pairs(ranks) => {
+                    for (n, c) in counts[bi].iter_mut().zip(batches[bi]) {
+                        *n = ranks.cell_of(c).map_or(0, |cell| u64::from(triangles[bi][cell]));
+                    }
+                }
+                BatchPlan::Trie(..) | BatchPlan::Reference => {}
             }
         }
         counts
     };
-    if threads <= 1 || db.len() < 4 * threads {
-        return match db.chunks(1).pop() {
+    let mut counts: Vec<Vec<u64>> = if threads <= 1 || db.len() < 4 * threads {
+        match db.chunks(1).pop() {
             Some(whole) => count_chunk(whole),
-            None => tries.iter().map(|(_, _, n)| vec![0u64; *n]).collect(),
-        };
-    }
-    // Shard by CSR chunks: each worker gets an offset-sliced view balanced
-    // by item count — no row indirection or cloning on the hot path.
-    let partials: Vec<Vec<Vec<u64>>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = db
-            .chunks(threads)
-            .into_iter()
-            .map(|chunk| {
-                let count_chunk = &count_chunk;
-                scope.spawn(move || count_chunk(chunk))
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("worker panicked")).collect()
-    });
-    let mut counts: Vec<Vec<u64>> = tries.iter().map(|(_, _, n)| vec![0u64; *n]).collect();
-    for p in partials {
-        for (bi, batch) in p.into_iter().enumerate() {
-            for (acc, x) in counts[bi].iter_mut().zip(batch) {
-                *acc += x;
+            None => zeros(),
+        }
+    } else {
+        // Shard by CSR chunks: each worker gets an offset-sliced view
+        // balanced by item count — no row indirection or cloning on the
+        // hot path.
+        let partials: Vec<Vec<Vec<u64>>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = db
+                .chunks(threads)
+                .into_iter()
+                .map(|chunk| {
+                    let count_chunk = &count_chunk;
+                    scope.spawn(move || count_chunk(chunk))
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().expect("worker panicked")).collect()
+        });
+        let mut counts = zeros();
+        for p in partials {
+            for (bi, batch) in p.into_iter().enumerate() {
+                for (acc, x) in counts[bi].iter_mut().zip(batch) {
+                    *acc += x;
+                }
             }
+        }
+        counts
+    };
+    for (bi, plan) in plans.iter().enumerate() {
+        if matches!(plan, BatchPlan::Reference) {
+            counts[bi] = TrieCounter.count(db, batches[bi]);
         }
     }
     counts
+}
+
+/// How [`count_supports_with`] counts one batch.
+enum BatchPlan {
+    /// Sorted singletons: read out of the scan's item histogram.
+    Singles,
+    /// Sorted pairs over few enough items for a dense triangle.
+    Pairs(PairRanks),
+    /// Any other sorted batch (deeper levels, mixed lengths, pairs whose
+    /// triangle would not pay for itself).
+    Trie(Trie, std::ops::Range<u32>),
+    /// Unsorted or duplicated input: [`TrieCounter`] reorders it and
+    /// scatters the counts back, in a pass of its own.
+    Reference,
+}
+
+impl BatchPlan {
+    fn choose(db: &TransactionDb, batch: &[Itemset]) -> BatchPlan {
+        if !batch.windows(2).all(|w| w[0] < w[1]) {
+            return BatchPlan::Reference;
+        }
+        let k = batch.first().map_or(0, Itemset::len);
+        let uniform = batch.iter().all(|c| c.len() == k);
+        match k {
+            1 if uniform => return BatchPlan::Singles,
+            2 if uniform => {
+                if let Some(ranks) = PairRanks::build(db, batch) {
+                    return BatchPlan::Pairs(ranks);
+                }
+            }
+            _ => {}
+        }
+        let trie = Trie::build(batch);
+        let roots = 0..trie.n_roots(batch);
+        BatchPlan::Trie(trie, roots)
+    }
+}
+
+/// Largest pair triangle a worker allocates per batch (cells of `u32`:
+/// 16 MiB, reached just under 2,900 distinct items).
+const MAX_TRIANGLE_CELLS: usize = 1 << 22;
+/// Triangle cells one unit of trie work pays for: zeroing a cell costs
+/// about an eighth of a trie merge step.
+const CELLS_PER_TRIE_STEP: usize = 8;
+
+/// Whether a batch of `n_candidates` pairs over `n_items` distinct items,
+/// counted on `rows` rows, gets a dense triangle. The triangle's
+/// `n_items·(n_items−1)/2` cells are allocated and zeroed up front whatever
+/// the rows hold; the trie instead builds a node per candidate and merges
+/// its roots (up to one per item) against every row. The triangle is worth
+/// it unless it dwarfs that work — many items, few candidates, few rows —
+/// or would simply be too big to hold per worker.
+fn dense_pairs_fit(n_candidates: usize, n_items: usize, rows: usize) -> bool {
+    let cells = triangle_cells(n_items);
+    let trie_steps = n_candidates.saturating_add(rows.saturating_mul(n_items));
+    cells <= MAX_TRIANGLE_CELLS && cells <= CELLS_PER_TRIE_STEP.saturating_mul(trie_steps)
+}
+
+/// Cells of the upper triangle over `m` ranks: one per unordered pair.
+fn triangle_cells(m: usize) -> usize {
+    m * m.saturating_sub(1) / 2
+}
+
+const NO_RANK: u32 = u32::MAX;
+
+/// The level-2 kernel's index: the items of one pair batch mapped to dense
+/// ranks `0..m`, ascending with item id so a sorted row maps to ascending
+/// ranks, and the upper triangle over those ranks laid out row by row —
+/// cell `(a, b)`, `a < b`, sits at `row_start[a] + (b − a − 1)`.
+struct PairRanks {
+    rank_of: Vec<u32>,
+    row_start: Vec<usize>,
+}
+
+impl PairRanks {
+    /// `None` when [`dense_pairs_fit`] says the trie is the better counter.
+    fn build(db: &TransactionDb, batch: &[Itemset]) -> Option<PairRanks> {
+        // Only items of the database's universe get a rank: no row holds
+        // any other, and the map's size must not follow candidate ids.
+        let mut rank_of = vec![NO_RANK; db.n_items()];
+        for c in batch {
+            for &i in c.as_slice() {
+                if let Some(r) = rank_of.get_mut(i.index()) {
+                    *r = 0;
+                }
+            }
+        }
+        let mut m = 0usize;
+        for r in rank_of.iter_mut().filter(|r| **r != NO_RANK) {
+            *r = m as u32;
+            m += 1;
+        }
+        if !dense_pairs_fit(batch.len(), m, db.len()) {
+            return None;
+        }
+        let row_start = (0..m).map(|a| a * (2 * m - a - 1) / 2).collect();
+        Some(PairRanks { rank_of, row_start })
+    }
+
+    fn cells(&self) -> usize {
+        triangle_cells(self.row_start.len())
+    }
+
+    /// Increments the cell of every pair of batch items in row `t`.
+    /// `row_ranks` is scratch space reused across rows.
+    fn add_row(&self, t: &[ItemId], row_ranks: &mut Vec<u32>, triangle: &mut [u32]) {
+        row_ranks.clear();
+        row_ranks.extend(t.iter().map(|i| self.rank_of[i.index()]).filter(|&r| r != NO_RANK));
+        for (i, &a) in row_ranks.iter().enumerate() {
+            let row = &mut triangle[self.row_start[a as usize]..];
+            for &b in &row_ranks[i + 1..] {
+                row[(b - a - 1) as usize] += 1;
+            }
+        }
+    }
+
+    /// The triangle cell of candidate pair `c`; `None` when one of its
+    /// items lies outside the database's universe (it occurs in no row).
+    fn cell_of(&self, c: &Itemset) -> Option<usize> {
+        let a = *self.rank_of.get(c.as_slice()[0].index())?;
+        let b = *self.rank_of.get(c.as_slice()[1].index())?;
+        Some(self.row_start[a as usize] + (b - a - 1) as usize)
+    }
 }
 
 /// Resolves a thread-count knob: `0` means one worker per available core.
@@ -273,6 +446,21 @@ pub(crate) fn resolve_threads(threads: usize) -> usize {
         std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
     } else {
         threads
+    }
+}
+
+/// [`count_supports_with`] for a single batch, as a [`SupportCounter`]:
+/// transactions are sharded across scoped threads, each counting into local
+/// state, reduced at the end. Still one logical database scan.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct ParallelTrieCounter {
+    /// Worker thread count (0 = one per available core).
+    pub threads: usize,
+}
+
+impl SupportCounter for ParallelTrieCounter {
+    fn count(&self, db: &TransactionDb, candidates: &[Itemset]) -> Vec<u64> {
+        count_supports_with(db, &[candidates], self.threads).remove(0)
     }
 }
 
@@ -388,62 +576,6 @@ mod tests {
     }
 }
 
-/// Multi-threaded trie counter: the candidate trie is built once and shared
-/// read-only; transactions are sharded across scoped threads, each counting
-/// into a local vector, reduced at the end. Still one logical database
-/// scan.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ParallelTrieCounter {
-    /// Worker thread count (0 = one per available core).
-    pub threads: usize,
-}
-
-impl SupportCounter for ParallelTrieCounter {
-    fn count(&self, db: &TransactionDb, candidates: &[Itemset]) -> Vec<u64> {
-        if candidates.is_empty() {
-            return Vec::new();
-        }
-        let threads = resolve_threads(self.threads);
-        // Small inputs: the sequential counter wins.
-        if threads <= 1 || db.len() < 4 * threads {
-            return TrieCounter.count(db, candidates);
-        }
-        let sorted = candidates.windows(2).all(|w| w[0] < w[1]);
-        if !sorted {
-            // Fall back: the sequential path handles reordering.
-            return TrieCounter.count(db, candidates);
-        }
-        let trie = Trie::build(candidates);
-        let roots = 0..trie.n_roots(candidates);
-        // Shard by CSR chunks (offset-sliced views, balanced by item count).
-        let partials: Vec<Vec<u64>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = db
-                .chunks(threads)
-                .into_iter()
-                .map(|chunk| {
-                    let trie = &trie;
-                    let roots = roots.clone();
-                    scope.spawn(move || {
-                        let mut counts = vec![0u64; candidates.len()];
-                        for t in chunk.iter() {
-                            trie.count_transaction(roots.clone(), t, &mut counts);
-                        }
-                        counts
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("worker panicked")).collect()
-        });
-        let mut counts = vec![0u64; candidates.len()];
-        for p in partials {
-            for (acc, x) in counts.iter_mut().zip(p) {
-                *acc += x;
-            }
-        }
-        counts
-    }
-}
-
 #[cfg(test)]
 mod parallel_tests {
     use super::*;
@@ -486,5 +618,121 @@ mod parallel_tests {
             ParallelTrieCounter::default().count(&db, &cands),
             vec![1, 2, 1]
         );
+    }
+}
+
+#[cfg(test)]
+mod dense_tests {
+    use super::*;
+
+    fn sets(v: &[&[u32]]) -> Vec<Itemset> {
+        v.iter().map(|s| s.iter().copied().collect()).collect()
+    }
+
+    fn plan_name(db: &TransactionDb, batch: &[Itemset]) -> &'static str {
+        match BatchPlan::choose(db, batch) {
+            BatchPlan::Singles => "singles",
+            BatchPlan::Pairs(_) => "pairs",
+            BatchPlan::Trie(..) => "trie",
+            BatchPlan::Reference => "reference",
+        }
+    }
+
+    /// 30 rows over 40 items: row `r` holds items `r`, `r + 1`, `r + 5`,
+    /// `r + 10` (mod 40).
+    fn db() -> TransactionDb {
+        let rows: Vec<Vec<ItemId>> = (0..30u32)
+            .map(|r| [0, 1, 5, 10].iter().map(|d| ItemId((r + d) % 40)).collect())
+            .collect();
+        TransactionDb::new(40, rows).unwrap()
+    }
+
+    fn all_pairs(items: std::ops::Range<u32>) -> Vec<Itemset> {
+        let mut out = Vec::new();
+        for a in items.clone() {
+            for b in a + 1..items.end {
+                out.push(Itemset::from([a, b]));
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn plans_follow_the_batch_shape() {
+        let d = db();
+        assert_eq!(plan_name(&d, &sets(&[&[0], &[3], &[39]])), "singles");
+        assert_eq!(plan_name(&d, &all_pairs(0..40)), "pairs");
+        assert_eq!(plan_name(&d, &sets(&[&[0, 1, 5], &[1, 2, 6]])), "trie");
+        assert_eq!(plan_name(&d, &sets(&[&[0, 1], &[0, 1, 5], &[2]])), "trie");
+        assert_eq!(plan_name(&d, &[]), "trie");
+        // Out of order, or the same set twice: only the reference counter
+        // reorders and scatters back.
+        assert_eq!(plan_name(&d, &sets(&[&[3], &[0]])), "reference");
+        assert_eq!(plan_name(&d, &sets(&[&[0, 1], &[0, 1]])), "reference");
+    }
+
+    #[test]
+    fn every_plan_matches_the_naive_counts() {
+        let d = db();
+        let batches = [
+            sets(&[&[0], &[3], &[39]]),
+            all_pairs(0..40),
+            sets(&[&[0, 1, 5], &[1, 2, 6]]),
+            sets(&[&[0, 1], &[0, 1, 5], &[2]]),
+            Vec::new(),
+            sets(&[&[3], &[0], &[3]]),
+            sets(&[&[1, 2], &[0, 1], &[0, 1]]),
+        ];
+        let refs: Vec<&[Itemset]> = batches.iter().map(|b| b.as_slice()).collect();
+        let expected: Vec<Vec<u64>> = batches.iter().map(|b| NaiveCounter.count(&d, b)).collect();
+        for threads in [0usize, 1, 2, 3] {
+            assert_eq!(count_supports_with(&d, &refs, threads), expected, "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn pair_threshold_has_two_sides() {
+        // 3 rows, 2 candidates: 8·(2 + 3·m) trie steps against m·(m−1)/2
+        // cells — the triangle fits up to m = 49 and not from m = 50.
+        assert!(dense_pairs_fit(2, 49, 3));
+        assert!(!dense_pairs_fit(2, 50, 3));
+        // More rows or more candidates buy a bigger triangle.
+        assert!(dense_pairs_fit(2, 50, 4));
+        assert!(dense_pairs_fit(200, 50, 3));
+        // The memory cap holds whatever the work.
+        assert!(dense_pairs_fit(usize::MAX, 2896, usize::MAX));
+        assert!(!dense_pairs_fit(usize::MAX, 2897, usize::MAX));
+
+        // The same line through `choose`, with identical counts either side.
+        let rows: Vec<Vec<ItemId>> =
+            (0..3u32).map(|r| (0..65).step_by(r as usize + 1).map(ItemId).collect()).collect();
+        let d = TransactionDb::new(65, rows).unwrap();
+        // A chain {0,1}, {1,2}, … has one candidate fewer than items:
+        // 8·(63 + 3·64) = 2040 ≥ 2016 cells, 8·(64 + 3·65) = 2072 < 2080.
+        let chain =
+            |m: u32| -> Vec<Itemset> { (0..m - 1).map(|a| Itemset::from([a, a + 1])).collect() };
+        assert_eq!(plan_name(&d, &chain(64)), "pairs");
+        assert_eq!(plan_name(&d, &chain(65)), "trie");
+        for m in [64, 65] {
+            let c = chain(m);
+            assert_eq!(count_supports(&d, &[&c])[0], NaiveCounter.count(&d, &c), "m={m}");
+        }
+    }
+
+    #[test]
+    fn items_outside_the_data_count_zero() {
+        let d = db();
+        // Item 40 is past the database's universe, 39 inside it; neither
+        // kernel may index out of its arrays or size them by candidate ids.
+        let singles = sets(&[&[39], &[40], &[u32::MAX]]);
+        assert_eq!(plan_name(&d, &singles), "singles");
+        assert_eq!(count_supports(&d, &[&singles])[0], NaiveCounter.count(&d, &singles));
+        let pairs = sets(&[&[0, 1], &[0, 40], &[39, u32::MAX], &[40, u32::MAX]]);
+        assert_eq!(plan_name(&d, &pairs), "pairs");
+        assert_eq!(count_supports(&d, &[&pairs])[0], vec![1, 0, 0, 0]);
+        // An empty database counts nothing, through every plan.
+        let empty = TransactionDb::new(40, Vec::new()).unwrap();
+        let got = count_supports_with(&empty, &[&singles, &pairs], 2);
+        assert_eq!(got, vec![vec![0; 3], vec![0; 4]]);
     }
 }

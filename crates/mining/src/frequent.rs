@@ -1,17 +1,22 @@
 //! The levelled collection of frequent sets produced by a lattice run.
 
-use cfq_types::{FxHashMap, ItemId, Itemset};
+use cfq_types::{ItemId, Itemset};
 
 /// Frequent sets organized by level (cardinality), with support lookup.
 ///
 /// Levels are 1-based: `level(1)` holds the frequent singletons (`L1` in the
 /// paper, whose elements feed quasi-succinct reduction), `level(k)` the
 /// frequent k-sets (whose element summary `L_k` feeds `J^k_max` pruning).
+/// Each level is sorted, so a lookup is a binary search in the level of the
+/// set's cardinality — the levels are the only copy of the sets.
 #[derive(Clone, Default)]
 pub struct FrequentSets {
     levels: Vec<Vec<(Itemset, u64)>>,
-    index: FxHashMap<Itemset, u64>,
 }
+
+/// What a heap block costs beyond its payload: the allocator's header plus
+/// rounding up to its block granularity.
+const ALLOC_SLACK: usize = 32;
 
 impl FrequentSets {
     /// An empty collection.
@@ -25,9 +30,6 @@ impl FrequentSets {
         let expected = self.levels.len() + 1;
         debug_assert!(sets.iter().all(|(s, _)| s.len() == expected));
         debug_assert!(sets.windows(2).all(|w| w[0].0 < w[1].0));
-        for (s, sup) in &sets {
-            self.index.insert(s.clone(), *sup);
-        }
         self.levels.push(sets);
     }
 
@@ -52,31 +54,34 @@ impl FrequentSets {
     }
 
     /// Approximate heap footprint in bytes — the accounting unit of the
-    /// engine's LRU cache budget. Counts each stored set twice (levels +
-    /// support index) plus per-entry container overhead; deliberately a
-    /// slight over-estimate so the budget errs towards evicting.
+    /// engine's LRU cache budget. Counts each stored set once: its level
+    /// entry and, for a set too large to live inside the entry, its heap
+    /// block with an allocator header's slack; deliberately a slight
+    /// over-estimate so the budget errs towards evicting.
     pub fn approx_bytes(&self) -> usize {
-        let per_entry =
-            std::mem::size_of::<Itemset>() + std::mem::size_of::<u64>() + std::mem::size_of::<ItemId>();
         let mut bytes = std::mem::size_of::<Self>();
         for level in &self.levels {
-            for (s, _) in level {
-                // Itemset header + items, once in the level vec and once in
-                // the index key.
-                bytes += 2 * (per_entry + s.len() * std::mem::size_of::<ItemId>());
-            }
+            bytes += std::mem::size_of::<Vec<(Itemset, u64)>>() + ALLOC_SLACK;
+            bytes += level.len() * std::mem::size_of::<(Itemset, u64)>();
+            bytes += level
+                .iter()
+                .map(|(s, _)| s.heap_bytes())
+                .filter(|&heap| heap > 0)
+                .map(|heap| heap + ALLOC_SLACK)
+                .sum::<usize>();
         }
         bytes
     }
 
     /// Whether `set` is frequent.
     pub fn contains(&self, set: &Itemset) -> bool {
-        self.index.contains_key(set)
+        self.support(set).is_some()
     }
 
-    /// The support of `set`, if frequent.
+    /// The support of `set`, if frequent (binary search in its level).
     pub fn support(&self, set: &Itemset) -> Option<u64> {
-        self.index.get(set).copied()
+        let level = self.level(set.len());
+        level.binary_search_by(|(s, _)| s.cmp(set)).ok().map(|i| level[i].1)
     }
 
     /// Iterates all frequent sets across levels (ascending level, then
@@ -101,14 +106,9 @@ impl FrequentSets {
     }
 
     /// Drops all levels above `k` (used by tests constructing partial
-    /// lattices) — keeps index entries consistent.
+    /// lattices).
     pub fn truncate(&mut self, k: usize) {
-        while self.levels.len() > k {
-            let popped = self.levels.pop().unwrap();
-            for (s, _) in popped {
-                self.index.remove(&s);
-            }
-        }
+        self.levels.truncate(k);
     }
 }
 
@@ -183,12 +183,64 @@ mod tests {
     }
 
     #[test]
-    fn truncate_drops_index_too() {
+    fn lookup_searches_the_level_of_the_sets_length() {
+        let fs = sample();
+        // Every stored set is found with its own support, first and last
+        // of each level included.
+        for (s, n) in fs.iter() {
+            assert_eq!(fs.support(s), Some(n), "{s}");
+            assert!(fs.contains(s), "{s}");
+        }
+        // Absent: between two stored sets, before the first, past the
+        // last, longer than any level, and the empty set.
+        for absent in [
+            Itemset::from([1u32, 3]),
+            Itemset::from([0u32]),
+            Itemset::from([4u32]),
+            Itemset::from([3u32, 4]),
+            Itemset::from([1u32, 2, 3]),
+            Itemset::empty(),
+        ] {
+            assert_eq!(fs.support(&absent), None, "{absent}");
+            assert!(!fs.contains(&absent), "{absent}");
+        }
+        assert_eq!(FrequentSets::new().support(&[1u32].into()), None);
+    }
+
+    #[test]
+    fn truncate_drops_lookups_too() {
         let mut fs = sample();
+        let full = fs.approx_bytes();
         fs.truncate(1);
         assert_eq!(fs.n_levels(), 1);
         assert!(!fs.contains(&[1u32, 2].into()));
-        assert!(fs.contains(&[1u32].into()));
+        assert_eq!(fs.support(&[1u32].into()), Some(5));
+        assert_eq!(fs.total(), 3);
+        assert!(fs.approx_bytes() < full);
+        // Truncating above the top level is a no-op; to zero empties it.
+        fs.truncate(5);
+        assert_eq!(fs.n_levels(), 1);
+        fs.truncate(0);
+        assert_eq!(fs.total(), 0);
+        assert_eq!(fs.approx_bytes(), FrequentSets::new().approx_bytes());
+    }
+
+    #[test]
+    fn approx_bytes_charges_each_set_once() {
+        // Small sets live inside their level entry: the charge is the
+        // entries plus one allocation per level, nothing per set.
+        let fs = sample();
+        let entry = std::mem::size_of::<(Itemset, u64)>();
+        let per_level = std::mem::size_of::<Vec<(Itemset, u64)>>() + ALLOC_SLACK;
+        let charged = fs.approx_bytes() - FrequentSets::new().approx_bytes();
+        assert_eq!(charged, fs.total() * entry + fs.n_levels() * per_level);
+        // A set past the inline capacity adds its own heap block.
+        let mut deep = FrequentSets::new();
+        for k in 1..=6u32 {
+            deep.push_level(vec![((0..k).collect(), 1)]);
+        }
+        let charged = deep.approx_bytes() - FrequentSets::new().approx_bytes();
+        assert_eq!(charged, 6 * (entry + per_level) + 6 * 4 + ALLOC_SLACK);
     }
 }
 

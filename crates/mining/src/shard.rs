@@ -23,9 +23,9 @@
 //! trim pass whose drops are the summed per-shard drops — identical to
 //! what the unsharded path would have recorded.
 
-use crate::backend::{self, CountingBackend, ResolvedBackend};
+use crate::backend::{self, AutoBasis, CountingBackend, ResolvedBackend};
 use crate::bitmap::{BitmapCounter, BitmapIndex};
-use crate::counter::{SupportCounter, TrieCounter};
+use crate::counter::{count_supports_with, SupportCounter};
 use crate::stats::ScanStats;
 use crate::trim::{trim_db, LiveSet};
 use crate::vertical::{TidsetIndex, VerticalCounter};
@@ -133,18 +133,13 @@ impl ShardedRun {
             CountingBackend::Tidset => ResolvedBackend::Tidset,
             CountingBackend::Bitmap => ResolvedBackend::Bitmap,
             CountingBackend::Auto => {
-                if level <= 2 {
-                    return ResolvedBackend::Bitmap;
-                }
-                let words = (self.base_rows as usize).div_ceil(64) as u64;
-                let word_volume = (n_candidates as u64).saturating_mul(words);
-                let horizontal_volume =
-                    scan.extents.last().map(|e| e.items).unwrap_or(self.base_items);
-                if word_volume <= horizontal_volume {
-                    ResolvedBackend::Bitmap
-                } else {
-                    ResolvedBackend::Horizontal
-                }
+                let basis = AutoBasis {
+                    rows: self.base_rows,
+                    items: self.base_items,
+                    n_items: self.shards[0].base.n_items(),
+                    index_built: self.shards.iter().all(|s| s.bitmap.is_some()),
+                };
+                backend::resolve_auto(&basis, level, n_candidates, scan)
             }
         }
     }
@@ -187,8 +182,7 @@ impl ShardedRun {
                             shard.working = Some(r.db);
                         }
                         let cur = shard.current();
-                        let counts: Vec<Vec<u64>> =
-                            batches.iter().map(|b| TrieCounter.count(cur, b)).collect();
+                        let counts = count_supports_with(cur, batches, 1);
                         ShardLevel {
                             counts,
                             rows: cur.len() as u64,
@@ -328,7 +322,6 @@ fn merge_shard_levels(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::counter::count_supports_with;
     use crate::stats::WorkStats;
 
     fn db() -> TransactionDb {

@@ -16,7 +16,8 @@ pub struct LevelStats {
     /// Candidates found frequent at this level.
     pub frequent: u64,
     /// Wall-clock microseconds spent generating and counting this level
-    /// (0 when the recording path predates timing or nothing was timed).
+    /// (0 on the paths that do not time levels: FUP and Partition). Where
+    /// two lattices share a scan, each one's row includes that scan.
     pub micros: u64,
 }
 

@@ -774,7 +774,10 @@ fn classify(rel: &str) -> FileClass {
         Some(&"crates") => parts.get(1).copied().unwrap_or_default(),
         _ => "cfq",
     };
+    // `benchmark/` is a package of its own outside the workspace: a
+    // binary that measures the crates, like `crates/bench`.
     if crate_name == "bench"
+        || parts.first() == Some(&"benchmark")
         || parts.iter().any(|p| matches!(*p, "tests" | "benches" | "examples" | "bin"))
     {
         return FileClass::TestOrBench;
@@ -956,6 +959,7 @@ mod tests {
         assert_eq!(classify("crates/engine/src/engine.rs"), FileClass::Normal);
         assert_eq!(classify("crates/engine/tests/concurrency.rs"), FileClass::TestOrBench);
         assert_eq!(classify("crates/bench/src/table.rs"), FileClass::TestOrBench);
+        assert_eq!(classify("benchmark/src/report.rs"), FileClass::TestOrBench);
         assert_eq!(classify("tests/equivalence.rs"), FileClass::TestOrBench);
         assert_eq!(classify("src/lib.rs"), FileClass::Normal);
     }

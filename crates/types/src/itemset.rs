@@ -3,15 +3,30 @@
 use crate::item::ItemId;
 use std::fmt;
 
+/// Sets of up to this many items are stored inside the [`Itemset`] value;
+/// larger ones in a heap block. Five covers nearly every frequent set of
+/// the paper's workloads (its lattices thin out by level 6) and keeps the
+/// value at three words.
+const INLINE_CAP: usize = 5;
+
+#[derive(Clone)]
+enum Repr {
+    /// The first `len` slots hold the set; the rest are padding.
+    Inline { len: u8, items: [ItemId; INLINE_CAP] },
+    Heap(Box<[ItemId]>),
+}
+
 /// An immutable set of items, stored sorted and duplicate-free.
 ///
-/// This is both the paper's `S`-set and `T`-set. The representation is a
-/// boxed slice (two words on the stack) because itemsets are created in huge
-/// numbers during mining and never mutated after construction.
+/// This is both the paper's `S`-set and `T`-set. Itemsets are created in
+/// huge numbers during mining and never mutated after construction, so the
+/// representation is three words with small sets held inline: a lattice
+/// level is one allocation, not one per set.
 ///
 /// Ordering (`Ord`) is lexicographic on the sorted item sequence, which makes
 /// collections of itemsets canonically ordered — handy for deterministic
-/// output and for the prefix-join used in candidate generation.
+/// output and for the prefix-join used in candidate generation. Equality,
+/// ordering and hashing are those of [`Itemset::as_slice`].
 ///
 /// ```
 /// use cfq_types::Itemset;
@@ -23,20 +38,42 @@ use std::fmt;
 /// assert_eq!(a.apriori_join(&[1u32, 2, 4].into()), Some([1u32, 2, 3, 4].into()));
 /// assert_eq!(a.apriori_join(&[2u32, 3, 4].into()), None); // prefixes differ
 /// ```
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
+#[derive(Clone)]
 pub struct Itemset {
-    items: Box<[ItemId]>,
+    repr: Repr,
 }
 
 impl Itemset {
+    /// A set of `len` items written by `fill`, which must leave its slice
+    /// sorted and duplicate-free.
+    fn build(len: usize, fill: impl FnOnce(&mut [ItemId])) -> Self {
+        let repr = if len <= INLINE_CAP {
+            let mut items = [ItemId(0); INLINE_CAP];
+            fill(&mut items[..len]);
+            Repr::Inline { len: len as u8, items }
+        } else {
+            let mut items = vec![ItemId(0); len].into_boxed_slice();
+            fill(&mut items);
+            Repr::Heap(items)
+        };
+        let set = Itemset { repr };
+        debug_assert!(set.as_slice().windows(2).all(|w| w[0] < w[1]), "input not sorted/unique");
+        set
+    }
+
+    /// Copies an already sorted, duplicate-free slice.
+    fn from_sorted(items: &[ItemId]) -> Self {
+        Itemset::build(items.len(), |out| out.copy_from_slice(items))
+    }
+
     /// The empty itemset.
     pub fn empty() -> Self {
-        Itemset { items: Box::new([]) }
+        Itemset::from_sorted(&[])
     }
 
     /// A one-element itemset.
     pub fn singleton(item: ItemId) -> Self {
-        Itemset { items: Box::new([item]) }
+        Itemset::from_sorted(&[item])
     }
 
     /// Builds an itemset from an arbitrary iterator; sorts and dedups.
@@ -44,44 +81,59 @@ impl Itemset {
         let mut v: Vec<ItemId> = iter.into_iter().collect();
         v.sort_unstable();
         v.dedup();
-        Itemset { items: v.into_boxed_slice() }
+        Itemset::from_sorted_vec(v)
     }
 
     /// Builds an itemset from a vector the caller promises is already sorted
     /// and duplicate-free. Checked with a debug assertion.
     pub fn from_sorted_vec(v: Vec<ItemId>) -> Self {
+        if v.len() <= INLINE_CAP {
+            return Itemset::from_sorted(&v);
+        }
         debug_assert!(v.windows(2).all(|w| w[0] < w[1]), "input not sorted/unique");
-        Itemset { items: v.into_boxed_slice() }
+        Itemset { repr: Repr::Heap(v.into_boxed_slice()) }
     }
 
     /// Number of items.
     #[inline]
     pub fn len(&self) -> usize {
-        self.items.len()
+        self.as_slice().len()
     }
 
     /// `true` when the set has no items.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
+        self.as_slice().is_empty()
     }
 
     /// The items as a sorted slice.
     #[inline]
     pub fn as_slice(&self) -> &[ItemId] {
-        &self.items
+        match &self.repr {
+            Repr::Inline { len, items } => &items[..*len as usize],
+            Repr::Heap(items) => items,
+        }
+    }
+
+    /// Bytes this set holds on the heap beyond its own value: none for a
+    /// small (inline) set. For memory accounting.
+    pub fn heap_bytes(&self) -> usize {
+        match &self.repr {
+            Repr::Inline { .. } => 0,
+            Repr::Heap(items) => std::mem::size_of_val::<[ItemId]>(items),
+        }
     }
 
     /// Iterates the items in ascending order.
     #[inline]
     pub fn iter(&self) -> impl Iterator<Item = ItemId> + '_ {
-        self.items.iter().copied()
+        self.as_slice().iter().copied()
     }
 
     /// Membership test (binary search).
     #[inline]
     pub fn contains(&self, item: ItemId) -> bool {
-        self.items.binary_search(&item).is_ok()
+        self.as_slice().binary_search(&item).is_ok()
     }
 
     /// `true` iff `self ⊆ other`. Linear merge; both sides are sorted.
@@ -89,8 +141,8 @@ impl Itemset {
         if self.len() > other.len() {
             return false;
         }
-        let mut oi = other.items.iter();
-        'outer: for &a in self.items.iter() {
+        let mut oi = other.as_slice().iter();
+        'outer: for &a in self.as_slice() {
             for &b in oi.by_ref() {
                 match b.cmp(&a) {
                     std::cmp::Ordering::Less => continue,
@@ -105,9 +157,10 @@ impl Itemset {
 
     /// `true` iff the two sets share at least one item.
     pub fn intersects(&self, other: &Itemset) -> bool {
+        let (a, b) = (self.as_slice(), other.as_slice());
         let (mut i, mut j) = (0, 0);
-        while i < self.items.len() && j < other.items.len() {
-            match self.items[i].cmp(&other.items[j]) {
+        while i < a.len() && j < b.len() {
+            match a[i].cmp(&b[j]) {
                 std::cmp::Ordering::Less => i += 1,
                 std::cmp::Ordering::Greater => j += 1,
                 std::cmp::Ordering::Equal => return true,
@@ -118,83 +171,86 @@ impl Itemset {
 
     /// Set union.
     pub fn union(&self, other: &Itemset) -> Itemset {
-        let mut out = Vec::with_capacity(self.len() + other.len());
+        let (a, b) = (self.as_slice(), other.as_slice());
+        let mut out = Vec::with_capacity(a.len() + b.len());
         let (mut i, mut j) = (0, 0);
-        while i < self.items.len() && j < other.items.len() {
-            match self.items[i].cmp(&other.items[j]) {
+        while i < a.len() && j < b.len() {
+            match a[i].cmp(&b[j]) {
                 std::cmp::Ordering::Less => {
-                    out.push(self.items[i]);
+                    out.push(a[i]);
                     i += 1;
                 }
                 std::cmp::Ordering::Greater => {
-                    out.push(other.items[j]);
+                    out.push(b[j]);
                     j += 1;
                 }
                 std::cmp::Ordering::Equal => {
-                    out.push(self.items[i]);
+                    out.push(a[i]);
                     i += 1;
                     j += 1;
                 }
             }
         }
-        out.extend_from_slice(&self.items[i..]);
-        out.extend_from_slice(&other.items[j..]);
-        Itemset { items: out.into_boxed_slice() }
+        out.extend_from_slice(&a[i..]);
+        out.extend_from_slice(&b[j..]);
+        Itemset::from_sorted_vec(out)
     }
 
     /// Set intersection.
     pub fn intersection(&self, other: &Itemset) -> Itemset {
+        let (a, b) = (self.as_slice(), other.as_slice());
         let mut out = Vec::new();
         let (mut i, mut j) = (0, 0);
-        while i < self.items.len() && j < other.items.len() {
-            match self.items[i].cmp(&other.items[j]) {
+        while i < a.len() && j < b.len() {
+            match a[i].cmp(&b[j]) {
                 std::cmp::Ordering::Less => i += 1,
                 std::cmp::Ordering::Greater => j += 1,
                 std::cmp::Ordering::Equal => {
-                    out.push(self.items[i]);
+                    out.push(a[i]);
                     i += 1;
                     j += 1;
                 }
             }
         }
-        Itemset { items: out.into_boxed_slice() }
+        Itemset::from_sorted_vec(out)
     }
 
     /// Set difference `self \ other`.
     pub fn difference(&self, other: &Itemset) -> Itemset {
+        let b = other.as_slice();
         let mut out = Vec::with_capacity(self.len());
         let mut j = 0;
-        for &a in self.items.iter() {
-            while j < other.items.len() && other.items[j] < a {
+        for &a in self.as_slice() {
+            while j < b.len() && b[j] < a {
                 j += 1;
             }
-            if j >= other.items.len() || other.items[j] != a {
+            if j >= b.len() || b[j] != a {
                 out.push(a);
             }
         }
-        Itemset { items: out.into_boxed_slice() }
+        Itemset::from_sorted_vec(out)
     }
 
     /// Returns a new itemset with `item` inserted (no-op clone if present).
     pub fn with_item(&self, item: ItemId) -> Itemset {
-        match self.items.binary_search(&item) {
+        let items = self.as_slice();
+        match items.binary_search(&item) {
             Ok(_) => self.clone(),
-            Err(pos) => {
-                let mut v = Vec::with_capacity(self.len() + 1);
-                v.extend_from_slice(&self.items[..pos]);
-                v.push(item);
-                v.extend_from_slice(&self.items[pos..]);
-                Itemset { items: v.into_boxed_slice() }
-            }
+            Err(pos) => Itemset::build(items.len() + 1, |out| {
+                out[..pos].copy_from_slice(&items[..pos]);
+                out[pos] = item;
+                out[pos + 1..].copy_from_slice(&items[pos..]);
+            }),
         }
     }
 
     /// Returns a new itemset with the item at `idx` removed.
     pub fn without_index(&self, idx: usize) -> Itemset {
-        let mut v = Vec::with_capacity(self.len().saturating_sub(1));
-        v.extend_from_slice(&self.items[..idx]);
-        v.extend_from_slice(&self.items[idx + 1..]);
-        Itemset { items: v.into_boxed_slice() }
+        let items = self.as_slice();
+        Itemset::build(items.len() - 1, |out| {
+            out[..idx].copy_from_slice(&items[..idx]);
+            out[idx..].copy_from_slice(&items[idx + 1..]);
+        })
     }
 
     /// Calls `f` once per (len-1)-subset, in order of the removed position.
@@ -209,27 +265,28 @@ impl Itemset {
     /// k-1 items and `self < other` on the last item, returns the (k+1)-set
     /// `self ∪ other`; otherwise `None`.
     pub fn apriori_join(&self, other: &Itemset) -> Option<Itemset> {
-        let k = self.len();
-        if k == 0 || other.len() != k {
+        let (a, b) = (self.as_slice(), other.as_slice());
+        let k = a.len();
+        if k == 0 || b.len() != k {
             return None;
         }
-        if self.items[..k - 1] != other.items[..k - 1] {
+        if a[..k - 1] != b[..k - 1] {
             return None;
         }
-        if self.items[k - 1] >= other.items[k - 1] {
+        if a[k - 1] >= b[k - 1] {
             return None;
         }
-        let mut v = Vec::with_capacity(k + 1);
-        v.extend_from_slice(&self.items);
-        v.push(other.items[k - 1]);
-        Some(Itemset { items: v.into_boxed_slice() })
+        Some(Itemset::build(k + 1, |out| {
+            out[..k].copy_from_slice(a);
+            out[k] = b[k - 1];
+        }))
     }
 
     /// Enumerates all subsets of a given size (ascending lexicographic).
     /// Intended for brute-force oracles in tests and the Apriori⁺ baseline
     /// on small instances — cost is `C(n, k)`.
     pub fn subsets_of_size(&self, k: usize) -> SubsetIter<'_> {
-        SubsetIter::new(&self.items, k)
+        SubsetIter::new(self.as_slice(), k)
     }
 
     /// Enumerates every non-empty subset. Exponential; test/oracle use only.
@@ -239,14 +296,46 @@ impl Itemset {
         let mut out = Vec::with_capacity((1usize << n) - 1);
         for mask in 1u32..(1u32 << n) {
             let mut v = Vec::with_capacity(mask.count_ones() as usize);
-            for (i, &it) in self.items.iter().enumerate() {
+            for (i, &it) in self.as_slice().iter().enumerate() {
                 if mask & (1 << i) != 0 {
                     v.push(it);
                 }
             }
-            out.push(Itemset { items: v.into_boxed_slice() });
+            out.push(Itemset::from_sorted_vec(v));
         }
         out
+    }
+}
+
+impl Default for Itemset {
+    fn default() -> Self {
+        Itemset::empty()
+    }
+}
+
+impl PartialEq for Itemset {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+impl Eq for Itemset {}
+
+impl PartialOrd for Itemset {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Itemset {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.as_slice().cmp(other.as_slice())
+    }
+}
+
+impl std::hash::Hash for Itemset {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.as_slice().hash(state);
     }
 }
 
@@ -271,7 +360,7 @@ impl<const N: usize> From<[u32; N]> for Itemset {
 impl Itemset {
     fn fmt_items(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{{")?;
-        for (i, it) in self.items.iter().enumerate() {
+        for (i, it) in self.as_slice().iter().enumerate() {
             if i > 0 {
                 write!(f, ",")?;
             }
@@ -447,6 +536,42 @@ mod tests {
         assert!(s(&[1, 2]) < s(&[1, 3]));
         assert!(s(&[1]) < s(&[1, 2]));
         assert!(s(&[2]) > s(&[1, 9, 10]));
+    }
+
+    #[test]
+    fn small_sets_are_inline_and_the_boundary_is_invisible() {
+        use std::hash::{Hash, Hasher};
+        // Three words, so a lattice entry `(Itemset, u64)` is four.
+        assert!(std::mem::size_of::<Itemset>() <= 24);
+        let hash = |x: &Itemset| {
+            let mut h = std::collections::hash_map::DefaultHasher::new();
+            x.hash(&mut h);
+            h.finish()
+        };
+        // Sizes on both sides of the inline capacity, through every
+        // constructor: same slice, same equality, order and hash.
+        for n in [0u32, 1, 4, 5, 6, 9] {
+            let items: Vec<ItemId> = (0..n).map(|i| ItemId(2 * i + 1)).collect();
+            let a = Itemset::from_sorted_vec(items.clone());
+            let b = Itemset::from_items(items.iter().rev().copied());
+            assert_eq!(a.as_slice(), items.as_slice());
+            assert_eq!(a.len(), n as usize);
+            assert_eq!(a, b);
+            assert_eq!(a.cmp(&b), std::cmp::Ordering::Equal);
+            assert_eq!(hash(&a), hash(&b));
+            assert_eq!(a.clone(), a);
+            assert_eq!(a.heap_bytes(), if n <= 5 { 0 } else { 4 * n as usize });
+            // Growing and shrinking across the boundary.
+            let grown = a.with_item(ItemId(2));
+            assert_eq!(grown.len(), n as usize + 1);
+            assert!(a.is_subset_of(&grown) && a != grown);
+            let pos = grown.as_slice().iter().position(|&i| i == ItemId(2)).unwrap();
+            assert_eq!(grown.without_index(pos), a);
+        }
+        assert_eq!(s(&[1, 2, 3, 4, 5]).apriori_join(&s(&[1, 2, 3, 4, 6])), Some(s(&[1, 2, 3, 4, 5, 6])));
+        assert_eq!(s(&[1, 2, 3, 4]).union(&s(&[5, 6])), s(&[1, 2, 3, 4, 5, 6]));
+        assert_eq!(s(&[1, 2, 3, 4, 5, 6]).intersection(&s(&[2, 4, 6, 8])), s(&[2, 4, 6]));
+        assert_eq!(Itemset::default(), Itemset::empty());
     }
 
     #[test]

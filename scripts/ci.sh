@@ -66,6 +66,17 @@ echo "== cfq lint --workspace: token-level invariant pass over the sources"
 # hygiene, unbound span guards, missing docs on public items.
 ./target/release/cfq lint --workspace
 
+echo "== benchmark: unit tests + --smoke (the public signatures it imports, answers on a second database)"
+# benchmark/ is a package of its own with path dependencies on the crates:
+# it stops compiling when a signature it imports drifts
+# (count_supports_with, generate_candidates, trim_db, FrequentSets::iter,
+# apriori, ...), and --smoke runs all four workloads for a second each on
+# the Quest seed-7 database at scale 0.02, checking every answer against
+# its Apriori+ oracle. Builds into target/benchmark, as the driver does.
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
+bash benchmark/run.sh --smoke > /dev/null \
+  || { echo "benchmark --smoke failed (an answer did not verify, or the build broke)"; exit 1; }
+
 echo "== repro fig8a + substrate at smoke scale"
 CFQ_SCALE="${CFQ_SCALE:-0.02}" cargo run -p cfq-bench --release --bin repro -- fig8a substrate
 
