@@ -37,11 +37,11 @@ use cfq_core::Optimizer;
 use cfq_datagen::io;
 use cfq_engine::wal::WalTailer;
 use cfq_engine::{
-    json, wire, Engine, EngineConfig, QueryRequest, QueryResponse, SessionPool,
+    json, wire, Engine, EngineConfig, QueryOutcome, QueryRequest, QueryResponse, SessionPool,
 };
 use cfq_obs::{self as obs, Counter, Gauge, Histogram, Registry, SlowLevel, SlowLog, SlowQuery};
 use cfq_types::{CfqError, Result};
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -88,6 +88,18 @@ const ACCEPT_BACKOFF_MIN: Duration = Duration::from_millis(10);
 /// Ceiling for the accept-error backoff.
 const ACCEPT_BACKOFF_MAX: Duration = Duration::from_millis(1000);
 
+/// Longest request line a connection may send. The largest legitimate
+/// request — two 1,000-item universes — is about 10 KB; without a cap a
+/// client that never sends a newline grows the line buffer until the
+/// process dies.
+const MAX_REQUEST_LINE: usize = 1 << 20;
+
+/// Bytes of reply a connection buffers before handing them to the socket.
+/// Nearly every reply fits and goes out as one write; a larger one streams
+/// through in chunks of this size, so no reply is ever held whole and a
+/// connection's memory does not depend on what it asked for.
+const REPLY_CHUNK: usize = 64 << 10;
+
 /// Set by the SIGINT handler; checked by every accept/scrape loop.
 static SIGINT_SEEN: AtomicBool = AtomicBool::new(false);
 
@@ -115,6 +127,34 @@ fn install_sigint_handler() {
 
 #[cfg(not(unix))]
 fn install_sigint_handler() {}
+
+/// Keeps glibc malloc to its one main arena. By default every thread gets
+/// an arena of its own, and a connection's worker is a thread: what a
+/// query's mining frees then sits at the top of that worker's arena until
+/// a later free happens to exceed the (dynamic) trim threshold, and stays
+/// there for good once the connection is gone, so the same server under
+/// the same six requests held 14 to 20 MB depending on their order. The
+/// main arena gives freed memory back the same way every time. The price
+/// is one malloc lock for all connections: small blocks come from
+/// per-thread caches and never take it, the filter and pair vectors of a
+/// cache-served query do (a tenth of its throughput at two busy
+/// connections).
+#[cfg(all(target_os = "linux", target_env = "gnu"))]
+fn use_one_malloc_arena() {
+    extern "C" {
+        fn mallopt(param: i32, value: i32) -> i32;
+    }
+    const M_ARENA_MAX: i32 = -8;
+    // SAFETY: `mallopt(3)` takes two integers and sets a limit malloc
+    // reads when a thread first allocates; called before any other thread
+    // exists.
+    unsafe {
+        mallopt(M_ARENA_MAX, 1);
+    }
+}
+
+#[cfg(not(all(target_os = "linux", target_env = "gnu")))]
+fn use_one_malloc_arena() {}
 
 /// Backoff after `consecutive` failed `accept()` calls in a row: 10ms
 /// doubling to a 1s ceiling. Never gives up — only a failed `bind` is
@@ -163,6 +203,8 @@ pub struct ServerMetrics {
     pub bytes_out_total: Arc<Counter>,
     /// Time queries spent waiting at the scheduler's admission gate.
     pub scheduler_wait_seconds: Arc<Histogram>,
+    /// Where a request's time went, `cfq_request_stage_seconds{stage=…}`.
+    pub stage_seconds: StageSeconds,
     // Synced from the engine at render time:
     mining_passes: Arc<Counter>,
     sched_coalesced: Arc<Counter>,
@@ -192,13 +234,52 @@ pub struct ServerMetrics {
     snapshot_last_epoch: Arc<Gauge>,
 }
 
+/// One histogram per stage of a request, in path order. The first four
+/// are [`cfq_engine::StageMicros`] as the engine measured them; `encode`
+/// and `write` are the server's own. Together with the admission wait
+/// they add up to what a client sees, less the socket's transit.
+pub struct StageSeconds {
+    /// Snapshot, parse, bind, plan.
+    pub plan: Arc<Histogram>,
+    /// S lattice: cache lookup or mining, then this query's filter.
+    pub s_lattice: Arc<Histogram>,
+    /// T lattice.
+    pub t_lattice: Arc<Histogram>,
+    /// Pair formation and compaction.
+    pub pairs: Arc<Histogram>,
+    /// Outcome to reply bytes (envelope queries) — including, for a reply
+    /// larger than the connection's buffer, the chunks that went to the
+    /// socket on the way.
+    pub encode: Arc<Histogram>,
+    /// Flushing what is left of a reply to the socket (every reply on a
+    /// served connection).
+    pub write: Arc<Histogram>,
+}
+
 impl ServerMetrics {
     /// Creates the family set over a fresh registry. Each server (and
     /// each test) gets its own so parallel instances do not bleed into
     /// each other's scrapes.
     pub fn new() -> Arc<ServerMetrics> {
         let r = Registry::new();
+        let stage = |stage: &str| {
+            r.histogram_with(
+                "cfq_request_stage_seconds",
+                "Time per stage of a request: plan, s_lattice, t_lattice, pairs, encode, write.",
+                &[("stage", stage)],
+                &obs::wait_buckets(),
+            )
+        };
+        let stage_seconds = StageSeconds {
+            plan: stage("plan"),
+            s_lattice: stage("s_lattice"),
+            t_lattice: stage("t_lattice"),
+            pairs: stage("pairs"),
+            encode: stage("encode"),
+            write: stage("write"),
+        };
         Arc::new(ServerMetrics {
+            stage_seconds,
             queries_total: r.counter("cfq_queries_total", "Queries answered successfully."),
             query_errors_total: r.counter(
                 "cfq_query_errors_total",
@@ -439,27 +520,38 @@ fn looks_like_envelope(line: &str) -> bool {
         && matches!(chars.find(|c| !c.is_whitespace()), Some('"') | Some('}'))
 }
 
-/// Handles one protocol line. Returns `None` on `:quit`, otherwise the
-/// text to print. Errors are rendered into the reply — a bad query must
-/// not kill a shared server loop. JSON-object lines go to the v1
-/// envelope and *always* reply with one JSON object, never prose.
-pub fn handle_line(state: &mut ReplState, line: &str) -> Option<String> {
-    let line = line.trim();
-    if line.is_empty() {
-        return Some(String::new());
+/// Writes `reply` and its newline to `out` — nothing for an empty reply,
+/// so a blank request line stays unanswered.
+fn push_line(out: &mut impl Write, reply: &str) -> std::io::Result<()> {
+    if reply.is_empty() {
+        return Ok(());
     }
+    out.write_all(reply.as_bytes())?;
+    out.write_all(b"\n")
+}
+
+/// Handles one protocol line: writes the reply line, newline included,
+/// to `out`, and returns `false` on `:quit`. The only error is `out`'s.
+/// Query and command errors are rendered into the reply — a bad query
+/// must not kill a shared server loop. JSON-object lines go to the v1
+/// envelope and *always* reply with one JSON object, never prose.
+fn write_reply(state: &mut ReplState, line: &str, out: &mut impl Write) -> std::io::Result<bool> {
+    let line = line.trim();
     if line == ":quit" || line == ":q" {
-        return None;
+        return Ok(false);
     }
     if looks_like_envelope(line) {
-        return Some(run_envelope(state, line));
+        run_envelope(state, line, out)?;
+    } else if !line.is_empty() {
+        let reply = dispatch(state, line).unwrap_or_else(|e| match e {
+            // Overload is back-pressure, not a malfunction: the Display
+            // form already starts with `overloaded:`, which clients key off.
+            CfqError::Overloaded(_) => e.to_string(),
+            _ => format!("error: {e}"),
+        });
+        push_line(out, &reply)?;
     }
-    Some(dispatch(state, line).unwrap_or_else(|e| match e {
-        // Overload is back-pressure, not a malfunction: the Display form
-        // already starts with `overloaded:`, which clients key off.
-        CfqError::Overloaded(_) => e.to_string(),
-        _ => format!("error: {e}"),
-    }))
+    Ok(true)
 }
 
 /// The typed rejection a gated legacy command gets: one JSON object with
@@ -695,9 +787,9 @@ fn json_error(e: &CfqError) -> String {
 
 /// Executes one [`QueryRequest`], recording latency, outcome metrics
 /// and (when slow enough) a slow-query log entry — the shared engine
-/// room behind both the legacy `:json` command and the v1 envelope.
-/// Returns the [`QueryResponse`] as one JSON line.
-fn run_request(state: &mut ReplState, req: &QueryRequest) -> Result<String> {
+/// room behind both the legacy `:json` command and the v1 envelope,
+/// which each encode the outcome their own way.
+fn run_request(state: &mut ReplState, req: &QueryRequest) -> Result<QueryOutcome> {
     let start = Instant::now();
     let result = state.pool.session().execute(req);
     let elapsed = start.elapsed();
@@ -714,6 +806,15 @@ fn run_request(state: &mut ReplState, req: &QueryRequest) -> Result<String> {
     state.metrics.query_seconds.observe(elapsed.as_secs_f64());
     state.metrics.scheduler_wait_seconds.observe(out.admission_wait.as_secs_f64());
     state.metrics.db_scans_total.add(out.outcome.db_scans);
+    let stages = &state.metrics.stage_seconds;
+    for (histogram, micros) in [
+        (&stages.plan, out.stage_us.plan),
+        (&stages.s_lattice, out.stage_us.s_lattice),
+        (&stages.t_lattice, out.stage_us.t_lattice),
+        (&stages.pairs, out.stage_us.pairs),
+    ] {
+        histogram.observe(micros as f64 / 1e6);
+    }
 
     let p = &out.outcome.provenance;
     let slow = SlowQuery {
@@ -740,7 +841,7 @@ fn run_request(state: &mut ReplState, req: &QueryRequest) -> Result<String> {
         state.metrics.slow_queries_total.inc();
     }
 
-    Ok(QueryResponse::from_outcome(&out).to_json())
+    Ok(out)
 }
 
 /// Runs one `:json REQUEST` line (the deprecated pre-envelope form).
@@ -758,7 +859,10 @@ fn run_json(state: &mut ReplState, arg: &str) -> String {
             return json_error(&e);
         }
     };
-    run_request(state, &req).unwrap_or_else(|e| json_error(&e))
+    match run_request(state, &req) {
+        Ok(out) => QueryResponse::from_outcome(&out).to_json(),
+        Err(e) => json_error(&e),
+    }
 }
 
 /// The `status` command's result object: serving mode plus the epoch,
@@ -794,19 +898,26 @@ fn status_json(state: &ReplState) -> String {
     out
 }
 
-/// Handles one v1 envelope line. Always replies with exactly one JSON
-/// envelope — `{"v":1,"result":...}` or a typed error object.
-fn run_envelope(state: &mut ReplState, line: &str) -> String {
+/// Handles one v1 envelope line. Always writes exactly one JSON envelope
+/// line to `out` — `{"v":1,"result":...}` or a typed error object. An
+/// answered query is encoded from its outcome straight into `out`;
+/// every other reply is small and goes through a `String`.
+fn run_envelope(state: &mut ReplState, line: &str, out: &mut impl Write) -> std::io::Result<()> {
     let cmd = match wire::parse_envelope(line) {
         Ok(cmd) => cmd,
         Err(e) => {
             state.metrics.query_errors_total.inc();
-            return e.render();
+            return push_line(out, &e.render());
         }
     };
-    match cmd {
+    let reply = match cmd {
         wire::WireCmd::Query(req) => match run_request(state, &req) {
-            Ok(resp) => wire::result_object(&resp),
+            Ok(outcome) => {
+                let start = Instant::now();
+                wire::write_query_reply(out, &outcome)?;
+                state.metrics.stage_seconds.encode.observe(start.elapsed().as_secs_f64());
+                return Ok(());
+            }
             Err(e) => wire::error_from(&e),
         },
         wire::WireCmd::Metrics => wire::text_result(&state.metrics.render(&state.engine)),
@@ -821,7 +932,8 @@ fn run_envelope(state: &mut ReplState, line: &str) -> String {
             }
             Err(e) => wire::error_from(&e),
         },
-    }
+    };
+    push_line(out, &reply)
 }
 
 /// Drives the line protocol over arbitrary reader/writer pairs — the REPL
@@ -838,14 +950,8 @@ pub fn repl_loop<R: BufRead, W: Write>(
         writer.flush()?;
     }
     for line in reader.lines() {
-        let line = line?;
-        match handle_line(state, &line) {
-            None => break,
-            Some(reply) => {
-                if !reply.is_empty() {
-                    writeln!(writer, "{reply}")?;
-                }
-            }
+        if !write_reply(state, &line?, &mut writer)? {
+            break;
         }
         if prompt {
             write!(writer, "cfq> ")?;
@@ -1033,35 +1139,93 @@ enum ConnEnd {
     IdleTimeout,
 }
 
+/// Reads one request line of at most [`MAX_REQUEST_LINE`] bytes into
+/// `line`, newline included, and returns the bytes consumed (0 at end of
+/// input). A longer line is consumed to its newline and dropped, leaving
+/// `line` empty, so the connection is back in step for the next request.
+fn read_request_line(reader: &mut impl BufRead, line: &mut Vec<u8>) -> std::io::Result<usize> {
+    line.clear();
+    let mut consumed = reader.by_ref().take(MAX_REQUEST_LINE as u64 + 1).read_until(b'\n', line)?;
+    if line.len() > MAX_REQUEST_LINE && line.last() != Some(&b'\n') {
+        line.clear();
+        loop {
+            let chunk = reader.fill_buf()?;
+            let (used, done) = match chunk.iter().position(|&b| b == b'\n') {
+                Some(at) => (at + 1, true),
+                None => (chunk.len(), chunk.is_empty()),
+            };
+            reader.consume(used);
+            consumed += used;
+            if done {
+                break;
+            }
+        }
+    }
+    Ok(consumed)
+}
+
+/// A socket that counts what it is handed, under the reply buffer: the
+/// count is bytes on the wire, whatever chunks they left in.
+struct Counted {
+    stream: TcpStream,
+    bytes: u64,
+}
+
+impl Write for Counted {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        let n = self.stream.write(buf)?;
+        self.bytes += n as u64;
+        Ok(n)
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        self.stream.flush()
+    }
+}
+
 /// Serves one accepted connection until it quits, vanishes, or idles out.
+/// Replies are encoded into one [`REPLY_CHUNK`]-byte buffer allocated
+/// here, before the first request, and flushed at the end of each: one
+/// socket write per reply, unless the reply is larger than the buffer.
 fn serve_client(state: &mut ReplState, stream: TcpStream, conn_id: u64) -> ConnEnd {
     let metrics = Arc::clone(&state.metrics);
     let mut reader = BufReader::new(match stream.try_clone() {
         Ok(s) => s,
         Err(_) => return ConnEnd::Gone,
     });
-    let mut writer = stream;
-    let mut line = String::new();
+    let mut writer = BufWriter::with_capacity(REPLY_CHUNK, Counted { stream, bytes: 0 });
+    let mut line = Vec::new();
     loop {
-        line.clear();
-        match reader.read_line(&mut line) {
+        match read_request_line(&mut reader, &mut line) {
             Ok(0) => return ConnEnd::Gone,
             Ok(n) => {
                 metrics.bytes_in_total.add(n as u64);
                 let _req = obs::span(obs::Level::Info, "serve.request").u64("conn", conn_id);
-                match handle_line(state, &line) {
-                    None => return ConnEnd::Quit,
-                    Some(reply) => {
-                        if !reply.is_empty() {
-                            if writeln!(writer, "{reply}").is_err() {
-                                return ConnEnd::Gone;
-                            }
-                            metrics.bytes_out_total.add(reply.len() as u64 + 1);
-                        }
-                        if writer.flush().is_err() {
-                            return ConnEnd::Gone;
-                        }
-                    }
+                let replied = if line.is_empty() {
+                    // Over the cap: `read_request_line` dropped it unread.
+                    metrics.query_errors_total.inc();
+                    let e = wire::WireError {
+                        kind: "protocol",
+                        message: format!(
+                            "request line of {n} bytes exceeds the {MAX_REQUEST_LINE}-byte limit"
+                        ),
+                    };
+                    push_line(&mut writer, &e.render()).map(|()| true)
+                } else {
+                    // Not UTF-8: not a protocol this server speaks.
+                    let Ok(text) = std::str::from_utf8(&line) else { return ConnEnd::Gone };
+                    write_reply(state, text, &mut writer)
+                };
+                let start = Instant::now();
+                match replied.and_then(|more| writer.flush().map(|()| more)) {
+                    Ok(true) => {}
+                    Ok(false) => return ConnEnd::Quit,
+                    Err(_) => return ConnEnd::Gone,
+                }
+                let sent = std::mem::take(&mut writer.get_mut().bytes);
+                if sent > 0 {
+                    metrics.stage_seconds.write.observe(start.elapsed().as_secs_f64());
+                    metrics.bytes_out_total.add(sent);
                 }
             }
             Err(e)
@@ -1071,6 +1235,7 @@ fn serve_client(state: &mut ReplState, stream: TcpStream, conn_id: u64) -> ConnE
                 ) =>
             {
                 let _ = writeln!(writer, "idle timeout: closing connection");
+                let _ = writer.flush();
                 return ConnEnd::IdleTimeout;
             }
             Err(_) => return ConnEnd::Gone,
@@ -1283,6 +1448,7 @@ pub fn serve(argv: Vec<String>) -> Result<()> {
         );
         return Ok(());
     }
+    use_one_malloc_arena();
     let a = Args::parse(argv, &["legacy-protocol"])?;
     install_tracing(&a)?;
     let engine = build_engine(&a)?;
@@ -1372,6 +1538,17 @@ mod tests {
     }
 
     const Q: &str = "max(S.Price) <= 30 & min(T.Price) >= 40";
+
+    /// One line in, the reply text out (`None` on `:quit`): what a
+    /// connection would have been sent, less the newline.
+    fn handle_line(state: &mut ReplState, line: &str) -> Option<String> {
+        let mut out = Vec::new();
+        if !write_reply(state, line, &mut out).unwrap() {
+            return None;
+        }
+        assert!(out.is_empty() || out.pop() == Some(b'\n'), "a reply is one terminated line");
+        Some(String::from_utf8(out).unwrap())
+    }
 
     #[test]
     fn repl_loop_runs_queries_and_commands() {
@@ -1634,6 +1811,121 @@ mod tests {
         BufReader::new(conn).read_to_string(&mut text).unwrap();
         assert!(text.contains("valid pairs"), "{text}");
 
+        server.join().unwrap().unwrap();
+    }
+
+    /// Sends one line and reads one reply line.
+    fn ask(conn: &mut TcpStream, reader: &mut BufReader<TcpStream>, line: &[u8]) -> String {
+        conn.write_all(line).unwrap();
+        conn.write_all(b"\n").unwrap();
+        let mut reply = String::new();
+        reader.read_line(&mut reply).unwrap();
+        reply
+    }
+
+    fn error_kind_of(reply: &str) -> String {
+        let v = json::parse(reply).unwrap_or_else(|e| panic!("non-JSON reply: {reply} ({e})"));
+        v.get("error").and_then(|e| e.get("kind")).and_then(json::Json::as_str).unwrap().to_string()
+    }
+
+    /// Two lines that used to take the whole server down — 200,000 open
+    /// brackets (stack overflow in the recursive JSON parser) and a line
+    /// with no end in sight (unbounded `read_line`) — each get a typed
+    /// `protocol` error, and the same connection then gets a good answer.
+    #[test]
+    fn nesting_bomb_and_overlong_line_get_typed_errors_and_the_server_lives() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let metrics = ServerMetrics::new();
+        let opts = ServeOptions {
+            max_conns: Some(1),
+            metrics: Arc::clone(&metrics),
+            ..ServeOptions::default()
+        };
+        let eng = engine();
+        let server = std::thread::spawn(move || serve_connections(listener, eng, opts));
+        let mut conn = TcpStream::connect(addr).unwrap();
+        let mut reader = BufReader::new(conn.try_clone().unwrap());
+
+        let bomb = format!("{{\"v\":1,\"cmd\":\"query\",\"req\":{}", "[".repeat(200_000));
+        let reply = ask(&mut conn, &mut reader, bomb.as_bytes());
+        assert_eq!(error_kind_of(&reply), "protocol", "{reply}");
+        assert!(reply.contains("nesting deeper than"), "{reply}");
+
+        // Over the cap by a few bytes, and split UTF-8 at the cap for
+        // good measure: the line is dropped unread, not decoded.
+        let mut long = vec![b'a'; MAX_REQUEST_LINE];
+        long.extend_from_slice("ééé".as_bytes());
+        let reply = ask(&mut conn, &mut reader, &long);
+        assert_eq!(error_kind_of(&reply), "protocol", "{reply}");
+        assert!(reply.contains("exceeds the 1048576-byte limit"), "{reply}");
+
+        // A line of exactly the cap is still read (and is a bad query).
+        let reply = ask(&mut conn, &mut reader, &vec![b'a'; MAX_REQUEST_LINE]);
+        assert!(reply.starts_with("error:"), "{}", &reply[..reply.len().min(200)]);
+
+        let reply = ask(&mut conn, &mut reader, b"{\"v\":1,\"cmd\":\"status\"}");
+        let v = json::parse(&reply).unwrap();
+        assert_eq!(v.get("result").unwrap().get("epoch").unwrap().as_u64(), Some(0), "{reply}");
+        assert_eq!(metrics.query_errors_total.get(), 3);
+
+        ask(&mut conn, &mut reader, b":quit");
+        server.join().unwrap().unwrap();
+    }
+
+    /// A reply over a megabyte arrives as exactly one newline-terminated
+    /// line, the byte counter equals what was on the wire, and the stage
+    /// histograms saw the request.
+    #[test]
+    fn megabyte_reply_is_one_line_and_every_byte_is_counted() {
+        // Ten items in every row: 1,023 frequent sets a side, a million
+        // valid pairs, 120,000 of them materialised.
+        let rows: Vec<Vec<u32>> = vec![(0..10).collect(); 4];
+        let rows: Vec<&[u32]> = rows.iter().map(Vec::as_slice).collect();
+        let eng = Engine::new(
+            TransactionDb::from_u32(10, &rows),
+            cfq_types::Catalog::empty(10),
+        )
+        .unwrap();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let opts = ServeOptions { max_conns: Some(1), ..ServeOptions::default() };
+        let server = std::thread::spawn(move || serve_connections(listener, eng, opts));
+        let mut conn = TcpStream::connect(addr).unwrap();
+        let mut reader = BufReader::new(conn.try_clone().unwrap());
+
+        let big = ask(
+            &mut conn,
+            &mut reader,
+            b"{\"v\":1,\"cmd\":\"query\",\"req\":{\"query\":\"count(S) >= 1\",\
+              \"support\":{\"abs\":1},\"max_pairs\":120000}}",
+        );
+        assert!(big.len() > 1_000_000, "only {} bytes", big.len());
+        assert!(big.ends_with("}}\n") && big.matches('\n').count() == 1);
+        let v = json::parse(&big).unwrap();
+        let result = v.get("result").unwrap();
+        assert_eq!(result.get("pair_count").unwrap().as_u64(), Some(1023 * 1023));
+        assert_eq!(result.get("pairs").unwrap().as_arr().unwrap().len(), 120_000);
+        assert_eq!(result.get("s_sets").unwrap().as_arr().unwrap().len(), 1023);
+
+        // The scrape is rendered before its own reply is written, so it
+        // counts exactly the one big line.
+        let scrape = ask(&mut conn, &mut reader, b"{\"v\":1,\"cmd\":\"metrics\"}");
+        let scrape = json::parse(&scrape).unwrap();
+        let text = scrape.get("result").unwrap().get("text").unwrap().as_str().unwrap();
+        for needle in [
+            format!("cfq_bytes_out_total {}", big.len()),
+            "cfq_request_stage_seconds_count{stage=\"plan\"} 1".to_string(),
+            "cfq_request_stage_seconds_count{stage=\"s_lattice\"} 1".to_string(),
+            "cfq_request_stage_seconds_count{stage=\"t_lattice\"} 1".to_string(),
+            "cfq_request_stage_seconds_count{stage=\"pairs\"} 1".to_string(),
+            "cfq_request_stage_seconds_count{stage=\"encode\"} 1".to_string(),
+            "cfq_request_stage_seconds_count{stage=\"write\"} 1".to_string(),
+        ] {
+            assert!(text.contains(&needle), "missing `{needle}` in:\n{text}");
+        }
+
+        ask(&mut conn, &mut reader, b":quit");
         server.join().unwrap().unwrap();
     }
 

@@ -200,7 +200,9 @@ impl<'a> LatticeRun<'a> {
         }
 
         if self.level == 0 {
-            if self.form.unsatisfiable() {
+            // Nothing to count: finish here, with no batch left pending —
+            // the caller counts and absorbs non-empty batches only.
+            if self.form.unsatisfiable() || self.universe_eff.is_empty() {
                 self.done = true;
                 return Vec::new();
             }

@@ -15,6 +15,7 @@
 
 use cfq_constraints::{eval::agg_value, CmpOp, TwoVar};
 use cfq_types::{Catalog, Itemset};
+use std::collections::HashMap;
 
 /// Result of pair formation.
 #[derive(Clone, Debug)]
@@ -58,8 +59,17 @@ pub fn compact_used(
 
 /// A 2-var constraint with its per-side inputs precomputed.
 enum Prepared {
-    /// Domain constraint over precomputed sorted value-key sets.
-    Domain { rel: cfq_constraints::SetRel, s_keys: Vec<Vec<u64>>, t_keys: Vec<Vec<u64>> },
+    /// Domain constraint over precomputed sorted value-key sets. T-sets
+    /// with the same value set share one `t_distinct` entry (`t_ids[ti]`
+    /// indexes it): a lattice of thousands of sets over ten types has a
+    /// few dozen type sets, so a row evaluates the relation a few dozen
+    /// times, not once per T-set.
+    Domain {
+        rel: cfq_constraints::SetRel,
+        s_keys: Vec<Vec<u64>>,
+        t_distinct: Vec<Vec<u64>>,
+        t_ids: Vec<u32>,
+    },
     /// Numeric comparison over precomputed aggregate (or count) values.
     Num { op: CmpOp, s_vals: Vec<f64>, t_vals: Vec<f64> },
 }
@@ -72,11 +82,25 @@ impl Prepared {
         catalog: &Catalog,
     ) -> Prepared {
         match c {
-            TwoVar::Domain { s_attr, rel, t_attr } => Prepared::Domain {
-                rel: *rel,
-                s_keys: s_sets.iter().map(|(s, _)| catalog.value_set(*s_attr, s)).collect(),
-                t_keys: t_sets.iter().map(|(t, _)| catalog.value_set(*t_attr, t)).collect(),
-            },
+            TwoVar::Domain { s_attr, rel, t_attr } => {
+                let mut t_distinct = Vec::new();
+                let mut ids: HashMap<Vec<u64>, u32> = HashMap::new();
+                let t_ids = t_sets
+                    .iter()
+                    .map(|(t, _)| {
+                        *ids.entry(catalog.value_set(*t_attr, t)).or_insert_with_key(|keys| {
+                            t_distinct.push(keys.clone());
+                            t_distinct.len() as u32 - 1
+                        })
+                    })
+                    .collect();
+                Prepared::Domain {
+                    rel: *rel,
+                    s_keys: s_sets.iter().map(|(s, _)| catalog.value_set(*s_attr, s)).collect(),
+                    t_distinct,
+                    t_ids,
+                }
+            }
             TwoVar::AggCmp { s_agg, s_attr, op, t_agg, t_attr } => Prepared::Num {
                 op: *op,
                 s_vals: s_sets
@@ -102,11 +126,35 @@ impl Prepared {
         }
     }
 
-    #[inline]
-    fn holds(&self, si: usize, ti: usize) -> bool {
+    /// Clears `row[ti]` for every T-set that fails the constraint against
+    /// S-set `si`. A whole row at a time, so the S side is read once and
+    /// the inner loop is a compare (or a table load) per T-set with no
+    /// dispatch in it. `scratch` is the caller's, reused across rows.
+    fn and_row(&self, si: usize, row: &mut [bool], scratch: &mut Vec<bool>) {
         match self {
-            Prepared::Domain { rel, s_keys, t_keys } => rel.eval(&s_keys[si], &t_keys[ti]),
-            Prepared::Num { op, s_vals, t_vals } => op.eval(s_vals[si], t_vals[ti]),
+            Prepared::Domain { rel, s_keys, t_distinct, t_ids } => {
+                scratch.clear();
+                scratch.extend(t_distinct.iter().map(|t| rel.eval(&s_keys[si], t)));
+                for (valid, &id) in row.iter_mut().zip(t_ids) {
+                    *valid &= scratch[id as usize];
+                }
+            }
+            Prepared::Num { op, s_vals, t_vals } => {
+                fn and_cmp(row: &mut [bool], t_vals: &[f64], holds: impl Fn(f64) -> bool) {
+                    for (valid, &t) in row.iter_mut().zip(t_vals) {
+                        *valid &= holds(t);
+                    }
+                }
+                let s = s_vals[si];
+                match op {
+                    CmpOp::Le => and_cmp(row, t_vals, |t| s <= t),
+                    CmpOp::Lt => and_cmp(row, t_vals, |t| s < t),
+                    CmpOp::Ge => and_cmp(row, t_vals, |t| s >= t),
+                    CmpOp::Gt => and_cmp(row, t_vals, |t| s > t),
+                    CmpOp::Eq => and_cmp(row, t_vals, |t| s == t),
+                    CmpOp::Ne => and_cmp(row, t_vals, |t| s != t),
+                }
+            }
         }
     }
 }
@@ -142,64 +190,98 @@ pub fn form_pairs_with(
         threads
     };
 
-    // One S-range worth of work; returns (pairs, t_used) for the range.
-    type Shard = (Vec<(u32, u32)>, Vec<bool>);
+    // One S-range worth of work. Every valid pair is counted and marks
+    // its two sets; only the first `cap` of the range are materialised
+    // (the ranges before this one may hold none, so each keeps up to the
+    // whole cap).
+    struct Shard {
+        pairs: Vec<(u32, u32)>,
+        count: u64,
+        s_used: Vec<bool>,
+        t_used: Vec<bool>,
+    }
     let scan_range = |lo: usize, hi: usize| -> Shard {
-        let mut pairs = Vec::new();
-        let mut t_used = vec![false; t_sets.len()];
-        for si in lo..hi {
-            for (ti, used) in t_used.iter_mut().enumerate() {
-                if prepared.iter().all(|p| p.holds(si, ti)) {
-                    *used = true;
-                    pairs.push((si as u32, ti as u32));
+        let mut shard = Shard {
+            pairs: Vec::new(),
+            count: 0,
+            s_used: vec![false; hi - lo],
+            t_used: vec![false; t_sets.len()],
+        };
+        let mut row = vec![true; t_sets.len()];
+        let mut valid_ti = vec![0u32; t_sets.len()];
+        let mut scratch = Vec::new();
+        for (si, s_used) in (lo..hi).zip(shard.s_used.iter_mut()) {
+            row.fill(true);
+            for p in &prepared {
+                p.and_row(si, &mut row, &mut scratch);
+            }
+            let valid = row.iter().filter(|&&v| v).count();
+            if valid == 0 {
+                continue;
+            }
+            *s_used = true;
+            shard.count += valid as u64;
+            for (t_used, &v) in shard.t_used.iter_mut().zip(&row) {
+                *t_used |= v;
+            }
+            let room = cap - shard.pairs.len();
+            if room > 0 {
+                // Gather the valid indices without a branch on `v` (valid
+                // and invalid T-sets interleave unpredictably), then copy
+                // the pairs out in one run of known length.
+                let mut k = 0;
+                for (ti, &v) in row.iter().enumerate() {
+                    valid_ti[k] = ti as u32;
+                    k += v as usize;
                 }
+                let kept = &valid_ti[..valid.min(room)];
+                shard.pairs.extend(kept.iter().map(|&ti| (si as u32, ti)));
             }
         }
-        (pairs, t_used)
+        shard
     };
 
-    let shards: Vec<Shard> =
-        if threads <= 1 || s_sets.len() < 2 * threads {
-            vec![scan_range(0, s_sets.len())]
-        } else {
-            let n = s_sets.len();
-            let chunk = n.div_ceil(threads);
-            std::thread::scope(|scope| {
-                let mut handles = Vec::new();
-                for t in 0..threads {
-                    let lo = t * chunk;
-                    let hi = ((t + 1) * chunk).min(n);
-                    if lo < hi {
-                        let scan_range = &scan_range;
-                        handles.push(scope.spawn(move || scan_range(lo, hi)));
-                    }
-                }
-                handles.into_iter().map(|h| h.join().expect("worker panicked")).collect()
-            })
-        };
+    let checks = (s_sets.len() * t_sets.len() * prepared.len()) as u64;
+    if threads <= 1 || s_sets.len() < 2 * threads {
+        // The single range's vectors are the result: nothing is copied.
+        let Shard { pairs, count, s_used, t_used } = scan_range(0, s_sets.len());
+        let truncated = count > pairs.len() as u64;
+        return PairResult { count, pairs, truncated, checks, s_used, t_used };
+    }
+
+    let n = s_sets.len();
+    let chunk = n.div_ceil(threads);
+    let shards: Vec<Shard> = std::thread::scope(|scope| {
+        let mut handles = Vec::new();
+        for t in 0..threads {
+            let lo = t * chunk;
+            let hi = ((t + 1) * chunk).min(n);
+            if lo < hi {
+                let scan_range = &scan_range;
+                handles.push(scope.spawn(move || scan_range(lo, hi)));
+            }
+        }
+        handles.into_iter().map(|h| h.join().expect("worker panicked")).collect()
+    });
 
     let mut result = PairResult {
         count: 0,
         pairs: Vec::new(),
         truncated: false,
-        checks: (s_sets.len() * t_sets.len() * prepared.len()) as u64,
-        s_used: vec![false; s_sets.len()],
+        checks,
+        s_used: Vec::with_capacity(n),
         t_used: vec![false; t_sets.len()],
     };
-    for (pairs, t_used) in shards {
-        for (acc, x) in result.t_used.iter_mut().zip(t_used) {
+    for shard in shards {
+        result.count += shard.count;
+        result.s_used.extend(shard.s_used);
+        for (acc, x) in result.t_used.iter_mut().zip(shard.t_used) {
             *acc |= x;
         }
-        result.count += pairs.len() as u64;
-        for (si, ti) in pairs {
-            result.s_used[si as usize] = true;
-            if result.pairs.len() < cap {
-                result.pairs.push((si, ti));
-            } else {
-                result.truncated = true;
-            }
-        }
+        let room = cap - result.pairs.len();
+        result.pairs.extend(shard.pairs.into_iter().take(room));
     }
+    result.truncated = result.count > result.pairs.len() as u64;
     result
 }
 
@@ -407,5 +489,40 @@ mod parallel_tests {
         assert_eq!(r.pairs.len(), 5);
         assert!(r.truncated);
         assert!(r.s_used.iter().all(|&u| u));
+    }
+
+    #[test]
+    fn capped_runs_agree_with_uncapped_and_allocate_by_the_cap() {
+        let n = 60usize;
+        let mut b = CatalogBuilder::new(n);
+        b.num_attr("Price", (0..n).map(|i| ((i * 13) % 60) as f64).collect()).unwrap();
+        let cat = b.build();
+        let q = bind_query(&parse_query("max(S.Price) <= min(T.Price)").unwrap(), &cat)
+            .unwrap();
+        let sets: Vec<(Itemset, u64)> = (0..n as u32)
+            .map(|i| (Itemset::from([i, (i + 1) % n as u32]), 1))
+            .collect();
+        for threads in [1usize, 2, 0] {
+            let full = form_pairs_with(&sets, &sets, &q.two_var, &cat, None, threads);
+            assert!(full.count > 100 && !full.truncated, "threads={threads}");
+            for cap in [0usize, 1, 7, 100, full.count as usize, full.count as usize + 5] {
+                let capped = form_pairs_with(&sets, &sets, &q.two_var, &cat, Some(cap), threads);
+                let kept = cap.min(full.pairs.len());
+                assert_eq!(capped.pairs, full.pairs[..kept], "threads={threads} cap={cap}");
+                assert_eq!(capped.truncated, kept < full.pairs.len());
+                assert_eq!(capped.count, full.count);
+                assert_eq!(capped.checks, full.checks);
+                assert_eq!(capped.s_used, full.s_used);
+                assert_eq!(capped.t_used, full.t_used);
+                // Growth doubles, so the bound is twice the cap (and the
+                // smallest non-empty allocation), never the count.
+                assert!(
+                    capped.pairs.capacity() <= (2 * cap).max(4),
+                    "threads={threads} cap={cap}: capacity {} follows the count {}",
+                    capped.pairs.capacity(),
+                    full.count
+                );
+            }
+        }
     }
 }

@@ -9,7 +9,13 @@
 //! on whitespace.
 
 use cfq_types::{CfqError, Result};
-use std::fmt::Write as _;
+use std::io::{self, Write};
+
+/// Deepest nesting of arrays and objects [`parse`] accepts. The wire
+/// protocol needs three levels (envelope, `req`, `support`); the parser is
+/// recursive, so without a cap one long line of `[` overflows a worker's
+/// stack and aborts the whole server.
+pub const MAX_DEPTH: usize = 32;
 
 /// A parsed JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -24,9 +30,10 @@ pub enum Json {
     Str(String),
     /// An array.
     Arr(Vec<Json>),
-    /// An object, in source order (duplicate keys keep the last value on
-    /// lookup-by-first semantics of [`Json::get`] — requests should not
-    /// repeat keys).
+    /// An object, in source order. A repeated key is kept as parsed and
+    /// [`Json::get`] returns its first value, so decoders that must not
+    /// guess which one the sender meant reject the object through
+    /// [`Json::duplicate_key`].
     Obj(Vec<(String, Json)>),
 }
 
@@ -37,6 +44,16 @@ impl Json {
             Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
             _ => None,
         }
+    }
+
+    /// The first key an object repeats, if any (`None` for non-objects).
+    pub fn duplicate_key(&self) -> Option<&str> {
+        let Json::Obj(fields) = self else { return None };
+        fields
+            .iter()
+            .enumerate()
+            .find(|(i, (key, _))| fields[..*i].iter().any(|(k, _)| k == key))
+            .map(|(_, (key, _))| key.as_str())
     }
 
     /// The value as a string slice, if it is one.
@@ -89,7 +106,7 @@ impl Json {
 
 /// Parses one JSON value from `text`, rejecting trailing non-whitespace.
 pub fn parse(text: &str) -> Result<Json> {
-    let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+    let mut p = Parser { bytes: text.as_bytes(), pos: 0, depth: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -99,28 +116,84 @@ pub fn parse(text: &str) -> Result<Json> {
     Ok(v)
 }
 
+/// `\u0000` … `\u001f`, six bytes each: the escapes of the control
+/// characters that have no short form.
+const CONTROL_ESCAPES: &str = "\\u0000\\u0001\\u0002\\u0003\\u0004\\u0005\\u0006\\u0007\\u0008\\u0009\\u000a\\u000b\\u000c\\u000d\\u000e\\u000f\
+\\u0010\\u0011\\u0012\\u0013\\u0014\\u0015\\u0016\\u0017\\u0018\\u0019\\u001a\\u001b\\u001c\\u001d\\u001e\\u001f";
+
+/// Feeds `s` as a JSON string literal (with quotes) to `emit`, piece by
+/// piece: runs that need no escaping, and the escapes between them.
+fn escaped(s: &str, mut emit: impl FnMut(&str) -> io::Result<()>) -> io::Result<()> {
+    emit("\"")?;
+    let mut start = 0;
+    for (i, b) in s.bytes().enumerate() {
+        // Only ASCII bytes are escaped, so every cut is a char boundary.
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => &CONTROL_ESCAPES[b as usize * 6..][..6],
+            _ => continue,
+        };
+        emit(&s[start..i])?;
+        emit(escape)?;
+        start = i + 1;
+    }
+    emit(&s[start..])?;
+    emit("\"")
+}
+
 /// Appends `s` to `out` as a JSON string literal (with quotes).
 pub fn write_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
+    // Pushing onto a `String` cannot fail.
+    let _ = escaped(s, |piece| {
+        out.push_str(piece);
+        Ok(())
+    });
+}
+
+/// [`write_escaped`] into a byte sink.
+pub fn write_escaped_to(out: &mut impl Write, s: &str) -> io::Result<()> {
+    escaped(s, |piece| out.write_all(piece.as_bytes()))
+}
+
+/// The decimal digits of 00..=99, two bytes each.
+const DIGIT_PAIRS: &[u8; 200] = b"0001020304050607080910111213141516171819\
+2021222324252627282930313233343536373839\
+4041424344454647484950515253545556575859\
+6061626364656667686970717273747576777879\
+8081828384858687888990919293949596979899";
+
+/// Writes `n` in decimal to `out`, two digits per table lookup — the
+/// result encoder writes hundreds of thousands of small integers per
+/// reply, which is where `core::fmt` spent half of a warm request.
+pub fn write_u64(out: &mut impl Write, mut n: u64) -> io::Result<()> {
+    let mut buf = [0u8; 20];
+    let mut at = buf.len();
+    while n >= 100 {
+        let pair = (n % 100) as usize * 2;
+        n /= 100;
+        at -= 2;
+        buf[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
     }
-    out.push('"');
+    if n >= 10 {
+        let pair = n as usize * 2;
+        at -= 2;
+        buf[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    } else {
+        at -= 1;
+        buf[at] = b'0' + n as u8;
+    }
+    out.write_all(&buf[at..])
 }
 
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -158,8 +231,8 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Json> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Parser::object),
+            Some(b'[') => self.nested(Parser::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -168,6 +241,18 @@ impl<'a> Parser<'a> {
             Some(_) => Err(self.err("unexpected character")),
             None => Err(self.err("unexpected end of input")),
         }
+    }
+
+    /// Parses one array or object, refusing to go deeper than
+    /// [`MAX_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Json>) -> Result<Json> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn object(&mut self) -> Result<Json> {
@@ -354,5 +439,56 @@ mod tests {
         assert_eq!(a[2].as_u64(), Some(2000));
         assert_eq!(a[3].as_arr().unwrap()[0].as_bool(), Some(true));
         assert!(a[4].get("k").unwrap().is_null());
+    }
+
+    #[test]
+    fn nesting_is_capped_not_recursed_into_a_stack_overflow() {
+        let at_cap = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&at_cap).is_ok());
+        let over = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        let err = parse(&over).unwrap_err();
+        assert!(err.to_string().contains("nesting deeper than 32 levels"), "{err}");
+        // The bomb that used to abort the server: 200,000 open brackets.
+        for open in ["[", "{\"k\":"] {
+            let bomb = open.repeat(200_000);
+            assert!(parse(&bomb).is_err());
+        }
+        // Depth is the open count at one point, not the total: siblings
+        // at the cap still parse.
+        let wide = format!("[{}]", vec![at_cap[1..at_cap.len() - 1].to_string(); 3].join(","));
+        assert!(parse(&wide).is_ok());
+    }
+
+    #[test]
+    fn duplicate_keys_are_reported_first_repeat_first() {
+        let v = parse(r#"{"a":1,"b":2,"b":3,"a":4}"#).unwrap();
+        assert_eq!(v.duplicate_key(), Some("b"));
+        assert_eq!(v.get("b").unwrap().as_u64(), Some(2), "get is first-match");
+        assert_eq!(parse(r#"{"a":1,"b":{"a":2}}"#).unwrap().duplicate_key(), None);
+        assert_eq!(parse("[1]").unwrap().duplicate_key(), None);
+    }
+
+    #[test]
+    fn integer_writer_boundaries() {
+        for n in [
+            0u64, 9, 10, 99, 100, 999, 1000, 9_999, 10_000, 12_345, 99_999, 100_000,
+            u32::MAX as u64, u32::MAX as u64 + 1, u64::MAX - 1, u64::MAX,
+        ] {
+            let mut out = b"x".to_vec();
+            write_u64(&mut out, n).unwrap();
+            assert_eq!(String::from_utf8(out).unwrap(), format!("x{n}"));
+        }
+    }
+
+    #[test]
+    fn byte_and_string_escaping_agree() {
+        let all: String = (0u8..0x80).map(|b| b as char).chain("é — π \u{1F600}".chars()).collect();
+        let mut text = String::new();
+        write_escaped(&mut text, &all);
+        let mut bytes = Vec::new();
+        write_escaped_to(&mut bytes, &all).unwrap();
+        assert_eq!(text.as_bytes(), bytes.as_slice());
+        assert!(text.contains("\\u0001") && text.contains("\\u001f") && text.contains("\\n"));
+        assert_eq!(parse(&text).unwrap().as_str().unwrap(), all);
     }
 }

@@ -77,4 +77,4 @@ pub use engine::{
 };
 pub use request::{QueryRequest, QueryResponse, SupportSpec};
 pub use scheduler::SchedulerStats;
-pub use session::{QueryBuilder, QueryOutcome, Session, SessionPool};
+pub use session::{QueryBuilder, QueryOutcome, Session, SessionPool, StageMicros};

@@ -22,8 +22,9 @@ use crate::json::{self, Json};
 use crate::session::QueryOutcome;
 use cfq_core::Strategy;
 use cfq_mining::CountingBackend;
-use cfq_types::{CfqError, ItemId, Result};
+use cfq_types::{CfqError, ItemId, Itemset, Result};
 use std::fmt::Write as _;
+use std::io::{self, Write};
 
 /// How the support threshold is specified.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -220,8 +221,9 @@ impl QueryRequest {
 
     /// Parses a request from JSON. Only `"query"` is required; every
     /// other field falls back to its [`QueryRequest::new`] default.
-    /// Unknown keys are rejected so typos fail loudly instead of
-    /// silently running with defaults.
+    /// Unknown and repeated keys are rejected so typos fail loudly
+    /// instead of silently running with defaults, and a request that
+    /// says two things never runs one of them.
     pub fn from_json(text: &str) -> Result<QueryRequest> {
         let v = json::parse(text)?;
         QueryRequest::from_value(&v)
@@ -241,6 +243,11 @@ impl QueryRequest {
         for (key, _) in fields {
             if !KNOWN.contains(&key.as_str()) {
                 return Err(CfqError::Parse(format!("unknown request field `{key}`")));
+            }
+        }
+        for object in [Some(v), v.get("support"), v.get("strategy")].into_iter().flatten() {
+            if let Some(key) = object.duplicate_key() {
+                return Err(CfqError::Parse(format!("request field `{key}` is given twice")));
             }
         }
         let query = v
@@ -405,7 +412,7 @@ pub struct QueryResponse {
 impl QueryResponse {
     /// Projects a [`QueryOutcome`] into wire form.
     pub fn from_outcome(out: &QueryOutcome) -> QueryResponse {
-        let project = |sets: &[(cfq_types::Itemset, u64)]| {
+        let project = |sets: &[(Itemset, u64)]| {
             sets.iter()
                 .map(|(set, n)| (set.iter().map(|i| i.0).collect(), *n))
                 .collect()
@@ -426,17 +433,137 @@ impl QueryResponse {
 
     /// Renders the response as one line of JSON.
     pub fn to_json(&self) -> String {
+        let mut out = Vec::new();
+        // Writing into a `Vec` cannot fail.
+        let _ = ResultBody {
+            epoch: self.epoch,
+            pair_count: self.pair_count,
+            pairs: &self.pairs,
+            s_sets: &self.s_sets,
+            t_sets: &self.t_sets,
+            items: Vec::as_slice,
+            db_scans: self.db_scans,
+            s_lattice: &self.s_lattice,
+            t_lattice: &self.t_lattice,
+            plan_cached: self.plan_cached,
+            wait_us: self.wait_us,
+        }
+        .write(&mut out);
+        // The writer emits ASCII plus the two strings it was given.
+        String::from_utf8(out).unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned())
+    }
+
+    /// Writes to `w` exactly the bytes of
+    /// `QueryResponse::from_outcome(out).to_json()`, read in place from the
+    /// outcome — no projection into owned vectors and no copy of the reply
+    /// held anywhere, which is what a server answering from cached
+    /// lattices otherwise spends its time and memory on.
+    pub fn write_outcome(w: &mut impl Write, out: &QueryOutcome) -> io::Result<()> {
+        ResultBody {
+            epoch: out.epoch,
+            pair_count: out.outcome.pair_result.count,
+            pairs: &out.outcome.pair_result.pairs,
+            s_sets: &out.outcome.s_sets,
+            t_sets: &out.outcome.t_sets,
+            items: Itemset::as_slice,
+            db_scans: out.outcome.db_scans,
+            s_lattice: out.outcome.provenance.s_lattice.describe(),
+            t_lattice: out.outcome.provenance.t_lattice.describe(),
+            plan_cached: out.outcome.provenance.plan_cached,
+            wait_us: out.admission_wait.as_micros() as u64,
+        }
+        .write(w)
+    }
+}
+
+/// The fields of a result body, borrowed from wherever they live (a
+/// [`QueryResponse`] or a [`QueryOutcome`]) so that both render through
+/// the one encoder, [`ResultBody::write`]. `S` is the set type, `T` its
+/// item type.
+struct ResultBody<'a, S, T> {
+    epoch: u64,
+    pair_count: u64,
+    pairs: &'a [(u32, u32)],
+    s_sets: &'a [(S, u64)],
+    t_sets: &'a [(S, u64)],
+    items: fn(&S) -> &[T],
+    db_scans: u64,
+    s_lattice: &'a str,
+    t_lattice: &'a str,
+    plan_cached: bool,
+    wait_us: u64,
+}
+
+impl<S, T: Copy + Into<u32>> ResultBody<'_, S, T> {
+    fn write(&self, w: &mut impl Write) -> io::Result<()> {
+        w.write_all(b"{\"epoch\":")?;
+        json::write_u64(w, self.epoch)?;
+        w.write_all(b",\"pair_count\":")?;
+        json::write_u64(w, self.pair_count)?;
+        w.write_all(b",\"pairs\":[")?;
+        for (i, &(s, t)) in self.pairs.iter().enumerate() {
+            w.write_all(if i > 0 { b",[" } else { b"[" })?;
+            json::write_u64(w, u64::from(s))?;
+            w.write_all(b",")?;
+            json::write_u64(w, u64::from(t))?;
+            w.write_all(b"]")?;
+        }
+        w.write_all(b"]")?;
+        for (key, sets) in [("s_sets", self.s_sets), ("t_sets", self.t_sets)] {
+            w.write_all(b",\"")?;
+            w.write_all(key.as_bytes())?;
+            w.write_all(b"\":[")?;
+            for (i, (set, support)) in sets.iter().enumerate() {
+                w.write_all(if i > 0 { b",{\"items\":[" } else { b"{\"items\":[" })?;
+                for (j, &item) in (self.items)(set).iter().enumerate() {
+                    if j > 0 {
+                        w.write_all(b",")?;
+                    }
+                    json::write_u64(w, u64::from(item.into()))?;
+                }
+                w.write_all(b"],\"support\":")?;
+                json::write_u64(w, *support)?;
+                w.write_all(b"}")?;
+            }
+            w.write_all(b"]")?;
+        }
+        w.write_all(b",\"db_scans\":")?;
+        json::write_u64(w, self.db_scans)?;
+        w.write_all(b",\"s_lattice\":")?;
+        json::write_escaped_to(w, self.s_lattice)?;
+        w.write_all(b",\"t_lattice\":")?;
+        json::write_escaped_to(w, self.t_lattice)?;
+        w.write_all(if self.plan_cached {
+            b",\"plan_cached\":true,\"wait_us\":"
+        } else {
+            b",\"plan_cached\":false,\"wait_us\":"
+        })?;
+        json::write_u64(w, self.wait_us)?;
+        w.write_all(b"}")
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cfq_core::{LatticeSource, PairResult};
+    use proptest::prelude::{prop, prop_assert_eq, proptest, ProptestConfig, TestRng};
+    use std::time::Duration;
+
+    /// The `core::fmt` encoder every release up to the byte-level one
+    /// shipped, kept as the oracle: replies must not move by a byte.
+    fn to_json_fmt(r: &QueryResponse) -> String {
         let mut out = String::from("{");
-        let _ = write!(out, "\"epoch\":{},\"pair_count\":{}", self.epoch, self.pair_count);
+        let _ = write!(out, "\"epoch\":{},\"pair_count\":{}", r.epoch, r.pair_count);
         out.push_str(",\"pairs\":[");
-        for (i, (s, t)) in self.pairs.iter().enumerate() {
+        for (i, (s, t)) in r.pairs.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
             let _ = write!(out, "[{s},{t}]");
         }
         out.push(']');
-        for (key, sets) in [("s_sets", &self.s_sets), ("t_sets", &self.t_sets)] {
+        for (key, sets) in [("s_sets", &r.s_sets), ("t_sets", &r.t_sets)] {
             let _ = write!(out, ",\"{key}\":[");
             for (i, (items, support)) in sets.iter().enumerate() {
                 if i > 0 {
@@ -453,20 +580,91 @@ impl QueryResponse {
             }
             out.push(']');
         }
-        let _ = write!(out, ",\"db_scans\":{}", self.db_scans);
+        let _ = write!(out, ",\"db_scans\":{}", r.db_scans);
         out.push_str(",\"s_lattice\":");
-        json::write_escaped(&mut out, &self.s_lattice);
+        json::write_escaped(&mut out, &r.s_lattice);
         out.push_str(",\"t_lattice\":");
-        json::write_escaped(&mut out, &self.t_lattice);
-        let _ = write!(out, ",\"plan_cached\":{},\"wait_us\":{}", self.plan_cached, self.wait_us);
+        json::write_escaped(&mut out, &r.t_lattice);
+        let _ = write!(out, ",\"plan_cached\":{},\"wait_us\":{}", r.plan_cached, r.wait_us);
         out.push('}');
         out
     }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
+    /// A real outcome to overwrite: everything the encoder reads is a
+    /// public field, the plan behind it is not.
+    fn any_outcome() -> QueryOutcome {
+        let db = cfq_types::TransactionDb::from_u32(3, &[&[0, 1], &[0, 1, 2], &[1, 2]]);
+        let engine = crate::Engine::new(db, cfq_types::Catalog::empty(3)).unwrap();
+        engine.session().query("count(S) >= 1").min_support(2).run().unwrap()
+    }
+
+    fn random_sets(rng: &mut TestRng, n: usize, max_len: u64, max_item: u64) -> Vec<(Itemset, u64)> {
+        (0..n)
+            .map(|_| {
+                let len = 1 + rng.below(max_len);
+                let set: Itemset = (0..len).map(|_| rng.below(max_item) as u32).collect();
+                (set, rng.below(3) * rng.below(u64::MAX / 2) + rng.below(1000))
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 128, ..ProptestConfig::default() })]
+
+        #[test]
+        fn byte_encoder_equals_the_fmt_reference(
+            seed in 0u64..u64::MAX,
+            n_s in 0usize..12,
+            n_t in 0usize..12,
+            n_pairs in 0usize..40,
+            max_len in 1u64..9,
+            cap in prop::sample::select(vec![Some(0usize), Some(3), Some(1000), None]),
+            sources in prop::collection::vec(0usize..4, 2),
+            wait_us in prop::sample::select(vec![0u64, 7, 1_000_000, u64::MAX / 1000]),
+        ) {
+            const SOURCES: [LatticeSource; 4] = [
+                LatticeSource::MinedCold,
+                LatticeSource::Cached,
+                LatticeSource::FupUpgraded,
+                LatticeSource::Coalesced,
+            ];
+            let mut rng = TestRng::new(seed);
+            let mut out = any_outcome();
+            // Small and huge item ids, inline and heap (6+ item) sets.
+            let max_item = [10, 1000, u32::MAX as u64][rng.below(3) as usize];
+            out.outcome.s_sets = random_sets(&mut rng, n_s, max_len, max_item);
+            out.outcome.t_sets = random_sets(&mut rng, n_t, max_len, max_item);
+            let all: Vec<(u32, u32)> = if n_s == 0 || n_t == 0 {
+                Vec::new()
+            } else {
+                (0..n_pairs)
+                    .map(|_| (rng.below(n_s as u64) as u32, rng.below(n_t as u64) as u32))
+                    .collect()
+            };
+            let kept = cap.unwrap_or(usize::MAX).min(all.len());
+            out.outcome.pair_result = PairResult {
+                count: all.len() as u64,
+                pairs: all[..kept].to_vec(),
+                truncated: kept < all.len(),
+                checks: 0,
+                s_used: Vec::new(),
+                t_used: Vec::new(),
+            };
+            out.outcome.db_scans = rng.below(5);
+            out.outcome.provenance.s_lattice = SOURCES[sources[0]];
+            out.outcome.provenance.t_lattice = SOURCES[sources[1]];
+            out.outcome.provenance.plan_cached = rng.below(2) == 1;
+            out.epoch = rng.below(3) * rng.below(u64::MAX / 2);
+            out.admission_wait = Duration::from_micros(wait_us);
+
+            let resp = QueryResponse::from_outcome(&out);
+            let reference = crate::wire::result_object(&to_json_fmt(&resp)) + "\n";
+            prop_assert_eq!(&crate::wire::result_object(&resp.to_json()), reference.trim_end());
+            let mut line = Vec::new();
+            crate::wire::write_query_reply(&mut line, &out).unwrap();
+            prop_assert_eq!(String::from_utf8(line).unwrap(), reference);
+        }
+    }
 
     #[test]
     fn minimal_request_gets_defaults() {
@@ -524,6 +722,17 @@ mod tests {
         assert!(QueryRequest::from_json(r#"{"support": 0.5}"#).is_err(), "query is required");
         assert!(QueryRequest::from_json(r#"{"query":"q","strategy":"fastest"}"#).is_err());
         assert!(QueryRequest::from_json(r#"{"query":"q","backend":"vertical"}"#).is_err());
+        // A repeated key is a contradiction, not "first wins".
+        for twice in [
+            r#"{"query":"count(S) >= 1","query":"count(S) >= 2"}"#,
+            r#"{"query":"q","max_pairs":1,"max_pairs":1}"#,
+            r#"{"query":"q","support":{"frac":0.5,"frac":0.1}}"#,
+            r#"{"query":"q","strategy":{"dovetail":true,"dovetail":false}}"#,
+        ] {
+            let err = QueryRequest::from_json(twice).unwrap_err();
+            assert!(matches!(err, CfqError::Parse(_)), "{twice} -> {err}");
+            assert!(err.to_string().contains("is given twice"), "{twice} -> {err}");
+        }
     }
 
     #[test]

@@ -206,7 +206,7 @@ impl Scheduler {
         can_lead: bool,
         mine: impl FnOnce(u64) -> (Arc<FrequentSets>, u64),
     ) -> Option<GroupRole> {
-        let groups = self.groups.lock().unwrap_or_else(|e| e.into_inner());
+        let mut groups = self.groups.lock().unwrap_or_else(|e| e.into_inner());
         let mut joined = None;
         for g in groups.iter() {
             if g.epoch != epoch || g.universe[..] != *universe {
@@ -228,6 +228,19 @@ impl Scheduler {
             joined = Some(Arc::clone(g));
             break;
         }
+        // Found nothing to join: publish the new group under the same lock
+        // the search ran under, or two simultaneous misses both find
+        // nothing and both lead.
+        let led = (joined.is_none() && can_lead).then(|| {
+            let g = Arc::new(Group {
+                epoch,
+                universe: universe.to_vec(),
+                state: Mutex::new(GroupState { min_support, mining: false, result: None }),
+                done: Condvar::new(),
+            });
+            groups.push(Arc::clone(&g));
+            g
+        });
         drop(groups);
 
         if let Some(g) = joined {
@@ -240,18 +253,7 @@ impl Scheduler {
             };
             return Some(GroupRole::Joined { lattice, scans_cost });
         }
-
-        if !can_lead {
-            return None;
-        }
-
-        let g = Arc::new(Group {
-            epoch,
-            universe: universe.to_vec(),
-            state: Mutex::new(GroupState { min_support, mining: false, result: None }),
-            done: Condvar::new(),
-        });
-        self.groups.lock().unwrap_or_else(|e| e.into_inner()).push(Arc::clone(&g));
+        let g = led?;
 
         if !self.batch_window.is_zero() {
             std::thread::sleep(self.batch_window);

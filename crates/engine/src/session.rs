@@ -11,8 +11,10 @@
 //!   succinct allowed-item filter of its 1-var constraints — the largest
 //!   restriction that is sound to bake into a reusable lattice;
 //! * a cached **complete** lattice over any superset universe at any
-//!   equal-or-lower threshold is filtered down (subset-of-universe,
-//!   support, level, full 1-var evaluation) instead of re-mined;
+//!   equal-or-lower threshold is filtered down (level, support, an
+//!   item-membership bitset of the effective universe, then whatever of
+//!   the compiled 1-var form membership cannot decide) instead of
+//!   re-mined;
 //! * a cold miss goes through the scheduler's single-flight groups, so
 //!   concurrent identical misses share one mining pass and compatible
 //!   ones batch onto it at the minimum requested support;
@@ -28,7 +30,7 @@
 
 use crate::engine::{plan_fingerprint, Engine, EpochState};
 use crate::request::QueryRequest;
-use cfq_constraints::{bind_query, eval_all_one, parse_query, OneVar, SuccinctForm, Var};
+use cfq_constraints::{bind_query, parse_query, OneVar, SuccinctForm, Var};
 use cfq_core::{
     compact_used, form_pairs_with, CfqPlan, ExecutionOutcome, LatticeSource, Optimizer,
     OutcomeProvenance, QueryEnv,
@@ -38,7 +40,7 @@ use cfq_obs as obs;
 use cfq_types::{Catalog, ItemId, Itemset, Result};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// A handle for running queries against an [`Engine`]. Cheap to clone;
 /// open one per thread of work.
@@ -284,6 +286,7 @@ pub(crate) fn execute(engine: &Arc<Engine>, req: &QueryRequest) -> Result<QueryO
     // every query holds exactly one slot while it runs.
     let permit = engine.admit()?;
     let admission_wait = permit.wait;
+    let admitted = Instant::now();
 
     let snap = engine.snapshot();
     let mut query_span = obs::span(obs::Level::Info, "session.query")
@@ -299,6 +302,8 @@ pub(crate) fn execute(engine: &Arc<Engine>, req: &QueryRequest) -> Result<QueryO
     let trim = req.trim.unwrap_or(engine.config().trim);
     let backend = req.backend.unwrap_or(engine.config().backend);
     let shards = req.shards.unwrap_or(engine.config().shards);
+    let planned = Instant::now();
+    let micros = |from: Instant, to: Instant| to.duration_since(from).as_micros() as u64;
 
     if req.bypass_cache {
         let env = QueryEnv {
@@ -324,6 +329,11 @@ pub(crate) fn execute(engine: &Arc<Engine>, req: &QueryRequest) -> Result<QueryO
             outcome,
             epoch: snap.epoch,
             admission_wait,
+            stage_us: StageMicros {
+                plan: micros(admitted, planned),
+                s_lattice: micros(planned, Instant::now()),
+                ..StageMicros::default()
+            },
             plan,
             fingerprint,
             catalog: Arc::clone(&snap.catalog),
@@ -332,8 +342,10 @@ pub(crate) fn execute(engine: &Arc<Engine>, req: &QueryRequest) -> Result<QueryO
 
     let s_side =
         run_side(engine, req, &snap, &bound, Var::S, s_sup, threads, trim, backend, shards);
+    let s_done = Instant::now();
     let t_side =
         run_side(engine, req, &snap, &bound, Var::T, t_sup, threads, trim, backend, shards);
+    let t_done = Instant::now();
 
     let mut pair_result = form_pairs_with(
         &s_side.sets,
@@ -349,6 +361,12 @@ pub(crate) fn execute(engine: &Arc<Engine>, req: &QueryRequest) -> Result<QueryO
         *si = s_remap[*si as usize];
         *ti = t_remap[*ti as usize];
     }
+    let stage_us = StageMicros {
+        plan: micros(admitted, planned),
+        s_lattice: micros(planned, s_done),
+        t_lattice: micros(s_done, t_done),
+        pairs: micros(t_done, Instant::now()),
+    };
 
     let db_scans = s_side.stats.db_scans + t_side.stats.db_scans;
     let mut scan = s_side.stats.scan.clone();
@@ -376,6 +394,7 @@ pub(crate) fn execute(engine: &Arc<Engine>, req: &QueryRequest) -> Result<QueryO
         outcome,
         epoch: snap.epoch,
         admission_wait,
+        stage_us,
         plan,
         fingerprint,
         catalog: Arc::clone(&snap.catalog),
@@ -417,20 +436,38 @@ fn run_side(
         &mut stats,
     );
 
+    // A cached family may cover a wider universe, a lower threshold and
+    // more constraints than this query. `set ⊆ eff` restores the universe
+    // *and* the form's `allowed` part (`eff` is the universe filtered by
+    // it); the form's other three parts are exactly the rest of the
+    // conjunction (`tests/succinct_props.rs`), so together they decide
+    // what `eval_all_one` would — succinct parts by item membership alone.
+    let mut in_eff = vec![0u64; eff.last().map_or(0, |i| i.index() / 64 + 1)];
+    for item in &eff {
+        in_eff[item.index() / 64] |= 1 << (item.index() % 64);
+    }
+    let in_eff = |i: &ItemId| in_eff.get(i.index() / 64).is_some_and(|w| w >> (i.index() % 64) & 1 == 1);
+    let membership_decides = form.required_groups.is_empty()
+        && form.residual_am.is_empty()
+        && form.post_filters.is_empty();
+
     let mut sets: Vec<(Itemset, u64)> = Vec::new();
     let mut checks = 0u64;
     for (set, n) in lattice.iter() {
         if req.max_level != 0 && set.len() > req.max_level {
             break; // iteration is by ascending level
         }
-        if n < min_support {
-            continue;
+        if n < min_support || !set.as_slice().iter().all(in_eff) {
+            continue; // below this query's threshold, or outside its universe
         }
-        if !set.iter().all(|i| eff.binary_search(&i).is_ok()) {
-            continue; // entry was mined over a wider universe
-        }
+        // The ledger keeps the unit it always had: one evaluation per
+        // constraint per surviving set.
         checks += one.len() as u64;
-        if eval_all_one(&one, set, &snap.catalog) {
+        if membership_decides
+            || (form.satisfies_required(set)
+                && form.admits_candidate(set, &snap.catalog)
+                && form.passes_post(set, &snap.catalog))
+        {
             sets.push((set.clone(), n));
         }
     }
@@ -444,6 +481,23 @@ struct SideOutcome {
     source: LatticeSource,
 }
 
+/// Where one execution's time went, in microseconds, from admission to
+/// the finished answer. Not part of the reply: `cfq serve` exports these
+/// (with its own `encode` and `write`) as `cfq_request_stage_seconds`.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct StageMicros {
+    /// Snapshot, parse, bind and plan (or plan-cache hit).
+    pub plan: u64,
+    /// The S side: lattice lookup (or mining) and this query's filter. A
+    /// `bypass_cache` run mines both sides and forms the pairs inside
+    /// one optimizer call, which is all recorded here.
+    pub s_lattice: u64,
+    /// The T side.
+    pub t_lattice: u64,
+    /// Pair formation and compaction to the participating sets.
+    pub pairs: u64,
+}
+
 /// A query's result: the execution outcome plus the epoch and plan it was
 /// answered with.
 pub struct QueryOutcome {
@@ -455,6 +509,8 @@ pub struct QueryOutcome {
     /// Time spent waiting at the scheduler's admission gate (zero on the
     /// uncontended fast path).
     pub admission_wait: Duration,
+    /// Time per stage of this execution, after admission.
+    pub stage_us: StageMicros,
     plan: Arc<CfqPlan>,
     fingerprint: u64,
     catalog: Arc<Catalog>,

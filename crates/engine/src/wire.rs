@@ -16,8 +16,10 @@
 //! * `unknown_command` — `cmd` is not in the v1 command set.
 
 use crate::json::{self, Json};
-use crate::request::QueryRequest;
+use crate::request::{QueryRequest, QueryResponse};
+use crate::session::QueryOutcome;
 use cfq_types::CfqError;
+use std::io::{self, Write};
 
 /// The one wire version this build speaks.
 pub const WIRE_VERSION: u64 = 1;
@@ -87,9 +89,28 @@ pub fn error_from(e: &CfqError) -> String {
     error_object(error_kind(e), &e.to_string(), matches!(e, CfqError::Overloaded(_)))
 }
 
+/// What a v1 result envelope opens with; the body and `}` follow.
+const RESULT_OPEN: &str = "{\"v\":1,\"result\":";
+
 /// Wraps an already-serialized JSON value in the v1 result envelope.
 pub fn result_object(body_json: &str) -> String {
-    format!("{{\"v\":{WIRE_VERSION},\"result\":{body_json}}}")
+    let mut out = String::with_capacity(RESULT_OPEN.len() + body_json.len() + 1);
+    out.push_str(RESULT_OPEN);
+    out.push_str(body_json);
+    out.push('}');
+    out
+}
+
+/// Writes the complete reply line of an answered query to `w`:
+/// `{"v":1,"result":{…}}` and the newline, byte for byte
+/// `result_object(&QueryResponse::from_outcome(outcome).to_json())`, but
+/// encoded in one pass from the outcome into whatever `w` is — the
+/// server's fixed-size socket buffer, so a megabyte reply is never held
+/// in memory.
+pub fn write_query_reply(w: &mut impl Write, outcome: &QueryOutcome) -> io::Result<()> {
+    w.write_all(RESULT_OPEN.as_bytes())?;
+    QueryResponse::write_outcome(w, outcome)?;
+    w.write_all(b"}\n")
 }
 
 /// Wraps plain text (a metrics scrape, a slowlog dump) in the v1 result
@@ -124,6 +145,12 @@ pub fn parse_envelope(line: &str) -> Result<WireCmd, WireError> {
                 message: format!("unknown envelope field `{key}`"),
             });
         }
+    }
+    if let Some(key) = v.duplicate_key() {
+        return Err(WireError {
+            kind: "protocol",
+            message: format!("envelope field `{key}` is given twice"),
+        });
     }
     let version = v.get("v").and_then(Json::as_u64).ok_or_else(|| WireError {
         kind: "protocol",
@@ -213,6 +240,10 @@ mod tests {
             (r#"{"v":1,"cmd":"query","req":{"query":"q","support":{"frac":0}}}"#, "config"),
             (r#"{"v":1,"cmd":"query","req":{"query":"q","shards":0}}"#, "config"),
             (r#"{"v":1,"cmd":"status","extra":true}"#, "protocol"),
+            (r#"{"v":1,"cmd":"status","cmd":"snapshot"}"#, "protocol"),
+            (r#"{"v":1,"cmd":"query","req":{"query":"q","query":"r"}}"#, "parse"),
+            // 200,000 open brackets: a typed error, not a dead server.
+            (&format!("{{\"v\":1,\"cmd\":\"query\",\"req\":{}", "[".repeat(200_000)), "protocol"),
         ] {
             let err = parse_envelope(line).unwrap_err();
             assert_eq!(err.kind, kind, "{line} -> {err:?}");
@@ -243,6 +274,7 @@ mod tests {
 
     #[test]
     fn result_wrappers_render_valid_json() {
+        assert_eq!(RESULT_OPEN, format!("{{\"v\":{WIRE_VERSION},\"result\":"));
         let r = result_object(r#"{"epoch":3}"#);
         let v = json::parse(&r).unwrap();
         assert_eq!(v.get("v").and_then(Json::as_u64), Some(1));

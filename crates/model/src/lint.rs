@@ -570,7 +570,10 @@ pub fn lint_source(path: &str, class: FileClass, src: &str) -> (Vec<Finding>, Ve
         // metric-name: registration sites `.counter("name" ...)` etc.
         if !in_obs_crate
             && t.kind == TokKind::Ident
-            && matches!(t.text.as_str(), "counter" | "counter_with" | "gauge" | "histogram")
+            && matches!(
+                t.text.as_str(),
+                "counter" | "counter_with" | "gauge" | "histogram" | "histogram_with"
+            )
             && prev.map(|p| p.text.as_str()) == Some(".")
             && next.map(|n| n.text.as_str()) == Some("(")
         {
@@ -911,10 +914,11 @@ mod tests {
                 r.counter("cfq_bad_count", "d");
                 r.gauge("queue_depth", "d");
                 r.histogram("cfq_lat_micros", "d");
+                r.histogram_with("cfq_stage_seconds", "d", &[("stage", s)], &b);
             }
         "#;
         let (f, m) = lint_source("crates/cli/src/commands.rs", FileClass::Normal, src);
-        assert_eq!(m.len(), 4);
+        assert_eq!(m.len(), 5);
         let rules: Vec<&str> = f.iter().map(|x| x.message.as_str()).collect();
         assert_eq!(f.len(), 2, "{rules:?}");
         assert!(f.iter().any(|x| x.message.contains("cfq_bad_count")), "{rules:?}");

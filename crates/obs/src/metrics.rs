@@ -260,7 +260,18 @@ impl Registry {
     /// Gets or creates the histogram `name` over `bounds` (ascending
     /// finite upper bounds; `+Inf` is implicit).
     pub fn histogram(&self, name: &str, help: &str, bounds: &[f64]) -> Arc<Histogram> {
-        match self.series(name, help, &[], || Series::Histogram(Arc::new(Histogram::new(bounds.to_vec())))) {
+        self.histogram_with(name, help, &[], bounds)
+    }
+
+    /// Gets or creates the histogram `name` with a label set.
+    pub fn histogram_with(
+        &self,
+        name: &str,
+        help: &str,
+        labels: &[(&str, &str)],
+        bounds: &[f64],
+    ) -> Arc<Histogram> {
+        match self.series(name, help, labels, || Series::Histogram(Arc::new(Histogram::new(bounds.to_vec())))) {
             Series::Histogram(h) => h,
             other => panic!("metric `{name}` already registered as a {}", other.kind()),
         }
@@ -275,6 +286,7 @@ impl Registry {
             let kind = family.series.values().next().map(|s| s.kind()).unwrap_or("untyped");
             out.push_str(&format!("# HELP {name} {}\n", family.help));
             out.push_str(&format!("# TYPE {name} {kind}\n"));
+            let mut histograms = Vec::new();
             for (labels, series) in &family.series {
                 match series {
                     Series::Counter(c) => {
@@ -284,6 +296,9 @@ impl Registry {
                         out.push_str(&format!("{name}{labels} {}\n", g.get()));
                     }
                     Series::Histogram(h) => {
+                        // `{a="b"}` + le -> `{a="b",le="…"}`.
+                        let own = labels.strip_prefix('{').and_then(|l| l.strip_suffix('}'));
+                        let own = own.map_or(String::new(), |l| format!("{l},"));
                         let mut cumulative = 0u64;
                         for (i, ub) in h
                             .bounds
@@ -294,20 +309,28 @@ impl Registry {
                         {
                             cumulative += h.counts[i].load(Ordering::Relaxed);
                             out.push_str(&format!(
-                                "{name}_bucket{{le=\"{}\"}} {cumulative}\n",
+                                "{name}_bucket{{{own}le=\"{}\"}} {cumulative}\n",
                                 fmt_f64(ub)
                             ));
                         }
-                        out.push_str(&format!("{name}_sum {}\n", fmt_f64(h.sum())));
-                        out.push_str(&format!("{name}_count {}\n", h.count()));
-                        for (suffix, q) in [("p50", 0.5), ("p95", 0.95), ("p99", 0.99)] {
-                            derived.push_str(&format!(
-                                "# HELP {name}_{suffix} {q}-quantile of {name}.\n\
-                                 # TYPE {name}_{suffix} gauge\n\
-                                 {name}_{suffix} {}\n",
-                                fmt_f64(h.quantile(q))
-                            ));
-                        }
+                        out.push_str(&format!("{name}_sum{labels} {}\n", fmt_f64(h.sum())));
+                        out.push_str(&format!("{name}_count{labels} {}\n", h.count()));
+                        histograms.push((labels, h));
+                    }
+                }
+            }
+            // One derived gauge family per quantile, a sample per series.
+            if !histograms.is_empty() {
+                for (suffix, q) in [("p50", 0.5), ("p95", 0.95), ("p99", 0.99)] {
+                    derived.push_str(&format!(
+                        "# HELP {name}_{suffix} {q}-quantile of {name}.\n\
+                         # TYPE {name}_{suffix} gauge\n"
+                    ));
+                    for (labels, h) in &histograms {
+                        derived.push_str(&format!(
+                            "{name}_{suffix}{labels} {}\n",
+                            fmt_f64(h.quantile(q))
+                        ));
                     }
                 }
             }
@@ -411,6 +434,27 @@ mod tests {
             assert!(!name.is_empty());
             assert!(value == "+Inf" || value.parse::<f64>().is_ok(), "{line}");
         }
+    }
+
+    #[test]
+    fn labelled_histograms_render_per_series() {
+        let r = Registry::new();
+        for (stage, v) in [("plan", 0.002), ("pairs", 0.5)] {
+            r.histogram_with("h_seconds", "help", &[("stage", stage)], &[0.01, 1.0]).observe(v);
+        }
+        let text = r.render();
+        for needle in [
+            "h_seconds_bucket{stage=\"plan\",le=\"0.01\"} 1",
+            "h_seconds_bucket{stage=\"pairs\",le=\"0.01\"} 0",
+            "h_seconds_bucket{stage=\"pairs\",le=\"+Inf\"} 1",
+            "h_seconds_sum{stage=\"pairs\"} 0.5",
+            "h_seconds_count{stage=\"plan\"} 1",
+            "h_seconds_p50{stage=\"plan\"}",
+        ] {
+            assert!(text.contains(needle), "missing `{needle}` in:\n{text}");
+        }
+        assert_eq!(text.matches("# TYPE h_seconds_p50 gauge").count(), 1, "{text}");
+        assert_eq!(text.matches("# TYPE h_seconds histogram").count(), 1, "{text}");
     }
 
     #[test]

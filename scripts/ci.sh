@@ -193,6 +193,18 @@ printf '{"bench":"serve","query":"%s","cold_ms":%s,"warm_ms":%s,"p50_s":%s,"p95_
 test -s BENCH_serve.json
 head -c 400 BENCH_serve.json; echo
 
+echo "== cfq serve: wire goldens (six benchmark families x {every item, one 250-item window})"
+# Each reply's timing-free answer prefix — everything before `,"db_scans":`,
+# the same style of prefix comparison the backend and shard stages use —
+# must equal the file recorded with the *previous* commit's binary under
+# tests/golden/wire. The benchmark's identical-answer hash only compares
+# replies within one run; this is the gate that catches a byte of drift in
+# the wire (field order, whitespace, integer formatting, pair or set order)
+# between commits. Re-record (scripts/wire_golden.sh BINARY DIR --record)
+# only with the parent commit's binary, and only when a PR changes the
+# answer on purpose.
+bash scripts/wire_golden.sh ./target/release/cfq tests/golden/wire
+
 echo "== scheduler: parallel clients coalesce onto one mining pass (writes BENCH_scheduler.json)"
 # A wide batch window so every concurrent cold client lands in the
 # leader's single-flight group; the same data files as the serve stage.

@@ -1,0 +1,82 @@
+#!/usr/bin/env bash
+# Wire goldens: the six benchmark query families, byte for byte.
+#
+#   scripts/wire_golden.sh CFQ_BINARY GOLDEN_DIR [--record]
+#
+# Boots `CFQ_BINARY serve` on a generated 1,000-item database, sends the
+# six families of benchmark/README.md (a-f at the paper's constants) as v1
+# envelopes, each over every item and over one fixed 250-item window, and
+# compares the timing-free answer prefix of every reply — everything before
+# `,"db_scans":`: epoch, pair count, pairs, both set lists — with the file
+# of the same name under GOLDEN_DIR. `--record` writes the files instead;
+# they are recorded with the binary of the commit *before* a change to the
+# wire or the answer path, so that the check is against what clients
+# already parse, not against the change's own output.
+set -euo pipefail
+
+CFQ="$1"
+GOLDEN="$2"
+RECORD="${3:-}"
+
+WORK="$(mktemp -d)"
+PID=""
+trap '[ -n "$PID" ] && kill "$PID" 2>/dev/null || true; rm -rf "$WORK"' EXIT
+
+"$CFQ" gen --items 1000 --transactions 2000 --out "$WORK/tx.txt" > /dev/null
+"$CFQ" gen-catalog --items 1000 --num Price:uniform:0:1000 --cat Type:10 \
+  --out "$WORK/catalog.txt" > /dev/null
+"$CFQ" serve --data "$WORK/tx.txt" --catalog "$WORK/catalog.txt" --listen 127.0.0.1:0 \
+  > "$WORK/serve.log" 2>&1 &
+PID=$!
+for _ in $(seq 1 100); do
+  grep -q '^listening on ' "$WORK/serve.log" 2>/dev/null && break
+  sleep 0.1
+done
+PORT="$(sed -n 's/^listening on .*:\([0-9][0-9]*\)$/\1/p' "$WORK/serve.log")"
+[ -n "$PORT" ] || { echo "golden serve did not come up:"; cat "$WORK/serve.log"; exit 1; }
+
+WINDOW="$(seq -s, 300 549)"
+family() {
+  case "$1" in
+    a) echo 'max(S.Price) <= 400 & min(T.Price) >= 600 & S.Type = T.Type' ;;
+    b) echo 'min(S.Price) >= 400 & max(T.Price) <= 500 & max(S.Price) <= min(T.Price)' ;;
+    c) echo 'max(S.Price) <= 300 & sum(S.Price) <= sum(T.Price) & min(T.Price) >= 700' ;;
+    d) echo 'avg(S.Price) <= avg(T.Price) & max(S.Price) <= 200 & min(T.Price) >= 800' ;;
+    e) echo 'S.Type = T.Type & max(S.Price) <= 250 & count(T) <= 2 & min(T.Price) >= 750' ;;
+    f) echo 'max(S.Price) <= 300 & min(T.Price) >= 700' ;;
+  esac
+}
+
+mkdir -p "$GOLDEN"
+exec 3<>"/dev/tcp/127.0.0.1/$PORT"
+FAILED=0
+for shape in a b c d e f; do
+  for universe in full window; do
+    EXTRA=""
+    [ "$universe" = window ] && EXTRA=",\"s_universe\":[$WINDOW],\"t_universe\":[$WINDOW]"
+    [ "$shape" = f ] && EXTRA="$EXTRA,\"max_pairs\":1000"
+    printf '{"v":1,"cmd":"query","req":{"query":"%s","support":{"frac":0.012}%s}}\n' \
+      "$(family "$shape")" "$EXTRA" >&3
+    read -r REPLY <&3
+    case "$REPLY" in
+      '{"v":1,"result":{"epoch":'*',"db_scans":'*) ;;
+      *) echo "wire golden $shape.$universe: not a query result: ${REPLY:0:200}"; exit 1 ;;
+    esac
+    FILE="$GOLDEN/$shape.$universe.prefix"
+    if [ "$RECORD" = --record ]; then
+      printf '%s\n' "${REPLY%%,\"db_scans\":*}" > "$FILE"
+    elif [ "${REPLY%%,\"db_scans\":*}" != "$(cat "$FILE")" ]; then
+      echo "wire golden $shape.$universe: reply differs from $FILE"
+      printf '%s\n' "${REPLY%%,\"db_scans\":*}" | cmp - "$FILE" || true
+      FAILED=1
+    fi
+  done
+done
+printf ':quit\n' >&3
+exec 3<&- 3>&-
+kill -INT "$PID"
+wait "$PID" || { echo "golden serve exited non-zero on SIGINT"; cat "$WORK/serve.log"; exit 1; }
+PID=""
+[ "$FAILED" = 0 ] || exit 1
+[ "$RECORD" = --record ] && echo "  recorded 12 goldens under $GOLDEN" \
+  || echo "  12 replies byte-identical to $GOLDEN"

@@ -50,6 +50,26 @@ fn unsatisfiable_one_var_constraint() {
     assert_eq!(out.s_stats.support_counted, 0);
 }
 
+/// Regression (found by `engine_props::warm_answer_equals_bypass_answer`):
+/// a side whose universe holds no allowed item returned an empty level-1
+/// batch that nobody absorbed, and the quasi-succinct reduction of
+/// `S.Type = T.Type` then panicked pushing its conditions into that run.
+#[test]
+fn empty_effective_universe_under_a_reducible_two_var_constraint() {
+    let (db, cat) = tiny();
+    let q = bind_query(
+        &parse_query("max(T.Price) <= 10 & count(T) <= 2 & S.Type = T.Type").unwrap(),
+        &cat,
+    )
+    .unwrap();
+    // Item 2 costs 30: allowed is {0}, the universe is {2}, both non-empty.
+    let env = QueryEnv::new(&db, &cat, 1).with_t_universe(vec![ItemId(2)]);
+    let out = Optimizer::default().evaluate(&q, &env).unwrap();
+    assert_eq!(out.pair_result.count, 0);
+    assert!(out.s_sets.is_empty() && out.t_sets.is_empty());
+    assert_eq!(out.t_stats.support_counted, 0);
+}
+
 #[test]
 fn unsatisfiable_two_var_constraint() {
     let (db, cat) = tiny();

@@ -1,8 +1,14 @@
-//! Property test for the session engine's incremental maintenance: for a
-//! random Quest database, a random base/delta split, and a random support,
-//! the answer served from a FUP-upgraded cache entry after `append` must
-//! equal a full re-mine of the combined database — sets, supports, and
-//! valid pairs alike — and must be served without a database scan.
+//! Property tests for the session engine's cache-served path.
+//!
+//! * Incremental maintenance: for a random Quest database, a random
+//!   base/delta split, and a random support, the answer served from a
+//!   FUP-upgraded cache entry after `append` must equal a full re-mine of
+//!   the combined database — sets, supports, and valid pairs alike — and
+//!   must be served without a database scan.
+//! * The lattice filter: whatever 1-var conjunction, universe window,
+//!   support and level cap a query carries, carving its answer out of a
+//!   cached wider lattice equals running the optimizer one-shot, and
+//!   costs the constraint checks it always did.
 
 use cfq::prelude::*;
 use proptest::prelude::*;
@@ -12,6 +18,153 @@ const QUERIES: [&str; 3] = [
     "sum(S.Price) <= sum(T.Price)",
     "max(S.Price) <= min(T.Price)",
 ];
+
+/// The 1-var pool of `tests/succinct_props.rs` (every class the compiled
+/// form distinguishes: allowed filters, required groups, residual
+/// anti-monotone checks, post filters), written for `var`.
+fn one_var_pool(var: char, p1: u32, p2: u32) -> Vec<String> {
+    [
+        format!("max(S.Price) <= {p1}"),
+        format!("max(S.Price) < {p1}"),
+        format!("max(S.Price) >= {p2}"),
+        format!("min(S.Price) <= {p2}"),
+        format!("min(S.Price) >= {p2}"),
+        format!("min(S.Price) = {p2}"),
+        format!("sum(S.Price) <= {}", p1 + p2),
+        format!("sum(S.Price) >= {p1}"),
+        format!("avg(S.Price) <= {p1}"),
+        format!("avg(S.Price) >= {p2}"),
+        "count(S) <= 2".to_string(),
+        "count(S) = 2".to_string(),
+        "count(S.Type) = 1".to_string(),
+        "S.Type subset {a, b}".to_string(),
+        "S.Type superset {a}".to_string(),
+        "S.Type = {a}".to_string(),
+        "S.Type != {a}".to_string(),
+        "S.Type disjoint {c}".to_string(),
+        "S.Type intersects {b, c}".to_string(),
+        "S.Type notsuperset {a, b}".to_string(),
+        "S.Type notsubset {a}".to_string(),
+        format!("{p2} in S.Price"),
+    ]
+    .into_iter()
+    .map(|c| c.replace("S.", &format!("{var}.")).replace("(S)", &format!("({var})")))
+    .collect()
+}
+
+const TWO_VAR: [&str; 4] = [
+    "",
+    "max(S.Price) <= max(T.Price)",
+    "S.Type = T.Type",
+    "sum(S.Price) <= sum(T.Price)",
+];
+
+const N_ITEMS: u32 = 7;
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 200, ..ProptestConfig::default() })]
+
+    #[test]
+    fn warm_answer_equals_bypass_answer(
+        rows in prop::collection::vec(prop::collection::vec(0u32..N_ITEMS, 1..6), 6..20),
+        prices in prop::collection::vec(1u32..40, N_ITEMS as usize),
+        types in prop::collection::vec(0u32..3, N_ITEMS as usize),
+        s_picks in prop::collection::vec(0usize..22, 0..3),
+        t_picks in prop::collection::vec(0usize..22, 0..3),
+        two in 0usize..TWO_VAR.len(),
+        p1 in 5u32..40,
+        p2 in 1u32..25,
+        windows in prop::collection::vec(0u32..N_ITEMS, 4),
+        cached_support in 1u64..3,
+        raise in 0u64..3,
+        max_level in prop::sample::select(vec![0usize, 2]),
+    ) {
+        let text = s_picks.iter().map(|&i| one_var_pool('S', p1, p2)[i].clone())
+            .chain(t_picks.iter().map(|&i| one_var_pool('T', p1, p2)[i].clone()))
+            .chain((!TWO_VAR[two].is_empty()).then(|| TWO_VAR[two].to_string()))
+            .collect::<Vec<_>>()
+            .join(" & ");
+        prop_assume!(!text.is_empty());
+
+        let mut b = CatalogBuilder::new(N_ITEMS as usize);
+        b.num_attr("Price", prices.iter().map(|&p| p as f64).collect()).unwrap();
+        let labels: Vec<String> =
+            types.iter().map(|&t| ((b'a' + t as u8) as char).to_string()).collect();
+        b.cat_attr("Type", &labels).unwrap();
+        let rows: Vec<Vec<ItemId>> = rows
+            .iter()
+            .map(|r| Itemset::from_items(r.iter().map(|&i| ItemId(i))).iter().collect())
+            .collect();
+        let db = TransactionDb::new(N_ITEMS as usize, rows).unwrap();
+        let engine = Engine::new(db.clone(), b.build()).unwrap();
+        let catalog = engine.catalog();
+        let session = engine.session();
+
+        // One complete lattice over every item, mined once and cached:
+        // every query below is a window of it at an equal or higher
+        // threshold, so both of its sides must be carved out of this one.
+        session.query("max(S.Price) <= max(T.Price)").min_support(cached_support).run().unwrap();
+        let all: Vec<ItemId> = (0..N_ITEMS).map(ItemId).collect();
+        let cached = apriori(
+            &db,
+            &AprioriConfig::new(cached_support).with_universe(all.clone()),
+            &mut WorkStats::new(),
+        );
+
+        // A window `lo..=hi`; an inverted draw means "every item".
+        let window = |a: u32, b: u32| -> Vec<ItemId> {
+            if a > b { Vec::new() } else { (a..=b).map(ItemId).collect() }
+        };
+        let support = cached_support + raise;
+        let mut req = QueryRequest::new(text.as_str());
+        req.support = SupportSpec::Abs(support, support);
+        req.s_universe = window(windows[0], windows[1]);
+        req.t_universe = window(windows[2], windows[3]);
+        req.max_level = max_level;
+        let warm = session.execute(&req).unwrap();
+        req.bypass_cache = true;
+        let bypass = session.execute(&req).unwrap();
+
+        prop_assert_eq!(warm.outcome.db_scans, 0, "`{}` must be served from the cache", &text);
+        prop_assert!(bypass.outcome.provenance.s_lattice == LatticeSource::MinedCold);
+        let (w, o) = (&warm.outcome, &bypass.outcome);
+        prop_assert_eq!(&w.s_sets, &o.s_sets, "S side of `{}` {:?}", &text, &req);
+        prop_assert_eq!(&w.t_sets, &o.t_sets, "T side of `{}` {:?}", &text, &req);
+        prop_assert_eq!(w.pair_result.count, o.pair_result.count, "`{}`", &text);
+        prop_assert_eq!(&w.pair_result.pairs, &o.pair_result.pairs, "`{}`", &text);
+        prop_assert_eq!(w.pair_result.truncated, o.pair_result.truncated);
+
+        // The work ledger: one check per 1-var constraint per cached set
+        // that survives level cap, threshold and effective universe —
+        // whether or not the filter had to evaluate anything for it.
+        let bound = bind_query(&parse_query(&text).unwrap(), &catalog).unwrap();
+        for (var, universe, stats) in
+            [(Var::S, &req.s_universe, &w.s_stats), (Var::T, &req.t_universe, &w.t_stats)]
+        {
+            let one: Vec<OneVar> = bound.one_var_for(var).cloned().collect();
+            let form = SuccinctForm::compile(&one, &catalog);
+            let universe = if universe.is_empty() { &all } else { universe };
+            let eff = form.filter_universe(universe);
+            let surviving = if form.unsatisfiable() {
+                0
+            } else {
+                cached
+                    .iter()
+                    .filter(|(set, n)| {
+                        (max_level == 0 || set.len() <= max_level)
+                            && *n >= support
+                            && set.iter().all(|i| eff.contains(&i))
+                    })
+                    .count()
+            };
+            prop_assert_eq!(
+                stats.constraint_checks,
+                (one.len() * surviving) as u64,
+                "{:?} checks of `{}` {:?}", var, &text, &req
+            );
+        }
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
