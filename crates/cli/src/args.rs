@@ -22,12 +22,33 @@ impl Args {
     /// Parses `argv` (without the program/subcommand names). Options take
     /// the next token as value unless listed in `flag_names`.
     pub fn parse<I: IntoIterator<Item = String>>(argv: I, flag_names: &[&str]) -> Result<Args> {
+        Args::parse_from(argv, flag_names, None)
+    }
+
+    /// [`Args::parse`] for a command that can name every option it reads:
+    /// a `--name` in neither list is an error, not an option that
+    /// swallows the token after it.
+    pub fn parse_known<I: IntoIterator<Item = String>>(
+        argv: I,
+        flag_names: &[&str],
+        option_names: &[&str],
+    ) -> Result<Args> {
+        Args::parse_from(argv, flag_names, Some(option_names))
+    }
+
+    fn parse_from<I: IntoIterator<Item = String>>(
+        argv: I,
+        flag_names: &[&str],
+        option_names: Option<&[&str]>,
+    ) -> Result<Args> {
         let mut out = Args::default();
         let mut it = argv.into_iter();
         while let Some(tok) = it.next() {
             if let Some(name) = tok.strip_prefix("--") {
                 if flag_names.contains(&name) {
                     out.flags.push(name.to_string());
+                } else if option_names.is_some_and(|known| !known.contains(&name)) {
+                    return Err(CfqError::Config(format!("unknown option --{name}")));
                 } else {
                     let value = it.next().ok_or_else(|| {
                         CfqError::Config(format!("option --{name} needs a value"))
@@ -178,6 +199,27 @@ mod tests {
     fn missing_value_is_an_error() {
         let r = Args::parse(vec!["--lonely".to_string()], &[]);
         assert!(r.is_err());
+    }
+
+    #[test]
+    fn parse_known_rejects_options_the_command_does_not_read() {
+        let known = |v: &[&str]| {
+            Args::parse_known(v.iter().map(|s| s.to_string()), &[], &["listen", "max-clients"])
+        };
+        let a = known(&["--listen", "127.0.0.1:0", "--max-clients", "4"]).unwrap();
+        assert_eq!(a.get("listen"), Some("127.0.0.1:0"));
+        // A removed flag must not eat `--listen`, nor a typo its value,
+        // nor either be reported as an option short of one.
+        for (argv, name) in [
+            (&["--legacy-protocol", "--listen", "127.0.0.1:0"][..], "legacy-protocol"),
+            (&["--listen", "127.0.0.1:0", "--max-client", "4"][..], "max-client"),
+            (&["--legacy-protocol"][..], "legacy-protocol"),
+        ] {
+            match known(argv) {
+                Err(CfqError::Config(msg)) => assert_eq!(msg, format!("unknown option --{name}")),
+                other => panic!("{argv:?} -> {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -9,8 +9,7 @@
 //! cfq loadgen --list                                # list scenarios
 //! ```
 //!
-//! The server must run *without* `--legacy-protocol`: the loadgen is a
-//! conformance client for the canonical envelope, and any prose reply
+//! The loadgen is a conformance client for the envelope: any prose reply
 //! to an envelope line counts as a protocol error that fails the gates.
 
 use crate::args::Args;
@@ -41,9 +40,8 @@ pub fn loadgen(argv: Vec<String>) -> Result<()> {
              [--emit]                print the generated workload and exit (no server)\n\
              [--list]                list scenarios and exit\n\
              \n\
-             the target server must speak the v1 envelope only (no --legacy-protocol);\n\
-             exit is non-zero when a gate fails (protocol errors, unexpected overloads,\n\
-             missing batching)"
+             exit is non-zero when a gate fails (protocol errors — a prose reply to an\n\
+             envelope line is one — unexpected overloads, missing batching)"
         );
         return Ok(());
     }

@@ -27,9 +27,11 @@
 //!   minimum requested support.
 //!
 //! Queries are described by a serializable [`QueryRequest`] (JSON in,
-//! [`QueryResponse`] JSON out — the wire form the serve protocol's
-//! `:json` command speaks); the fluent [`QueryBuilder`] is sugar that
-//! fills one in.
+//! [`QueryResponse`] JSON out — the `req` and `result` of the serve
+//! protocol's envelope `query` command); the fluent [`QueryBuilder`] is
+//! sugar that fills one in. The protocol itself — [`wire`]'s envelope
+//! codec and the [`Dispatcher`] that answers one request line — lives
+//! here too, so `cfq serve` is left with sockets and threads.
 //!
 //! Answers from the cached path are identical to every one-shot
 //! [`cfq_core::Optimizer`] strategy because both end with final pair
@@ -62,8 +64,10 @@
 //! ```
 
 pub mod cache;
+pub mod dispatch;
 pub mod engine;
 pub mod json;
+pub mod metrics;
 pub mod request;
 pub mod scheduler;
 pub mod session;
@@ -72,9 +76,11 @@ pub mod wal;
 pub mod wire;
 
 pub use cache::CacheStats;
+pub use dispatch::Dispatcher;
 pub use engine::{
     DurabilityStats, Engine, EngineConfig, EngineConfigBuilder, EpochInfo, SnapshotInfo,
 };
+pub use metrics::ServerMetrics;
 pub use request::{QueryRequest, QueryResponse, SupportSpec};
 pub use scheduler::SchedulerStats;
 pub use session::{QueryBuilder, QueryOutcome, Session, SessionPool, StageMicros};

@@ -3,9 +3,9 @@
 //! [`QueryRequest`] is the single source of truth for *every* option a
 //! query can carry — [`QueryBuilder`](crate::QueryBuilder) is a thin
 //! fluent front-end that mutates one, `Session::execute` consumes one,
-//! and the serve protocol's `:json` command parses one off the wire. The
-//! JSON codec is hand-rolled on [`crate::json`] because the workspace is
-//! dependency-free.
+//! and the serve protocol's envelope `query` command parses one off the
+//! wire as its `req`. The JSON codec is hand-rolled on [`crate::json`]
+//! because the workspace is dependency-free.
 //!
 //! ```
 //! use cfq_engine::QueryRequest;

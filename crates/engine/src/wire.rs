@@ -6,8 +6,8 @@
 //! `{"v":1,"error":{"kind":"...","message":"..."}}`. The `kind` field is
 //! machine-dispatchable (one value per [`CfqError`] variant plus the
 //! protocol-level kinds below), so clients branch on a token instead of
-//! string-matching prose. The legacy `:json`/`:metrics`/`:slowlog` line
-//! commands remain as a thin compat shim over the same handlers.
+//! string-matching prose. This module is the codec; what a command does
+//! is [`crate::dispatch`]'s.
 //!
 //! Protocol-level error kinds (no `CfqError` behind them):
 //!

@@ -25,7 +25,7 @@ use std::time::{Duration, Instant};
 /// How the driver reaches and times out on the server.
 #[derive(Clone, Debug)]
 pub struct DriverOptions {
-    /// `host:port` of a `cfq serve` running *without* `--legacy-protocol`.
+    /// `host:port` of a running `cfq serve`.
     pub addr: String,
     /// Per-reply read timeout; a request exceeding it is a protocol
     /// error (the server must answer every line).
@@ -47,8 +47,7 @@ pub enum Outcome {
     /// A typed error envelope with `kind == "overloaded"` — admission
     /// back-pressure, counted apart from request errors.
     Overloaded,
-    /// A typed error envelope (or gated-legacy rejection) with this
-    /// `kind`.
+    /// A typed error envelope with this `kind`.
     RequestError(String),
     /// Anything that is not a well-formed single-line reply of the
     /// expected shape — the one count that must stay at zero.
@@ -149,10 +148,9 @@ impl ClientMetrics {
 /// Classifies one reply line against the expected shape.
 ///
 /// Envelope replies must be one JSON object: a `result` is [`Outcome::Ok`];
-/// an `error` carrying a `kind` (either the v1 nested object or the
-/// flat gated-legacy shape) is typed by that kind; anything else is a
-/// protocol error. Prose replies only fail on an `error:`/`overloaded:`
-/// prefix or an empty line.
+/// an `error` object carrying a `kind` is typed by that kind; anything
+/// else is a protocol error. Prose replies only fail on an
+/// `error:`/`overloaded:` prefix or an empty line.
 pub fn classify(expect: Expect, reply: &str) -> Outcome {
     let reply = reply.trim_end();
     match expect {
@@ -177,14 +175,8 @@ pub fn classify(expect: Expect, reply: &str) -> Outcome {
             if v.get("result").is_some() {
                 return Outcome::Ok;
             }
-            let kind = match v.get("error") {
-                // v1 envelope: {"v":1,"error":{"kind":...,"message":...}}
-                Some(err @ Json::Obj(_)) => err.get("kind").and_then(Json::as_str),
-                // Gated legacy rejection: {"error":"...","kind":"..."}
-                Some(Json::Str(_)) => v.get("kind").and_then(Json::as_str),
-                _ => None,
-            };
-            match kind {
+            // {"v":1,"error":{"kind":...,"message":...}}
+            match v.get("error").and_then(|err| err.get("kind")).and_then(Json::as_str) {
                 Some("overloaded") => Outcome::Overloaded,
                 Some(kind) => Outcome::RequestError(kind.to_string()),
                 None => Outcome::ProtocolError(format!(
@@ -360,10 +352,6 @@ mod tests {
                 r#"{"v":1,"error":{"kind":"parse","message":"bad"}}"#,
                 Outcome::RequestError("parse".into()),
             ),
-            (
-                r#"{"error":":json is a legacy command","kind":"unsupported_command"}"#,
-                Outcome::RequestError("unsupported_command".into()),
-            ),
         ] {
             assert_eq!(classify(Expect::Envelope, reply), want, "{reply}");
         }
@@ -372,6 +360,7 @@ mod tests {
             "{not json",
             r#"{"v":1}"#,
             r#"{"error":{"message":"kindless"}}"#,
+            r#"{"error":"flat, not an object","kind":"parse"}"#,
         ] {
             assert!(
                 matches!(classify(Expect::Envelope, bad), Outcome::ProtocolError(_)),

@@ -31,8 +31,7 @@
 //!   only where a scenario provokes it, batching where a scenario
 //!   targets the single-flight window.
 //!
-//! The driver assumes the server runs *without* `--legacy-protocol`:
-//! every reply to an envelope-shaped line is one line of JSON, so
+//! Every reply to an envelope-shaped line is one line of JSON, so
 //! framing is trivial and any prose leak is a protocol error by
 //! definition.
 

@@ -16,8 +16,7 @@ use rand::{Rng, SeedableRng};
 /// What shape of reply an action's line must produce.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Expect {
-    /// One line of JSON: a v1 result/error envelope, or the typed
-    /// `unsupported_command` rejection a gated legacy command gets.
+    /// One line of JSON: a v1 result or error envelope.
     Envelope,
     /// One line of operator prose (`:append` replies), where only an
     /// `error:` prefix counts against the scenario.
@@ -116,7 +115,7 @@ pub const SCENARIOS: &[ScenarioSpec] = &[
     },
     ScenarioSpec {
         name: "adversarial",
-        summary: "malformed envelopes, bad requests, and gated legacy commands",
+        summary: "malformed envelopes and bad requests, every one envelope-shaped",
         clients: 2,
         requests_per_client: 13,
         expects_overload: false,
@@ -403,12 +402,12 @@ fn append_churn(
         .collect()
 }
 
-/// Protocol garbage and bad requests, all `{`- or `:`-shaped so every
-/// reply must be one JSON line: broken framing, wrong versions, unknown
-/// commands and fields, out-of-range values, unparseable CFQ text, and
-/// the three gated legacy commands. A healthy server answers each with
-/// a typed error envelope and still serves the interleaved good
-/// queries.
+/// Protocol garbage and bad requests, all envelope-shaped so every
+/// reply must be one JSON line: broken framing, wrong and fractional
+/// versions, unknown, repeated and mistyped commands and fields,
+/// out-of-range values, and unparseable CFQ text. A healthy server
+/// answers each with a typed error envelope and still serves the
+/// interleaved good queries.
 fn adversarial(client: usize) -> Vec<Action> {
     let good = {
         let mut req = QueryRequest::new("max(S.Price) <= min(T.Price)");
@@ -433,9 +432,9 @@ fn adversarial(client: usize) -> Vec<Action> {
         ]
     } else {
         vec![
-            r#":json {"query":"count(S) >= 1"}"#,
-            ":metrics",
-            ":slowlog",
+            r#"{"v":1,"cmd":"status","cmd":"snapshot"}"#,
+            r#"{"v":1,"cmd":7}"#,
+            r#"{"v":1.5,"cmd":"status"}"#,
             r#"{"v":1,"cmd":"query","req":{"query":"count(S) >= 1","support":1.5}}"#,
             r#"{"v":1,"cmd":"query","req":{"query":"count(S) >= 1","strategy":"warp"}}"#,
             r#"{}"#,
@@ -603,11 +602,10 @@ mod tests {
         let spec = scenario_by_name("adversarial").unwrap();
         for actions in build(spec, 7, &opts()).clients {
             for a in actions {
-                // Every line is either envelope-shaped (first non-space
-                // after `{` is `"` or `}`) or a gated legacy `:command`,
-                // both of which the server answers in JSON.
+                // Every line is envelope-shaped — `{`, then `"` or `}` —
+                // which is what makes the server answer it in JSON.
                 let l = a.line.trim_start();
-                assert!(l.starts_with('{') || l.starts_with(':'), "{}", a.line);
+                assert!(l.starts_with("{\"") || l.starts_with("{}"), "{}", a.line);
             }
         }
     }

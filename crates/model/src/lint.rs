@@ -7,9 +7,10 @@
 //! pattern rules:
 //!
 //! * **no-unwrap** — `.unwrap()` / `.expect(...)` are banned in the
-//!   request-handling hot paths (`serve.rs`, `scheduler.rs`,
-//!   `request.rs`, `session.rs`, `json.rs`): a malformed request must
-//!   surface as a protocol error, never a panic that kills a worker.
+//!   request-handling hot paths (`serve.rs`, `dispatch.rs`, `wire.rs`,
+//!   `scheduler.rs`, `request.rs`, `session.rs`, `json.rs`): a malformed
+//!   request must surface as a protocol error, never a panic that kills
+//!   a worker.
 //! * **unsafe-needs-safety** — every `unsafe` block carries a
 //!   `// SAFETY:` comment within three lines above (or on the line).
 //! * **metric-name** — metric registration names match `cfq_[a-z0-9_]+`,
@@ -49,7 +50,9 @@ pub enum FileClass {
 }
 
 /// File names whose request-path position bans `unwrap`/`expect`.
-const HOT_FILES: &[&str] = &["serve.rs", "scheduler.rs", "request.rs", "session.rs", "json.rs"];
+const HOT_FILES: &[&str] = &[
+    "serve.rs", "dispatch.rs", "wire.rs", "scheduler.rs", "request.rs", "session.rs", "json.rs",
+];
 
 /// One lint violation.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -960,6 +963,9 @@ mod tests {
     fn classification_covers_the_workspace_shapes() {
         assert_eq!(classify("crates/engine/src/scheduler.rs"), FileClass::Hot);
         assert_eq!(classify("crates/cli/src/serve.rs"), FileClass::Hot);
+        assert_eq!(classify("crates/engine/src/dispatch.rs"), FileClass::Hot);
+        assert_eq!(classify("crates/engine/src/wire.rs"), FileClass::Hot);
+        assert_eq!(classify("crates/engine/src/metrics.rs"), FileClass::Normal);
         assert_eq!(classify("crates/engine/src/engine.rs"), FileClass::Normal);
         assert_eq!(classify("crates/engine/tests/concurrency.rs"), FileClass::TestOrBench);
         assert_eq!(classify("crates/bench/src/table.rs"), FileClass::TestOrBench);

@@ -18,11 +18,12 @@
 //! * [`metrics`] — a [`metrics::Registry`] of atomic counters, gauges
 //!   and histograms rendered in the Prometheus text exposition format
 //!   (plus derived `_p50/_p95/_p99` gauges per histogram). The serve
-//!   layer exports it through the `:metrics` protocol command and the
-//!   `--metrics-addr` HTTP scrape listener.
+//!   layer exports it through the protocol's `metrics` command (the
+//!   envelope's, or `:metrics` typed by hand) and the `--metrics-addr`
+//!   HTTP scrape listener.
 //! * [`slowlog`] — a bounded ring of queries slower than `--slow-ms`,
 //!   each carrying query text, plan fingerprint, cache provenance and
-//!   level-by-level timings (the `:slowlog` command).
+//!   level-by-level timings (the protocol's `slowlog` command).
 
 pub mod metrics;
 pub mod slowlog;

@@ -147,9 +147,9 @@ t1=$(date +%s%N)
 printf '%s\n' "$FIG8A" >&3
 read -r WARM_REPLY <&3
 t2=$(date +%s%N)
-# In-band metrics are envelope-only now (`:metrics` is gated behind
-# --legacy-protocol): ask through the v1 envelope, then pull the full
-# Prometheus text from the HTTP scrape listener for parsing.
+# In-band metrics for a script are the envelope's (`:metrics` prints the
+# same text, but over many lines): ask through the v1 envelope, then pull
+# the full Prometheus text from the HTTP scrape listener for parsing.
 printf '{"v":1,"cmd":"metrics"}\n:quit\n' >&3
 METRICS_ENVELOPE="$(head -1 <&3)"
 exec 3<&- 3>&-
@@ -241,7 +241,7 @@ for pid in $CLIENT_PIDS; do
   wait "$pid" || { echo "scheduler client $pid failed"; exit 1; }
 done
 for f in "$SERVE_DIR"/client*.json; do
-  grep -q '"pair_count"' "$f" || { echo "bad :json reply in $f:"; cat "$f"; exit 1; }
+  grep -q '"pair_count"' "$f" || { echo "bad query reply in $f:"; cat "$f"; exit 1; }
   if grep -q '"error"' "$f"; then echo "client errored in $f:"; cat "$f"; exit 1; fi
 done
 
