@@ -5,8 +5,7 @@ use cfq_bench::experiments::ExpEnv;
 use cfq_core::{Optimizer, QueryEnv};
 use cfq_datagen::ScenarioBuilder;
 use cfq_mining::{
-    apriori, fp_growth, partition_mine, AprioriConfig, FpGrowthConfig, HashTreeCounter,
-    NaiveCounter, ParallelTrieCounter, PartitionConfig, SupportCounter, TidsetIndex, TrieCounter,
+    apriori, fp_growth, partition_mine, AprioriConfig, FpGrowthConfig, NaiveCounter, ParallelTrieCounter, PartitionConfig, SupportCounter, TidsetIndex, TrieCounter,
     VerticalCounter, WorkStats,
 };
 use cfq_types::Itemset;
@@ -59,9 +58,6 @@ fn bench(c: &mut Criterion) {
     });
     g.bench_function("parallel_trie_counter_level2", |b| {
         b.iter(|| ParallelTrieCounter::default().count(&db, &cands).len())
-    });
-    g.bench_function("hashtree_counter_level2", |b| {
-        b.iter(|| HashTreeCounter.count(&db, &cands).len())
     });
     let index = TidsetIndex::build(&db);
     g.bench_function("vertical_counter_level2", |b| {

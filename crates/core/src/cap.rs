@@ -25,10 +25,13 @@
 //! The run is *steppable* — `next_candidates` / `absorb_counts` — so the
 //! optimizer can dovetail two lattices over shared database scans and
 //! inject quasi-succinct reductions after level 1 and `J^k_max` bounds
-//! between levels (§5.2).
+//! between levels (§5.2). Level 2 has a second protocol,
+//! `next_pair_items` / `absorb_pair_counts`: its candidates are implicit
+//! in `L1`, so the run names the items and reads the pair supports out of
+//! a triangle instead of building the candidate list.
 
 use cfq_constraints::{OneVar, SuccinctForm, Var};
-use cfq_mining::{generate_candidates, FrequentSets, WorkStats};
+use cfq_mining::{generate_candidates, FrequentSets, PairCounts, WorkStats};
 use cfq_types::{Catalog, ItemId, Itemset};
 use std::time::Instant;
 
@@ -63,8 +66,8 @@ pub struct LatticeRun<'a> {
     rank_levels: Vec<Vec<Itemset>>,
     /// Frequent sets in original item space (the public result).
     frequent: FrequentSets,
-    /// Candidates awaiting counts: aligned (orig-sorted) orig and rank sets.
-    pending: Option<(Vec<Itemset>, Vec<Itemset>)>,
+    /// Candidates awaiting counts.
+    pending: Option<Pending>,
     /// When the pending level's candidate generation began; the level's
     /// `micros` run from here to the end of [`Self::absorb_counts`].
     level_started: Instant,
@@ -76,6 +79,40 @@ pub struct LatticeRun<'a> {
     stats: WorkStats,
     /// When enabled, every counted set (levels ≥ 2) is logged for audits.
     counted_log: Option<Vec<Itemset>>,
+}
+
+/// The candidates of the level being counted.
+enum Pending {
+    /// Materialised: aligned (orig-sorted) orig and rank sets.
+    Sets(Vec<Itemset>, Vec<Itemset>),
+    /// Level 2, implicit in `L1`.
+    Pairs(PairLevel),
+}
+
+/// Level 2's candidates without a candidate list.
+struct PairLevel {
+    /// The `L1` items occurring in at least one candidate pair, ascending.
+    items: Vec<ItemId>,
+    /// Whether the pair of positions `(a, b)`, `a < b`, of `items` is a
+    /// candidate, pairs in lexicographic order; empty when every pair is.
+    admitted: Vec<bool>,
+    n_candidates: u64,
+}
+
+impl PairLevel {
+    /// Calls `f(a, b)` for every candidate pair, positions `a < b` of
+    /// `items`, in lexicographic order.
+    fn for_each(&self, mut f: impl FnMut(usize, usize)) {
+        let mut cell = 0usize;
+        for a in 0..self.items.len() {
+            for b in a + 1..self.items.len() {
+                if self.admitted.is_empty() || self.admitted[cell] {
+                    f(a, b);
+                }
+                cell += 1;
+            }
+        }
+    }
 }
 
 impl<'a> LatticeRun<'a> {
@@ -184,18 +221,23 @@ impl<'a> LatticeRun<'a> {
         self.extra_am = conds;
     }
 
+    /// Opens the next level: `false` (and the run is done) when the level
+    /// cap has been reached.
+    fn begin_level(&mut self) -> bool {
+        assert!(self.pending.is_none(), "absorb the pending level first");
+        self.level_started = Instant::now();
+        if self.cfg.max_level != 0 && self.level >= self.cfg.max_level {
+            self.done = true;
+        }
+        !self.done
+    }
+
     /// Produces the next level's candidates (original item space, sorted),
     /// or an empty vector when the lattice is exhausted. The caller counts
     /// them (possibly in a scan shared with another lattice) and hands the
     /// supports back via [`Self::absorb_counts`].
     pub fn next_candidates(&mut self) -> Vec<Itemset> {
-        if self.done {
-            return Vec::new();
-        }
-        assert!(self.pending.is_none(), "absorb_counts must be called first");
-        self.level_started = Instant::now();
-        if self.cfg.max_level != 0 && self.level >= self.cfg.max_level {
-            self.done = true;
+        if self.done || !self.begin_level() {
             return Vec::new();
         }
 
@@ -208,42 +250,44 @@ impl<'a> LatticeRun<'a> {
             }
             let orig: Vec<Itemset> =
                 self.universe_eff.iter().map(|&i| Itemset::singleton(i)).collect();
-            self.pending = Some((orig.clone(), Vec::new()));
+            self.pending = Some(Pending::Sets(orig.clone(), Vec::new()));
+            return orig;
+        }
+        if self.level == 1 {
+            let Some(pairs) = self.plan_pairs() else {
+                return Vec::new();
+            };
+            let mut orig = Vec::with_capacity(pairs.n_candidates as usize);
+            let mut rank = Vec::with_capacity(pairs.n_candidates as usize);
+            pairs.for_each(|a, b| {
+                orig.push(pair(pairs.items[a], pairs.items[b]));
+                rank.push(self.to_rank_pair(pairs.items[a], pairs.items[b]));
+            });
+            self.pending = Some(Pending::Sets(orig.clone(), rank));
             return orig;
         }
 
-        self.ensure_ranks();
         let prev = &self.rank_levels[self.level - 1];
         if prev.is_empty() {
             self.done = true;
             return Vec::new();
         }
-
+        // With `R`-first ranks both join parents of a valid k-set (k ≥ 3)
+        // keep the leading `R` item; the prune asks only about subsets
+        // that were themselves counted.
         let group_len = self.pushed_group.as_ref().map(|g| g.len() as u32);
         let oracle = |sub: &Itemset| match group_len {
             None => true,
             Some(g) => sub.as_slice().first().map(|r| r.0 < g).unwrap_or(false),
         };
-        let mut cands_rank = generate_candidates(prev, oracle);
-        if let Some(g) = group_len {
-            // At level 1 → 2 the join has no shared prefix to protect the
-            // leading R item; filter explicitly. (No-op at deeper levels.)
-            cands_rank.retain(|c| c.as_slice()[0].0 < g);
-        }
+        let cands_rank = generate_candidates(prev, oracle);
 
         // Map to original item space and apply the candidate filters.
         let mut paired: Vec<(Itemset, Itemset)> = Vec::with_capacity(cands_rank.len());
-        let n_checks = (self.form.residual_am.len() + self.extra_am.len()) as u64;
         let mut pruned = 0u64;
         for rank_set in cands_rank {
             let orig = self.to_orig(&rank_set);
-            self.stats.record_checks(n_checks);
-            let ok = self.form.admits_candidate(&orig, self.catalog)
-                && self
-                    .extra_am
-                    .iter()
-                    .all(|c| cfq_constraints::eval_one(c, &orig, self.catalog));
-            if ok {
+            if self.admits(&orig) {
                 paired.push((orig, rank_set));
             } else {
                 pruned += 1;
@@ -259,8 +303,112 @@ impl<'a> LatticeRun<'a> {
         if let Some(log) = &mut self.counted_log {
             log.extend(orig.iter().cloned());
         }
-        self.pending = Some((orig.clone(), rank));
+        self.pending = Some(Pending::Sets(orig.clone(), rank));
         orig
+    }
+
+    /// Level 2 without a candidate list: the `L1` items that occur in at
+    /// least one candidate pair, ascending — empty when the lattice is
+    /// exhausted. The caller counts *every* pair of them (in a pass it may
+    /// share with another lattice) and hands the triangle back via
+    /// [`Self::absorb_pair_counts`]; which pairs were candidates — the
+    /// Strategy II leading-`R` rule, the residual and `J^k_max` checks —
+    /// stays with the run, and the ledger is charged as if they had been
+    /// listed.
+    ///
+    /// # Panics
+    /// Unless exactly level 1 has been absorbed.
+    pub fn next_pair_items(&mut self) -> Vec<ItemId> {
+        assert!(self.done || self.level == 1, "pair items are level 2's");
+        if self.done || !self.begin_level() {
+            return Vec::new();
+        }
+        let Some(pairs) = self.plan_pairs() else {
+            return Vec::new();
+        };
+        let items = pairs.items.clone();
+        self.pending = Some(Pending::Pairs(pairs));
+        items
+    }
+
+    /// Decides level 2: which pairs of `L1` items are candidates. Charges
+    /// their constraint checks and the pruned ones, logs the candidates
+    /// when the audit log is on, and finishes the run when there are none.
+    fn plan_pairs(&mut self) -> Option<PairLevel> {
+        self.ensure_ranks();
+        let rank_of = self.rank_of.as_ref().expect("ranks exist from level 2 on");
+        // `L1` inside the effective universe, ascending by item.
+        let l1: Vec<ItemId> = self
+            .frequent
+            .level(1)
+            .iter()
+            .map(|(s, _)| s.as_slice()[0])
+            .filter(|i| rank_of[i.index()] != u32::MAX)
+            .collect();
+        let n = l1.len();
+        if n == 0 {
+            self.done = true;
+            return None;
+        }
+        // With a pushed group only pairs holding one of its items are
+        // valid (in rank space: pairs whose leading item lies in `R`).
+        let group_len = self.pushed_group.as_ref().map(|g| g.len() as u32);
+        let in_group: Vec<bool> =
+            l1.iter().map(|i| group_len.is_none_or(|g| rank_of[i.index()] < g)).collect();
+        let checked = self.form.residual_am.len() + self.extra_am.len() > 0;
+
+        let pairs = if group_len.is_none() && !checked {
+            // Every pair of L1 items is a candidate.
+            PairLevel { items: l1, admitted: Vec::new(), n_candidates: (n * (n - 1) / 2) as u64 }
+        } else {
+            let mut admitted = Vec::with_capacity(n * (n - 1) / 2);
+            let mut in_pair = vec![false; n];
+            let (mut n_candidates, mut pruned) = (0u64, 0u64);
+            for a in 0..n {
+                for b in a + 1..n {
+                    let ok = (in_group[a] || in_group[b])
+                        && (!checked || {
+                            let ok = self.admits(&pair(l1[a], l1[b]));
+                            pruned += u64::from(!ok);
+                            ok
+                        });
+                    admitted.push(ok);
+                    if ok {
+                        n_candidates += 1;
+                        (in_pair[a], in_pair[b]) = (true, true);
+                    }
+                }
+            }
+            self.stats.record_pruned(pruned);
+            // Keep only the items, and the cells, of candidate pairs.
+            let live: Vec<usize> = (0..n).filter(|&i| in_pair[i]).collect();
+            if live.len() < n {
+                let cell = |a: usize, b: usize| a * (2 * n - a - 1) / 2 + (b - a - 1);
+                admitted = live
+                    .iter()
+                    .enumerate()
+                    .flat_map(|(k, &a)| live[k + 1..].iter().map(move |&b| (a, b)))
+                    .map(|(a, b)| admitted[cell(a, b)])
+                    .collect();
+            }
+            PairLevel { items: live.into_iter().map(|i| l1[i]).collect(), admitted, n_candidates }
+        };
+        if pairs.n_candidates == 0 {
+            self.done = true;
+            return None;
+        }
+        if let Some(log) = &mut self.counted_log {
+            pairs.for_each(|a, b| log.push(pair(pairs.items[a], pairs.items[b])));
+        }
+        Some(pairs)
+    }
+
+    /// The candidate filters (residual anti-monotone checks, `J^k_max`
+    /// bounds) on one generated set, charged to the ledger.
+    fn admits(&mut self, orig: &Itemset) -> bool {
+        self.stats.record_checks((self.form.residual_am.len() + self.extra_am.len()) as u64);
+        self.form.admits_candidate(orig, self.catalog)
+            && self.extra_am.iter().all(|c| cfq_constraints::eval_one(c, orig, self.catalog))
     }
 
     /// Absorbs the supports for the candidates returned by the last
@@ -269,36 +417,63 @@ impl<'a> LatticeRun<'a> {
     /// counting the executor did in between, and this absorption. On a
     /// dovetailed scan both lattices' rows include the scan they shared.
     pub fn absorb_counts(&mut self, counts: &[u64]) {
-        let (orig, rank) = self.pending.take().expect("no pending candidates");
+        let Some(Pending::Sets(orig, rank)) = self.pending.take() else {
+            panic!("no pending candidate sets");
+        };
         assert_eq!(orig.len(), counts.len(), "count vector length mismatch");
-        let level = self.level + 1;
         let n_candidates = orig.len() as u64;
-
         let mut freq_orig: Vec<(Itemset, u64)> = Vec::new();
         let mut freq_rank: Vec<Itemset> = Vec::new();
         for (i, set) in orig.into_iter().enumerate() {
             if counts[i] >= self.cfg.min_support {
-                if level > 1 {
+                if self.level > 0 {
                     freq_rank.push(rank[i].clone());
+                } else {
+                    // Rank space does not exist yet; store origs, remapped later.
+                    freq_rank.push(set.clone());
                 }
                 freq_orig.push((set, counts[i]));
             }
         }
-        let n_frequent = freq_orig.len() as u64;
+        self.finish_level(n_candidates, freq_orig, freq_rank);
+    }
 
-        if level == 1 {
-            // Rank space does not exist yet; store origs, remapped later.
-            self.rank_levels.push(freq_orig.iter().map(|(s, _)| s.clone()).collect());
-        } else {
-            freq_rank.sort();
-            self.rank_levels.push(freq_rank);
-        }
-        let empty = freq_orig.is_empty();
+    /// Absorbs the pair supports over the items returned by the last
+    /// [`Self::next_pair_items`] call, `counts` ranked by position in that
+    /// list. Timed like [`Self::absorb_counts`].
+    pub fn absorb_pair_counts(&mut self, counts: &PairCounts) {
+        let Some(Pending::Pairs(pairs)) = self.pending.take() else {
+            panic!("no pending pair level");
+        };
+        assert_eq!(counts.ranks(), pairs.items.len(), "triangle over the wrong items");
+        let mut freq_orig: Vec<(Itemset, u64)> = Vec::new();
+        let mut freq_rank: Vec<Itemset> = Vec::new();
+        pairs.for_each(|a, b| {
+            let n = counts.get(a, b);
+            if n >= self.cfg.min_support {
+                freq_orig.push((pair(pairs.items[a], pairs.items[b]), n));
+                freq_rank.push(self.to_rank_pair(pairs.items[a], pairs.items[b]));
+            }
+        });
+        self.finish_level(pairs.n_candidates, freq_orig, freq_rank);
+    }
+
+    /// Records a counted level: its frequent sets in both item spaces
+    /// (`freq_orig` sorted) and its row of the ledger.
+    fn finish_level(
+        &mut self,
+        n_candidates: u64,
+        freq_orig: Vec<(Itemset, u64)>,
+        mut freq_rank: Vec<Itemset>,
+    ) {
+        freq_rank.sort();
+        self.rank_levels.push(freq_rank);
+        let n_frequent = freq_orig.len() as u64;
         self.frequent.push_level(freq_orig);
-        self.level = level;
+        self.level += 1;
         let micros = self.level_started.elapsed().as_micros() as u64;
-        self.stats.record_level_timed(level, n_candidates, n_frequent, micros);
-        if empty {
+        self.stats.record_level_timed(self.level, n_candidates, n_frequent, micros);
+        if n_frequent == 0 {
             self.done = true;
         }
     }
@@ -382,13 +557,23 @@ impl<'a> LatticeRun<'a> {
     fn to_orig(&self, rank_set: &Itemset) -> Itemset {
         Itemset::from_items(rank_set.iter().map(|r| self.item_of[r.index()]))
     }
+
+    fn to_rank_pair(&self, a: ItemId, b: ItemId) -> Itemset {
+        let rank_of = self.rank_of.as_ref().expect("ranks exist from level 2 on");
+        pair(ItemId(rank_of[a.index()]), ItemId(rank_of[b.index()]))
+    }
+}
+
+/// The two-item set, held inline.
+fn pair(a: ItemId, b: ItemId) -> Itemset {
+    Itemset::singleton(a).with_item(b)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use cfq_constraints::{bind_query, parse_query};
-    use cfq_mining::{count_supports, TrieCounter, SupportCounter};
+    use cfq_mining::{count_supports, Projection, ScanStats, SupportCounter, TrieCounter};
     use cfq_types::{CatalogBuilder, TransactionDb};
 
     fn catalog() -> Catalog {
@@ -426,22 +611,128 @@ mod tests {
         }
     }
 
+    /// Steps a run the way the default executor does: level 2 as pair
+    /// items over a projection, deeper levels counted on that projection.
+    fn run_to_end_projected(run: &mut LatticeRun<'_>, d: &TransactionDb) {
+        let cands = run.next_candidates();
+        if cands.is_empty() {
+            return;
+        }
+        run.absorb_counts(&TrieCounter.count(d, &cands));
+        let items = run.next_pair_items();
+        if items.is_empty() {
+            return;
+        }
+        assert!(matches!(run.pending, Some(Pending::Pairs(_))), "no candidate list at level 2");
+        let mut scan = ScanStats::default();
+        let (mut projection, pairs) = Projection::pairs(d, &[&items], 1, &mut scan);
+        run.absorb_pair_counts(&pairs[0]);
+        loop {
+            let cands = run.next_candidates();
+            if cands.is_empty() {
+                break;
+            }
+            projection.retain(&[&cands], cands[0].len(), &mut scan);
+            run.absorb_counts(&projection.count(&[&cands])[0]);
+        }
+    }
+
+    /// Both level-2 protocols: same lattice, same ledger, same audit log.
+    fn check_pair_protocol(src: &str, extra: Option<&str>, universe: Vec<ItemId>, min_support: u64) {
+        let cat = catalog();
+        let d = db();
+        let mut runs: Vec<LatticeRun<'_>> = (0..2)
+            .map(|_| {
+                let mut run = lattice_over(src, min_support, universe.clone(), &cat);
+                if let Some(extra) = extra {
+                    let q = bind_query(&parse_query(extra).unwrap(), &cat).unwrap();
+                    run.set_extra_am(q.one_var.clone());
+                }
+                run.enable_audit_log();
+                run
+            })
+            .collect();
+        run_to_end(&mut runs[0], &d);
+        run_to_end_projected(&mut runs[1], &d);
+        let tag = format!("`{src}` + {extra:?} over {universe:?} @ {min_support}");
+        let sets = |r: &LatticeRun<'_>| -> Vec<(Itemset, u64)> {
+            r.frequent().iter().map(|(s, n)| (s.clone(), n)).collect()
+        };
+        assert_eq!(sets(&runs[0]), sets(&runs[1]), "{tag}");
+        assert_eq!(runs[0].valid_sets(), runs[1].valid_sets(), "{tag}");
+        assert_eq!(runs[0].counted_log(), runs[1].counted_log(), "{tag}");
+        let ledger = |r: &LatticeRun<'_>| {
+            let s = r.stats();
+            let levels: Vec<(usize, u64, u64)> =
+                s.levels.iter().map(|l| (l.level, l.candidates, l.frequent)).collect();
+            (s.support_counted, s.constraint_checks, s.pruned_candidates, levels)
+        };
+        assert_eq!(ledger(&runs[0]), ledger(&runs[1]), "{tag}");
+    }
+
+    #[test]
+    fn pair_protocol_matches_candidate_protocol() {
+        let all = full_universe();
+        for min_support in [1, 2, 3, 9] {
+            // Plain, Strategy I, Strategy II (a pushed required group),
+            // Strategy III (residual checks), and a J^k_max bound at level 2.
+            check_pair_protocol("freq(S)", None, all.clone(), min_support);
+            check_pair_protocol("max(S.Price) <= 40", None, all.clone(), min_support);
+            check_pair_protocol("min(S.Price) <= 20", None, all.clone(), min_support);
+            check_pair_protocol("S.Type intersects {C}", None, all.clone(), min_support);
+            check_pair_protocol("sum(S.Price) <= 60", None, all.clone(), min_support);
+            check_pair_protocol("freq(S)", Some("sum(S.Price) <= 50"), all.clone(), min_support);
+            check_pair_protocol(
+                "min(S.Price) <= 20 & sum(S.Price) <= 70",
+                Some("sum(S.Price) <= 50"),
+                all.clone(),
+                min_support,
+            );
+            // |L1| ∈ {0, 1, 2}.
+            for n in 0..3 {
+                check_pair_protocol("freq(S)", None, all[..n].to_vec(), min_support);
+                check_pair_protocol("min(S.Price) <= 10", None, all[..n].to_vec(), min_support);
+            }
+        }
+    }
+
+    #[test]
+    fn pruned_pairs_leave_the_pair_items() {
+        // sum ≤ 50: item 5 (price 60) is in no candidate pair, item 4
+        // (price 50) neither; the executor is not asked to keep them.
+        let cat = catalog();
+        let d = db();
+        let mut run = lattice("freq(S)", 1, &cat);
+        let q = bind_query(&parse_query("sum(S.Price) <= 50").unwrap(), &cat).unwrap();
+        let cands = run.next_candidates();
+        run.absorb_counts(&TrieCounter.count(&d, &cands));
+        run.set_extra_am(q.one_var.clone());
+        assert_eq!(run.next_pair_items(), [0u32, 1, 2, 3].map(ItemId));
+        // 15 pairs checked once each, 4 admitted: {0,1}, {0,2}, {0,3}, {1,2}.
+        assert_eq!(run.stats().constraint_checks, 15);
+        assert_eq!(run.stats().pruned_candidates, 11);
+    }
+
     fn full_universe() -> Vec<ItemId> {
         (0..6).map(ItemId).collect()
     }
 
     fn lattice<'a>(src: &str, min_support: u64, catalog: &'a Catalog) -> LatticeRun<'a> {
+        lattice_over(src, min_support, full_universe(), catalog)
+    }
+
+    fn lattice_over<'a>(
+        src: &str,
+        min_support: u64,
+        universe: Vec<ItemId>,
+        catalog: &'a Catalog,
+    ) -> LatticeRun<'a> {
         let q = bind_query(&parse_query(src).unwrap(), catalog).unwrap();
         let s_constraints: Vec<_> =
             q.one_var_for(Var::S).cloned().collect();
         let form = SuccinctForm::compile(&s_constraints, catalog);
         LatticeRun::new(
-            LatticeConfig {
-                var: Var::S,
-                universe: full_universe(),
-                min_support,
-                max_level: 0,
-            },
+            LatticeConfig { var: Var::S, universe, min_support, max_level: 0 },
             form,
             catalog,
         )

@@ -31,10 +31,10 @@ use cfq_mining::backend;
 use cfq_mining::counter::count_supports_with;
 use cfq_mining::trim::{trim_db_recorded, LiveSet};
 use cfq_mining::{
-    CountingBackend, CountingRun, ParallelTrieCounter, ScanStats, ShardedRun, SupportCounter,
-    WorkStats,
+    CountingBackend, CountingRun, Projection, ResolvedBackend, ScanStats, ShardedRun, WorkStats,
 };
 use cfq_types::{AttrId, Catalog, CfqError, ItemId, Itemset, Result, TransactionDb};
+use std::time::Instant;
 
 /// How a 2-var constraint ends up being handled.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -82,8 +82,8 @@ pub struct QueryEnv<'a> {
     /// Answers are provably identical with trimming on or off.
     pub trim: bool,
     /// Support-counting backend (default `Horizontal`): horizontal row
-    /// scans, a vertical tidset/bitmap index, or the `Auto` per-level
-    /// crossover. Answers are bit-identical across backends.
+    /// scans or a vertical tidset/bitmap index (`Auto` is `Horizontal`).
+    /// Answers are bit-identical across backends.
     pub backend: CountingBackend,
     /// Horizontal database shards for counting (1 = unsharded, the
     /// default). With `n > 1` the store is split into `n` row ranges,
@@ -627,35 +627,7 @@ impl Optimizer {
             )));
         }
         let catalog = env.catalog;
-        let mut db_scans = 0u64;
-        let mut scan = ScanStats::default();
-        // Backend state shared by every level of both lattices: a vertical
-        // index is inverted once (accounted as one database scan) and then
-        // serves both sides scan-free — dovetailing taken to its limit.
-        let mut crun = CountingRun::new(env.db, env.backend);
-        // Sharded counting substrate (`--shards N`): partial counts per
-        // row range, merged at each level. Accounting is shard-transparent
-        // (one scan/extent/trim record per level with summed volumes), so
-        // every path below charges identically with or without it.
-        let mut sharded: Option<ShardedRun> =
-            (env.shards > 1).then(|| ShardedRun::new(env.db, env.shards, env.backend));
-        let count_vertical = |crun: &mut CountingRun<'_>,
-                                  sharded: &mut Option<ShardedRun>,
-                                  resolved: cfq_mining::ResolvedBackend,
-                                  cands: &[Itemset],
-                                  level: usize,
-                                  db_scans: &mut u64,
-                                  scan: &mut ScanStats|
-         -> Vec<u64> {
-            if let Some(s) = sharded {
-                return s.count_vertical(resolved, cands, level, db_scans, scan);
-            }
-            let mut vstats = WorkStats::new();
-            let counts = crun.count_vertical(resolved, cands, level, &mut vstats);
-            *db_scans += vstats.db_scans;
-            scan.absorb(&vstats.scan);
-            counts
-        };
+        let mut sub = Substrate::new(env);
 
         let make_run = |var: Var| {
             let pushed: Vec<OneVar> = if self.push_one_var {
@@ -682,71 +654,11 @@ impl Optimizer {
         let mut t_run = make_run(Var::T);
 
         // ---- Level 1 (always over the full database) ----
-        let cs = s_run.next_candidates();
-        let ct = t_run.next_candidates();
         if self.dovetail {
-            if !(cs.is_empty() && ct.is_empty()) {
-                let resolved = match &sharded {
-                    Some(s) => s.resolve(1, cs.len() + ct.len(), &scan),
-                    None => crun.resolve(1, cs.len() + ct.len(), &scan),
-                };
-                backend::metric_selected(resolved.name());
-                if resolved.is_vertical() {
-                    if !cs.is_empty() {
-                        let counts = count_vertical(
-                            &mut crun, &mut sharded, resolved, &cs, 1, &mut db_scans, &mut scan,
-                        );
-                        s_run.absorb_counts(&counts);
-                    }
-                    if !ct.is_empty() {
-                        let counts = count_vertical(
-                            &mut crun, &mut sharded, resolved, &ct, 1, &mut db_scans, &mut scan,
-                        );
-                        t_run.absorb_counts(&counts);
-                    }
-                } else {
-                    let counts = match &mut sharded {
-                        Some(s) => s.count_batches(&[&cs, &ct], 1, None, &mut db_scans, &mut scan),
-                        None => {
-                            let counts =
-                                count_supports_with(env.db, &[&cs, &ct], env.counting_threads);
-                            db_scans += 1;
-                            scan.record_extent(1, env.db.len() as u64, env.db.total_items() as u64);
-                            counts
-                        }
-                    };
-                    if !cs.is_empty() {
-                        s_run.absorb_counts(&counts[0]);
-                    }
-                    if !ct.is_empty() {
-                        t_run.absorb_counts(&counts[1]);
-                    }
-                }
-            }
+            sub.count_level(1, &mut [&mut s_run, &mut t_run]);
         } else {
-            for (run, cands) in [(&mut s_run, &cs), (&mut t_run, &ct)] {
-                if !cands.is_empty() {
-                    let resolved = match &sharded {
-                        Some(s) => s.resolve(1, cands.len(), &scan),
-                        None => crun.resolve(1, cands.len(), &scan),
-                    };
-                    backend::metric_selected(resolved.name());
-                    let counts = if resolved.is_vertical() {
-                        count_vertical(
-                            &mut crun, &mut sharded, resolved, cands, 1, &mut db_scans, &mut scan,
-                        )
-                    } else if let Some(s) = &mut sharded {
-                        s.count(cands, 1, None, &mut db_scans, &mut scan)
-                    } else {
-                        let counts = ParallelTrieCounter { threads: env.counting_threads }
-                            .count(env.db, cands);
-                        db_scans += 1;
-                        scan.record_extent(1, env.db.len() as u64, env.db.total_items() as u64);
-                        counts
-                    };
-                    run.absorb_counts(&counts);
-                }
-            }
+            sub.count_level(1, &mut [&mut s_run]);
+            sub.count_level(1, &mut [&mut t_run]);
         }
 
         let l1s = s_run.l1_items();
@@ -799,95 +711,13 @@ impl Optimizer {
         };
 
         // ---- Levels ≥ 2 ----
-        // Per-level database reduction: only items inside the upcoming
-        // candidates can still produce a count, and only rows keeping at
-        // least the smallest candidate's length can contain one, so both
-        // are dropped before the scan. Candidate sets only ever draw from
-        // earlier frequent sets, so the live set shrinks monotonically and
-        // re-trimming the already-trimmed database stays exact.
-        let mut trimmed: Option<TransactionDb> = None;
         if self.dovetail {
-            loop {
+            for level in 2.. {
                 s_run.set_extra_am(jk_am_conds(&jk_states, Var::S, catalog));
                 t_run.set_extra_am(jk_am_conds(&jk_states, Var::T, catalog));
                 let (s_before, t_before) = (s_run.levels_done(), t_run.levels_done());
-                let cs = s_run.next_candidates();
-                let ct = t_run.next_candidates();
-                if cs.is_empty() && ct.is_empty() {
+                if !sub.count_level(level, &mut [&mut s_run, &mut t_run]) {
                     break;
-                }
-                let level = if cs.is_empty() { t_before + 1 } else { s_before + 1 };
-                let resolved = match &sharded {
-                    Some(s) => s.resolve(level, cs.len() + ct.len(), &scan),
-                    None => crun.resolve(level, cs.len() + ct.len(), &scan),
-                };
-                backend::metric_selected(resolved.name());
-                if resolved.is_vertical() {
-                    // Vertical levels count off the shared index: no scan,
-                    // no trim (an auto crossover back to horizontal trims
-                    // from wherever the working database last stood).
-                    if !cs.is_empty() {
-                        let counts = count_vertical(
-                            &mut crun, &mut sharded, resolved, &cs, level, &mut db_scans,
-                            &mut scan,
-                        );
-                        s_run.absorb_counts(&counts);
-                    }
-                    if !ct.is_empty() {
-                        let counts = count_vertical(
-                            &mut crun, &mut sharded, resolved, &ct, level, &mut db_scans,
-                            &mut scan,
-                        );
-                        t_run.absorb_counts(&counts);
-                    }
-                } else {
-                    // The shared scan serves both lattices, so trimming must
-                    // keep the *union* of their live items: an item dead for
-                    // S may appear in T's candidates and vice versa.
-                    let live = env.trim.then(|| {
-                        LiveSet::from_items(
-                            env.db.n_items(),
-                            cs.iter().chain(ct.iter()).flat_map(|c| c.iter()),
-                        )
-                    });
-                    let min_len = [&cs, &ct]
-                        .into_iter()
-                        .filter(|b| !b.is_empty())
-                        .map(|b| b[0].len())
-                        .min()
-                        .expect("at least one batch is non-empty");
-                    let counts = match &mut sharded {
-                        Some(s) => s.count_batches(
-                            &[&cs, &ct],
-                            level,
-                            live.as_ref().map(|l| (l, min_len)),
-                            &mut db_scans,
-                            &mut scan,
-                        ),
-                        None => {
-                            if let Some(live) = &live {
-                                let r = trim_db_recorded(
-                                    trimmed.as_ref().unwrap_or(env.db),
-                                    live,
-                                    min_len,
-                                    &mut scan,
-                                );
-                                trimmed = Some(r.db);
-                            }
-                            let cur = trimmed.as_ref().unwrap_or(env.db);
-                            let counts =
-                                count_supports_with(cur, &[&cs, &ct], env.counting_threads);
-                            db_scans += 1;
-                            scan.record_extent(level, cur.len() as u64, cur.total_items() as u64);
-                            counts
-                        }
-                    };
-                    if !cs.is_empty() {
-                        s_run.absorb_counts(&counts[0]);
-                    }
-                    if !ct.is_empty() {
-                        t_run.absorb_counts(&counts[1]);
-                    }
                 }
                 update_jk(&mut jk_states, &s_run, &t_run, s_before, t_before, catalog);
             }
@@ -900,75 +730,22 @@ impl Optimizer {
             for var in order {
                 // Each lattice trims for its own candidates only; start it
                 // from the full database again.
-                trimmed = None;
-                if let Some(s) = &mut sharded {
-                    s.reset_trim();
-                }
-                loop {
+                sub.restart_trim();
+                for level in 2.. {
+                    let (s_before, t_before) = (s_run.levels_done(), t_run.levels_done());
                     let run = match var {
                         Var::S => &mut s_run,
                         Var::T => &mut t_run,
                     };
                     run.set_extra_am(jk_am_conds(&jk_states, var, catalog));
-                    let before = run.levels_done();
-                    let cands = run.next_candidates();
-                    if cands.is_empty() {
+                    if !sub.count_level(level, &mut [run]) {
                         break;
                     }
-                    let resolved = match &sharded {
-                        Some(s) => s.resolve(before + 1, cands.len(), &scan),
-                        None => crun.resolve(before + 1, cands.len(), &scan),
-                    };
-                    backend::metric_selected(resolved.name());
-                    let counts = if resolved.is_vertical() {
-                        count_vertical(
-                            &mut crun, &mut sharded, resolved, &cands, before + 1, &mut db_scans,
-                            &mut scan,
-                        )
-                    } else if let Some(s) = &mut sharded {
-                        let live = env.trim.then(|| {
-                            LiveSet::from_items(
-                                env.db.n_items(),
-                                cands.iter().flat_map(|c| c.iter()),
-                            )
-                        });
-                        s.count(
-                            &cands,
-                            before + 1,
-                            live.as_ref().map(|l| (l, cands[0].len())),
-                            &mut db_scans,
-                            &mut scan,
-                        )
-                    } else {
-                        if env.trim {
-                            let live = LiveSet::from_items(
-                                env.db.n_items(),
-                                cands.iter().flat_map(|c| c.iter()),
-                            );
-                            let r = trim_db_recorded(
-                                trimmed.as_ref().unwrap_or(env.db),
-                                &live,
-                                cands[0].len(),
-                                &mut scan,
-                            );
-                            trimmed = Some(r.db);
-                        }
-                        let cur = trimmed.as_ref().unwrap_or(env.db);
-                        let counts = ParallelTrieCounter { threads: env.counting_threads }
-                            .count(cur, &cands);
-                        db_scans += 1;
-                        scan.record_extent(before + 1, cur.len() as u64, cur.total_items() as u64);
-                        counts
-                    };
-                    run.absorb_counts(&counts);
-                    let (sb, tb) = match var {
-                        Var::S => (before, t_run.levels_done()),
-                        Var::T => (s_run.levels_done(), before),
-                    };
-                    update_jk(&mut jk_states, &s_run, &t_run, sb, tb, catalog);
+                    update_jk(&mut jk_states, &s_run, &t_run, s_before, t_before, catalog);
                 }
             }
         }
+        let Substrate { db_scans, scan, .. } = sub;
 
         // ---- Outputs ----
         // J^k_max conditions (including the non-anti-monotone ones) become
@@ -1051,6 +828,168 @@ impl Optimizer {
                 .collect(),
             provenance: OutcomeProvenance::default(),
         })
+    }
+}
+
+/// The counting substrate of one execution: the database, whatever
+/// working copy of it the levels so far have left, and the scan ledger.
+struct Substrate<'e, 'a> {
+    env: &'e QueryEnv<'a>,
+    resolved: ResolvedBackend,
+    /// Vertical indices: inverted once (accounted as one database scan),
+    /// then serving both sides scan-free — dovetailing taken to its limit.
+    crun: CountingRun<'a>,
+    /// Sharded counting (`--shards N`): partial counts per row range,
+    /// merged at each level. Accounting is shard-transparent (one
+    /// scan/extent/trim record per level with summed volumes).
+    sharded: Option<ShardedRun>,
+    /// The default configuration's working database below level 2: what
+    /// the level-2 pass wrote, shrinking in place level by level.
+    projection: Option<Projection>,
+    /// The knobs' working database: the last level's trimmed copy.
+    trimmed: Option<TransactionDb>,
+    db_scans: u64,
+    scan: ScanStats,
+}
+
+impl<'e, 'a> Substrate<'e, 'a> {
+    fn new(env: &'e QueryEnv<'a>) -> Self {
+        Substrate {
+            env,
+            resolved: env.backend.resolved(),
+            crun: CountingRun::new(env.db, env.backend),
+            sharded: (env.shards > 1).then(|| ShardedRun::new(env.db, env.shards, env.backend)),
+            projection: None,
+            trimmed: None,
+            db_scans: 0,
+            scan: ScanStats::default(),
+        }
+    }
+
+    /// Forgets the working database: the next level trims from the full
+    /// database again. Vertical indices (already charged) are kept.
+    fn restart_trim(&mut self) {
+        self.projection = None;
+        self.trimmed = None;
+        if let Some(s) = &mut self.sharded {
+            s.reset_trim();
+        }
+    }
+
+    /// Counts the next level — `level` — of every run in `runs` over one
+    /// shared scan and hands each its supports; `false` when no run had a
+    /// candidate left. A counted level is published once, whichever runs
+    /// it served.
+    fn count_level(&mut self, level: usize, runs: &mut [&mut LatticeRun<'_>]) -> bool {
+        let started = Instant::now();
+        // Level 2 of the default configuration is implicit in L1: one pass
+        // projects the database onto the runs' live items and counts every
+        // pair of them. The knobs, and lattices too wide for the pair
+        // triangles, list their candidates like any other level.
+        let project = level == 2
+            && self.resolved == ResolvedBackend::Horizontal
+            && self.env.trim
+            && self.sharded.is_none()
+            && Projection::fits(
+                &runs.iter().map(|r| r.frequent().level(1).len()).collect::<Vec<_>>(),
+            );
+        if project {
+            let items: Vec<Vec<ItemId>> = runs.iter_mut().map(|r| r.next_pair_items()).collect();
+            if items.iter().all(|i| i.is_empty()) {
+                return false;
+            }
+            let sides: Vec<&[ItemId]> = items.iter().map(|i| i.as_slice()).collect();
+            let (projection, pairs) =
+                Projection::pairs(self.env.db, &sides, self.env.counting_threads, &mut self.scan);
+            self.record_scan(2, projection.len(), projection.total_items());
+            self.projection = Some(projection);
+            for ((run, items), counts) in runs.iter_mut().zip(&items).zip(&pairs) {
+                if !items.is_empty() {
+                    run.absorb_pair_counts(counts);
+                }
+            }
+        } else {
+            let cands: Vec<Vec<Itemset>> = runs.iter_mut().map(|r| r.next_candidates()).collect();
+            if cands.iter().all(|c| c.is_empty()) {
+                return false;
+            }
+            let batches: Vec<&[Itemset]> = cands.iter().map(|c| c.as_slice()).collect();
+            let counts = self.count(level, &batches);
+            for ((run, cands), counts) in runs.iter_mut().zip(&cands).zip(&counts) {
+                if !cands.is_empty() {
+                    run.absorb_counts(counts);
+                }
+            }
+        }
+        let counted_by = self.resolved.kernel(level, self.projection.is_some());
+        backend::metric_selected(self.resolved.name());
+        backend::metric_level_micros(self.resolved.name(), started.elapsed().as_micros() as u64);
+        for run in runs.iter_mut().filter(|r| r.levels_done() == level) {
+            run.stats_mut().record_backend(self.resolved.name());
+            run.stats_mut().label_level(counted_by);
+        }
+        true
+    }
+
+    /// The supports of every batch (an empty batch is a run with nothing
+    /// to count) in one shared scan of the working database.
+    fn count(&mut self, level: usize, batches: &[&[Itemset]]) -> Vec<Vec<u64>> {
+        if self.resolved.is_vertical() {
+            // Vertical levels count off the shared index: no scan, no trim.
+            return batches
+                .iter()
+                .map(|b| if b.is_empty() { Vec::new() } else { self.count_vertical(b, level) })
+                .collect();
+        }
+        // Per-level database reduction: only items inside the upcoming
+        // candidates can still produce a count, and only rows keeping at
+        // least the smallest candidate's length can contain one. A shared
+        // scan serves every batch, so the *union* of their items stays
+        // live. Candidates only ever draw from earlier frequent sets, so
+        // the live set shrinks monotonically and re-trimming the already
+        // trimmed database stays exact.
+        let min_len = batches.iter().filter_map(|b| b.first()).map(Itemset::len).min().unwrap_or(1);
+        if let Some(p) = &mut self.projection {
+            p.retain(batches, min_len, &mut self.scan);
+            let (rows, items) = (p.len(), p.total_items());
+            let counts = p.count(batches);
+            self.record_scan(level, rows, items);
+            return counts;
+        }
+        let live = (self.env.trim && level > 1).then(|| {
+            let items = batches.iter().flat_map(|b| b.iter()).flat_map(|c| c.iter());
+            LiveSet::from_items(self.env.db.n_items(), items)
+        });
+        if let Some(s) = &mut self.sharded {
+            let trim_to = live.as_ref().map(|l| (l, min_len));
+            return s.count_batches(batches, level, trim_to, &mut self.db_scans, &mut self.scan);
+        }
+        if let Some(live) = &live {
+            let cur = self.trimmed.as_ref().unwrap_or(self.env.db);
+            self.trimmed = Some(trim_db_recorded(cur, live, min_len, &mut self.scan).db);
+        }
+        let cur = self.trimmed.as_ref().unwrap_or(self.env.db);
+        let counts = count_supports_with(cur, batches, self.env.counting_threads);
+        let (rows, items) = (cur.len(), cur.total_items());
+        self.record_scan(level, rows, items);
+        counts
+    }
+
+    fn count_vertical(&mut self, cands: &[Itemset], level: usize) -> Vec<u64> {
+        if let Some(s) = &mut self.sharded {
+            return s.count_vertical(self.resolved, cands, level, &mut self.db_scans, &mut self.scan);
+        }
+        let mut vstats = WorkStats::new();
+        let counts = self.crun.count_vertical(self.resolved, cands, level, &mut vstats);
+        self.db_scans += vstats.db_scans;
+        self.scan.absorb(&vstats.scan);
+        counts
+    }
+
+    /// One scan of a working database of `rows` rows / `items` occurrences.
+    fn record_scan(&mut self, level: usize, rows: usize, items: usize) {
+        self.db_scans += 1;
+        self.scan.record_extent(level, rows as u64, items as u64);
     }
 }
 

@@ -40,6 +40,13 @@ impl ExecutionOutcome {
     pub fn report(&self) -> String {
         let mut out = String::from("CFQ execution report\n====================\n");
         let _ = writeln!(out, "database scans: {}", self.db_scans);
+        let mut backends = self.s_stats.backends_used.clone();
+        for b in &self.t_stats.backends_used {
+            if !backends.contains(b) {
+                backends.push(b);
+            }
+        }
+        let _ = writeln!(out, "backends: {}", backends.join(", "));
         for (name, stats, sets) in [
             ("S", &self.s_stats, self.s_sets.len()),
             ("T", &self.t_stats, self.t_sets.len()),
@@ -97,7 +104,8 @@ fn render_levels(out: &mut String, stats: &WorkStats) {
     for l in &stats.levels {
         let _ = write!(out, "{:>8}", l.micros);
     }
-    let _ = writeln!(out);
+    let counted_by: Vec<&str> = stats.levels.iter().map(|l| l.counted_by).collect();
+    let _ = writeln!(out, "\n  counted by: {}", counted_by.join(", "));
 }
 
 #[cfg(test)]
@@ -126,6 +134,9 @@ mod tests {
         assert!(report.contains("candidates:"));
         assert!(report.contains("micros:"));
         assert!(report.contains("database scans:"));
+        // Every optimizer-path level says what counted it.
+        assert!(report.contains("backends: horizontal\n"), "{report}");
+        assert!(report.contains("counted by: histogram, triangle, projection"), "{report}");
     }
 
     #[test]

@@ -1051,4 +1051,77 @@ mod tests {
             assert_eq!(lattice.support(set), Some(n), "support mismatch for {set}");
         }
     }
+
+    /// What `tests/scheduler_props.rs` cannot assert behind a wall-clock
+    /// batch window: however many members a group has, and at whatever
+    /// supports, one mining pass per side serves them all — each at the
+    /// lattice it would have mined alone. The groups here close when every
+    /// member has arrived, not after a time.
+    mod batching {
+        use super::*;
+        use cfq_datagen::{QuestConfig, ScenarioBuilder};
+        use cfq_types::Itemset;
+        use proptest::prelude::*;
+        use std::sync::Barrier;
+
+        proptest! {
+            #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
+
+            #[test]
+            fn a_batch_mines_once_per_side(
+                seed in 0u64..1_000,
+                supports in prop::collection::vec(2u64..7, 2..6),
+            ) {
+                let sc = ScenarioBuilder::new(QuestConfig { seed, ..QuestConfig::tiny() })
+                    .split_uniform_prices((10.0, 100.0), (40.0, 160.0))
+                    .unwrap();
+                let (db, sides) = (sc.db, [sc.s_items, sc.t_items]);
+                let mut engine = Engine::new(db.clone(), sc.catalog).unwrap();
+                Arc::get_mut(&mut engine).expect("no session yet").scheduler =
+                    Scheduler::closing_groups_at(supports.len());
+
+                let barrier = Barrier::new(supports.len());
+                let lattices: Vec<_> = std::thread::scope(|scope| {
+                    let members: Vec<_> = supports
+                        .iter()
+                        .map(|&support| {
+                            let (engine, barrier, sides) = (&engine, &barrier, &sides);
+                            scope.spawn(move || {
+                                barrier.wait();
+                                let snap = engine.snapshot();
+                                sides.each_ref().map(|universe| {
+                                    let mut stats = WorkStats::new();
+                                    engine.lattice_for(
+                                        &snap, universe, support, 0, 1, true,
+                                        CountingBackend::Horizontal, 1, &mut stats,
+                                    ).0
+                                })
+                            })
+                        })
+                        .collect();
+                    members.into_iter().map(|m| m.join().expect("member panicked")).collect()
+                });
+
+                let sched = engine.scheduler_stats();
+                prop_assert_eq!(sched.mining_passes, 2, "one pass per side: {:?}", sched);
+                prop_assert_eq!(sched.coalesced, 2 * (supports.len() as u64 - 1));
+                // Both passes ran at the group's minimum support, and each
+                // member's share is what it would have mined alone.
+                let lowest = *supports.iter().min().unwrap();
+                for (&support, lattices) in supports.iter().zip(&lattices) {
+                    for (universe, got) in sides.iter().zip(lattices) {
+                        let solo = |support: u64| {
+                            let cfg = AprioriConfig::new(support).with_universe(universe.clone());
+                            apriori(&db, &cfg, &mut WorkStats::new())
+                        };
+                        let sets = |l: &FrequentSets, at: u64| -> Vec<(Itemset, u64)> {
+                            l.iter().filter(|&(_, n)| n >= at).map(|(s, n)| (s.clone(), n)).collect()
+                        };
+                        prop_assert_eq!(sets(got, 0), sets(&solo(lowest), 0));
+                        prop_assert_eq!(sets(got, support), sets(&solo(support), 0));
+                    }
+                }
+            }
+        }
+    }
 }

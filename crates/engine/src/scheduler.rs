@@ -104,6 +104,8 @@ struct Group {
     epoch: u64,
     universe: Vec<ItemId>,
     state: Mutex<GroupState>,
+    /// Signalled to the leader whenever a member joins.
+    joined: Condvar,
     done: Condvar,
 }
 
@@ -111,9 +113,22 @@ struct GroupState {
     /// The support the group will mine at. Joiners may lower it while
     /// the group is still collecting.
     min_support: u64,
+    /// Queries attached to the group, its leader included.
+    members: usize,
     /// Once true the support is frozen: the leader is mining.
     mining: bool,
     result: Option<(Arc<FrequentSets>, u64)>,
+}
+
+/// When a group's leader stops collecting members and mines.
+enum BatchWindow {
+    /// After this long (zero: at once).
+    Timed(Duration),
+    /// Once the group has this many members. What tests of sharing close
+    /// the window with: that one pass serves every member must not depend
+    /// on how promptly the host schedules the members' threads.
+    #[cfg(test)]
+    Members(usize),
 }
 
 /// The engine's query scheduler. Lock order: the group map before any
@@ -121,7 +136,7 @@ struct GroupState {
 pub(crate) struct Scheduler {
     max_inflight: usize,
     max_queued: usize,
-    batch_window: Duration,
+    batch_window: BatchWindow,
     admission: Mutex<Admission>,
     admitted_cv: Condvar,
     groups: Mutex<Vec<Arc<Group>>>,
@@ -140,7 +155,7 @@ impl Scheduler {
         Scheduler {
             max_inflight,
             max_queued,
-            batch_window,
+            batch_window: BatchWindow::Timed(batch_window),
             admission: Mutex::new(Admission::default()),
             admitted_cv: Condvar::new(),
             groups: Mutex::new(Vec::new()),
@@ -149,6 +164,16 @@ impl Scheduler {
             batched: AtomicU64::new(0),
             overloaded: AtomicU64::new(0),
             admitted: AtomicU64::new(0),
+        }
+    }
+
+    /// An unlimited scheduler whose groups mine as soon as they have
+    /// `members` members, however long that takes.
+    #[cfg(test)]
+    pub(crate) fn closing_groups_at(members: usize) -> Scheduler {
+        Scheduler {
+            batch_window: BatchWindow::Members(members),
+            ..Scheduler::new(0, 0, Duration::ZERO)
         }
     }
 
@@ -223,7 +248,9 @@ impl Scheduler {
             if !st.mining && min_support < st.min_support {
                 st.min_support = min_support;
             }
+            st.members += 1;
             drop(st);
+            g.joined.notify_one();
             self.coalesced.fetch_add(1, Ordering::Relaxed);
             joined = Some(Arc::clone(g));
             break;
@@ -235,7 +262,13 @@ impl Scheduler {
             let g = Arc::new(Group {
                 epoch,
                 universe: universe.to_vec(),
-                state: Mutex::new(GroupState { min_support, mining: false, result: None }),
+                state: Mutex::new(GroupState {
+                    min_support,
+                    members: 1,
+                    mining: false,
+                    result: None,
+                }),
+                joined: Condvar::new(),
                 done: Condvar::new(),
             });
             groups.push(Arc::clone(&g));
@@ -255,14 +288,25 @@ impl Scheduler {
         }
         let g = led?;
 
-        if !self.batch_window.is_zero() {
-            std::thread::sleep(self.batch_window);
-        }
-        let support = {
-            let mut st = g.state.lock().unwrap_or_else(|e| e.into_inner());
-            st.mining = true;
-            st.min_support
+        let mut st = match self.batch_window {
+            BatchWindow::Timed(window) => {
+                if !window.is_zero() {
+                    std::thread::sleep(window);
+                }
+                g.state.lock().unwrap_or_else(|e| e.into_inner())
+            }
+            #[cfg(test)]
+            BatchWindow::Members(members) => {
+                let mut st = g.state.lock().unwrap_or_else(|e| e.into_inner());
+                while st.members < members {
+                    st = g.joined.wait(st).unwrap_or_else(|e| e.into_inner());
+                }
+                st
+            }
         };
+        st.mining = true;
+        let support = st.min_support;
+        drop(st);
         let (lattice, scans_cost) = mine(support);
         self.mining_passes.fetch_add(1, Ordering::Relaxed);
         // Unpublish before waking members: later arrivals must not join a
@@ -313,7 +357,7 @@ mod tests {
     #[test]
     fn identical_concurrent_requests_share_one_mining() {
         const K: usize = 4;
-        let sched = Arc::new(Scheduler::new(0, 0, Duration::from_millis(150)));
+        let sched = Arc::new(Scheduler::closing_groups_at(K));
         let mined = Arc::new(AtomicU64::new(0));
         let barrier = Arc::new(Barrier::new(K));
         let handles: Vec<_> = (0..K)
@@ -347,7 +391,7 @@ mod tests {
 
     #[test]
     fn joiner_lowers_the_group_support_before_freeze() {
-        let sched = Arc::new(Scheduler::new(0, 0, Duration::from_millis(250)));
+        let sched = Arc::new(Scheduler::closing_groups_at(2));
         let s2 = Arc::clone(&sched);
         let leader = thread::spawn(move || {
             // Report the support actually mined at through scans_cost.
@@ -355,7 +399,11 @@ mod tests {
                 (Arc::new(FrequentSets::new()), support)
             })
         });
-        thread::sleep(Duration::from_millis(60));
+        // The second request joins only once the first has published its
+        // group, which then waits for exactly this member.
+        while sched.groups.lock().unwrap().is_empty() {
+            thread::yield_now();
+        }
         let joined = sched
             .mine_or_join(0, &universe(), 3, true, |_| unreachable!("joiner must not mine"))
             .unwrap();

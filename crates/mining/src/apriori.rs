@@ -1,9 +1,10 @@
 //! Plain Apriori over a restricted item universe.
 
-use crate::backend::{self, CountingBackend, CountingRun};
+use crate::backend::{self, CountingBackend, CountingRun, ResolvedBackend};
 use crate::candidates::generate_candidates;
 use crate::counter::{ParallelTrieCounter, SupportCounter};
 use crate::frequent::FrequentSets;
+use crate::projection::Projection;
 use crate::shard::ShardedRun;
 use crate::stats::WorkStats;
 use crate::trim::{trim_db_recorded, LiveSet};
@@ -110,141 +111,126 @@ pub fn apriori(db: &TransactionDb, cfg: &AprioriConfig, stats: &mut WorkStats) -
 
     let mut result = FrequentSets::new();
     let counter = ParallelTrieCounter { threads: cfg.counting_threads };
+    let resolved = cfg.backend.resolved();
     let mut run = CountingRun::new(db, cfg.backend);
     // `Some` when the run counts through P > 1 horizontal shards; the
     // unsharded path below stays byte-identical to the P = 1 run.
     let mut sharded: Option<ShardedRun> =
         (cfg.shards > 1).then(|| ShardedRun::new(db, cfg.shards, cfg.backend));
-
-    // Level 1 always reads the full database — as a counting scan
-    // (horizontal) or as the one-off index inversion pass (vertical).
-    let level_started = std::time::Instant::now();
-    let level_span = obs::span(obs::Level::Trace, "apriori.level").u64("level", 1);
-    let candidates: Vec<Itemset> =
-        universe.iter().map(|&i| Itemset::singleton(i)).collect();
-    let resolved = match &sharded {
-        Some(s) => s.resolve(1, candidates.len(), &stats.scan),
-        None => run.resolve(1, candidates.len(), &stats.scan),
-    };
-    backend::metric_selected(resolved.name());
+    // The default configuration mines levels ≥ 2 on the rank-space
+    // projection the level-2 pass writes; the knobs keep per-level scans.
+    let project = resolved == ResolvedBackend::Horizontal && cfg.trim && sharded.is_none();
     stats.record_backend(resolved.name());
-    let counts = match (&mut sharded, resolved.is_vertical()) {
-        (Some(s), true) => {
-            s.count_vertical(resolved, &candidates, 1, &mut stats.db_scans, &mut stats.scan)
-        }
-        (Some(s), false) => s.count(&candidates, 1, None, &mut stats.db_scans, &mut stats.scan),
-        (None, true) => run.count_vertical(resolved, &candidates, 1, stats),
-        (None, false) => {
-            let counts = counter.count(db, &candidates);
-            stats.record_scan();
-            stats.scan.record_extent(1, db.len() as u64, db.total_items() as u64);
-            counts
-        }
-    };
-    let mut frequent: Vec<(Itemset, u64)> = candidates
-        .into_iter()
-        .zip(counts)
-        .filter(|&(_, n)| n >= cfg.min_support)
-        .collect();
-    close_level_span(level_span, universe.len() as u64, frequent.len() as u64);
-    let micros = level_started.elapsed().as_micros() as u64;
-    backend::metric_level_micros(resolved.name(), micros);
-    stats.record_level_timed(1, universe.len() as u64, frequent.len() as u64, micros);
 
-    // The working database: `None` borrows `db` untrimmed.
+    // The working database below level 2: the projection, or — off the
+    // default path — a trimmed copy (`None` borrows `db` untrimmed).
+    let mut projection: Option<Projection> = None;
     let mut trimmed: Option<TransactionDb> = None;
-    let mut level = 1usize;
-    while !frequent.is_empty() {
-        let sets: Vec<Itemset> = frequent.iter().map(|(s, _)| s.clone()).collect();
-        result.push_level(std::mem::take(&mut frequent));
-        if cfg.max_level != 0 && level >= cfg.max_level {
+    // The frequent sets of the level below.
+    let mut sets: Vec<Itemset> = Vec::new();
+    for level in 1.. {
+        if cfg.max_level != 0 && level > cfg.max_level {
             break;
         }
         let level_started = std::time::Instant::now();
-        let level_span =
-            obs::span(obs::Level::Trace, "apriori.level").u64("level", level as u64 + 1);
-        let candidates = generate_candidates(&sets, |_| true);
-        if candidates.is_empty() {
-            break;
-        }
-        let n_candidates = candidates.len() as u64;
-        let resolved = match &sharded {
-            Some(s) => s.resolve(level + 1, candidates.len(), &stats.scan),
-            None => run.resolve(level + 1, candidates.len(), &stats.scan),
-        };
-        backend::metric_selected(resolved.name());
-        stats.record_backend(resolved.name());
-        let counts = match (&mut sharded, resolved.is_vertical()) {
-            (Some(s), true) => {
-                // Vertical levels count off the per-shard indices: no
-                // scan after the first, no trim.
-                s.count_vertical(resolved, &candidates, level + 1, &mut stats.db_scans, &mut stats.scan)
+        let mut level_span =
+            obs::span(obs::Level::Trace, "apriori.level").u64("level", level as u64);
+        let n_candidates: u64;
+        let frequent: Vec<(Itemset, u64)>;
+        if level == 2 && project && Projection::fits(&[sets.len()]) {
+            // Level 2 straight off L1: every pair of frequent items is a
+            // candidate, counted in the triangle the projecting pass fills.
+            let items: Vec<ItemId> = sets.iter().map(|s| s.as_slice()[0]).collect();
+            n_candidates = (items.len() * (items.len() - 1) / 2) as u64;
+            if n_candidates == 0 {
+                break;
             }
-            (Some(s), false) => {
-                // The live set is shard-independent (built from the global
-                // candidates), which is what keeps per-shard trimming
-                // provably lossless — see the shard module docs.
-                let live = cfg.trim.then(|| {
-                    LiveSet::from_items(db.n_items(), candidates.iter().flat_map(|c| c.iter()))
-                });
-                s.count(
+            let (p, pairs) =
+                Projection::pairs(db, &[&items], cfg.counting_threads, &mut stats.scan);
+            stats.record_scan();
+            stats.scan.record_extent(2, p.len() as u64, p.total_items() as u64);
+            frequent = pairs[0].frequent(&items, cfg.min_support);
+            projection = Some(p);
+        } else {
+            // Level 1 always reads the full database, whatever the
+            // universe holds — as a counting scan (horizontal) or as the
+            // one-off index inversion pass (vertical).
+            let candidates = if level == 1 {
+                universe.iter().map(|&i| Itemset::singleton(i)).collect()
+            } else {
+                generate_candidates(&sets, |_| true)
+            };
+            if level > 1 && candidates.is_empty() {
+                break;
+            }
+            n_candidates = candidates.len() as u64;
+            // Only items inside some level-k candidate can still count, and
+            // only rows keeping ≥ k of them can contain one. The live set
+            // is shard-independent (built from the global candidates),
+            // which is what keeps per-shard trimming provably lossless —
+            // see the shard module docs.
+            let live = (cfg.trim && level > 1 && projection.is_none()).then(|| {
+                LiveSet::from_items(db.n_items(), candidates.iter().flat_map(|c| c.iter()))
+            });
+            let counts = match (&mut sharded, &mut projection, resolved.is_vertical()) {
+                // Vertical levels count off the indices: no scan after the
+                // first, no trim.
+                (Some(s), _, true) => s.count_vertical(
+                    resolved,
                     &candidates,
-                    level + 1,
-                    live.as_ref().map(|l| (l, level + 1)),
+                    level,
                     &mut stats.db_scans,
                     &mut stats.scan,
-                )
-            }
-            (None, true) => {
-                // Vertical levels count off the index: no scan, no trim. A
-                // later horizontal level (auto crossover) trims from wherever
-                // the working database last stood — liveness only shrinks, so
-                // skipping levels keeps the trim exact.
-                run.count_vertical(resolved, &candidates, level + 1, stats)
-            }
-            (None, false) => {
-                let cur = trimmed.as_ref().unwrap_or(db);
-                let cur = if cfg.trim {
-                    // Only items inside some level-(k+1) candidate can still count,
-                    // and only rows keeping ≥ k+1 of them can contain one.
-                    let live = LiveSet::from_items(
-                        db.n_items(),
-                        candidates.iter().flat_map(|c| c.iter()),
-                    );
-                    let r = trim_db_recorded(cur, &live, level + 1, &mut stats.scan);
-                    trimmed = Some(r.db);
-                    trimmed.as_ref().unwrap()
-                } else {
-                    cur
-                };
-                let counts = counter.count(cur, &candidates);
-                stats.record_scan();
-                stats
-                    .scan
-                    .record_extent(level + 1, cur.len() as u64, cur.total_items() as u64);
-                counts
-            }
-        };
-        level += 1;
-        frequent = candidates
-            .into_iter()
-            .zip(counts)
-            .filter(|&(_, n)| n >= cfg.min_support)
-            .collect();
-        close_level_span(level_span, n_candidates, frequent.len() as u64);
+                ),
+                (None, _, true) => run.count_vertical(resolved, &candidates, level, stats),
+                (Some(s), _, false) => s.count(
+                    &candidates,
+                    level,
+                    live.as_ref().map(|l| (l, level)),
+                    &mut stats.db_scans,
+                    &mut stats.scan,
+                ),
+                (None, Some(p), false) => {
+                    p.retain(&[&candidates], level, &mut stats.scan);
+                    stats.record_scan();
+                    stats.scan.record_extent(level, p.len() as u64, p.total_items() as u64);
+                    p.count(&[&candidates]).remove(0)
+                }
+                (None, None, false) => {
+                    if let Some(live) = &live {
+                        let cur = trimmed.as_ref().unwrap_or(db);
+                        trimmed = Some(trim_db_recorded(cur, live, level, &mut stats.scan).db);
+                    }
+                    let cur = trimmed.as_ref().unwrap_or(db);
+                    let counts = counter.count(cur, &candidates);
+                    stats.record_scan();
+                    stats.scan.record_extent(level, cur.len() as u64, cur.total_items() as u64);
+                    counts
+                }
+            };
+            frequent = candidates
+                .into_iter()
+                .zip(counts)
+                .filter(|&(_, n)| n >= cfg.min_support)
+                .collect();
+        }
+        level_span.record_u64("candidates", n_candidates);
+        level_span.record_u64("frequent", frequent.len() as u64);
+        drop(level_span);
         let micros = level_started.elapsed().as_micros() as u64;
+        backend::metric_selected(resolved.name());
         backend::metric_level_micros(resolved.name(), micros);
         stats.record_level_timed(level, n_candidates, frequent.len() as u64, micros);
+        stats.label_level(resolved.kernel(level, projection.is_some()));
+        if frequent.is_empty() {
+            break;
+        }
+        sets = frequent.iter().map(|(s, _)| s.clone()).collect();
+        result.push_level(frequent);
     }
     run_span.record_u64("db_scans", stats.db_scans);
     run_span.record_u64("frequent_total", result.total() as u64);
     result
-}
-
-/// Attaches the level's outcome counters to its span before it closes.
-fn close_level_span(mut span: obs::SpanGuard, candidates: u64, frequent: u64) {
-    span.record_u64("candidates", candidates);
-    span.record_u64("frequent", frequent);
 }
 
 #[cfg(test)]

@@ -61,10 +61,20 @@ impl BitmapIndex {
     /// Inverts the database (one pass) into per-item bitmaps, keeping
     /// items with density below 1/64 as sorted tid lists.
     pub fn build(db: &TransactionDb) -> BitmapIndex {
-        let words = db.len().div_ceil(64);
-        let mut tids: Vec<Vec<u32>> = vec![Vec::new(); db.n_items()];
-        for (tid, t) in db.iter().enumerate() {
-            for &i in t {
+        BitmapIndex::from_rows(db.n_items(), db.len(), db.iter().map(|t| t.iter().copied()))
+    }
+
+    /// [`BitmapIndex::build`] over any `n_rows` rows of items below
+    /// `n_items` — the rows need not be stored as a [`TransactionDb`].
+    pub(crate) fn from_rows<R: Iterator<Item = ItemId>>(
+        n_items: usize,
+        n_rows: usize,
+        rows: impl Iterator<Item = R>,
+    ) -> BitmapIndex {
+        let words = n_rows.div_ceil(64);
+        let mut tids: Vec<Vec<u32>> = vec![Vec::new(); n_items];
+        for (tid, t) in rows.enumerate() {
+            for i in t {
                 tids[i.index()].push(tid as u32);
             }
         }
@@ -84,7 +94,7 @@ impl BitmapIndex {
                 items.push(ItemBits::Dense(slot));
             }
         }
-        BitmapIndex { n_transactions: db.len(), words, dense, items, supports }
+        BitmapIndex { n_transactions: n_rows, words, dense, items, supports }
     }
 
     /// Number of transactions in the indexed database.
@@ -311,16 +321,16 @@ impl<'a> BitmapCounter<'a> {
     }
 }
 
-impl SupportCounter for BitmapCounter<'_> {
-    fn count(&self, db: &TransactionDb, candidates: &[Itemset]) -> Vec<u64> {
-        debug_assert_eq!(db.len(), self.index.n_transactions, "index/db mismatch");
+impl BitmapCounter<'_> {
+    /// The supports of a sorted batch in the indexed rows, in input order.
+    pub fn count_sets(&self, candidates: &[Itemset]) -> Vec<u64> {
         let mut counts = Vec::with_capacity(candidates.len());
         // Group consecutive candidates sharing a (k-1)-prefix.
         let mut i = 0usize;
         while i < candidates.len() {
             let items = candidates[i].as_slice();
             if items.is_empty() {
-                counts.push(db.len() as u64);
+                counts.push(self.index.n_transactions as u64);
                 i += 1;
                 continue;
             }
@@ -339,6 +349,13 @@ impl SupportCounter for BitmapCounter<'_> {
             i = j;
         }
         counts
+    }
+}
+
+impl SupportCounter for BitmapCounter<'_> {
+    fn count(&self, db: &TransactionDb, candidates: &[Itemset]) -> Vec<u64> {
+        debug_assert_eq!(db.len(), self.index.n_transactions, "index/db mismatch");
+        self.count_sets(candidates)
     }
 }
 

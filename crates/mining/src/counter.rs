@@ -235,14 +235,11 @@ pub fn count_supports_with(
         // One histogram serves every singleton batch: the support of {i}
         // does not depend on which batch asks.
         let mut hist = vec![0u32; if any_singles { db.n_items() } else { 0 }];
-        let mut triangles: Vec<Vec<u32>> = plans
+        let mut triangles: Vec<PairCounts> = plans
             .iter()
-            .map(|p| match p {
-                BatchPlan::Pairs(ranks) => vec![0u32; ranks.cells()],
-                _ => Vec::new(),
-            })
+            .map(|p| PairCounts::new(if let BatchPlan::Pairs(ranks) = p { ranks.m } else { 0 }))
             .collect();
-        let mut row_ranks: Vec<u32> = Vec::new();
+        let mut row_ranks: Vec<u16> = Vec::new();
         for t in chunk.iter() {
             if any_singles {
                 for &i in t {
@@ -271,7 +268,7 @@ pub fn count_supports_with(
                 }
                 BatchPlan::Pairs(ranks) => {
                     for (n, c) in counts[bi].iter_mut().zip(batches[bi]) {
-                        *n = ranks.cell_of(c).map_or(0, |cell| u64::from(triangles[bi][cell]));
+                        *n = ranks.pair_of(c).map_or(0, |(a, b)| triangles[bi].get(a, b));
                     }
                 }
                 BatchPlan::Trie(..) | BatchPlan::Reference => {}
@@ -355,7 +352,7 @@ impl BatchPlan {
 
 /// Largest pair triangle a worker allocates per batch (cells of `u32`:
 /// 16 MiB, reached just under 2,900 distinct items).
-const MAX_TRIANGLE_CELLS: usize = 1 << 22;
+pub(crate) const MAX_TRIANGLE_CELLS: usize = 1 << 22;
 /// Triangle cells one unit of trie work pays for: zeroing a cell costs
 /// about an eighth of a trie merge step.
 const CELLS_PER_TRIE_STEP: usize = 8;
@@ -374,19 +371,87 @@ fn dense_pairs_fit(n_candidates: usize, n_items: usize, rows: usize) -> bool {
 }
 
 /// Cells of the upper triangle over `m` ranks: one per unordered pair.
-fn triangle_cells(m: usize) -> usize {
+pub(crate) fn triangle_cells(m: usize) -> usize {
     m * m.saturating_sub(1) / 2
 }
 
-const NO_RANK: u32 = u32::MAX;
+/// Marks an item without a rank in a `u16` rank table.
+pub(crate) const NO_RANK: u16 = u16::MAX;
+
+/// Pair supports over `m` dense ranks: the upper triangle laid out row by
+/// row — cell `(a, b)`, `a < b`, sits at `row_start[a] + (b − a − 1)`.
+#[derive(Clone, Debug)]
+pub struct PairCounts {
+    row_start: Vec<usize>,
+    cells: Vec<u32>,
+}
+
+impl PairCounts {
+    /// An all-zero triangle over ranks `0..m`.
+    pub fn new(m: usize) -> PairCounts {
+        let row_start = (0..m).map(|a| a * (2 * m - a - 1) / 2).collect();
+        PairCounts { row_start, cells: vec![0u32; triangle_cells(m)] }
+    }
+
+    /// Number of ranks the triangle ranges over.
+    pub fn ranks(&self) -> usize {
+        self.row_start.len()
+    }
+
+    /// Increments the cell of every pair of `ranks`, one row's ranks in
+    /// ascending order.
+    #[inline]
+    pub fn add_row(&mut self, ranks: &[u16]) {
+        for (i, &a) in ranks.iter().enumerate() {
+            let row = &mut self.cells[self.row_start[a as usize]..];
+            for &b in &ranks[i + 1..] {
+                row[(b - a - 1) as usize] += 1;
+            }
+        }
+    }
+
+    /// The supports of rank `a` paired with each of ranks `a + 1..m`.
+    pub fn row(&self, a: usize) -> &[u32] {
+        let start = self.row_start[a];
+        &self.cells[start..start + self.ranks() - a - 1]
+    }
+
+    /// The support of the pair of ranks `a < b`.
+    pub fn get(&self, a: usize, b: usize) -> u64 {
+        u64::from(self.row(a)[b - a - 1])
+    }
+
+    /// The pairs of `items` — the triangle's ranks, ascending — that reach
+    /// `min_support`, sorted, with their supports.
+    pub fn frequent(&self, items: &[ItemId], min_support: u64) -> Vec<(Itemset, u64)> {
+        debug_assert_eq!(items.len(), self.ranks());
+        let mut out = Vec::new();
+        for (a, &first) in items.iter().enumerate() {
+            for (&n, &second) in self.row(a).iter().zip(&items[a + 1..]) {
+                if u64::from(n) >= min_support {
+                    out.push((Itemset::singleton(first).with_item(second), u64::from(n)));
+                }
+            }
+        }
+        out
+    }
+
+    /// Adds the counts of another triangle over the same ranks (a worker's
+    /// share of the rows).
+    pub(crate) fn merge(&mut self, other: &PairCounts) {
+        debug_assert_eq!(self.ranks(), other.ranks());
+        for (acc, x) in self.cells.iter_mut().zip(&other.cells) {
+            *acc += x;
+        }
+    }
+}
 
 /// The level-2 kernel's index: the items of one pair batch mapped to dense
 /// ranks `0..m`, ascending with item id so a sorted row maps to ascending
-/// ranks, and the upper triangle over those ranks laid out row by row —
-/// cell `(a, b)`, `a < b`, sits at `row_start[a] + (b − a − 1)`.
+/// ranks; the counts go into one [`PairCounts`] per worker.
 struct PairRanks {
-    rank_of: Vec<u32>,
-    row_start: Vec<usize>,
+    rank_of: Vec<u16>,
+    m: usize,
 }
 
 impl PairRanks {
@@ -394,49 +459,48 @@ impl PairRanks {
     fn build(db: &TransactionDb, batch: &[Itemset]) -> Option<PairRanks> {
         // Only items of the database's universe get a rank: no row holds
         // any other, and the map's size must not follow candidate ids.
-        let mut rank_of = vec![NO_RANK; db.n_items()];
+        let mut in_batch = vec![false; db.n_items()];
         for c in batch {
             for &i in c.as_slice() {
-                if let Some(r) = rank_of.get_mut(i.index()) {
-                    *r = 0;
+                if let Some(seen) = in_batch.get_mut(i.index()) {
+                    *seen = true;
                 }
             }
         }
-        let mut m = 0usize;
-        for r in rank_of.iter_mut().filter(|r| **r != NO_RANK) {
-            *r = m as u32;
-            m += 1;
-        }
+        let m = in_batch.iter().filter(|&&seen| seen).count();
+        // The fit bounds `m` far below `NO_RANK` (2²² cells ⇒ m ≤ 2,896).
         if !dense_pairs_fit(batch.len(), m, db.len()) {
             return None;
         }
-        let row_start = (0..m).map(|a| a * (2 * m - a - 1) / 2).collect();
-        Some(PairRanks { rank_of, row_start })
-    }
-
-    fn cells(&self) -> usize {
-        triangle_cells(self.row_start.len())
+        let mut next = 0u16;
+        let rank_of = in_batch
+            .iter()
+            .map(|&seen| {
+                if seen {
+                    next += 1;
+                    next - 1
+                } else {
+                    NO_RANK
+                }
+            })
+            .collect();
+        Some(PairRanks { rank_of, m })
     }
 
     /// Increments the cell of every pair of batch items in row `t`.
     /// `row_ranks` is scratch space reused across rows.
-    fn add_row(&self, t: &[ItemId], row_ranks: &mut Vec<u32>, triangle: &mut [u32]) {
+    fn add_row(&self, t: &[ItemId], row_ranks: &mut Vec<u16>, triangle: &mut PairCounts) {
         row_ranks.clear();
         row_ranks.extend(t.iter().map(|i| self.rank_of[i.index()]).filter(|&r| r != NO_RANK));
-        for (i, &a) in row_ranks.iter().enumerate() {
-            let row = &mut triangle[self.row_start[a as usize]..];
-            for &b in &row_ranks[i + 1..] {
-                row[(b - a - 1) as usize] += 1;
-            }
-        }
+        triangle.add_row(row_ranks);
     }
 
-    /// The triangle cell of candidate pair `c`; `None` when one of its
-    /// items lies outside the database's universe (it occurs in no row).
-    fn cell_of(&self, c: &Itemset) -> Option<usize> {
+    /// The ranks of candidate pair `c`; `None` when one of its items lies
+    /// outside the database's universe (it occurs in no row).
+    fn pair_of(&self, c: &Itemset) -> Option<(usize, usize)> {
         let a = *self.rank_of.get(c.as_slice()[0].index())?;
         let b = *self.rank_of.get(c.as_slice()[1].index())?;
-        Some(self.row_start[a as usize] + (b - a - 1) as usize)
+        Some((a as usize, b as usize))
     }
 }
 

@@ -5,14 +5,18 @@
 //! The levelwise frequent-set mining substrate that the paper's algorithms
 //! (Apriori⁺, CAP, the 2-var optimizer pipeline) are built on:
 //!
-//! * [`counter`] — support counting: a candidate prefix-trie counter (one
-//!   database scan per level) and a naive reference counter; [`hashtree`]
-//!   adds the classic Apriori hash tree, [`vertical`] an Eclat-style
-//!   tidset counter and [`bitmap`] a u64 tid-bitmap counter (AND +
-//!   popcount, diffsets at deep levels). All agree (property-tested).
+//! * [`counter`] — support counting: dense level-1/level-2 kernels, a
+//!   candidate prefix-trie counter and a naive reference counter;
+//!   [`vertical`] adds an Eclat-style tidset counter and [`bitmap`] a u64
+//!   tid-bitmap counter (AND + popcount, diffsets at deep levels). All
+//!   agree (property-tested).
+//! * [`projection`] — the rank-space working database the default
+//!   configuration mines on after level 1: written by the pass that
+//!   counts level 2 straight off L1, shrunk in place per level, counted
+//!   by bitmaps over its rows.
 //! * [`backend`] — the [`backend::CountingBackend`] axis
 //!   (`horizontal | tidset | bitmap | auto`) every executor threads
-//!   through, with `auto`'s per-level density crossover.
+//!   through.
 //! * [`candidates`] — the Apriori candidate generation (prefix join +
 //!   subset prune) with a pluggable *validity oracle*, so CAP can restrict
 //!   the prune to subsets that are themselves valid (required for succinct
@@ -45,9 +49,9 @@ pub mod candidates;
 pub mod counter;
 pub mod fpgrowth;
 pub mod frequent;
-pub mod hashtree;
 pub mod incremental;
 pub mod partition;
+pub mod projection;
 pub mod shard;
 pub mod stats;
 pub mod trim;
@@ -58,12 +62,12 @@ pub use backend::{CountingBackend, CountingRun, ResolvedBackend};
 pub use bitmap::{BitmapCounter, BitmapIndex};
 pub use candidates::generate_candidates;
 pub use counter::{
-    count_supports, count_supports_with, NaiveCounter, ParallelTrieCounter, SupportCounter,
-    TrieCounter,
+    count_supports, count_supports_with, NaiveCounter, PairCounts, ParallelTrieCounter,
+    SupportCounter, TrieCounter,
 };
-pub use hashtree::HashTreeCounter;
 pub use incremental::{fup_update, fup_update_abs, UpdateOutcome};
 pub use partition::{partition_mine, PartitionConfig};
+pub use projection::Projection;
 pub use shard::ShardedRun;
 pub use vertical::{TidsetIndex, VerticalCounter};
 pub use fpgrowth::{fp_growth, FpGrowthConfig};

@@ -23,7 +23,7 @@
 //! trim pass whose drops are the summed per-shard drops — identical to
 //! what the unsharded path would have recorded.
 
-use crate::backend::{self, AutoBasis, CountingBackend, ResolvedBackend};
+use crate::backend::{self, CountingBackend, ResolvedBackend};
 use crate::bitmap::{BitmapCounter, BitmapIndex};
 use crate::counter::{count_supports_with, SupportCounter};
 use crate::stats::ScanStats;
@@ -121,26 +121,6 @@ impl ShardedRun {
     pub fn reset_trim(&mut self) {
         for s in &mut self.shards {
             s.working = None;
-        }
-    }
-
-    /// Decides how to count level `level` — the same crossover as
-    /// `CountingRun::resolve`, computed over the *global* row count so a
-    /// sharded run resolves each level exactly like its unsharded twin.
-    pub fn resolve(&self, level: usize, n_candidates: usize, scan: &ScanStats) -> ResolvedBackend {
-        match self.backend {
-            CountingBackend::Horizontal => ResolvedBackend::Horizontal,
-            CountingBackend::Tidset => ResolvedBackend::Tidset,
-            CountingBackend::Bitmap => ResolvedBackend::Bitmap,
-            CountingBackend::Auto => {
-                let basis = AutoBasis {
-                    rows: self.base_rows,
-                    items: self.base_items,
-                    n_items: self.shards[0].base.n_items(),
-                    index_built: self.shards.iter().all(|s| s.bitmap.is_some()),
-                };
-                backend::resolve_auto(&basis, level, n_candidates, scan)
-            }
         }
     }
 
@@ -393,7 +373,7 @@ mod tests {
         for backend in [CountingBackend::Tidset, CountingBackend::Bitmap] {
             let mut run = ShardedRun::new(&d, 3, backend);
             let mut stats = WorkStats::new();
-            let resolved = run.resolve(1, c.len(), &stats.scan);
+            let resolved = backend.resolved();
             assert!(resolved.is_vertical());
             let got =
                 run.count_vertical(resolved, &c, 1, &mut stats.db_scans, &mut stats.scan);
@@ -425,21 +405,5 @@ mod tests {
         assert_eq!(got, vec![0]);
         assert_eq!(stats.db_scans, 1);
         assert_eq!(stats.scan.rows_scanned, 0);
-    }
-
-    #[test]
-    fn auto_resolution_matches_unsharded_crossover() {
-        let rows: Vec<Vec<ItemId>> = (0..640)
-            .map(|i| vec![ItemId(i as u32 % 4), ItemId(4 + i as u32 % 3)])
-            .collect();
-        let d = TransactionDb::new(7, rows).unwrap();
-        let run = ShardedRun::new(&d, 4, CountingBackend::Auto);
-        let unsharded = crate::backend::CountingRun::new(&d, CountingBackend::Auto);
-        let mut scan = ScanStats::default();
-        for (level, n) in [(1usize, 7usize), (2, 21), (3, 5)] {
-            assert_eq!(run.resolve(level, n, &scan), unsharded.resolve(level, n, &scan));
-        }
-        scan.record_extent(3, 15, 30);
-        assert_eq!(run.resolve(4, 5, &scan), unsharded.resolve(4, 5, &scan));
     }
 }

@@ -19,6 +19,10 @@ pub struct LevelStats {
     /// (0 on the paths that do not time levels: FUP and Partition). Where
     /// two lattices share a scan, each one's row includes that scan.
     pub micros: u64,
+    /// What counted the level: `histogram`, `triangle` or `projection` on
+    /// the default path, the resolved backend's name elsewhere (empty on
+    /// the paths that do not say: FUP and Partition).
+    pub counted_by: &'static str,
 }
 
 /// The size of the database one scan actually touched — with per-level
@@ -128,7 +132,14 @@ impl WorkStats {
     /// it took — the per-level timings the slow-query log reports.
     pub fn record_level_timed(&mut self, level: usize, candidates: u64, frequent: u64, micros: u64) {
         self.support_counted += candidates;
-        self.levels.push(LevelStats { level, candidates, frequent, micros });
+        self.levels.push(LevelStats { level, candidates, frequent, micros, counted_by: "" });
+    }
+
+    /// Names what counted the level recorded last.
+    pub fn label_level(&mut self, counted_by: &'static str) {
+        if let Some(last) = self.levels.last_mut() {
+            last.counted_by = counted_by;
+        }
     }
 
     /// Records one database scan.
@@ -214,7 +225,12 @@ mod tests {
         assert_eq!(s.pruned_candidates, 7);
         assert_eq!(s.total_frequent(), 160);
         assert_eq!(s.levels.len(), 2);
-        assert_eq!(s.levels[1], LevelStats { level: 2, candidates: 300, frequent: 120, micros: 0 });
+        s.label_level("triangle");
+        assert_eq!(
+            s.levels[1],
+            LevelStats { level: 2, candidates: 300, frequent: 120, micros: 0, counted_by: "triangle" }
+        );
+        assert_eq!(s.levels[0].counted_by, "");
     }
 
     #[test]

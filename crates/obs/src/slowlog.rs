@@ -27,6 +27,9 @@ pub struct SlowLevel {
     /// Wall-clock microseconds spent counting this level (0 when the
     /// lattice was served from cache and no counting happened).
     pub micros: u64,
+    /// What counted the level (`histogram`, `triangle`, `projection`, or a
+    /// backend's name).
+    pub counted_by: &'static str,
 }
 
 /// One slow query.
@@ -121,11 +124,12 @@ impl SlowLog {
             ));
             for l in &q.levels {
                 out.push_str(&format!(
-                    "\n            L{}: {} candidates, {} frequent, {:.3} ms",
+                    "\n            L{}: {} candidates, {} frequent, {:.3} ms, {}",
                     l.level,
                     l.candidates,
                     l.frequent,
                     l.micros as f64 / 1000.0,
+                    l.counted_by,
                 ));
             }
         }
@@ -144,7 +148,13 @@ mod tests {
             provenance: "[S] cold [T] cached".into(),
             total: Duration::from_millis(ms),
             db_scans: 3,
-            levels: vec![SlowLevel { level: 1, candidates: 10, frequent: 4, micros: 1500 }],
+            levels: vec![SlowLevel {
+                level: 1,
+                candidates: 10,
+                frequent: 4,
+                micros: 1500,
+                counted_by: "histogram",
+            }],
         }
     }
 
@@ -169,7 +179,7 @@ mod tests {
         assert!(text.contains("max(S.Price) <= min(T.Price)"), "{text}");
         assert!(text.contains("plan=000000000000abcd"), "{text}");
         assert!(text.contains("[S] cold [T] cached"), "{text}");
-        assert!(text.contains("L1: 10 candidates, 4 frequent, 1.500 ms"), "{text}");
+        assert!(text.contains("L1: 10 candidates, 4 frequent, 1.500 ms, histogram"), "{text}");
         assert!(text.contains("scans=3"), "{text}");
     }
 

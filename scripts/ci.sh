@@ -5,6 +5,15 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Every result file a stage writes goes here, not into the repository: the
+# stages assert on what the files say, and the run must leave the tree as
+# it found it (checked at the end).
+TREE_BEFORE="$(git status --porcelain)"
+OUT="$(mktemp -d)"
+export CFQ_BENCH_OUT="$OUT/BENCH_substrate.json"
+export CFQ_ENGINE_OUT="$OUT/BENCH_engine.json"
+export CFQ_AUDIT_OUT="$OUT/BENCH_audit.json"
+
 echo "== cargo build --release --workspace"
 # --workspace matters: the root manifest is both a workspace and the
 # facade package, so a bare `cargo build` would skip the member crates —
@@ -53,13 +62,13 @@ echo "== cfq model --inject: exhaustive concurrency model check (writes BENCH_mo
 # single-flight mining, cache eviction, counter merge) and then re-runs
 # each with seeded bugs enabled — the command exits nonzero if any clean
 # protocol has a violation OR any injected bug goes uncaught.
-./target/release/cfq model --inject --out BENCH_model.json
-test -s BENCH_model.json
-grep -q '"all_clean":true' BENCH_model.json \
+./target/release/cfq model --inject --out "$OUT/BENCH_model.json"
+test -s "$OUT/BENCH_model.json"
+grep -q '"all_clean":true' "$OUT/BENCH_model.json" \
   || { echo "model check recorded protocol violations"; exit 1; }
-grep -q '"all_injections_caught":true' BENCH_model.json \
+grep -q '"all_injections_caught":true' "$OUT/BENCH_model.json" \
   || { echo "a seeded bug went uncaught (checker lost its teeth)"; exit 1; }
-head -c 400 BENCH_model.json; echo
+head -c 400 "$OUT/BENCH_model.json"; echo
 
 echo "== cfq lint --workspace: token-level invariant pass over the sources"
 # unwrap/expect in request paths, undocumented unsafe, metric-name
@@ -81,34 +90,23 @@ echo "== repro fig8a + substrate at smoke scale"
 CFQ_SCALE="${CFQ_SCALE:-0.02}" cargo run -p cfq-bench --release --bin repro -- fig8a substrate
 
 echo "== BENCH_substrate.json (smoke)"
-test -s BENCH_substrate.json
-head -c 400 BENCH_substrate.json; echo
-
-echo "== repro substrate at paper scale (scale=1.0 — the committed BENCH_substrate.json)"
-# The smoke run above keeps the full four-config matrix honest at 2%
-# scale; this pass re-measures at the paper's 100k x 1000 so the
-# committed artifact carries paper-scale backend speedups.
-CFQ_SCALE="${CFQ_PAPER_SCALE:-1.0}" cargo run -p cfq-bench --release --bin repro -- substrate
-test -s BENCH_substrate.json
-if [ -z "${CFQ_PAPER_SCALE:-}" ]; then
-  grep -q '"scale":1' BENCH_substrate.json \
-    || { echo "BENCH_substrate.json is not the paper-scale run"; exit 1; }
-fi
+test -s "$OUT/BENCH_substrate.json"
+head -c 400 "$OUT/BENCH_substrate.json"; echo
 
 echo "== repro audit (static plan soundness, writes BENCH_audit.json)"
 CFQ_SCALE="${CFQ_SCALE:-0.02}" cargo run -p cfq-bench --release --bin repro -- audit
-test -s BENCH_audit.json
-grep -q '"violations":0' BENCH_audit.json || { echo "audit recorded violations"; exit 1; }
-head -c 400 BENCH_audit.json; echo
+test -s "$OUT/BENCH_audit.json"
+grep -q '"violations":0' "$OUT/BENCH_audit.json" || { echo "audit recorded violations"; exit 1; }
+head -c 400 "$OUT/BENCH_audit.json"; echo
 
 echo "== engine: concurrent-session smoke (cfq-engine)"
 cargo test -q -p cfq-engine --test concurrency
 
 echo "== repro engine at smoke scale (writes BENCH_engine.json)"
 CFQ_SCALE="${CFQ_SCALE:-0.02}" cargo run -p cfq-bench --release --bin repro -- engine
-test -s BENCH_engine.json
-grep -q '"warm_db_scans":0' BENCH_engine.json || { echo "warm engine run scanned the database"; exit 1; }
-head -c 400 BENCH_engine.json; echo
+test -s "$OUT/BENCH_engine.json"
+grep -q '"warm_db_scans":0' "$OUT/BENCH_engine.json" || { echo "warm engine run scanned the database"; exit 1; }
+head -c 400 "$OUT/BENCH_engine.json"; echo
 
 echo "== cfq serve: boot, drive fig8a twice, scrape metrics (writes BENCH_serve.json)"
 SERVE_DIR="$(mktemp -d)"
@@ -189,9 +187,9 @@ P95="$(echo "$SCRAPE" | sed -n 's/^cfq_query_seconds_p95 \(.*\)$/\1/p')"
 P99="$(echo "$SCRAPE" | sed -n 's/^cfq_query_seconds_p99 \(.*\)$/\1/p')"
 printf '{"bench":"serve","query":"%s","cold_ms":%s,"warm_ms":%s,"p50_s":%s,"p95_s":%s,"p99_s":%s,"queries_total":2,"lattice_hits":%s}\n' \
   "$FIG8A" "$COLD_MS" "$WARM_MS" "${P50:-0}" "${P95:-0}" "${P99:-0}" "$LATTICE_HITS" \
-  > BENCH_serve.json
-test -s BENCH_serve.json
-head -c 400 BENCH_serve.json; echo
+  > "$OUT/BENCH_serve.json"
+test -s "$OUT/BENCH_serve.json"
+head -c 400 "$OUT/BENCH_serve.json"; echo
 
 echo "== cfq serve: wire goldens (six benchmark families x {every item, one 250-item window})"
 # Each reply's timing-free answer prefix — everything before `,"db_scans":`,
@@ -204,6 +202,18 @@ echo "== cfq serve: wire goldens (six benchmark families x {every item, one 250-
 # only with the parent commit's binary, and only when a PR changes the
 # answer on purpose.
 bash scripts/wire_golden.sh ./target/release/cfq tests/golden/wire
+
+echo "== cfq query --explain: ledger golden (204 cases; default path, --threads 2, --backend auto, --shards 2)"
+# What each run *did* — scans, scan volume, trim drops, per-level
+# candidates and frequent sets, checks, pruned, V^k — must equal the file
+# recorded with the binary of the commit before the working database moved
+# to rank space. `--shards 2` is defined to account like the unsharded run
+# and still counts by per-level scans, so the same file pins that path too.
+# tests/ledger_golden.rs replays the cases in-process; this drives the CLI.
+for flags in "" "--threads 2" "--backend auto" "--shards 2"; do
+  # shellcheck disable=SC2086
+  bash scripts/ledger_golden.sh ./target/release/cfq tests/golden/ledger $flags
+done
 
 echo "== scheduler: parallel clients coalesce onto one mining pass (writes BENCH_scheduler.json)"
 # A wide batch window so every concurrent cold client lands in the
@@ -270,9 +280,9 @@ SERVE_PID=""
 
 printf '{"bench":"scheduler","clients":4,"mining_passes":%s,"coalesced":%s,"batched":%s,"wait_p95_s":%s}\n' \
   "${MINING_PASSES:-0}" "${COALESCED:-0}" "${BATCHED:-0}" "${WAIT_P95:-0}" \
-  > BENCH_scheduler.json
-test -s BENCH_scheduler.json
-head -c 400 BENCH_scheduler.json; echo
+  > "$OUT/BENCH_scheduler.json"
+test -s "$OUT/BENCH_scheduler.json"
+head -c 400 "$OUT/BENCH_scheduler.json"; echo
 
 echo "== cfq loadgen: adversarial scenarios over the v1 envelope (writes BENCH_loadgen.json)"
 # The generator must be byte-reproducible in the seed before anything is
@@ -307,19 +317,19 @@ PORT="$(sed -n 's/^listening on .*:\([0-9][0-9]*\)$/\1/p' "$SERVE_DIR/loadgen.lo
 # overloads/batching, unexpected request errors, or a scenario with no
 # successful reply.
 # shellcheck disable=SC2086
-./target/release/cfq loadgen --addr "127.0.0.1:$PORT" $LG_ARGS --out BENCH_loadgen.json \
+./target/release/cfq loadgen --addr "127.0.0.1:$PORT" $LG_ARGS --out "$OUT/BENCH_loadgen.json" \
   || { echo "loadgen gates failed"; cat "$SERVE_DIR/loadgen.log"; exit 1; }
-test -s BENCH_loadgen.json
-grep -q '"bench":"loadgen"' BENCH_loadgen.json || { echo "bad BENCH_loadgen.json"; exit 1; }
-[ "$(grep -o '"name":"' BENCH_loadgen.json | wc -l)" -eq 6 ] \
+test -s "$OUT/BENCH_loadgen.json"
+grep -q '"bench":"loadgen"' "$OUT/BENCH_loadgen.json" || { echo "bad BENCH_loadgen.json"; exit 1; }
+[ "$(grep -o '"name":"' "$OUT/BENCH_loadgen.json" | wc -l)" -eq 6 ] \
   || { echo "BENCH_loadgen.json does not cover all 6 scenarios"; exit 1; }
-if grep -Eq '"protocol_errors":[1-9]' BENCH_loadgen.json; then
+if grep -Eq '"protocol_errors":[1-9]' "$OUT/BENCH_loadgen.json"; then
   echo "protocol errors leaked into BENCH_loadgen.json"; exit 1
 fi
 kill -INT "$SERVE_PID"
 wait "$SERVE_PID" || { echo "loadgen serve exited non-zero on SIGINT"; cat "$SERVE_DIR/loadgen.log"; exit 1; }
 SERVE_PID=""
-head -c 400 BENCH_loadgen.json; echo
+head -c 400 "$OUT/BENCH_loadgen.json"; echo
 
 echo "== counting backends: fig8a/fig8b answers agree across horizontal|tidset|bitmap|auto"
 # Same generated data as the serve stages. The pair/set counts printed
@@ -512,8 +522,8 @@ echo "  restart cold: ${RESTART_COLD_MS}ms, warm: ${RESTART_WARM_MS}ms ($WAL_STA
 
 printf '{"bench":"serve","query":"%s","cold_ms":%s,"warm_ms":%s,"p50_s":%s,"p95_s":%s,"p99_s":%s,"queries_total":2,"lattice_hits":%s,"restart_cold_ms":%s,"restart_warm_ms":%s}\n' \
   "$FIG8A" "$COLD_MS" "$WARM_MS" "${P50:-0}" "${P95:-0}" "${P99:-0}" "$LATTICE_HITS" \
-  "$RESTART_COLD_MS" "$RESTART_WARM_MS" > BENCH_serve.json
-head -c 400 BENCH_serve.json; echo
+  "$RESTART_COLD_MS" "$RESTART_WARM_MS" > "$OUT/BENCH_serve.json"
+head -c 400 "$OUT/BENCH_serve.json"; echo
 
 echo "== replica: --follow tails the primary's WAL and answers bit-equal over the v1 envelope"
 ./target/release/cfq serve --data "$SERVE_DIR/tx-durable.txt" --catalog "$SERVE_DIR/catalog.txt" \
@@ -581,22 +591,27 @@ SERVE_PID=""
 echo "  replica bit-equal at epochs 2 and 3; writes correctly rejected"
 
 echo "== BENCH_substrate.json carries the backend comparison"
-grep -q '"config":"bitmap"' BENCH_substrate.json \
+grep -q '"config":"bitmap"' "$OUT/BENCH_substrate.json" \
   || { echo "BENCH_substrate.json missing bitmap config"; exit 1; }
-grep -q '"config":"auto"' BENCH_substrate.json \
+grep -q '"config":"auto"' "$OUT/BENCH_substrate.json" \
   || { echo "BENCH_substrate.json missing auto config"; exit 1; }
-grep -q '"speedup_vs_trimmed_parallel"' BENCH_substrate.json \
+grep -q '"speedup_vs_trimmed_parallel"' "$OUT/BENCH_substrate.json" \
   || { echo "BENCH_substrate.json missing speedup_vs_trimmed_parallel"; exit 1; }
 
 echo "== BENCH_substrate.json carries the shard-speedup curve"
-grep -q '"shard_curve":\[{"workload":"shard_curve"' BENCH_substrate.json \
+grep -q '"shard_curve":\[{"workload":"shard_curve"' "$OUT/BENCH_substrate.json" \
   || { echo "BENCH_substrate.json missing the shard curve"; exit 1; }
-grep -q '"speedup_vs_shards1"' BENCH_substrate.json \
+grep -q '"speedup_vs_shards1"' "$OUT/BENCH_substrate.json" \
   || { echo "BENCH_substrate.json missing speedup_vs_shards1"; exit 1; }
-grep -q '"shards":8' BENCH_substrate.json \
+grep -q '"shards":8' "$OUT/BENCH_substrate.json" \
   || { echo "BENCH_substrate.json shard curve missing the shards=8 point"; exit 1; }
 
 echo "== cargo doc --no-deps (rustdoc warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet
+
+echo "== the run left the working tree as it found it"
+[ "$(git status --porcelain)" = "$TREE_BEFORE" ] \
+  || { echo "ci.sh changed the working tree:"; git status --porcelain; exit 1; }
+rm -rf "$OUT"
 
 echo "ci: OK"

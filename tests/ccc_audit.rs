@@ -22,6 +22,18 @@ fn setup() -> (TransactionDb, Catalog) {
 }
 
 fn audited(src: &str, min_support: u64) -> cfq::core::ccc::CccReport {
+    audited_with(src, min_support, false).0
+}
+
+/// Audits one S-lattice run and returns the report with the audit log.
+/// With `implicit_pairs` level 2 goes through the default executor's
+/// protocol — pair items out, a triangle of supports back — which never
+/// lists its candidates.
+fn audited_with(
+    src: &str,
+    min_support: u64,
+    implicit_pairs: bool,
+) -> (cfq::core::ccc::CccReport, Vec<Itemset>) {
     let (db, catalog) = setup();
     let q = bind_query(&parse_query(src).unwrap(), &catalog).unwrap();
     let one: Vec<OneVar> = q.one_var.clone();
@@ -38,6 +50,16 @@ fn audited(src: &str, min_support: u64) -> cfq::core::ccc::CccReport {
     );
     run.enable_audit_log();
     loop {
+        if implicit_pairs && run.levels_done() == 1 {
+            let items = run.next_pair_items();
+            if items.is_empty() {
+                break;
+            }
+            let mut scan = cfq::mining::ScanStats::default();
+            let (_, pairs) = cfq::mining::Projection::pairs(&db, &[&items], 1, &mut scan);
+            run.absorb_pair_counts(&pairs[0]);
+            continue;
+        }
         let cands = run.next_candidates();
         if cands.is_empty() {
             break;
@@ -45,7 +67,8 @@ fn audited(src: &str, min_support: u64) -> cfq::core::ccc::CccReport {
         let counts = cfq::mining::TrieCounter.count(&db, &cands);
         run.absorb_counts(&counts);
     }
-    audit_lattice(&run, &db, &catalog, &one, min_support)
+    let log = run.counted_log().unwrap().to_vec();
+    (audit_lattice(&run, &db, &catalog, &one, min_support), log)
 }
 
 use cfq::mining::SupportCounter;
@@ -72,6 +95,27 @@ fn theorem4_on_quest_data() {
             report.constraint_checks,
             report.check_budget
         );
+    }
+}
+
+/// Level 2 counted without a candidate list is audited like level 2
+/// counted from one: the log names every pair that was a candidate, and
+/// the verdict does not move.
+#[test]
+fn audit_log_lists_level_two_counted_off_l1() {
+    for src in [
+        "max(S.Price) <= 60",
+        "min(S.Price) <= 20",
+        "S.Type intersects {T2}",
+        "sum(S.Price) <= 90",
+        "min(S.Price) <= 30 & S.Type subset {T0, T1, T2}",
+    ] {
+        let (listed_report, listed) = audited_with(src, 4, false);
+        let (implicit_report, implicit) = audited_with(src, 4, true);
+        assert!(listed.iter().any(|s| s.len() == 2), "`{src}` counts pairs");
+        assert_eq!(listed, implicit, "`{src}`: audit logs differ");
+        assert_eq!(listed_report.violations, implicit_report.violations, "`{src}`");
+        assert_eq!(listed_report.constraint_checks, implicit_report.constraint_checks, "`{src}`");
     }
 }
 

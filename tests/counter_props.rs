@@ -11,13 +11,17 @@
 //! * shuffled and duplicated input is counted per input position,
 //! * sparse pair batches over a wide id space land on both sides of the
 //!   triangle's fallback rule and agree either way,
-//! * a database trimmed for the candidates counts like the original.
+//! * a database trimmed for the candidates counts like the original,
+//! * the projecting level-2 pass counts every pair of every side like the
+//!   trie, and the bitmaps over the projection count deeper batches like
+//!   the trie on the same rows.
 //!
 //! Which kernel ran is asserted by the unit tests beside the kernels
 //! (`crates/mining/src/counter.rs`); these properties are about counts.
 
 use cfq::mining::{
-    count_supports_with, trim_db, LiveSet, NaiveCounter, SupportCounter, TrieCounter,
+    count_supports_with, trim_db, LiveSet, NaiveCounter, Projection, ScanStats, SupportCounter,
+    TrieCounter,
 };
 use cfq::prelude::*;
 use proptest::prelude::*;
@@ -139,6 +143,49 @@ proptest! {
                 &count_supports_with(&trimmed.db, &[&cands], threads).remove(0),
                 "threads={}", threads
             );
+        }
+    }
+
+    /// The default path's two kernels against the reference counters: the
+    /// pair triangles of `Projection::pairs` — sides overlapping, disjoint,
+    /// empty or of one item, one naming an item past the universe — and
+    /// `Projection::count` on the projection trimmed for a deeper batch.
+    #[test]
+    fn projection_kernels_match_trie_and_naive(
+        rows in prop::collection::vec(prop::collection::vec(0u32..12, 0..8), 0..40),
+        s_mask in 0u16..16384,
+        t_mask in 0u16..4096,
+        deeper in 0u16..4096,
+        k in 3usize..5,
+    ) {
+        let db = build_db(&rows, 12);
+        let sides = [k_subsets(s_mask, 1), k_subsets(t_mask, 1)]
+            .map(|singles| singles.iter().map(|s| s.as_slice()[0]).collect::<Vec<ItemId>>());
+        for threads in THREADS {
+            let mut scan = ScanStats::default();
+            let (mut p, pairs) =
+                Projection::pairs(&db, &[&sides[0], &sides[1]], threads, &mut scan);
+            for (side, counts) in sides.iter().zip(&pairs) {
+                let cands: Vec<Itemset> =
+                    side.iter().copied().collect::<Itemset>().subsets_of_size(2).collect();
+                let got: Vec<u64> = (0..side.len())
+                    .flat_map(|a| (a + 1..side.len()).map(move |b| (a, b)))
+                    .map(|(a, b)| counts.get(a, b))
+                    .collect();
+                prop_assert_eq!(&got, &TrieCounter.count(&db, &cands), "threads={}", threads);
+                prop_assert_eq!(&got, &NaiveCounter.count(&db, &cands));
+                let frequent: Vec<(Itemset, u64)> =
+                    cands.iter().cloned().zip(got).filter(|&(_, n)| n >= 2).collect();
+                prop_assert_eq!(counts.frequent(side, 2), frequent);
+            }
+            let cands = k_subsets(deeper & (s_mask | t_mask) & 4095, k);
+            p.retain(&[&cands], k, &mut scan);
+            let projected: Vec<Vec<ItemId>> = p.rows().map(|r| r.collect()).collect();
+            let same_rows = TransactionDb::new(12, projected).unwrap();
+            let got = p.count(&[&cands, &[]]);
+            prop_assert_eq!(&got[0], &TrieCounter.count(&same_rows, &cands));
+            prop_assert_eq!(&got[0], &NaiveCounter.count(&db, &cands));
+            prop_assert!(got[1].is_empty());
         }
     }
 }

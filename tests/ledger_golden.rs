@@ -1,0 +1,114 @@
+//! The execution ledger as a golden: for every case of
+//! `tests/golden/ledger/cases.txt` — the query matrix of
+//! `tests/optimizer_matrix.rs` under two strategies and three supports,
+//! and the six benchmark query families plus a required group, residual
+//! checks and a `J^k_max` bound that prunes at level 2 on a generated
+//! database — what `cfq query --explain` reports the run did: scans, scan
+//! volume, trim drops, per-level candidates and frequent sets, sets
+//! counted, candidates pruned, constraint checks, `V^k` histories, pair
+//! checks. `ledger.out` was recorded with the binary of the commit before
+//! level 2 stopped listing its candidates and the working database moved
+//! to rank space:
+//!
+//! ```text
+//! scripts/ledger_golden.sh <parent>/cfq tests/golden/ledger --record
+//! ```
+//!
+//! Re-record only with a parent's binary, never with the change's own. The
+//! default configuration must reproduce the file byte for byte, and so
+//! must `--shards 2`, whose accounting is defined to equal the unsharded
+//! run's and which still takes the per-level-scan path.
+
+use cfq::datagen::io;
+use cfq::prelude::*;
+use std::fmt::Write as _;
+
+const DIR: &str = "tests/golden/ledger";
+
+fn dataset(name: &str) -> (TransactionDb, Catalog) {
+    let db = match name {
+        "matrix" => io::load_transactions(format!("{DIR}/matrix.tx")).unwrap(),
+        // What `cfq gen --items 1000 --transactions 4000 --patterns 300` writes.
+        "shapes" => generate_transactions(&QuestConfig {
+            n_items: 1000,
+            n_transactions: 4000,
+            avg_trans_len: 10.0,
+            avg_pattern_len: 4.0,
+            n_patterns: 300,
+            seed: 19990601,
+            ..QuestConfig::default()
+        })
+        .unwrap(),
+        other => panic!("unknown dataset `{other}`"),
+    };
+    let catalog = io::read_catalog(std::fs::File::open(format!("{DIR}/{name}.catalog")).unwrap());
+    (db, catalog.unwrap())
+}
+
+/// `cfq query`'s threshold from its `--abs-support N` / `--min-support F`.
+fn min_support(flag: &str, rows: usize) -> u64 {
+    match flag.split_once(' ').unwrap() {
+        ("--abs-support", n) => n.parse().unwrap(),
+        ("--min-support", f) => (rows as f64 * f.parse::<f64>().unwrap()).round().max(1.0) as u64,
+        other => panic!("unknown support flag {other:?}"),
+    }
+}
+
+/// What `scripts/ledger_golden.sh` keeps of `cfq query --explain --limit 0`.
+fn ledger(out: &ExecutionOutcome, min_support: u64) -> String {
+    let mut text = String::new();
+    let _ = writeln!(
+        text,
+        "{} valid pairs ({} S-sets x {} T-sets) | min_support={} | {} sets counted | {} db scans",
+        out.pair_result.count,
+        out.s_sets.len(),
+        out.t_sets.len(),
+        min_support,
+        out.s_stats.support_counted + out.t_stats.support_counted,
+        out.db_scans,
+    );
+    let _ = writeln!(
+        text,
+        "scan volume: {} rows / {} items ({} KiB); trim dropped {} rows / {} items over {} passes",
+        out.scan.rows_scanned,
+        out.scan.items_scanned,
+        out.scan.bytes_scanned() / 1024,
+        out.scan.trim_rows_dropped,
+        out.scan.trim_items_dropped,
+        out.scan.trim_passes,
+    );
+    let clocked = ["  micros: ", "  counted by: ", "backends: "];
+    for line in out.report().lines().filter(|l| !clocked.iter().any(|c| l.starts_with(c))) {
+        let _ = writeln!(text, "{line}");
+    }
+    if out.pair_result.count > 0 {
+        let _ = writeln!(text, "  … {} more (raise --limit)", out.pair_result.count);
+    }
+    text
+}
+
+#[test]
+fn the_work_ledger_matches_the_parent_binary_byte_for_byte() {
+    let cases = std::fs::read_to_string(format!("{DIR}/cases.txt")).unwrap();
+    let want = std::fs::read_to_string(format!("{DIR}/ledger.out")).unwrap();
+    let datasets = [("matrix", dataset("matrix")), ("shapes", dataset("shapes"))];
+    for shards in [1usize, 2] {
+        let mut got = String::new();
+        for case in cases.lines() {
+            let [name, support, strategy, query] = case.split('\t').collect::<Vec<_>>()[..] else {
+                panic!("malformed case `{case}`");
+            };
+            let (db, catalog) = &datasets.iter().find(|(n, _)| *n == name).unwrap().1;
+            let bound = bind_query(&parse_query(query).unwrap(), catalog).unwrap();
+            let min_support = min_support(support, db.len());
+            let env = QueryEnv::new(db, catalog, min_support).with_shards(shards);
+            let out = Optimizer::from_name(strategy).unwrap().evaluate(&bound, &env).unwrap();
+            let _ = writeln!(got, "## {name} {support} {strategy} {query}");
+            got.push_str(&ledger(&out, min_support));
+        }
+        for (n, (g, w)) in got.lines().zip(want.lines()).enumerate() {
+            assert_eq!(g, w, "shards={shards}: line {} differs from {DIR}/ledger.out", n + 1);
+        }
+        assert_eq!(got.lines().count(), want.lines().count(), "shards={shards}");
+    }
+}

@@ -5,6 +5,15 @@
 //! answer it would get mined alone: same sets, same support counts, same
 //! valid pairs. This is the weaker-envelope reuse guarantee under
 //! concurrency instead of across time.
+//!
+//! How many passes the group took is *not* asserted here: the batch
+//! window is wall-clock time, and a member the host stalls past it rightly
+//! mines (or hits the cache) on its own. That half — one pass per side
+//! however many members — lives beside the scheduler
+//! (`crates/engine/src/engine.rs`, `batching`), where the group closes on
+//! a member count instead of a timer. What holds here on any host is the
+//! books: every lattice a member needed was a cache hit, a join, or a
+//! mining pass.
 
 use cfq::prelude::*;
 use proptest::prelude::*;
@@ -89,12 +98,13 @@ proptest! {
             );
         }
 
-        // The group really did share work: at most one mining pass per
-        // side (S and T), regardless of how many members ran.
-        let sched = engine.scheduler_stats();
-        prop_assert!(
-            sched.mining_passes <= 2,
-            "expected at most one pass per side, got {:?}", sched
+        // Every acquisition (two per member) is accounted for exactly once.
+        let (sched, cache) = (engine.scheduler_stats(), engine.cache_stats());
+        prop_assert_eq!(cache.lattice_hits + cache.lattice_misses, 2 * supports.len() as u64);
+        prop_assert_eq!(
+            cache.lattice_misses, sched.mining_passes + sched.coalesced,
+            "{:?} {:?}", sched, cache
         );
+        prop_assert!(sched.mining_passes >= 2, "each side was mined: {:?}", sched);
     }
 }

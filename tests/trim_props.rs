@@ -5,12 +5,15 @@
 //!   whose length is at least the trim's `min_len` (the trim invariant),
 //! * row provenance maps each surviving row back to its source row,
 //! * trimming composes (trim of a trim with a smaller live set is exact),
+//! * the rank-space projection is the trimmed database — the level-2 pass
+//!   writes what `trim_db(live, 2)` keeps, `retain` what the next trim
+//!   keeps — with the same provenance and the same recorded drops,
 //! * optimizer answers are identical with `--trim on|off` across the
 //!   dovetailed and sequential executors, including the `J^k_max` path.
 
 use cfq::mining::{
-    trim_db, LiveSet, NaiveCounter, ParallelTrieCounter, SupportCounter, TidsetIndex, TrieCounter,
-    VerticalCounter,
+    trim_db, LiveSet, NaiveCounter, ParallelTrieCounter, Projection, ScanStats, SupportCounter,
+    TidsetIndex, TrieCounter, VerticalCounter,
 };
 use cfq::prelude::*;
 use proptest::prelude::*;
@@ -108,6 +111,75 @@ proptest! {
         let composed: Vec<u32> =
             t12.provenance.iter().map(|&r| t1.provenance[r as usize]).collect();
         prop_assert_eq!(composed, direct.provenance);
+    }
+}
+
+/// The rows of a projection, mapped back to items.
+fn projected_rows(p: &Projection) -> Vec<Vec<ItemId>> {
+    p.rows().map(|row| row.collect()).collect()
+}
+
+fn db_rows(db: &TransactionDb) -> Vec<Vec<ItemId>> {
+    db.iter().map(|row| row.to_vec()).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+    /// The projection *is* the trimmed database: for any two sides —
+    /// overlapping, disjoint, empty, of one item — the level-2 pass keeps
+    /// the rows, items and provenance `trim_db(S ∪ T, 2)` keeps and
+    /// records the same drops, whatever the thread count; and shrinking it
+    /// to the items of a deeper candidate batch is the next trim.
+    #[test]
+    fn projection_is_the_trimmed_database(
+        rows in prop::collection::vec(prop::collection::vec(0u32..12, 0..8), 0..40),
+        s_mask in 0u16..4096,
+        t_mask in 0u16..4096,
+        deeper in 0u16..4096,
+        k in 3usize..5,
+    ) {
+        let db = build_db(&rows, 12);
+        let items_of = |m: u16| -> Vec<ItemId> {
+            (0..12u32).filter(|i| m & (1 << i) != 0).map(ItemId).collect()
+        };
+        let (s, t) = (items_of(s_mask), items_of(t_mask));
+        let live = LiveSet::from_items(12, s.iter().chain(&t).copied());
+        let trimmed = trim_db(&db, &live, 2);
+        for threads in [0usize, 1, 3] {
+            let mut scan = ScanStats::default();
+            let (mut p, _) = Projection::pairs(&db, &[&s, &t], threads, &mut scan);
+            prop_assert_eq!(p.items(), items_of(s_mask | t_mask), "threads={}", threads);
+            prop_assert_eq!(projected_rows(&p), db_rows(&trimmed.db), "threads={}", threads);
+            prop_assert_eq!(p.provenance(), trimmed.provenance.as_slice());
+            prop_assert_eq!(p.total_items(), trimmed.db.total_items());
+            prop_assert_eq!(
+                (scan.trim_passes, scan.trim_rows_dropped, scan.trim_items_dropped),
+                (1, trimmed.rows_dropped, trimmed.items_dropped)
+            );
+
+            // Level k: candidates over a subset of the live items.
+            let cands: Vec<Itemset> = items_of(deeper & (s_mask | t_mask))
+                .into_iter()
+                .collect::<Itemset>()
+                .subsets_of_size(k)
+                .collect();
+            let next_live = LiveSet::from_items(12, cands.iter().flat_map(|c| c.iter()));
+            let next = trim_db(&trimmed.db, &next_live, k);
+            p.retain(&[&cands, &[]], k, &mut scan);
+            prop_assert_eq!(projected_rows(&p), db_rows(&next.db));
+            let composed: Vec<u32> =
+                next.provenance.iter().map(|&r| trimmed.provenance[r as usize]).collect();
+            prop_assert_eq!(p.provenance(), composed.as_slice());
+            prop_assert_eq!(
+                (scan.trim_passes, scan.trim_rows_dropped, scan.trim_items_dropped),
+                (
+                    2,
+                    trimmed.rows_dropped + next.rows_dropped,
+                    trimmed.items_dropped + next.items_dropped
+                )
+            );
+        }
     }
 }
 
