@@ -22,14 +22,16 @@ pub fn gen(argv: Vec<String>) -> Result<()> {
         return Ok(());
     }
     let a = Args::parse(argv, &[])?;
+    // Every option defaults to the paper's workload, a tenth as many rows.
+    let paper = QuestConfig::default();
     let cfg = QuestConfig {
-        n_items: a.num("items", 1000usize)?,
+        n_items: a.num("items", paper.n_items)?,
         n_transactions: a.num("transactions", 10_000usize)?,
-        avg_trans_len: a.num("avg-trans-len", 10.0f64)?,
-        avg_pattern_len: a.num("avg-pattern-len", 4.0f64)?,
-        n_patterns: a.num("patterns", 2000usize)?,
-        seed: a.num("seed", 19990601u64)?,
-        ..QuestConfig::default()
+        avg_trans_len: a.num("avg-trans-len", paper.avg_trans_len)?,
+        avg_pattern_len: a.num("avg-pattern-len", paper.avg_pattern_len)?,
+        n_patterns: a.num("patterns", paper.n_patterns)?,
+        seed: a.num("seed", paper.seed)?,
+        ..paper
     };
     let out = a.require("out")?;
     let db = generate_transactions(&cfg)?;
@@ -162,27 +164,7 @@ pub fn query(argv: Vec<String>) -> Result<()> {
     } else {
         optimizer.run_dnf(&disjuncts, &env)?
     };
-    let took = start.elapsed().as_secs_f64();
-
-    println!(
-        "{} valid pairs ({} S-sets x {} T-sets) | min_support={} | {:.3}s | {} sets counted | {} db scans",
-        out.pair_result.count,
-        out.s_sets.len(),
-        out.t_sets.len(),
-        min_support,
-        took,
-        out.s_stats.support_counted + out.t_stats.support_counted,
-        out.db_scans,
-    );
-    println!(
-        "scan volume: {} rows / {} items ({} KiB); trim dropped {} rows / {} items over {} passes",
-        out.scan.rows_scanned,
-        out.scan.items_scanned,
-        out.scan.bytes_scanned() / 1024,
-        out.scan.trim_rows_dropped,
-        out.scan.trim_items_dropped,
-        out.scan.trim_passes,
-    );
+    print!("{}", out.summary(min_support, Some(start.elapsed())));
     if a.flag("explain") {
         // The plan went out above; this is what executing it did, level
         // by level, with each level's wall time.

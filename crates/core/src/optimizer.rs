@@ -27,12 +27,7 @@ use cfq_constraints::{
     classify_two, eval_all_one, induce_weaker, reduce_quasi_succinct, Agg, BoundQuery, CmpOp,
     OneVar, SuccinctForm, TwoVar, Var,
 };
-use cfq_mining::backend;
-use cfq_mining::counter::count_supports_with;
-use cfq_mining::trim::{trim_db_recorded, LiveSet};
-use cfq_mining::{
-    CountingBackend, CountingRun, Projection, ResolvedBackend, ScanStats, ShardedRun, WorkStats,
-};
+use cfq_mining::{CountingBackend, ScanStats, Substrate, WorkStats};
 use cfq_types::{AttrId, Catalog, CfqError, ItemId, Itemset, Result, TransactionDb};
 use std::time::Instant;
 
@@ -627,7 +622,8 @@ impl Optimizer {
             )));
         }
         let catalog = env.catalog;
-        let mut sub = Substrate::new(env);
+        let mut sub =
+            Substrate::new(env.db, env.backend, env.trim, env.counting_threads, env.shards);
 
         let make_run = |var: Var| {
             let pushed: Vec<OneVar> = if self.push_one_var {
@@ -655,10 +651,10 @@ impl Optimizer {
 
         // ---- Level 1 (always over the full database) ----
         if self.dovetail {
-            sub.count_level(1, &mut [&mut s_run, &mut t_run]);
+            count_level(&mut sub, 1, &mut [&mut s_run, &mut t_run]);
         } else {
-            sub.count_level(1, &mut [&mut s_run]);
-            sub.count_level(1, &mut [&mut t_run]);
+            count_level(&mut sub, 1, &mut [&mut s_run]);
+            count_level(&mut sub, 1, &mut [&mut t_run]);
         }
 
         let l1s = s_run.l1_items();
@@ -716,7 +712,7 @@ impl Optimizer {
                 s_run.set_extra_am(jk_am_conds(&jk_states, Var::S, catalog));
                 t_run.set_extra_am(jk_am_conds(&jk_states, Var::T, catalog));
                 let (s_before, t_before) = (s_run.levels_done(), t_run.levels_done());
-                if !sub.count_level(level, &mut [&mut s_run, &mut t_run]) {
+                if !count_level(&mut sub, level, &mut [&mut s_run, &mut t_run]) {
                     break;
                 }
                 update_jk(&mut jk_states, &s_run, &t_run, s_before, t_before, catalog);
@@ -738,7 +734,7 @@ impl Optimizer {
                         Var::T => &mut t_run,
                     };
                     run.set_extra_am(jk_am_conds(&jk_states, var, catalog));
-                    if !sub.count_level(level, &mut [run]) {
+                    if !count_level(&mut sub, level, &mut [run]) {
                         break;
                     }
                     update_jk(&mut jk_states, &s_run, &t_run, s_before, t_before, catalog);
@@ -831,166 +827,46 @@ impl Optimizer {
     }
 }
 
-/// The counting substrate of one execution: the database, whatever
-/// working copy of it the levels so far have left, and the scan ledger.
-struct Substrate<'e, 'a> {
-    env: &'e QueryEnv<'a>,
-    resolved: ResolvedBackend,
-    /// Vertical indices: inverted once (accounted as one database scan),
-    /// then serving both sides scan-free — dovetailing taken to its limit.
-    crun: CountingRun<'a>,
-    /// Sharded counting (`--shards N`): partial counts per row range,
-    /// merged at each level. Accounting is shard-transparent (one
-    /// scan/extent/trim record per level with summed volumes).
-    sharded: Option<ShardedRun>,
-    /// The default configuration's working database below level 2: what
-    /// the level-2 pass wrote, shrinking in place level by level.
-    projection: Option<Projection>,
-    /// The knobs' working database: the last level's trimmed copy.
-    trimmed: Option<TransactionDb>,
-    db_scans: u64,
-    scan: ScanStats,
-}
-
-impl<'e, 'a> Substrate<'e, 'a> {
-    fn new(env: &'e QueryEnv<'a>) -> Self {
-        Substrate {
-            env,
-            resolved: env.backend.resolved(),
-            crun: CountingRun::new(env.db, env.backend),
-            sharded: (env.shards > 1).then(|| ShardedRun::new(env.db, env.shards, env.backend)),
-            projection: None,
-            trimmed: None,
-            db_scans: 0,
-            scan: ScanStats::default(),
+/// Counts the next level — `level` — of every run in `runs` over one
+/// shared scan of `sub` and hands each its supports; `false` when no run
+/// had a candidate left. A counted level is published once, whichever runs
+/// it served.
+fn count_level(sub: &mut Substrate<'_>, level: usize, runs: &mut [&mut LatticeRun<'_>]) -> bool {
+    let started = Instant::now();
+    let l1_sizes: Vec<usize> = runs.iter().map(|r| r.frequent().level(1).len()).collect();
+    if sub.counts_pairs(level, &l1_sizes) {
+        // Level 2 is implicit in L1: the runs hand over their live items
+        // and absorb a pair triangle each.
+        let items: Vec<Vec<ItemId>> = runs.iter_mut().map(|r| r.next_pair_items()).collect();
+        if items.iter().all(|i| i.is_empty()) {
+            return false;
         }
-    }
-
-    /// Forgets the working database: the next level trims from the full
-    /// database again. Vertical indices (already charged) are kept.
-    fn restart_trim(&mut self) {
-        self.projection = None;
-        self.trimmed = None;
-        if let Some(s) = &mut self.sharded {
-            s.reset_trim();
-        }
-    }
-
-    /// Counts the next level — `level` — of every run in `runs` over one
-    /// shared scan and hands each its supports; `false` when no run had a
-    /// candidate left. A counted level is published once, whichever runs
-    /// it served.
-    fn count_level(&mut self, level: usize, runs: &mut [&mut LatticeRun<'_>]) -> bool {
-        let started = Instant::now();
-        // Level 2 of the default configuration is implicit in L1: one pass
-        // projects the database onto the runs' live items and counts every
-        // pair of them. The knobs, and lattices too wide for the pair
-        // triangles, list their candidates like any other level.
-        let project = level == 2
-            && self.resolved == ResolvedBackend::Horizontal
-            && self.env.trim
-            && self.sharded.is_none()
-            && Projection::fits(
-                &runs.iter().map(|r| r.frequent().level(1).len()).collect::<Vec<_>>(),
-            );
-        if project {
-            let items: Vec<Vec<ItemId>> = runs.iter_mut().map(|r| r.next_pair_items()).collect();
-            if items.iter().all(|i| i.is_empty()) {
-                return false;
-            }
-            let sides: Vec<&[ItemId]> = items.iter().map(|i| i.as_slice()).collect();
-            let (projection, pairs) =
-                Projection::pairs(self.env.db, &sides, self.env.counting_threads, &mut self.scan);
-            self.record_scan(2, projection.len(), projection.total_items());
-            self.projection = Some(projection);
-            for ((run, items), counts) in runs.iter_mut().zip(&items).zip(&pairs) {
-                if !items.is_empty() {
-                    run.absorb_pair_counts(counts);
-                }
-            }
-        } else {
-            let cands: Vec<Vec<Itemset>> = runs.iter_mut().map(|r| r.next_candidates()).collect();
-            if cands.iter().all(|c| c.is_empty()) {
-                return false;
-            }
-            let batches: Vec<&[Itemset]> = cands.iter().map(|c| c.as_slice()).collect();
-            let counts = self.count(level, &batches);
-            for ((run, cands), counts) in runs.iter_mut().zip(&cands).zip(&counts) {
-                if !cands.is_empty() {
-                    run.absorb_counts(counts);
-                }
+        let sides: Vec<&[ItemId]> = items.iter().map(|i| i.as_slice()).collect();
+        let pairs = sub.count_pairs(&sides);
+        for ((run, items), counts) in runs.iter_mut().zip(&items).zip(&pairs) {
+            if !items.is_empty() {
+                run.absorb_pair_counts(counts);
             }
         }
-        let counted_by = self.resolved.kernel(level, self.projection.is_some());
-        backend::metric_selected(self.resolved.name());
-        backend::metric_level_micros(self.resolved.name(), started.elapsed().as_micros() as u64);
-        for run in runs.iter_mut().filter(|r| r.levels_done() == level) {
-            run.stats_mut().record_backend(self.resolved.name());
-            run.stats_mut().label_level(counted_by);
+    } else {
+        let cands: Vec<Vec<Itemset>> = runs.iter_mut().map(|r| r.next_candidates()).collect();
+        if cands.iter().all(|c| c.is_empty()) {
+            return false;
         }
-        true
+        let batches: Vec<&[Itemset]> = cands.iter().map(|c| c.as_slice()).collect();
+        let counts = sub.count(level, &batches);
+        for ((run, cands), counts) in runs.iter_mut().zip(&cands).zip(&counts) {
+            if !cands.is_empty() {
+                run.absorb_counts(counts);
+            }
+        }
     }
-
-    /// The supports of every batch (an empty batch is a run with nothing
-    /// to count) in one shared scan of the working database.
-    fn count(&mut self, level: usize, batches: &[&[Itemset]]) -> Vec<Vec<u64>> {
-        if self.resolved.is_vertical() {
-            // Vertical levels count off the shared index: no scan, no trim.
-            return batches
-                .iter()
-                .map(|b| if b.is_empty() { Vec::new() } else { self.count_vertical(b, level) })
-                .collect();
-        }
-        // Per-level database reduction: only items inside the upcoming
-        // candidates can still produce a count, and only rows keeping at
-        // least the smallest candidate's length can contain one. A shared
-        // scan serves every batch, so the *union* of their items stays
-        // live. Candidates only ever draw from earlier frequent sets, so
-        // the live set shrinks monotonically and re-trimming the already
-        // trimmed database stays exact.
-        let min_len = batches.iter().filter_map(|b| b.first()).map(Itemset::len).min().unwrap_or(1);
-        if let Some(p) = &mut self.projection {
-            p.retain(batches, min_len, &mut self.scan);
-            let (rows, items) = (p.len(), p.total_items());
-            let counts = p.count(batches);
-            self.record_scan(level, rows, items);
-            return counts;
-        }
-        let live = (self.env.trim && level > 1).then(|| {
-            let items = batches.iter().flat_map(|b| b.iter()).flat_map(|c| c.iter());
-            LiveSet::from_items(self.env.db.n_items(), items)
-        });
-        if let Some(s) = &mut self.sharded {
-            let trim_to = live.as_ref().map(|l| (l, min_len));
-            return s.count_batches(batches, level, trim_to, &mut self.db_scans, &mut self.scan);
-        }
-        if let Some(live) = &live {
-            let cur = self.trimmed.as_ref().unwrap_or(self.env.db);
-            self.trimmed = Some(trim_db_recorded(cur, live, min_len, &mut self.scan).db);
-        }
-        let cur = self.trimmed.as_ref().unwrap_or(self.env.db);
-        let counts = count_supports_with(cur, batches, self.env.counting_threads);
-        let (rows, items) = (cur.len(), cur.total_items());
-        self.record_scan(level, rows, items);
-        counts
+    let counted_by = sub.publish_level(level, started.elapsed().as_micros() as u64);
+    for run in runs.iter_mut().filter(|r| r.levels_done() == level) {
+        run.stats_mut().record_backend(sub.backend_name());
+        run.stats_mut().label_level(counted_by);
     }
-
-    fn count_vertical(&mut self, cands: &[Itemset], level: usize) -> Vec<u64> {
-        if let Some(s) = &mut self.sharded {
-            return s.count_vertical(self.resolved, cands, level, &mut self.db_scans, &mut self.scan);
-        }
-        let mut vstats = WorkStats::new();
-        let counts = self.crun.count_vertical(self.resolved, cands, level, &mut vstats);
-        self.db_scans += vstats.db_scans;
-        self.scan.absorb(&vstats.scan);
-        counts
-    }
-
-    /// One scan of a working database of `rows` rows / `items` occurrences.
-    fn record_scan(&mut self, level: usize, rows: usize, items: usize) {
-        self.db_scans += 1;
-        self.scan.record_extent(level, rows as u64, items as u64);
-    }
+    true
 }
 
 /// Estimated item-level selectivity of a pushed 1-var constraint: how the

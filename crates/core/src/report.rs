@@ -11,6 +11,7 @@ use cfq_constraints::Var;
 use cfq_mining::WorkStats;
 use cfq_types::Itemset;
 use std::fmt::Write as _;
+use std::time::Duration;
 
 impl ExecutionOutcome {
     /// Iterates the materialized pairs as `(S, T, S-support, T-support)`.
@@ -34,6 +35,29 @@ impl ExecutionOutcome {
             writeln!(w, "{},{},{s_sup},{t_sup}", ids(s), ids(t))?;
         }
         Ok(())
+    }
+
+    /// The two summary lines `cfq query` prints for a run at `min_support`:
+    /// answer size, sets counted and database scans, then scan volume and
+    /// trim drops. `wall` is the run's wall time; `None` leaves that field
+    /// out, which is the form the ledger golden compares.
+    pub fn summary(&self, min_support: u64, wall: Option<Duration>) -> String {
+        let wall = wall.map(|w| format!(" | {:.3}s", w.as_secs_f64())).unwrap_or_default();
+        format!(
+            "{} valid pairs ({} S-sets x {} T-sets) | min_support={min_support}{wall} | {} sets counted | {} db scans\n\
+             scan volume: {} rows / {} items ({} KiB); trim dropped {} rows / {} items over {} passes\n",
+            self.pair_result.count,
+            self.s_sets.len(),
+            self.t_sets.len(),
+            self.s_stats.support_counted + self.t_stats.support_counted,
+            self.db_scans,
+            self.scan.rows_scanned,
+            self.scan.items_scanned,
+            self.scan.bytes_scanned() / 1024,
+            self.scan.trim_rows_dropped,
+            self.scan.trim_items_dropped,
+            self.scan.trim_passes,
+        )
     }
 
     /// Renders a human-readable execution report.

@@ -105,6 +105,7 @@ struct Group {
     universe: Vec<ItemId>,
     state: Mutex<GroupState>,
     /// Signalled to the leader whenever a member joins.
+    #[cfg(test)]
     joined: Condvar,
     done: Condvar,
 }
@@ -114,6 +115,7 @@ struct GroupState {
     /// the group is still collecting.
     min_support: u64,
     /// Queries attached to the group, its leader included.
+    #[cfg(test)]
     members: usize,
     /// Once true the support is frozen: the leader is mining.
     mining: bool,
@@ -248,9 +250,12 @@ impl Scheduler {
             if !st.mining && min_support < st.min_support {
                 st.min_support = min_support;
             }
-            st.members += 1;
+            #[cfg(test)]
+            {
+                st.members += 1;
+                g.joined.notify_one();
+            }
             drop(st);
-            g.joined.notify_one();
             self.coalesced.fetch_add(1, Ordering::Relaxed);
             joined = Some(Arc::clone(g));
             break;
@@ -264,10 +269,12 @@ impl Scheduler {
                 universe: universe.to_vec(),
                 state: Mutex::new(GroupState {
                     min_support,
+                    #[cfg(test)]
                     members: 1,
                     mining: false,
                     result: None,
                 }),
+                #[cfg(test)]
                 joined: Condvar::new(),
                 done: Condvar::new(),
             });

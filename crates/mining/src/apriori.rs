@@ -1,13 +1,10 @@
 //! Plain Apriori over a restricted item universe.
 
-use crate::backend::{self, CountingBackend, CountingRun, ResolvedBackend};
+use crate::backend::CountingBackend;
 use crate::candidates::generate_candidates;
-use crate::counter::{ParallelTrieCounter, SupportCounter};
 use crate::frequent::FrequentSets;
-use crate::projection::Projection;
-use crate::shard::ShardedRun;
 use crate::stats::WorkStats;
-use crate::trim::{trim_db_recorded, LiveSet};
+use crate::substrate::Substrate;
 use cfq_obs as obs;
 use cfq_types::{ItemId, Itemset, TransactionDb};
 
@@ -110,22 +107,9 @@ pub fn apriori(db: &TransactionDb, cfg: &AprioriConfig, stats: &mut WorkStats) -
         .u64("shards", cfg.shards.max(1) as u64);
 
     let mut result = FrequentSets::new();
-    let counter = ParallelTrieCounter { threads: cfg.counting_threads };
-    let resolved = cfg.backend.resolved();
-    let mut run = CountingRun::new(db, cfg.backend);
-    // `Some` when the run counts through P > 1 horizontal shards; the
-    // unsharded path below stays byte-identical to the P = 1 run.
-    let mut sharded: Option<ShardedRun> =
-        (cfg.shards > 1).then(|| ShardedRun::new(db, cfg.shards, cfg.backend));
-    // The default configuration mines levels ≥ 2 on the rank-space
-    // projection the level-2 pass writes; the knobs keep per-level scans.
-    let project = resolved == ResolvedBackend::Horizontal && cfg.trim && sharded.is_none();
-    stats.record_backend(resolved.name());
+    let mut sub = Substrate::new(db, cfg.backend, cfg.trim, cfg.counting_threads, cfg.shards);
+    stats.record_backend(sub.backend_name());
 
-    // The working database below level 2: the projection, or — off the
-    // default path — a trimmed copy (`None` borrows `db` untrimmed).
-    let mut projection: Option<Projection> = None;
-    let mut trimmed: Option<TransactionDb> = None;
     // The frequent sets of the level below.
     let mut sets: Vec<Itemset> = Vec::new();
     for level in 1.. {
@@ -137,7 +121,7 @@ pub fn apriori(db: &TransactionDb, cfg: &AprioriConfig, stats: &mut WorkStats) -
             obs::span(obs::Level::Trace, "apriori.level").u64("level", level as u64);
         let n_candidates: u64;
         let frequent: Vec<(Itemset, u64)>;
-        if level == 2 && project && Projection::fits(&[sets.len()]) {
+        if sub.counts_pairs(level, &[sets.len()]) {
             // Level 2 straight off L1: every pair of frequent items is a
             // candidate, counted in the triangle the projecting pass fills.
             let items: Vec<ItemId> = sets.iter().map(|s| s.as_slice()[0]).collect();
@@ -145,16 +129,8 @@ pub fn apriori(db: &TransactionDb, cfg: &AprioriConfig, stats: &mut WorkStats) -
             if n_candidates == 0 {
                 break;
             }
-            let (p, pairs) =
-                Projection::pairs(db, &[&items], cfg.counting_threads, &mut stats.scan);
-            stats.record_scan();
-            stats.scan.record_extent(2, p.len() as u64, p.total_items() as u64);
-            frequent = pairs[0].frequent(&items, cfg.min_support);
-            projection = Some(p);
+            frequent = sub.count_pairs(&[&items])[0].frequent(&items, cfg.min_support);
         } else {
-            // Level 1 always reads the full database, whatever the
-            // universe holds — as a counting scan (horizontal) or as the
-            // one-off index inversion pass (vertical).
             let candidates = if level == 1 {
                 universe.iter().map(|&i| Itemset::singleton(i)).collect()
             } else {
@@ -164,50 +140,7 @@ pub fn apriori(db: &TransactionDb, cfg: &AprioriConfig, stats: &mut WorkStats) -
                 break;
             }
             n_candidates = candidates.len() as u64;
-            // Only items inside some level-k candidate can still count, and
-            // only rows keeping ≥ k of them can contain one. The live set
-            // is shard-independent (built from the global candidates),
-            // which is what keeps per-shard trimming provably lossless —
-            // see the shard module docs.
-            let live = (cfg.trim && level > 1 && projection.is_none()).then(|| {
-                LiveSet::from_items(db.n_items(), candidates.iter().flat_map(|c| c.iter()))
-            });
-            let counts = match (&mut sharded, &mut projection, resolved.is_vertical()) {
-                // Vertical levels count off the indices: no scan after the
-                // first, no trim.
-                (Some(s), _, true) => s.count_vertical(
-                    resolved,
-                    &candidates,
-                    level,
-                    &mut stats.db_scans,
-                    &mut stats.scan,
-                ),
-                (None, _, true) => run.count_vertical(resolved, &candidates, level, stats),
-                (Some(s), _, false) => s.count(
-                    &candidates,
-                    level,
-                    live.as_ref().map(|l| (l, level)),
-                    &mut stats.db_scans,
-                    &mut stats.scan,
-                ),
-                (None, Some(p), false) => {
-                    p.retain(&[&candidates], level, &mut stats.scan);
-                    stats.record_scan();
-                    stats.scan.record_extent(level, p.len() as u64, p.total_items() as u64);
-                    p.count(&[&candidates]).remove(0)
-                }
-                (None, None, false) => {
-                    if let Some(live) = &live {
-                        let cur = trimmed.as_ref().unwrap_or(db);
-                        trimmed = Some(trim_db_recorded(cur, live, level, &mut stats.scan).db);
-                    }
-                    let cur = trimmed.as_ref().unwrap_or(db);
-                    let counts = counter.count(cur, &candidates);
-                    stats.record_scan();
-                    stats.scan.record_extent(level, cur.len() as u64, cur.total_items() as u64);
-                    counts
-                }
-            };
+            let counts = sub.count(level, &[&candidates]).remove(0);
             frequent = candidates
                 .into_iter()
                 .zip(counts)
@@ -218,16 +151,16 @@ pub fn apriori(db: &TransactionDb, cfg: &AprioriConfig, stats: &mut WorkStats) -
         level_span.record_u64("frequent", frequent.len() as u64);
         drop(level_span);
         let micros = level_started.elapsed().as_micros() as u64;
-        backend::metric_selected(resolved.name());
-        backend::metric_level_micros(resolved.name(), micros);
         stats.record_level_timed(level, n_candidates, frequent.len() as u64, micros);
-        stats.label_level(resolved.kernel(level, projection.is_some()));
+        stats.label_level(sub.publish_level(level, micros));
         if frequent.is_empty() {
             break;
         }
         sets = frequent.iter().map(|(s, _)| s.clone()).collect();
         result.push_level(frequent);
     }
+    stats.db_scans += sub.db_scans;
+    stats.scan.absorb(&sub.scan);
     run_span.record_u64("db_scans", stats.db_scans);
     run_span.record_u64("frequent_total", result.total() as u64);
     result

@@ -26,7 +26,7 @@
 
 use crate::bitmap::{BitmapCounter, BitmapIndex};
 use crate::counter::SupportCounter;
-use crate::stats::WorkStats;
+use crate::stats::ScanStats;
 use crate::vertical::{TidsetIndex, VerticalCounter};
 use cfq_obs as obs;
 use cfq_types::{Itemset, TransactionDb};
@@ -134,38 +134,30 @@ impl ResolvedBackend {
     }
 }
 
-/// Per-run backend state: the configured axis plus lazily built vertical
-/// indices over the *untrimmed* database.
+/// Per-run state of the vertical backends: lazily built indices over the
+/// *untrimmed* database.
 pub struct CountingRun<'a> {
     db: &'a TransactionDb,
-    backend: CountingBackend,
     bitmap: Option<BitmapIndex>,
     tidset: Option<TidsetIndex>,
 }
 
 impl<'a> CountingRun<'a> {
     /// Creates the run state for one mining run over `db`.
-    pub fn new(db: &'a TransactionDb, backend: CountingBackend) -> Self {
-        CountingRun { db, backend, bitmap: None, tidset: None }
+    pub fn new(db: &'a TransactionDb) -> Self {
+        CountingRun { db, bitmap: None, tidset: None }
     }
 
-    /// The configured (unresolved) backend axis.
-    pub fn backend(&self) -> CountingBackend {
-        self.backend
-    }
-
-    /// Counts `candidates` through a vertical index, recording work in
-    /// `stats`: the first index use charges one database scan (the
-    /// inversion pass reads every row once); later levels are scan-free.
-    ///
-    /// The caller records the level itself (`record_level_timed`), same
-    /// as on the horizontal path.
+    /// Counts `candidates` through a vertical index: the first index use
+    /// charges one database scan to `db_scans`/`scan` (the inversion pass
+    /// reads every row once); later levels are scan-free.
     pub fn count_vertical(
         &mut self,
         resolved: ResolvedBackend,
         candidates: &[Itemset],
         level: usize,
-        stats: &mut WorkStats,
+        db_scans: &mut u64,
+        scan: &mut ScanStats,
     ) -> Vec<u64> {
         match resolved {
             ResolvedBackend::Horizontal => {
@@ -174,24 +166,16 @@ impl<'a> CountingRun<'a> {
             ResolvedBackend::Tidset => {
                 if self.tidset.is_none() {
                     self.tidset = Some(TidsetIndex::build(self.db));
-                    stats.record_scan();
-                    stats.scan.record_extent(
-                        level,
-                        self.db.len() as u64,
-                        self.db.total_items() as u64,
-                    );
+                    *db_scans += 1;
+                    scan.record_extent(level, self.db.len() as u64, self.db.total_items() as u64);
                 }
                 VerticalCounter::new(self.tidset.as_ref().unwrap()).count(self.db, candidates)
             }
             ResolvedBackend::Bitmap => {
                 if self.bitmap.is_none() {
                     self.bitmap = Some(BitmapIndex::build(self.db));
-                    stats.record_scan();
-                    stats.scan.record_extent(
-                        level,
-                        self.db.len() as u64,
-                        self.db.total_items() as u64,
-                    );
+                    *db_scans += 1;
+                    scan.record_extent(level, self.db.len() as u64, self.db.total_items() as u64);
                 }
                 let counter = BitmapCounter::new(self.bitmap.as_ref().unwrap());
                 let counts = counter.count(self.db, candidates);
@@ -296,18 +280,18 @@ mod tests {
             &[&[0, 1, 2], &[0, 1, 3], &[1, 2, 3], &[0, 2], &[0, 1, 2, 3]],
         );
         for backend in [CountingBackend::Tidset, CountingBackend::Bitmap] {
-            let mut run = CountingRun::new(&db, backend);
-            let mut stats = WorkStats::new();
+            let mut run = CountingRun::new(&db);
+            let (mut db_scans, mut scan) = (0u64, ScanStats::default());
             let resolved = backend.resolved();
             let singles: Vec<Itemset> = (0..4u32).map(|i| [i].into()).collect();
-            let c1 = run.count_vertical(resolved, &singles, 1, &mut stats);
+            let c1 = run.count_vertical(resolved, &singles, 1, &mut db_scans, &mut scan);
             assert_eq!(c1, vec![4, 4, 4, 3]);
-            assert_eq!(stats.db_scans, 1, "{backend}: index build is the only scan");
+            assert_eq!(db_scans, 1, "{backend}: index build is the only scan");
             let pairs: Vec<Itemset> = vec![[0u32, 1].into(), [1u32, 2].into()];
-            let c2 = run.count_vertical(resolved, &pairs, 2, &mut stats);
+            let c2 = run.count_vertical(resolved, &pairs, 2, &mut db_scans, &mut scan);
             assert_eq!(c2, vec![3, 3]);
-            assert_eq!(stats.db_scans, 1, "{backend}: later levels are scan-free");
-            assert_eq!(stats.scan.extents.len(), 1);
+            assert_eq!(db_scans, 1, "{backend}: later levels are scan-free");
+            assert_eq!(scan.extents.len(), 1);
         }
     }
 }

@@ -14,6 +14,10 @@
 //!   configuration mines on after level 1: written by the pass that
 //!   counts level 2 straight off L1, shrunk in place per level, counted
 //!   by bitmaps over its rows.
+//! * [`substrate`] — the one place that decides which working database a
+//!   level is counted on (the projection, a per-level trimmed copy, the
+//!   shards, a vertical index); `apriori` and the optimizer's executor
+//!   both count through it.
 //! * [`backend`] — the [`backend::CountingBackend`] axis
 //!   (`horizontal | tidset | bitmap | auto`) every executor threads
 //!   through.
@@ -54,6 +58,7 @@ pub mod partition;
 pub mod projection;
 pub mod shard;
 pub mod stats;
+pub mod substrate;
 pub mod trim;
 pub mod vertical;
 
@@ -73,4 +78,5 @@ pub use vertical::{TidsetIndex, VerticalCounter};
 pub use fpgrowth::{fp_growth, FpGrowthConfig};
 pub use frequent::FrequentSets;
 pub use stats::{LevelStats, ScanExtent, ScanStats, WorkStats};
+pub use substrate::Substrate;
 pub use trim::{trim_db, trim_db_recorded, LiveSet, TrimResult};

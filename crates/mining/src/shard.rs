@@ -23,7 +23,7 @@
 //! trim pass whose drops are the summed per-shard drops — identical to
 //! what the unsharded path would have recorded.
 
-use crate::backend::{self, CountingBackend, ResolvedBackend};
+use crate::backend::{self, ResolvedBackend};
 use crate::bitmap::{BitmapCounter, BitmapIndex};
 use crate::counter::{count_supports_with, SupportCounter};
 use crate::stats::ScanStats;
@@ -61,7 +61,6 @@ struct ShardLevel {
 /// Per-run sharded counting state (see the module docs).
 pub struct ShardedRun {
     shards: Vec<Shard>,
-    backend: CountingBackend,
     base_rows: u64,
     base_items: u64,
 }
@@ -71,7 +70,7 @@ impl ShardedRun {
     /// ranges (fewer when the database is too small; always at least
     /// one). The split materializes each range as its own CSR store so
     /// shard workers trim and scan fully independent memory.
-    pub fn new(db: &TransactionDb, n_shards: usize, backend: CountingBackend) -> ShardedRun {
+    pub fn new(db: &TransactionDb, n_shards: usize) -> ShardedRun {
         let mut shards: Vec<Shard> = db
             .chunks(n_shards.max(1))
             .iter()
@@ -93,7 +92,6 @@ impl ShardedRun {
         }
         ShardedRun {
             shards,
-            backend,
             base_rows: db.len() as u64,
             base_items: db.total_items() as u64,
         }
@@ -107,11 +105,6 @@ impl ShardedRun {
     /// Row counts per shard, in row order.
     pub fn shard_sizes(&self) -> Vec<usize> {
         self.shards.iter().map(|s| s.base.len()).collect()
-    }
-
-    /// The configured (unresolved) backend axis.
-    pub fn backend(&self) -> CountingBackend {
-        self.backend
     }
 
     /// Discards every shard's trimmed working copy, restarting trimming
@@ -187,18 +180,6 @@ impl ShardedRun {
         backend::metric_shard_levels(n_shards);
         backend::metric_shard_merges(n_shards as u64);
         counts
-    }
-
-    /// Single-batch convenience over [`ShardedRun::count_batches`].
-    pub fn count(
-        &mut self,
-        candidates: &[Itemset],
-        level: usize,
-        trim_to: Option<(&LiveSet, usize)>,
-        db_scans: &mut u64,
-        scan: &mut ScanStats,
-    ) -> Vec<u64> {
-        self.count_batches(&[candidates], level, trim_to, db_scans, scan).remove(0)
     }
 
     /// Counts `candidates` at `level` through per-shard vertical indices,
@@ -302,6 +283,7 @@ fn merge_shard_levels(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::CountingBackend;
     use crate::stats::WorkStats;
 
     fn db() -> TransactionDb {
@@ -333,9 +315,9 @@ mod tests {
         let c = cands();
         let expected = count_supports_with(&d, &[&c], 1).remove(0);
         for shards in [1, 2, 3, 5, 16] {
-            let mut run = ShardedRun::new(&d, shards, CountingBackend::Horizontal);
+            let mut run = ShardedRun::new(&d, shards);
             let mut stats = WorkStats::new();
-            let got = run.count(&c, 1, None, &mut stats.db_scans, &mut stats.scan);
+            let got = run.count_batches(&[&c], 1, None, &mut stats.db_scans, &mut stats.scan).remove(0);
             assert_eq!(got, expected, "shards={shards}");
             assert_eq!(stats.db_scans, 1);
             assert_eq!(stats.scan.extents.len(), 1);
@@ -352,10 +334,11 @@ mod tests {
         let global = trim_db(&d, &live, 2);
         let expected = count_supports_with(&global.db, &[&c], 1).remove(0);
         for shards in [1, 2, 3, 7] {
-            let mut run = ShardedRun::new(&d, shards, CountingBackend::Horizontal);
+            let mut run = ShardedRun::new(&d, shards);
             let mut stats = WorkStats::new();
-            let got =
-                run.count(&c, 2, Some((&live, 2)), &mut stats.db_scans, &mut stats.scan);
+            let got = run
+                .count_batches(&[&c], 2, Some((&live, 2)), &mut stats.db_scans, &mut stats.scan)
+                .remove(0);
             assert_eq!(got, expected, "shards={shards}");
             assert_eq!(stats.scan.trim_passes, 1, "one logical trim pass per level");
             assert_eq!(stats.scan.trim_rows_dropped, global.rows_dropped);
@@ -371,7 +354,7 @@ mod tests {
         let c = cands();
         let expected = count_supports_with(&d, &[&c], 1).remove(0);
         for backend in [CountingBackend::Tidset, CountingBackend::Bitmap] {
-            let mut run = ShardedRun::new(&d, 3, backend);
+            let mut run = ShardedRun::new(&d, 3);
             let mut stats = WorkStats::new();
             let resolved = backend.resolved();
             assert!(resolved.is_vertical());
@@ -392,16 +375,16 @@ mod tests {
     #[test]
     fn clamps_to_the_database_and_survives_empty_input() {
         let d = db();
-        let run = ShardedRun::new(&d, 1000, CountingBackend::Horizontal);
+        let run = ShardedRun::new(&d, 1000);
         assert!(run.n_shards() <= d.len());
         assert_eq!(run.shard_sizes().iter().sum::<usize>(), d.len());
 
         let empty = TransactionDb::new(4, Vec::new()).unwrap();
-        let mut run = ShardedRun::new(&empty, 8, CountingBackend::Horizontal);
+        let mut run = ShardedRun::new(&empty, 8);
         assert_eq!(run.n_shards(), 1);
         let c: Vec<Itemset> = vec![[0u32].into()];
         let mut stats = WorkStats::new();
-        let got = run.count(&c, 1, None, &mut stats.db_scans, &mut stats.scan);
+        let got = run.count_batches(&[&c], 1, None, &mut stats.db_scans, &mut stats.scan).remove(0);
         assert_eq!(got, vec![0]);
         assert_eq!(stats.db_scans, 1);
         assert_eq!(stats.scan.rows_scanned, 0);

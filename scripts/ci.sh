@@ -93,6 +93,20 @@ echo "== BENCH_substrate.json (smoke)"
 test -s "$OUT/BENCH_substrate.json"
 head -c 400 "$OUT/BENCH_substrate.json"; echo
 
+echo "== repro substrate at paper scale (scale=1.0)"
+# The smoke run above keeps the full config matrix honest at 2% scale; this
+# pass runs `repro substrate`'s answers-must-agree asserts (untrimmed,
+# trimmed, bitmap, auto, shards 1-8 — the projection against every
+# per-level-scan path) on the paper's 100k x 1000 database. It rewrites
+# $OUT/BENCH_substrate.json in full, so the backend-comparison and
+# shard-curve greps at the end of the script read the paper-scale file.
+CFQ_SCALE="${CFQ_PAPER_SCALE:-1.0}" cargo run -p cfq-bench --release --bin repro -- substrate
+test -s "$OUT/BENCH_substrate.json"
+if [ -z "${CFQ_PAPER_SCALE:-}" ]; then
+  grep -q '"scale":1' "$OUT/BENCH_substrate.json" \
+    || { echo "BENCH_substrate.json is not the paper-scale run"; exit 1; }
+fi
+
 echo "== repro audit (static plan soundness, writes BENCH_audit.json)"
 CFQ_SCALE="${CFQ_SCALE:-0.02}" cargo run -p cfq-bench --release --bin repro -- audit
 test -s "$OUT/BENCH_audit.json"

@@ -8,15 +8,16 @@
 # execution ledger — both summary lines and the whole execution report:
 # scans, scan volume, trim drops, per-level candidates and frequent sets,
 # sets counted, candidates pruned, constraint checks, V^k histories, pair
-# checks — with GOLDEN_DIR/ledger.out. Wall time, the `micros:` rows and the
-# `backends:` / `counted by:` rows (which name kernels, not work) are left
+# checks — with GOLDEN_DIR/ledger.out. Wall time, the `micros:` rows, the
+# `backends:` / `counted by:` rows (which name kernels, not work) and the
+# pair listing's `… N more` line (the count is in the summary) are left
 # out. `--record` writes the file instead; it is recorded with the binary of
 # the commit *before* a change to the mining substrate. Extra flags (e.g.
 # `--shards 2`, whose accounting is defined to equal the unsharded run's)
 # check another configuration against the same file.
 #
 # `matrix` is the database of tests/optimizer_matrix.rs; `shapes` is
-# `cfq gen --items 1000 --transactions 4000 --patterns 300` with the
+# `cfq gen --transactions 4000 --patterns 300` with the
 # catalog `cfq gen-catalog --items 1000 --num Price:uniform:0:1000
 # --cat Type:10` wrote (committed, since its generator lives in the CLI).
 # tests/ledger_golden.rs replays the same cases in-process.
@@ -30,7 +31,7 @@ if [ "${1:-}" = --record ]; then RECORD=1; shift; fi
 
 WORK="$(mktemp -d)"
 trap 'rm -rf "$WORK"' EXIT
-"$CFQ" gen --items 1000 --transactions 4000 --patterns 300 --out "$WORK/shapes.tx" > /dev/null
+"$CFQ" gen --transactions 4000 --patterns 300 --out "$WORK/shapes.tx" > /dev/null
 
 while IFS=$'\t' read -r dataset support strategy query; do
   case "$dataset" in
@@ -43,7 +44,8 @@ while IFS=$'\t' read -r dataset support strategy query; do
   "$CFQ" query --data "$data" --catalog "$GOLDEN/$dataset.catalog" $support \
       --strategy "$strategy" --explain --threads 1 --limit 0 "$@" "$query" \
     | sed -n '/ valid pairs (.*| min_support=/,$p' \
-    | sed -e 's/ | [0-9.]*s | / | /' -e '/^  micros: /d' -e '/^  counted by: /d' -e '/^backends: /d'
+    | sed -e 's/ | [0-9.]*s | / | /' -e '/^  micros: /d' -e '/^  counted by: /d' -e '/^backends: /d' \
+          -e '/^  … [0-9]* more (raise --limit)$/d'
 done < "$GOLDEN/cases.txt" > "$WORK/ledger.out"
 
 if [ -n "$RECORD" ]; then

@@ -28,14 +28,11 @@ const DIR: &str = "tests/golden/ledger";
 fn dataset(name: &str) -> (TransactionDb, Catalog) {
     let db = match name {
         "matrix" => io::load_transactions(format!("{DIR}/matrix.tx")).unwrap(),
-        // What `cfq gen --items 1000 --transactions 4000 --patterns 300` writes.
+        // What `cfq gen --transactions 4000 --patterns 300` writes: the
+        // options not given are `QuestConfig::default()`'s there too.
         "shapes" => generate_transactions(&QuestConfig {
-            n_items: 1000,
             n_transactions: 4000,
-            avg_trans_len: 10.0,
-            avg_pattern_len: 4.0,
             n_patterns: 300,
-            seed: 19990601,
             ..QuestConfig::default()
         })
         .unwrap(),
@@ -54,35 +51,14 @@ fn min_support(flag: &str, rows: usize) -> u64 {
     }
 }
 
-/// What `scripts/ledger_golden.sh` keeps of `cfq query --explain --limit 0`.
+/// What `scripts/ledger_golden.sh` keeps of `cfq query --explain --limit 0`:
+/// the summary without its wall time, and the report without the rows that
+/// name clocks and kernels rather than work.
 fn ledger(out: &ExecutionOutcome, min_support: u64) -> String {
-    let mut text = String::new();
-    let _ = writeln!(
-        text,
-        "{} valid pairs ({} S-sets x {} T-sets) | min_support={} | {} sets counted | {} db scans",
-        out.pair_result.count,
-        out.s_sets.len(),
-        out.t_sets.len(),
-        min_support,
-        out.s_stats.support_counted + out.t_stats.support_counted,
-        out.db_scans,
-    );
-    let _ = writeln!(
-        text,
-        "scan volume: {} rows / {} items ({} KiB); trim dropped {} rows / {} items over {} passes",
-        out.scan.rows_scanned,
-        out.scan.items_scanned,
-        out.scan.bytes_scanned() / 1024,
-        out.scan.trim_rows_dropped,
-        out.scan.trim_items_dropped,
-        out.scan.trim_passes,
-    );
+    let mut text = out.summary(min_support, None);
     let clocked = ["  micros: ", "  counted by: ", "backends: "];
     for line in out.report().lines().filter(|l| !clocked.iter().any(|c| l.starts_with(c))) {
         let _ = writeln!(text, "{line}");
-    }
-    if out.pair_result.count > 0 {
-        let _ = writeln!(text, "  … {} more (raise --limit)", out.pair_result.count);
     }
     text
 }
