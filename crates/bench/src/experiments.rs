@@ -1174,7 +1174,7 @@ mod tests {
             "\"config\":\"auto\"",
             "\"speedup_vs_trimmed_parallel\"",
             "\"items_scanned_reduction\"",
-            "\"levels\":[{\"level\":1,",
+            "\"levels\":[{\"level\":2,",
             "\"shard_curve\":[{\"workload\":\"shard_curve\"",
             "\"points\":[{\"shards\":1,",
             "\"shards\":8,",

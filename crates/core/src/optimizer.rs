@@ -464,7 +464,10 @@ pub struct ExecutionOutcome {
     pub s_stats: WorkStats,
     /// T-lattice work counters.
     pub t_stats: WorkStats,
-    /// Total database scans (a dovetailed scan counts once).
+    /// Passes over a working database — the source rows or a reduced copy
+    /// of them — made for this execution (a dovetailed scan counts once;
+    /// level 1 is a column read and makes none). Zero does not mean "served
+    /// from a cache": see `provenance`.
     pub db_scans: u64,
     /// Scan volume and trim accounting across the whole execution: how many
     /// rows/items each scan actually touched (trim passes are tracked
@@ -649,7 +652,7 @@ impl Optimizer {
         let mut s_run = make_run(Var::S);
         let mut t_run = make_run(Var::T);
 
-        // ---- Level 1 (always over the full database) ----
+        // ---- Level 1 (read off the database's item-support column) ----
         if self.dovetail {
             count_level(&mut sub, 1, &mut [&mut s_run, &mut t_run]);
         } else {

@@ -160,7 +160,7 @@ mod tests {
         assert!(report.contains("database scans:"));
         // Every optimizer-path level says what counted it.
         assert!(report.contains("backends: horizontal\n"), "{report}");
-        assert!(report.contains("counted by: histogram, triangle, projection"), "{report}");
+        assert!(report.contains("counted by: column, triangle, projection"), "{report}");
     }
 
     #[test]

@@ -672,7 +672,7 @@ mod tests {
         assert!(text.contains(Q), "{text}");
         assert!(text.contains("plan="), "{text}");
         assert!(text.contains("L1:"), "{text}");
-        assert!(text.contains(" ms, histogram"), "{text}");
+        assert!(text.contains(" ms, column"), "{text}");
         assert!(text.contains("[S] freshly mined (cold)"), "{text}");
         // Either addressing of a query lands in the same log.
         handle_line(&mut state, &query_envelope("")).unwrap();

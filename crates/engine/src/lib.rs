@@ -54,7 +54,7 @@
 //! let q = "max(S.Price) <= 20 & min(T.Price) >= 30";
 //!
 //! let cold = session.query(q).min_support(1).run().unwrap();
-//! assert!(cold.outcome.db_scans > 0);
+//! assert!(cold.explain().contains("freshly mined (cold)"));
 //!
 //! // The identical query again: served entirely from the cache.
 //! let warm = session.query(q).min_support(1).run().unwrap();

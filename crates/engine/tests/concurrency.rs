@@ -5,9 +5,9 @@
 //! served by FUP-upgraded cache entries without a scan.
 
 use cfq_constraints::{bind_query, parse_query};
-use cfq_core::{ExecutionOutcome, Optimizer, QueryEnv};
+use cfq_core::{ExecutionOutcome, LatticeSource, Optimizer, QueryEnv};
 use cfq_datagen::{QuestConfig, ScenarioBuilder};
-use cfq_engine::{Engine, EngineConfig};
+use cfq_engine::{Engine, EngineConfig, QueryOutcome};
 use cfq_types::{CatalogBuilder, ItemId, TransactionDb};
 use std::sync::{Arc, Barrier};
 use std::thread;
@@ -186,6 +186,6 @@ fn identical_cold_queries_share_one_mining_pass() {
     let cache = engine.cache_stats();
     assert_eq!(cache.lattice_misses as usize, K, "{cache:?}");
     assert!(cache.scans_saved > 0, "coalesced scans credited: {cache:?}");
-    let scanning: Vec<_> = outcomes.iter().filter(|o| o.outcome.db_scans > 0).collect();
-    assert_eq!(scanning.len(), 1, "only the leader touched the database");
+    let mined = |o: &&QueryOutcome| o.outcome.provenance.s_lattice == LatticeSource::MinedCold;
+    assert_eq!(outcomes.iter().filter(mined).count(), 1, "only the leader mined");
 }

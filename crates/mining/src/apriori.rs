@@ -241,9 +241,27 @@ mod tests {
         let d = db();
         let mut stats = WorkStats::new();
         let fs = apriori(&d, &AprioriConfig::new(2), &mut stats);
-        // One scan per counted level.
-        assert_eq!(stats.db_scans as usize, stats.levels.len());
+        // One scan per counted level below level 1, which is a column
+        // read — under every knob setting.
+        assert_eq!(stats.db_scans as usize, stats.levels.len() - 1);
+        assert_eq!(stats.levels[0].counted_by, "column");
         assert!(fs.total() > 0);
+        for cfg in [
+            AprioriConfig::new(2).with_trim(false),
+            AprioriConfig::new(2).with_shards(2),
+            AprioriConfig::new(2).with_counting_threads(2),
+        ] {
+            let mut knob = WorkStats::new();
+            apriori(&d, &cfg, &mut knob);
+            assert_eq!(knob.db_scans, stats.db_scans);
+            assert_eq!(knob.scan.extents[0].level, 2);
+            assert_eq!(knob.levels[0].counted_by, "column");
+        }
+        // A run that stops at level 1 reads no row at all.
+        let mut stats = WorkStats::new();
+        let fs = apriori(&d, &AprioriConfig::new(2).with_max_level(1), &mut stats);
+        assert_eq!(fs.total(), 4);
+        assert_eq!((stats.db_scans, stats.scan.items_scanned), (0, 0));
     }
 
     #[test]
@@ -275,8 +293,11 @@ mod tests {
         let mut stats = WorkStats::new();
         apriori(&d, &AprioriConfig::new(2), &mut stats);
         assert_eq!(stats.scan.extents.len(), stats.db_scans as usize);
-        assert_eq!(stats.scan.extents[0].items, d.total_items() as u64);
-        assert_eq!(stats.scan.trim_passes, stats.db_scans - 1);
+        // The first rows a run reads are its level-2 working database:
+        // every scan follows a trim pass.
+        assert_eq!(stats.scan.extents[0].level, 2);
+        assert!(stats.scan.extents[0].items <= d.total_items() as u64);
+        assert_eq!(stats.scan.trim_passes, stats.db_scans);
         // Level extents never grow back.
         assert!(stats
             .scan

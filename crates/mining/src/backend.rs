@@ -5,17 +5,20 @@
 //! against the database. *How* is a first-class choice, selected the same
 //! way `--trim` already is:
 //!
-//! * [`CountingBackend::Horizontal`] — row scans (the default): an item
-//!   histogram at level 1, then the rank-space working database of
-//!   [`crate::projection`] — pair triangles at level 2, tid-bitmaps over
-//!   the shrinking projection below. Untrimmed, sharded or very wide runs
-//!   count per-level scans with the dense kernels and the trie instead.
+//! * [`CountingBackend::Horizontal`] — row scans (the default): the
+//!   rank-space working database of [`crate::projection`] — pair triangles
+//!   at level 2, tid-bitmaps over the shrinking projection below.
+//!   Untrimmed, sharded or very wide runs count per-level scans with the
+//!   dense pair kernel and the trie instead.
 //! * [`CountingBackend::Tidset`] — invert once into sorted-u32 tid lists
 //!   ([`crate::vertical`]) and count by merge intersection.
 //! * [`CountingBackend::Bitmap`] — invert once into u64 tid-bitmaps
 //!   ([`crate::bitmap`]): AND + popcount, diffsets at deep levels.
 //! * [`CountingBackend::Auto`] — the default path under its old name: once
 //!   deep levels count on the projection there is no crossover to decide.
+//!
+//! Level 1 is outside the axis: under every backend it is a read of the
+//! database's item-support column ([`crate::substrate`]).
 //!
 //! [`CountingRun`] owns the per-run state of the vertical backends: lazily
 //! built indices (whose one inversion pass is accounted as a database
@@ -121,12 +124,13 @@ impl ResolvedBackend {
     }
 
     /// What counts `level` of a run on this backend, for
-    /// [`crate::stats::LevelStats::counted_by`]: the kernel on the default
-    /// path (`projected`: the level is counted while writing, or on, the
-    /// rank-space projection), the backend's own name elsewhere.
+    /// [`crate::stats::LevelStats::counted_by`]: the item-support column at
+    /// level 1, the kernel on the default path (`projected`: the level is
+    /// counted while writing, or on, the rank-space projection), the
+    /// backend's own name elsewhere.
     pub fn kernel(&self, level: usize, projected: bool) -> &'static str {
         match (self, level, projected) {
-            (ResolvedBackend::Horizontal, 1, _) => "histogram",
+            (_, 1, _) => "column",
             (ResolvedBackend::Horizontal, 2, true) => "triangle",
             (ResolvedBackend::Horizontal, _, true) => "projection",
             _ => self.name(),

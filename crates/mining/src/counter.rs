@@ -2,8 +2,10 @@
 //!
 //! [`count_supports_with`] is the production entry point: it counts any
 //! number of candidate batches in one pass over the rows — sorted batches
-//! of singletons through an item histogram, sorted batches of pairs through
-//! a rank-indexed triangle, everything else through a prefix trie.
+//! of pairs through a rank-indexed triangle, everything else through a
+//! prefix trie — except batches of singletons, which it reads off the
+//! database's item-support column ([`singleton_supports`]) without
+//! touching a row.
 //! [`TrieCounter`] is the plain trie on its own (the reference the dense
 //! kernels are tested against, and what FUP counts with);
 //! [`NaiveCounter`] is the obviously-correct oracle for tests and tiny
@@ -214,38 +216,44 @@ pub fn count_supports(db: &TransactionDb, batches: &[&[Itemset]]) -> Vec<Vec<u64
     count_supports_with(db, batches, 1)
 }
 
+/// The supports of `singletons` (one-item sets, in any order), read off
+/// the database's item-support column: no row is touched. An item outside
+/// the universe occurs in no row.
+pub fn singleton_supports(db: &TransactionDb, singletons: &[Itemset]) -> Vec<u64> {
+    let column = db.item_supports();
+    singletons
+        .iter()
+        .map(|c| {
+            debug_assert_eq!(c.len(), 1, "{c} is not a singleton");
+            column.get(c.as_slice()[0].index()).map_or(0, |&n| u64::from(n))
+        })
+        .collect()
+}
+
 /// [`count_supports`] with `threads` workers sharding the transactions
 /// (still one logical scan). `threads == 0` uses all available cores.
 ///
-/// Sorted batches of singletons or of pairs are counted by the dense
-/// kernels below (an item histogram, a rank-indexed pair triangle); every
-/// other batch goes through the trie. The choice is made per batch from the
-/// batch and the database alone, so callers see the same counts either way.
+/// Batches of singletons are read off the item-support column; sorted
+/// batches of pairs are counted by the dense kernel below (a rank-indexed
+/// pair triangle); every other batch goes through the trie. The choice is
+/// made per batch from the batch and the database alone, so callers see the
+/// same counts either way. A call with nothing but singletons reads no row.
 pub fn count_supports_with(
     db: &TransactionDb,
     batches: &[&[Itemset]],
     threads: usize,
 ) -> Vec<Vec<u64>> {
     let plans: Vec<BatchPlan> = batches.iter().map(|b| BatchPlan::choose(db, b)).collect();
-    let any_singles = plans.iter().any(|p| matches!(p, BatchPlan::Singles));
     let threads = resolve_threads(threads);
     let zeros = || -> Vec<Vec<u64>> { batches.iter().map(|b| vec![0u64; b.len()]).collect() };
     let count_chunk = |chunk: DbChunk<'_>| -> Vec<Vec<u64>> {
         let mut counts = zeros();
-        // One histogram serves every singleton batch: the support of {i}
-        // does not depend on which batch asks.
-        let mut hist = vec![0u32; if any_singles { db.n_items() } else { 0 }];
         let mut triangles: Vec<PairCounts> = plans
             .iter()
             .map(|p| PairCounts::new(if let BatchPlan::Pairs(ranks) = p { ranks.m } else { 0 }))
             .collect();
         let mut row_ranks: Vec<u16> = Vec::new();
         for t in chunk.iter() {
-            if any_singles {
-                for &i in t {
-                    hist[i.index()] += 1;
-                }
-            }
             for (bi, plan) in plans.iter().enumerate() {
                 match plan {
                     BatchPlan::Pairs(ranks) => {
@@ -259,24 +267,18 @@ pub fn count_supports_with(
             }
         }
         for (bi, plan) in plans.iter().enumerate() {
-            match plan {
-                BatchPlan::Singles => {
-                    for (n, c) in counts[bi].iter_mut().zip(batches[bi]) {
-                        // A candidate outside the universe occurs in no row.
-                        *n = hist.get(c.as_slice()[0].index()).map_or(0, |&h| u64::from(h));
-                    }
+            if let BatchPlan::Pairs(ranks) = plan {
+                for (n, c) in counts[bi].iter_mut().zip(batches[bi]) {
+                    *n = ranks.pair_of(c).map_or(0, |(a, b)| triangles[bi].get(a, b));
                 }
-                BatchPlan::Pairs(ranks) => {
-                    for (n, c) in counts[bi].iter_mut().zip(batches[bi]) {
-                        *n = ranks.pair_of(c).map_or(0, |(a, b)| triangles[bi].get(a, b));
-                    }
-                }
-                BatchPlan::Trie(..) | BatchPlan::Reference => {}
             }
         }
         counts
     };
-    let mut counts: Vec<Vec<u64>> = if threads <= 1 || db.len() < 4 * threads {
+    let reads_rows = plans.iter().any(|p| matches!(p, BatchPlan::Pairs(_) | BatchPlan::Trie(..)));
+    let mut counts: Vec<Vec<u64>> = if !reads_rows {
+        zeros()
+    } else if threads <= 1 || db.len() < 4 * threads {
         match db.chunks(1).pop() {
             Some(whole) => count_chunk(whole),
             None => zeros(),
@@ -307,8 +309,10 @@ pub fn count_supports_with(
         counts
     };
     for (bi, plan) in plans.iter().enumerate() {
-        if matches!(plan, BatchPlan::Reference) {
-            counts[bi] = TrieCounter.count(db, batches[bi]);
+        match plan {
+            BatchPlan::Singles => counts[bi] = singleton_supports(db, batches[bi]),
+            BatchPlan::Reference => counts[bi] = TrieCounter.count(db, batches[bi]),
+            BatchPlan::Pairs(_) | BatchPlan::Trie(..) => {}
         }
     }
     counts
@@ -316,7 +320,7 @@ pub fn count_supports_with(
 
 /// How [`count_supports_with`] counts one batch.
 enum BatchPlan {
-    /// Sorted singletons: read out of the scan's item histogram.
+    /// Singletons, in any order: read off the item-support column.
     Singles,
     /// Sorted pairs over few enough items for a dense triangle.
     Pairs(PairRanks),
@@ -330,19 +334,18 @@ enum BatchPlan {
 
 impl BatchPlan {
     fn choose(db: &TransactionDb, batch: &[Itemset]) -> BatchPlan {
+        let k = batch.first().map_or(0, Itemset::len);
+        let uniform = batch.iter().all(|c| c.len() == k);
+        if k == 1 && uniform {
+            return BatchPlan::Singles;
+        }
         if !batch.windows(2).all(|w| w[0] < w[1]) {
             return BatchPlan::Reference;
         }
-        let k = batch.first().map_or(0, Itemset::len);
-        let uniform = batch.iter().all(|c| c.len() == k);
-        match k {
-            1 if uniform => return BatchPlan::Singles,
-            2 if uniform => {
-                if let Some(ranks) = PairRanks::build(db, batch) {
-                    return BatchPlan::Pairs(ranks);
-                }
+        if k == 2 && uniform {
+            if let Some(ranks) = PairRanks::build(db, batch) {
+                return BatchPlan::Pairs(ranks);
             }
-            _ => {}
         }
         let trie = Trie::build(batch);
         let roots = 0..trie.n_roots(batch);
@@ -730,8 +733,9 @@ mod dense_tests {
         assert_eq!(plan_name(&d, &sets(&[&[0, 1], &[0, 1, 5], &[2]])), "trie");
         assert_eq!(plan_name(&d, &[]), "trie");
         // Out of order, or the same set twice: only the reference counter
-        // reorders and scatters back.
-        assert_eq!(plan_name(&d, &sets(&[&[3], &[0]])), "reference");
+        // reorders and scatters back — but a column read needs no order.
+        assert_eq!(plan_name(&d, &sets(&[&[3], &[0], &[3]])), "singles");
+        assert_eq!(plan_name(&d, &sets(&[&[1, 2], &[0, 1]])), "reference");
         assert_eq!(plan_name(&d, &sets(&[&[0, 1], &[0, 1]])), "reference");
     }
 

@@ -25,11 +25,16 @@ impl FrequentSets {
     }
 
     /// Appends the next level. `sets` must be the frequent sets of level
-    /// `n_levels() + 1`, sorted, with their supports.
-    pub fn push_level(&mut self, sets: Vec<(Itemset, u64)>) {
+    /// `n_levels() + 1`, sorted, with their supports. A level is kept for
+    /// as long as its lattice is — in a cache, for good — so spare
+    /// capacity (a level collected through a filter can carry as much
+    /// again) is given back here, where [`FrequentSets::approx_bytes`]
+    /// stops seeing it.
+    pub fn push_level(&mut self, mut sets: Vec<(Itemset, u64)>) {
         let expected = self.levels.len() + 1;
         debug_assert!(sets.iter().all(|(s, _)| s.len() == expected));
         debug_assert!(sets.windows(2).all(|w| w[0].0 < w[1].0));
+        sets.shrink_to_fit();
         self.levels.push(sets);
     }
 
@@ -171,6 +176,22 @@ mod tests {
         let mut bigger = sample();
         bigger.push_level(vec![([1u32, 2, 3].into(), 2)]);
         assert!(bigger.approx_bytes() > fs.approx_bytes());
+    }
+
+    #[test]
+    fn push_level_gives_back_spare_capacity() {
+        // A level collected the way the miners collect theirs: through a
+        // filter, into a vector that grew by doubling.
+        let level: Vec<(Itemset, u64)> =
+            (0..100u32).filter(|i| i % 3 != 0).map(|i| ([i].into(), 7)).collect();
+        assert!(level.capacity() > level.len(), "the test needs slack to give back");
+        let mut exact = level.clone();
+        exact.shrink_to_fit();
+        let (mut fs, mut reference) = (FrequentSets::new(), FrequentSets::new());
+        fs.push_level(level);
+        reference.push_level(exact);
+        assert_eq!(fs.levels[0].capacity(), fs.levels[0].len());
+        assert_eq!(fs.approx_bytes(), reference.approx_bytes());
     }
 
     #[test]

@@ -14,11 +14,15 @@
 //!   (`Δsup ≥ s_new − s_old + 1`, since its old support was ≤ `s_old − 1`);
 //!   only these survivors are re-counted against the old database.
 //!
+//! Level 1 passes over neither database: the supports of singletons in
+//! the increment and in the old database are read off their item-support
+//! columns ([`TransactionDb::item_supports`]).
+//!
 //! Thresholds are relative (a support fraction), as in the FUP setting —
 //! absolute thresholds would not grow with the database.
 
 use crate::candidates::generate_candidates;
-use crate::counter::{SupportCounter, TrieCounter};
+use crate::counter::{singleton_supports, SupportCounter, TrieCounter};
 use crate::frequent::FrequentSets;
 use crate::stats::WorkStats;
 use cfq_types::{CfqError, FxHashMap, ItemId, Itemset, Result, TransactionDb};
@@ -38,8 +42,8 @@ pub struct UpdateOutcome {
 /// at threshold `ceil(support_frac × |old_db|)` with exact supports.
 ///
 /// `stats.db_scans` counts **old-database** scans only (the expensive
-/// resource FUP minimizes); increment passes are recorded per level in
-/// `stats.levels`.
+/// resource FUP minimizes; level 1 reads a column and makes none);
+/// increment passes are recorded per level in `stats.levels`.
 pub fn fup_update(
     old: &FrequentSets,
     old_db: &TransactionDb,
@@ -143,10 +147,18 @@ pub fn fup_update_abs(
             break;
         }
 
-        // One pass over the increment for everything at this level.
+        // One pass over the increment for everything at this level — or,
+        // for singletons, none over either database.
+        let count = |db: &TransactionDb, sets: &[Itemset]| {
+            if level == 1 {
+                singleton_supports(db, sets)
+            } else {
+                TrieCounter.count(db, sets)
+            }
+        };
         let old_sets: Vec<Itemset> = olds.iter().map(|(s, _)| s.clone()).collect();
-        let delta_old = TrieCounter.count(delta, &old_sets);
-        let delta_new = TrieCounter.count(delta, &newcomers);
+        let delta_old = count(delta, &old_sets);
+        let delta_new = count(delta, &newcomers);
         stats.record_level(
             level,
             (old_sets.len() + newcomers.len()) as u64,
@@ -171,8 +183,10 @@ pub fn fup_update_abs(
         if !survivors.is_empty() {
             old_db_recounts += survivors.len() as u64;
             let sets: Vec<Itemset> = survivors.iter().map(|(s, _)| s.clone()).collect();
-            let old_counts = TrieCounter.count(old_db, &sets);
-            stats.record_scan();
+            let old_counts = count(old_db, &sets);
+            if level > 1 {
+                stats.record_scan();
+            }
             for ((s, d), old_sup) in survivors.into_iter().zip(old_counts) {
                 let sup = old_sup + d;
                 if sup >= s_new {

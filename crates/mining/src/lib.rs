@@ -5,8 +5,9 @@
 //! The levelwise frequent-set mining substrate that the paper's algorithms
 //! (Apriori⁺, CAP, the 2-var optimizer pipeline) are built on:
 //!
-//! * [`counter`] — support counting: dense level-1/level-2 kernels, a
-//!   candidate prefix-trie counter and a naive reference counter;
+//! * [`counter`] — support counting: level 1 read off the database's
+//!   item-support column, a dense level-2 kernel, a candidate prefix-trie
+//!   counter and a naive reference counter;
 //!   [`vertical`] adds an Eclat-style tidset counter and [`bitmap`] a u64
 //!   tid-bitmap counter (AND + popcount, diffsets at deep levels). All
 //!   agree (property-tested).
@@ -14,10 +15,10 @@
 //!   configuration mines on after level 1: written by the pass that
 //!   counts level 2 straight off L1, shrunk in place per level, counted
 //!   by bitmaps over its rows.
-//! * [`substrate`] — the one place that decides which working database a
-//!   level is counted on (the projection, a per-level trimmed copy, the
-//!   shards, a vertical index); `apriori` and the optimizer's executor
-//!   both count through it.
+//! * [`substrate`] — the one place that decides what a level is counted
+//!   on (level 1: the item-support column, no rows; below: the projection,
+//!   a per-level trimmed copy, the shards, a vertical index); `apriori` and
+//!   the optimizer's executor both count through it.
 //! * [`backend`] — the [`backend::CountingBackend`] axis
 //!   (`horizontal | tidset | bitmap | auto`) every executor threads
 //!   through.
@@ -67,8 +68,8 @@ pub use backend::{CountingBackend, CountingRun, ResolvedBackend};
 pub use bitmap::{BitmapCounter, BitmapIndex};
 pub use candidates::generate_candidates;
 pub use counter::{
-    count_supports, count_supports_with, NaiveCounter, PairCounts, ParallelTrieCounter,
-    SupportCounter, TrieCounter,
+    count_supports, count_supports_with, singleton_supports, NaiveCounter, PairCounts,
+    ParallelTrieCounter, SupportCounter, TrieCounter,
 };
 pub use incremental::{fup_update, fup_update_abs, UpdateOutcome};
 pub use partition::{partition_mine, PartitionConfig};

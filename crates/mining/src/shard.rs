@@ -373,6 +373,22 @@ mod tests {
     }
 
     #[test]
+    fn shard_copies_carry_their_share_of_the_item_support_column() {
+        let d = db();
+        for n in [1, 2, 3, 7] {
+            let run = ShardedRun::new(&d, n);
+            let mut summed = vec![0u32; d.n_items()];
+            for shard in &run.shards {
+                shard.base.validate().unwrap();
+                for (sum, n) in summed.iter_mut().zip(shard.base.item_supports()) {
+                    *sum += n;
+                }
+            }
+            assert_eq!(summed, d.item_supports(), "shards={n}");
+        }
+    }
+
+    #[test]
     fn clamps_to_the_database_and_survives_empty_input() {
         let d = db();
         let run = ShardedRun::new(&d, 1000);

@@ -19,9 +19,11 @@ pub struct LevelStats {
     /// (0 on the paths that do not time levels: FUP and Partition). Where
     /// two lattices share a scan, each one's row includes that scan.
     pub micros: u64,
-    /// What counted the level: `histogram`, `triangle` or `projection` on
-    /// the default path, the resolved backend's name elsewhere (empty on
-    /// the paths that do not say: FUP and Partition).
+    /// What counted the level: `column` at level 1 (the database's
+    /// item-support column, whatever the backend), `triangle` or
+    /// `projection` below it on the default path, the resolved backend's
+    /// name elsewhere (empty on the paths that do not say: FUP and
+    /// Partition).
     pub counted_by: &'static str,
 }
 
@@ -51,7 +53,8 @@ pub struct ScanStats {
     pub trim_rows_dropped: u64,
     /// Item occurrences dropped by trim passes.
     pub trim_items_dropped: u64,
-    /// Per-scan extents, in scan order.
+    /// Per-scan extents, in scan order. A levelwise run's start at level
+    /// 2: level 1 is read off the item-support column and scans nothing.
     pub extents: Vec<ScanExtent>,
 }
 
@@ -91,7 +94,8 @@ impl ScanStats {
 /// dovetailed run).
 #[derive(Clone, Debug, Default)]
 pub struct WorkStats {
-    /// Full passes over the transaction database.
+    /// Full passes over a working database — the source rows or a reduced
+    /// copy of them — made by this run. Level 1 makes none.
     pub db_scans: u64,
     /// Total sets counted for support (ccc condition 1's currency).
     pub support_counted: u64,

@@ -1,6 +1,10 @@
 //! The counting substrate of one levelwise run: the one place that decides
 //! which working database a level is counted on.
 //!
+//! Level 1 is counted on none: whatever the configuration, the supports
+//! of singletons are read off the database's item-support column
+//! ([`TransactionDb::item_supports`]) and no scan is recorded, so the
+//! first pass a run makes over rows is its level-2 pass.
 //! The default configuration (backend resolving to `horizontal`, trim on,
 //! unsharded, sides that [`Projection::fits`]) counts level 2 straight off
 //! L1 with the pass that writes the rank-space [`Projection`]
@@ -13,7 +17,7 @@
 //! from it.
 
 use crate::backend::{self, CountingBackend, CountingRun, ResolvedBackend};
-use crate::counter::{count_supports_with, PairCounts};
+use crate::counter::{count_supports_with, singleton_supports, PairCounts};
 use crate::projection::Projection;
 use crate::shard::ShardedRun;
 use crate::stats::ScanStats;
@@ -27,8 +31,9 @@ pub struct Substrate<'a> {
     trim: bool,
     threads: usize,
     resolved: ResolvedBackend,
-    /// Vertical indices: inverted once (accounted as one database scan),
-    /// then serving every batch scan-free.
+    /// Vertical indices: inverted once, by the first level below level 1
+    /// (accounted as one database scan), then serving every batch
+    /// scan-free.
     crun: CountingRun<'a>,
     /// Sharded counting (`shards > 1`): partial counts per row range,
     /// merged at each level. Accounting is shard-transparent (one
@@ -109,9 +114,13 @@ impl<'a> Substrate<'a> {
     }
 
     /// The supports of every batch of level-`level` candidates (an empty
-    /// batch is a lattice with nothing to count) in one shared scan of the
+    /// batch is a lattice with nothing to count): level 1 off the
+    /// item-support column, any other level in one shared scan of the
     /// working database.
     pub fn count(&mut self, level: usize, batches: &[&[Itemset]]) -> Vec<Vec<u64>> {
+        if level == 1 {
+            return batches.iter().map(|b| singleton_supports(self.db, b)).collect();
+        }
         if self.resolved.is_vertical() {
             // Vertical levels count off the shared index: no scan, no trim.
             return batches
@@ -134,10 +143,9 @@ impl<'a> Substrate<'a> {
             self.record_scan(level, rows, items);
             return counts;
         }
-        // Level 1 always reads the full database. The live set is built
-        // from the global candidates, which is what keeps per-shard
-        // trimming lossless — see the shard module docs.
-        let live = (self.trim && level > 1).then(|| {
+        // The live set is built from the global candidates, which is what
+        // keeps per-shard trimming lossless — see the shard module docs.
+        let live = self.trim.then(|| {
             let items = batches.iter().flat_map(|b| b.iter()).flat_map(|c| c.iter());
             LiveSet::from_items(self.db.n_items(), items)
         });
@@ -176,5 +184,39 @@ impl<'a> Substrate<'a> {
     fn record_scan(&mut self, level: usize, rows: usize, items: usize) {
         self.db_scans += 1;
         self.scan.record_extent(level, rows as u64, items as u64);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::counter::{NaiveCounter, SupportCounter};
+
+    #[test]
+    fn level_one_is_a_column_read_under_every_configuration() {
+        let db = TransactionDb::from_u32(
+            6,
+            &[&[0, 1, 2, 3], &[1, 2, 3], &[0, 2, 4], &[1, 5], &[2, 3, 4, 5], &[5], &[0, 5]],
+        );
+        let sets = |v: &[u32]| -> Vec<Itemset> { v.iter().map(|&i| [i].into()).collect() };
+        // Two lattices whose universes overlap, one with nothing to count,
+        // and one asking for an item past the universe.
+        let batches = [sets(&[0, 1, 2, 3]), sets(&[2, 3, 4, 5]), Vec::new(), sets(&[5, 6, u32::MAX])];
+        let refs: Vec<&[Itemset]> = batches.iter().map(|b| b.as_slice()).collect();
+        let want: Vec<Vec<u64>> = batches.iter().map(|b| NaiveCounter.count(&db, b)).collect();
+        for backend in CountingBackend::all() {
+            for (trim, shards) in [(true, 1), (false, 1), (true, 2)] {
+                let mut sub = Substrate::new(&db, backend, trim, 2, shards);
+                let tag = format!("{backend} trim={trim} shards={shards}");
+                assert_eq!(sub.count(1, &refs), want, "{tag}");
+                assert_eq!(sub.db_scans, 0, "{tag}: level 1 scans nothing");
+                assert!(sub.scan.extents.is_empty() && sub.scan.trim_passes == 0, "{tag}");
+                assert_eq!(sub.publish_level(1, 0), "column", "{tag}");
+                // The rows are first read by level 2, and counted right.
+                let pairs: Vec<Itemset> = vec![[1u32, 2].into(), [2u32, 3].into()];
+                assert_eq!(sub.count(2, &[&pairs]), vec![NaiveCounter.count(&db, &pairs)], "{tag}");
+                assert_eq!((sub.db_scans, sub.scan.extents[0].level), (1, 2), "{tag}");
+            }
+        }
     }
 }

@@ -27,7 +27,7 @@ pub struct SlowLevel {
     /// Wall-clock microseconds spent counting this level (0 when the
     /// lattice was served from cache and no counting happened).
     pub micros: u64,
-    /// What counted the level (`histogram`, `triangle`, `projection`, or a
+    /// What counted the level (`column`, `triangle`, `projection`, or a
     /// backend's name).
     pub counted_by: &'static str,
 }
@@ -153,7 +153,7 @@ mod tests {
                 candidates: 10,
                 frequent: 4,
                 micros: 1500,
-                counted_by: "histogram",
+                counted_by: "column",
             }],
         }
     }
@@ -179,7 +179,7 @@ mod tests {
         assert!(text.contains("max(S.Price) <= min(T.Price)"), "{text}");
         assert!(text.contains("plan=000000000000abcd"), "{text}");
         assert!(text.contains("[S] cold [T] cached"), "{text}");
-        assert!(text.contains("L1: 10 candidates, 4 frequent, 1.500 ms, histogram"), "{text}");
+        assert!(text.contains("L1: 10 candidates, 4 frequent, 1.500 ms, column"), "{text}");
         assert!(text.contains("scans=3"), "{text}");
     }
 

@@ -17,12 +17,18 @@ use crate::{CfqError, Result};
 /// lets parallel counters shard the database by slicing offsets instead
 /// of cloning rows (see [`TransactionDb::chunks`]).
 ///
+/// Beside the rows the database carries one derived column, the support
+/// of every item ([`TransactionDb::item_supports`]): every constructor
+/// fills it while it has the rows in hand, so level 1 of any mining run is
+/// a read of this column and never a pass over the rows.
+///
 /// ```
 /// use cfq_types::TransactionDb;
 /// let db = TransactionDb::from_u32(4, &[&[0, 1], &[1, 2, 3], &[1]]);
 /// assert_eq!(db.len(), 3);
 /// assert_eq!(db.support(&[1u32].into()), 3);
 /// assert_eq!(db.support(&[1u32, 2].into()), 1);
+/// assert_eq!(db.item_supports(), &[1, 3, 1, 1]);
 /// ```
 #[derive(Clone)]
 pub struct TransactionDb {
@@ -31,12 +37,29 @@ pub struct TransactionDb {
     /// Row boundaries: `offsets.len() == len() + 1`, `offsets[0] == 0`.
     offsets: Vec<u32>,
     n_items: usize,
+    /// `supports[i]` is the number of rows holding item `i`; one entry per
+    /// item of the universe.
+    supports: Vec<u32>,
 }
 
 impl Default for TransactionDb {
     fn default() -> Self {
-        TransactionDb { items: Vec::new(), offsets: vec![0], n_items: 0 }
+        TransactionDb { items: Vec::new(), offsets: vec![0], n_items: 0, supports: Vec::new() }
     }
+}
+
+/// The item-support column of an arena of duplicate-free rows: an item
+/// occurs once per row that holds it, so its support is its occurrence
+/// count. Ids outside the universe are left for
+/// [`TransactionDb::validate`] to report.
+fn item_supports_of(n_items: usize, items: &[ItemId]) -> Vec<u32> {
+    let mut supports = vec![0u32; n_items];
+    for i in items {
+        if let Some(n) = supports.get_mut(i.index()) {
+            *n += 1;
+        }
+    }
+    supports
 }
 
 impl TransactionDb {
@@ -66,7 +89,8 @@ impl TransactionDb {
             }
             offsets.push(items.len() as u32);
         }
-        Ok(TransactionDb { items, offsets, n_items })
+        let supports = item_supports_of(n_items, &items);
+        Ok(TransactionDb { items, offsets, n_items, supports })
     }
 
     /// Builds directly from CSR parts. Rows must already be sorted and
@@ -81,7 +105,8 @@ impl TransactionDb {
             items.len(),
             "offsets must end at the arena length"
         );
-        let db = TransactionDb { items, offsets, n_items };
+        let supports = item_supports_of(n_items, &items);
+        let db = TransactionDb { items, offsets, n_items, supports };
         debug_assert!(db.validate().is_ok(), "{}", db.validate().unwrap_err());
         db
     }
@@ -92,7 +117,8 @@ impl TransactionDb {
     /// * offsets start at 0, end at the arena length, and are monotone
     ///   (every row is an in-bounds arena slice);
     /// * every row is strictly sorted (sorted and duplicate-free);
-    /// * every item id is below the universe size.
+    /// * every item id is below the universe size;
+    /// * the item-support column equals a recount of the rows.
     ///
     /// [`TransactionDb::from_parts`] runs this in debug builds; the CLI's
     /// `--audit` gate and the trim-pass invariant checks run it explicitly.
@@ -123,6 +149,20 @@ impl TransactionDb {
                     self.n_items
                 ));
             }
+        }
+        let recount = item_supports_of(self.n_items, &self.items);
+        if self.supports.len() != recount.len() {
+            return fail(format!(
+                "item-support column has {} entries for a {}-item universe",
+                self.supports.len(),
+                self.n_items
+            ));
+        }
+        if let Some(i) = (0..recount.len()).find(|&i| self.supports[i] != recount[i]) {
+            return fail(format!(
+                "item-support column says item {i} is in {} rows but {} hold it",
+                self.supports[i], recount[i]
+            ));
         }
         Ok(())
     }
@@ -159,6 +199,15 @@ impl TransactionDb {
     #[inline]
     pub fn total_items(&self) -> usize {
         self.items.len()
+    }
+
+    /// The support of every item: entry `i` is the number of transactions
+    /// holding item `i`, one entry per item of the universe. Filled by
+    /// every constructor (and summed by [`TransactionDb::concat`]), so
+    /// reading it touches no row.
+    #[inline]
+    pub fn item_supports(&self) -> &[u32] {
+        &self.supports
     }
 
     /// The `i`-th transaction as a sorted item slice.
@@ -231,9 +280,9 @@ impl TransactionDb {
     /// Concatenates `delta`'s rows after this database's rows, returning a
     /// new CSR database over the same item universe. This is the epoch
     /// transition `DB ∪ db⁺` of FUP-style incremental maintenance: the old
-    /// arena is memcpy'd, the delta arena is appended, and the delta's
-    /// offsets are rebased — no row is re-sorted or re-validated beyond the
-    /// universe check.
+    /// arena is memcpy'd, the delta arena is appended, the delta's offsets
+    /// are rebased and the two item-support columns are added — no row is
+    /// re-sorted, re-validated beyond the universe check, or recounted.
     ///
     /// Fails with [`CfqError::Engine`] when the universes differ and with
     /// [`CfqError::Config`] when the combined arena would overflow the
@@ -259,7 +308,9 @@ impl TransactionDb {
         let mut offsets = Vec::with_capacity(self.offsets.len() + delta.len());
         offsets.extend_from_slice(&self.offsets);
         offsets.extend(delta.offsets[1..].iter().map(|&o| o + base));
-        Ok(TransactionDb { items, offsets, n_items: self.n_items })
+        // No entry can overflow: each is at most the combined arena length.
+        let supports = self.supports.iter().zip(&delta.supports).map(|(a, b)| a + b).collect();
+        Ok(TransactionDb { items, offsets, n_items: self.n_items, supports })
     }
 
     /// Projects the database onto a *derived domain*: transactions become
@@ -292,7 +343,8 @@ impl TransactionDb {
             items.extend_from_slice(&row);
             offsets.push(items.len() as u32);
         }
-        (TransactionDb { items, offsets, n_items: keys.len() }, keys)
+        let supports = item_supports_of(keys.len(), &items);
+        (TransactionDb { items, offsets, n_items: keys.len(), supports }, keys)
     }
 }
 
@@ -436,41 +488,53 @@ mod tests {
     fn validate_accepts_good_and_rejects_bad_csr() {
         assert!(db().validate().is_ok());
         assert!(TransactionDb::default().validate().is_ok());
-        // Non-monotone offsets.
-        let bad = TransactionDb {
-            items: vec![ItemId(0), ItemId(1)],
-            offsets: vec![0, 2, 1, 2],
+        let raw = |items: &[u32], offsets: &[u32], supports: &[u32]| TransactionDb {
+            items: items.iter().map(|&i| ItemId(i)).collect(),
+            offsets: offsets.to_vec(),
             n_items: 2,
+            supports: supports.to_vec(),
         };
+        // Non-monotone offsets.
+        let bad = raw(&[0, 1], &[0, 2, 1, 2], &[1, 1]);
         assert!(bad.validate().unwrap_err().to_string().contains("monotone"));
         // Unsorted row.
-        let bad = TransactionDb {
-            items: vec![ItemId(1), ItemId(0)],
-            offsets: vec![0, 2],
-            n_items: 2,
-        };
+        let bad = raw(&[1, 0], &[0, 2], &[1, 1]);
         assert!(bad.validate().unwrap_err().to_string().contains("sorted"));
         // Duplicate within a row (also "not strictly sorted").
-        let bad = TransactionDb {
-            items: vec![ItemId(1), ItemId(1)],
-            offsets: vec![0, 2],
-            n_items: 2,
-        };
-        assert!(bad.validate().is_err());
+        assert!(raw(&[1, 1], &[0, 2], &[0, 2]).validate().is_err());
         // Out-of-universe id.
-        let bad = TransactionDb {
-            items: vec![ItemId(7)],
-            offsets: vec![0, 1],
-            n_items: 2,
-        };
+        let bad = raw(&[7], &[0, 1], &[0, 0]);
         assert!(bad.validate().unwrap_err().to_string().contains("universe"));
         // Arena length mismatch.
-        let bad = TransactionDb {
-            items: vec![ItemId(0)],
-            offsets: vec![0, 2],
-            n_items: 2,
-        };
-        assert!(bad.validate().is_err());
+        assert!(raw(&[0], &[0, 2], &[1, 0]).validate().is_err());
+        // A column that is not a recount of the rows: a wrong entry, and
+        // the wrong number of entries.
+        assert!(raw(&[0, 1, 1], &[0, 2, 3], &[1, 2]).validate().is_ok());
+        let bad = raw(&[0, 1, 1], &[0, 2, 3], &[1, 1]);
+        assert!(bad.validate().unwrap_err().to_string().contains("item 1 is in 1 rows but 2"));
+        let bad = raw(&[0, 1, 1], &[0, 2, 3], &[1, 2, 0]);
+        assert!(bad.validate().unwrap_err().to_string().contains("3 entries"));
+    }
+
+    #[test]
+    fn every_constructor_fills_the_item_support_column() {
+        let d = db();
+        assert_eq!(d.item_supports(), &[2, 3, 5, 1, 1]);
+        // Duplicates within a raw row count once.
+        assert_eq!(TransactionDb::from_u32(4, &[&[3, 1, 1, 2], &[1]]).item_supports(), &[0, 2, 1, 1]);
+        assert!(TransactionDb::default().item_supports().is_empty());
+        assert_eq!(TransactionDb::new(3, Vec::new()).unwrap().item_supports(), &[0, 0, 0]);
+        let parts = TransactionDb::from_parts(
+            5,
+            d.iter().flatten().copied().collect(),
+            d.offsets.clone(),
+        );
+        assert_eq!(parts.item_supports(), d.item_supports());
+        // `concat` adds the columns; the sum is the recount.
+        let delta = TransactionDb::from_u32(5, &[&[0, 4], &[3]]);
+        let both = d.concat(&delta).unwrap();
+        assert_eq!(both.item_supports(), &[3, 3, 5, 2, 2]);
+        both.validate().unwrap();
     }
 
     #[test]
@@ -575,5 +639,7 @@ mod tests {
             .binary_search(&(c.symbol("B").unwrap().0 as u64))
             .unwrap() as u32;
         assert_eq!(p.support(&Itemset::singleton(ItemId(b_id))), 5);
+        assert_eq!(p.item_supports()[b_id as usize], 5);
+        p.validate().unwrap();
     }
 }

@@ -171,7 +171,9 @@ WARM_MS=$(( (t2 - t1) / 1000000 ))
 echo "  cold: $COLD_REPLY"
 echo "  warm: $WARM_REPLY"
 echo "$COLD_REPLY" | grep -q 'valid pairs' || { echo "cold fig8a query failed"; exit 1; }
-echo "$WARM_REPLY" | grep -q '| 0 db scans |' \
+# Provenance, not `0 db scans`, says where a lattice came from: a cold run
+# that stops at level 1 reads the item-support column and scans nothing.
+echo "$WARM_REPLY" | grep -q '| 0 db scans | \[S\] cache hit .* \[T\] cache hit ' \
   || { echo "warm fig8a run was not answered from the cache"; exit 1; }
 echo "$METRICS_ENVELOPE" | grep -q '"v":1' \
   || { echo "envelope metrics reply malformed: $METRICS_ENVELOPE"; exit 1; }
@@ -219,15 +221,26 @@ bash scripts/wire_golden.sh ./target/release/cfq tests/golden/wire
 
 echo "== cfq query --explain: ledger golden (204 cases; default path, --threads 2, --backend auto, --shards 2)"
 # What each run *did* — scans, scan volume, trim drops, per-level
-# candidates and frequent sets, checks, pruned, V^k — must equal the file
-# recorded with the binary of the commit before the working database moved
-# to rank space. `--shards 2` is defined to account like the unsharded run
-# and still counts by per-level scans, so the same file pins that path too.
+# candidates and frequent sets, checks, pruned, V^k — must equal the
+# recorded file (tests/ledger_golden.rs says which binaries recorded it; the
+# confined stage below pins the recording itself). `--shards 2` is defined
+# to account like the unsharded run and still counts by per-level scans, so
+# the same file pins that path too.
 # tests/ledger_golden.rs replays the cases in-process; this drives the CLI.
 for flags in "" "--threads 2" "--backend auto" "--shards 2"; do
   # shellcheck disable=SC2086
   bash scripts/ledger_golden.sh ./target/release/cfq tests/golden/ledger $flags
 done
+
+echo "== goldens, confined: a re-recording moved only what scan accounting may move"
+# The two stages above pin the binary to the recordings; this one pins the
+# recordings to the ones they replaced — the parent commit's, or HEAD's
+# while a re-recording is still uncommitted. Masked to scan count and scan
+# volume, the ledger must be byte-identical to its predecessor; the wire
+# prefixes (which end before `db_scans`) byte-identical outright.
+REPLACED="$(git diff --quiet HEAD -- tests/golden && echo HEAD~1 || echo HEAD)"
+bash scripts/ledger_golden.sh ./target/release/cfq tests/golden/ledger --confined "$REPLACED"
+bash scripts/wire_golden.sh ./target/release/cfq tests/golden/wire --confined "$REPLACED"
 
 echo "== scheduler: parallel clients coalesce onto one mining pass (writes BENCH_scheduler.json)"
 # A wide batch window so every concurrent cold client lands in the
@@ -523,7 +536,7 @@ read -r DUR_WARM <&3
 t3=$(date +%s%N)
 RESTART_WARM_MS=$(( (t3 - t2) / 1000000 ))
 echo "$DUR_WARM" | grep -q 'epoch 2' || { echo "restart answered at the wrong epoch: $DUR_WARM"; exit 1; }
-echo "$DUR_WARM" | grep -q '| 0 db scans |' \
+echo "$DUR_WARM" | grep -q '| 0 db scans | \[S\] cache hit .* \[T\] cache hit ' \
   || { echo "restart did not serve from the recovered cache: $DUR_WARM"; exit 1; }
 printf ':wal-status\n:quit\n' >&3
 WAL_STATUS="$(cat <&3)"

@@ -2,6 +2,7 @@
 # Ledger golden: what `cfq query --explain` says each run did, case by case.
 #
 #   scripts/ledger_golden.sh CFQ_BINARY GOLDEN_DIR [--record] [extra cfq flags]
+#   scripts/ledger_golden.sh CFQ_BINARY GOLDEN_DIR --confined REV
 #
 # Runs every line of GOLDEN_DIR/cases.txt (dataset, support, strategy, query)
 # through `CFQ_BINARY query --explain --threads 1 --limit 0` and compares the
@@ -16,6 +17,15 @@
 # `--shards 2`, whose accounting is defined to equal the unsharded run's)
 # check another configuration against the same file.
 #
+# `--confined REV` runs nothing: it checks what a re-recording was allowed
+# to move. GOLDEN_DIR/ledger.out and the recording it replaced (the file as
+# of git revision REV) must be byte-identical once the scan count (`N db
+# scans`, `database scans: N`) and the scan volume (`scan volume: … ;`) are
+# masked — answers, sets counted, per-level candidates and frequent sets,
+# checks, pruned, V^k histories and trim drops may not differ. (The third
+# thing such a change renames, a level's `counted by:` label, is on a row
+# this golden leaves out.)
+#
 # `matrix` is the database of tests/optimizer_matrix.rs; `shapes` is
 # `cfq gen --transactions 4000 --patterns 300` with the
 # catalog `cfq gen-catalog --items 1000 --num Price:uniform:0:1000
@@ -28,6 +38,22 @@ GOLDEN="$2"
 shift 2
 RECORD=""
 if [ "${1:-}" = --record ]; then RECORD=1; shift; fi
+
+if [ "${1:-}" = --confined ]; then
+  REV="${2:?--confined needs the git revision of the recording that was replaced}"
+  mask() {
+    sed -e 's/ | [0-9]* db scans$/ | # db scans/' \
+        -e 's/^database scans: [0-9]*$/database scans: #/' \
+        -e 's/^scan volume: [^;]*;/scan volume: #;/'
+  }
+  if ! MOVED="$(diff <(git show "$REV:$GOLDEN/ledger.out" | mask) <(mask < "$GOLDEN/ledger.out"))"; then
+    echo "ledger golden: $GOLDEN/ledger.out differs from its $REV recording outside scan count and scan volume"
+    echo "$MOVED" | head -40
+    exit 1
+  fi
+  echo "  ledger.out differs from its $REV recording in scan count and scan volume only"
+  exit 0
+fi
 
 WORK="$(mktemp -d)"
 trap 'rm -rf "$WORK"' EXIT

@@ -39,8 +39,10 @@ fn three_backbones_agree_on_quest_data() {
     assert_eq!(collect(&a), collect(&f), "fp-growth diverged");
     assert_eq!(collect(&a), collect(&p), "partition diverged");
     assert!(a.total() > 30, "workload too trivial");
-    // The scan economics the algorithms promise.
-    assert_eq!(s1.db_scans as usize, s1.levels.len());
+    // The scan economics the algorithms promise: Apriori passes over the
+    // rows once per level below level 1, which it reads off the database's
+    // item-support column.
+    assert_eq!(s1.db_scans as usize, s1.levels.len() - 1);
     assert_eq!(s2.db_scans, 2);
     assert_eq!(s3.db_scans, 2);
 }

@@ -54,11 +54,12 @@ proptest! {
         for backend in CountingBackend::all() {
             let (got, stats) = mine(&db, &base_cfg.clone().with_backend(backend));
             prop_assert_eq!(&reference, &got, "{} diverged", backend);
-            if !reference.is_empty()
-                && matches!(backend, CountingBackend::Tidset | CountingBackend::Bitmap)
-            {
-                // Fully vertical runs read the database exactly once.
-                prop_assert_eq!(stats.db_scans, 1, "{} scan count", backend);
+            if matches!(backend, CountingBackend::Tidset | CountingBackend::Bitmap) {
+                // Fully vertical runs read the rows exactly once, to invert
+                // them for level 2: level 1 is a column read, and a run
+                // with fewer than two frequent items stops there.
+                let l1 = reference.iter().filter(|(s, _)| s.len() == 1).count();
+                prop_assert_eq!(stats.db_scans, u64::from(l1 >= 2), "{} scan count", backend);
             }
         }
     }

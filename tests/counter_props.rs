@@ -1,9 +1,13 @@
-//! Property tests for the dense pass-1/pass-2 kernels behind
-//! `cfq_mining::count_supports_with`:
+//! Property tests for the level-1 column read and the dense level-2
+//! kernel behind `cfq_mining::count_supports_with`:
 //!
-//! * for batches of singletons and of pairs, `count_supports_with` agrees
+//! * for batches of singletons (read off the database's item-support
+//!   column) and of pairs (the triangle), `count_supports_with` agrees
 //!   with `TrieCounter` and `NaiveCounter` count for count, under
 //!   `threads` ∈ {0, 1, 2},
+//! * the column itself is a recount of the rows however the database came
+//!   to be (`new`, `from_parts`, chained `concat`, `project`, a `trim_db`
+//!   copy, the row ranges shards copy) and `validate()` says so,
 //! * several batches in one call — a level-1 batch, an empty batch, a
 //!   level-2 batch and a deeper batch for the trie — come back in order,
 //! * candidates may name items no row holds (inside and past the
@@ -187,5 +191,65 @@ proptest! {
             prop_assert_eq!(&got[0], &NaiveCounter.count(&db, &cands));
             prop_assert!(got[1].is_empty());
         }
+    }
+
+    /// Level 1 is read, not counted: whichever constructor built a
+    /// database, `item_supports()[i]` is the number of rows holding `i`.
+    #[test]
+    fn item_support_column_is_a_recount_after_every_constructor(
+        rows in prop::collection::vec(prop::collection::vec(0u32..10, 0..7), 0..40),
+        deltas in prop::collection::vec(
+            prop::collection::vec(prop::collection::vec(0u32..12, 0..7), 0..6),
+            0..4,
+        ),
+        live_mask in 0u16..4096,
+        types in prop::collection::vec(0u32..4, 12),
+        n_shards in 1usize..5,
+    ) {
+        let check = |db: &TransactionDb, how: &str| {
+            let recount: Vec<u32> = (0..db.n_items() as u32)
+                .map(|i| db.support(&Itemset::singleton(ItemId(i))) as u32)
+                .collect();
+            assert_eq!(db.item_supports(), &recount[..], "{how}");
+            assert!(db.validate().is_ok(), "{how}: {:?}", db.validate());
+        };
+        let db = build_db(&rows, 12);
+        check(&db, "new");
+
+        let offsets: Vec<u32> = std::iter::once(0)
+            .chain(db.iter().scan(0u32, |end, row| {
+                *end += row.len() as u32;
+                Some(*end)
+            }))
+            .collect();
+        let arena: Vec<ItemId> = db.iter().flatten().copied().collect();
+        check(&TransactionDb::from_parts(12, arena, offsets), "from_parts");
+
+        // Appends: each epoch's column is the old column plus the delta's.
+        let mut grown = db.clone();
+        for delta in &deltas {
+            grown = grown.concat(&build_db(delta, 12)).unwrap();
+            check(&grown, "concat");
+        }
+
+        let labels: Vec<String> = types.iter().map(|t| format!("t{t}")).collect();
+        let mut b = CatalogBuilder::new(12);
+        b.cat_attr("Type", &labels).unwrap();
+        let catalog = b.build();
+        check(&grown.project(&catalog, catalog.attr("Type").unwrap()).0, "project");
+
+        let live = LiveSet::from_items(12, k_subsets(live_mask, 1).iter().flat_map(|s| s.iter()));
+        check(&trim_db(&grown, &live, 2).db, "trim_db");
+
+        // Shards copy contiguous row ranges; support is additive over them.
+        let mut summed = [0u32; 12];
+        for chunk in grown.chunks(n_shards) {
+            let shard = TransactionDb::new(12, chunk.iter().map(<[ItemId]>::to_vec).collect()).unwrap();
+            check(&shard, "shard copy");
+            for (sum, n) in summed.iter_mut().zip(shard.item_supports()) {
+                *sum += n;
+            }
+        }
+        prop_assert_eq!(grown.item_supports(), &summed[..]);
     }
 }

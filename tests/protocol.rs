@@ -13,7 +13,12 @@
 //!     | sed -e 1d -e 's/^cfq> //' > tests/golden/protocol/transcript.out
 //! ```
 //!
-//! Re-record only with a parent's binary, never with the change's own.
+//! Re-record only with a parent's binary, never with the change's own —
+//! unless the change moves a number the transcript prints on purpose: the
+//! file was last re-recorded by the change that made level 1 a column
+//! read, and differs from the recording before it only in scan counts
+//! (`N db scans`, `"db_scans":N`, `N scans saved`, `cfq_db_scans_total`,
+//! `cfq_scans_saved_total`) and in what `normalise` masks.
 //! One `#[test]`, so the process-wide mining registry the scrape ends
 //! with counts this transcript and nothing else.
 
