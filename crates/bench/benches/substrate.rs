@@ -5,8 +5,8 @@ use cfq_bench::experiments::ExpEnv;
 use cfq_core::{Optimizer, QueryEnv};
 use cfq_datagen::ScenarioBuilder;
 use cfq_mining::{
-    apriori, fp_growth, partition_mine, AprioriConfig, FpGrowthConfig, NaiveCounter, ParallelTrieCounter, PartitionConfig, SupportCounter, TidsetIndex, TrieCounter,
-    VerticalCounter, WorkStats,
+    apriori, AprioriConfig, NaiveCounter, ParallelTrieCounter, SupportCounter, TidsetIndex,
+    TrieCounter, VerticalCounter, WorkStats,
 };
 use cfq_types::Itemset;
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -28,23 +28,6 @@ fn bench(c: &mut Criterion) {
         b.iter(|| {
             let mut stats = WorkStats::new();
             apriori(&db, &AprioriConfig::new(support).with_trim(false), &mut stats).total()
-        })
-    });
-    g.bench_function("fp_growth_quest", |b| {
-        b.iter(|| {
-            let mut stats = WorkStats::new();
-            fp_growth(&db, &FpGrowthConfig::new(support), &mut stats).total()
-        })
-    });
-    g.bench_function("partition_quest", |b| {
-        b.iter(|| {
-            let mut stats = WorkStats::new();
-            let cfg = PartitionConfig {
-                min_support: support,
-                n_partitions: 8,
-                ..PartitionConfig::default()
-            };
-            partition_mine(&db, &cfg, &mut stats).total()
         })
     });
 

@@ -20,7 +20,7 @@
 use cfq_bench::experiments as exp;
 use cfq_bench::ExpEnv;
 
-const USAGE: &str = "usage: repro [fig8a|table-levels|table-ranges|fig8b|table-72|table-73|fig1|cap-suite|backbones|ablations|substrate|audit|engine|all]...";
+const USAGE: &str = "usage: repro [fig8a|table-levels|table-ranges|fig8b|table-72|table-73|fig1|cap-suite|ablations|substrate|audit|engine|all]...";
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -40,7 +40,7 @@ fn main() {
     let targets: Vec<&str> = if args.is_empty() || args.iter().any(|a| a == "all") {
         vec![
             "fig1", "fig8a", "table-levels", "table-ranges", "fig8b", "table-72", "table-73",
-            "cap-suite", "backbones", "ablations", "substrate", "audit", "engine",
+            "cap-suite", "ablations", "substrate", "audit", "engine",
         ]
     } else {
         args.iter().map(|s| s.as_str()).collect()
@@ -58,7 +58,6 @@ fn main() {
             "table-72" => exp::table_72(&env).print(),
             "table-73" => exp::table_73(&env).print(),
             "cap-suite" => exp::cap_suite(&env).print(),
-            "backbones" => exp::backbone_comparison(&env).print(),
             "ablations" => {
                 exp::ablation_layers(&env).print();
                 exp::ablation_dovetail(&env).print();

@@ -555,60 +555,6 @@ pub fn cap_suite(e: &ExpEnv) -> Table {
     t
 }
 
-/// **E11 (substrate comparison)** — the frequency backbones on the same
-/// Quest workload: Apriori (k scans), Partition (2 scans), FP-Growth
-/// (2 scans, no candidates). Result equality is asserted.
-pub fn backbone_comparison(e: &ExpEnv) -> Table {
-    use cfq_mining::{
-        apriori, fp_growth, partition_mine, AprioriConfig, FpGrowthConfig, PartitionConfig,
-    };
-    let db = cfq_datagen::generate_transactions(&e.quest()).expect("quest");
-    let support = e.abs_support(db.len());
-    let mut t = Table::new(
-        "Frequency backbones on Quest data (identical outputs asserted)",
-        &["algorithm", "time", "db scans", "frequent sets"],
-    );
-    let mut reference: Option<Vec<(cfq_types::Itemset, u64)>> = None;
-    let mut check = |name: &str, fs: &cfq_mining::FrequentSets| {
-        let got: Vec<(cfq_types::Itemset, u64)> =
-            fs.iter().map(|(s, n)| (s.clone(), n)).collect();
-        match &reference {
-            None => reference = Some(got),
-            Some(r) => assert_eq!(r, &got, "{name} diverged"),
-        }
-    };
-    {
-        let mut stats = cfq_mining::WorkStats::new();
-        let start = Instant::now();
-        let fs = apriori(&db, &AprioriConfig::new(support), &mut stats);
-        let secs_taken = start.elapsed().as_secs_f64();
-        check("apriori", &fs);
-        t.row(vec!["apriori".into(), secs(secs_taken), stats.db_scans.to_string(), fs.total().to_string()]);
-    }
-    {
-        let mut stats = cfq_mining::WorkStats::new();
-        let start = Instant::now();
-        let cfg = PartitionConfig {
-            min_support: support,
-            n_partitions: 8,
-            ..PartitionConfig::default()
-        };
-        let fs = partition_mine(&db, &cfg, &mut stats);
-        let secs_taken = start.elapsed().as_secs_f64();
-        check("partition", &fs);
-        t.row(vec!["partition (p=8)".into(), secs(secs_taken), stats.db_scans.to_string(), fs.total().to_string()]);
-    }
-    {
-        let mut stats = cfq_mining::WorkStats::new();
-        let start = Instant::now();
-        let fs = fp_growth(&db, &FpGrowthConfig::new(support), &mut stats);
-        let secs_taken = start.elapsed().as_secs_f64();
-        check("fp-growth", &fs);
-        t.row(vec!["fp-growth".into(), secs(secs_taken), stats.db_scans.to_string(), fs.total().to_string()]);
-    }
-    t
-}
-
 /// Aggregates scan extents by level: `[(level, rows, items)]`.
 fn levels_scanned(extents: &[cfq_mining::ScanExtent]) -> Vec<(usize, u64, u64)> {
     let mut agg: std::collections::BTreeMap<usize, (u64, u64)> = std::collections::BTreeMap::new();
@@ -627,8 +573,7 @@ fn json_escape(s: &str) -> String {
 /// **E12 (mining substrate)** — end-to-end optimizer runs on the Fig. 8(a)
 /// (16.6% overlap) and Fig. 8(b) (40% Type overlap) workloads, comparing the
 /// untrimmed sequential substrate against per-level database trimming +
-/// parallel counting, plus a `--shards ∈ {1,2,4,8}` speedup curve (a
-/// 10× 1M-transaction Quest workload joins the curve at `scale >= 1.0`).
+/// parallel counting and against the `bitmap` and `auto` backends.
 /// Returns the report table and the machine-readable JSON document
 /// (`BENCH_substrate.json`).
 pub fn substrate_report(e: &ExpEnv) -> (Table, String) {
@@ -767,99 +712,16 @@ pub fn substrate_report(e: &ExpEnv) -> (Table, String) {
             reduction,
         ));
     }
-    // ── Shard-speedup curve ────────────────────────────────────────
-    // The Fig. 8(a) workload mined with `--shards ∈ {1, 2, 4, 8}`:
-    // counting threads are pinned to 1 so the shard axis is the *only*
-    // parallelism, and every sharded answer is asserted bit-identical
-    // to the unsharded run. At paper scale (`scale >= 1.0`, the
-    // 100k×1000 Quest database) a 10× (1M-transaction) Quest workload
-    // joins the curve.
-    let mut curve_sources: Vec<(String, Scenario)> = vec![(
-        "shard_curve".to_string(),
-        ScenarioBuilder::new(e.quest())
-            .split_uniform_prices((400.0, 1000.0), (0.0, 500.0))
-            .expect("scenario"),
-    )];
-    if e.scale >= 1.0 {
-        let quest10 = QuestConfig { seed: e.seed, ..QuestConfig::paper_scaled(e.scale * 10.0) };
-        curve_sources.push((
-            "shard_curve_10x_1m".to_string(),
-            ScenarioBuilder::new(quest10)
-                .split_uniform_prices((400.0, 1000.0), (0.0, 500.0))
-                .expect("scenario"),
-        ));
-    }
-    let mut json_curves: Vec<String> = Vec::new();
-    for (name, sc) in &curve_sources {
-        let support = (e.abs_support(sc.db.len()) / 2).max(1);
-        let q = bind("max(S.Price) <= min(T.Price)", &sc.catalog);
-        let mut baseline_wall = 0.0;
-        let mut reference: Option<ExecutionOutcome> = None;
-        let mut json_points: Vec<String> = Vec::new();
-        for shards in [1usize, 2, 4, 8] {
-            let env = QueryEnv::new(&sc.db, &sc.catalog, support)
-                .with_s_universe(sc.s_items.clone())
-                .with_t_universe(sc.t_items.clone())
-                .with_trim(true)
-                .with_counting_threads(1)
-                .with_backend(CountingBackend::Horizontal)
-                .with_shards(shards);
-            let (out, wall) = timed(&Optimizer::default(), &q, &env);
-            if let Some(base) = &reference {
-                assert_eq!(base.s_sets, out.s_sets, "{name} x{shards}: S answers must agree");
-                assert_eq!(base.t_sets, out.t_sets, "{name} x{shards}: T answers must agree");
-                assert_eq!(
-                    base.pair_result.pairs, out.pair_result.pairs,
-                    "{name} x{shards}: pair answers must agree"
-                );
-            } else {
-                baseline_wall = wall;
-            }
-            let sp = if shards == 1 { "1.00x".to_string() } else { speedup(baseline_wall, wall) };
-            t.row(vec![
-                name.clone(),
-                format!("shards={shards}"),
-                secs(wall),
-                counted(&out).to_string(),
-                out.scan.rows_scanned.to_string(),
-                out.scan.items_scanned.to_string(),
-                format!("{:.1}", out.scan.bytes_scanned() as f64 / 1024.0),
-                format!("{}/{}", out.scan.trim_rows_dropped, out.scan.trim_items_dropped),
-                sp,
-            ]);
-            json_points.push(format!(
-                "{{\"shards\":{},\"wall_clock_s\":{:.6},\"speedup_vs_shards1\":{:.3},\"pairs\":{}}}",
-                shards,
-                wall,
-                baseline_wall / wall.max(1e-9),
-                out.pair_result.count,
-            ));
-            if reference.is_none() {
-                reference = Some(out);
-            }
-        }
-        json_curves.push(format!(
-            concat!(
-                "{{\"workload\":\"{}\",\"query\":\"max(S.Price) <= min(T.Price)\",",
-                "\"transactions\":{},\"support\":{},\"points\":[{}]}}"
-            ),
-            json_escape(name),
-            sc.db.len(),
-            support,
-            json_points.join(","),
-        ));
-    }
     let json = format!(
         concat!(
             "{{\"bench\":\"substrate\",\"scale\":{},\"seed\":{},\"support_frac\":{},",
-            "\"threads\":{},\"workloads\":[{}],\"shard_curve\":[{}]}}\n"
+            "\"threads\":{},\"workloads\":[{}]}}\n"
         ),
         e.scale,
         e.seed,
         e.support_frac,
         e.threads,
         json_workloads.join(","),
-        json_curves.join(","),
     );
     (t, json)
 }
@@ -1159,11 +1021,7 @@ mod tests {
         // document must carry the headline counters.
         let e = ExpEnv { scale: 0.01, threads: 2, ..ExpEnv::default() };
         let (t, json) = substrate_report(&e);
-        assert_eq!(
-            t.rows.len(),
-            12,
-            "two workloads x four configs + one shard curve x four points"
-        );
+        assert_eq!(t.rows.len(), 8, "two workloads x four configs");
         for key in [
             "\"bench\":\"substrate\"",
             "\"workload\":\"fig8a_overlap16.6\"",
@@ -1175,10 +1033,6 @@ mod tests {
             "\"speedup_vs_trimmed_parallel\"",
             "\"items_scanned_reduction\"",
             "\"levels\":[{\"level\":2,",
-            "\"shard_curve\":[{\"workload\":\"shard_curve\"",
-            "\"points\":[{\"shards\":1,",
-            "\"shards\":8,",
-            "\"speedup_vs_shards1\"",
         ] {
             assert!(json.contains(key), "JSON missing {key}: {json}");
         }

@@ -17,8 +17,8 @@ pub mod experiments;
 pub mod table;
 
 pub use experiments::{
-    ablation_bound_tightness, ablation_dovetail, ablation_layers, audit, audit_report,
-    backbone_comparison, cap_suite, fig1, fig8a, fig8b, substrate, substrate_report, table_72,
-    table_73, table_levels, table_ranges, ExpEnv,
+    ablation_bound_tightness, ablation_dovetail, ablation_layers, audit, audit_report, cap_suite,
+    fig1, fig8a, fig8b, substrate, substrate_report, table_72, table_73, table_levels,
+    table_ranges, ExpEnv,
 };
 pub use table::Table;

@@ -1,8 +1,8 @@
 //! Minimal argument parsing (no external dependencies): `--key value`
-//! options, `--flag` booleans, and positional arguments — plus
-//! [`MiningArgs`], the shared `--threads/--trim/--backend/--shards`
-//! surface every mining subcommand (`query`, `mine`, `serve`) parses
-//! exactly once.
+//! options, `--flag` booleans, and positional arguments, each command
+//! naming the options it reads — plus [`MiningArgs`], the shared
+//! `--threads/--trim/--backend` surface every mining subcommand (`query`,
+//! `mine`, `serve`) parses exactly once.
 
 use cfq_engine::EngineConfigBuilder;
 use cfq_mining::{AprioriConfig, CountingBackend};
@@ -19,27 +19,14 @@ pub struct Args {
 }
 
 impl Args {
-    /// Parses `argv` (without the program/subcommand names). Options take
-    /// the next token as value unless listed in `flag_names`.
-    pub fn parse<I: IntoIterator<Item = String>>(argv: I, flag_names: &[&str]) -> Result<Args> {
-        Args::parse_from(argv, flag_names, None)
-    }
-
-    /// [`Args::parse`] for a command that can name every option it reads:
-    /// a `--name` in neither list is an error, not an option that
-    /// swallows the token after it.
+    /// Parses `argv` (without the program/subcommand names). A `--name`
+    /// in `option_names` takes the next token as its value, one in
+    /// `flag_names` takes none, and any other is an error — not an option
+    /// that swallows the token after it.
     pub fn parse_known<I: IntoIterator<Item = String>>(
         argv: I,
         flag_names: &[&str],
         option_names: &[&str],
-    ) -> Result<Args> {
-        Args::parse_from(argv, flag_names, Some(option_names))
-    }
-
-    fn parse_from<I: IntoIterator<Item = String>>(
-        argv: I,
-        flag_names: &[&str],
-        option_names: Option<&[&str]>,
     ) -> Result<Args> {
         let mut out = Args::default();
         let mut it = argv.into_iter();
@@ -47,7 +34,7 @@ impl Args {
             if let Some(name) = tok.strip_prefix("--") {
                 if flag_names.contains(&name) {
                     out.flags.push(name.to_string());
-                } else if option_names.is_some_and(|known| !known.contains(&name)) {
+                } else if !option_names.contains(&name) {
                     return Err(CfqError::Config(format!("unknown option --{name}")));
                 } else {
                     let value = it.next().ok_or_else(|| {
@@ -91,9 +78,8 @@ impl Args {
 
 /// The mining-knob flags shared by `cfq query`, `cfq mine`, and
 /// `cfq serve`: `--threads N`, `--trim on|off`,
-/// `--backend horizontal|tidset|bitmap|auto`, `--shards N`. One parse,
-/// one validation, one application per target config — a new knob added
-/// here threads through every subcommand at once.
+/// `--backend horizontal|tidset|bitmap|auto`. One parse, one validation,
+/// one application per target config.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct MiningArgs {
     /// Support-counting threads (0 = all cores).
@@ -102,11 +88,6 @@ pub struct MiningArgs {
     pub trim: bool,
     /// Support-counting backend.
     pub backend: CountingBackend,
-    /// Whether `--backend` was given explicitly (commands with their own
-    /// backend default, like `mine --backbone partition`, key off this).
-    pub backend_given: bool,
-    /// Horizontal shard count for counting (1 = unsharded).
-    pub shards: usize,
 }
 
 impl MiningArgs {
@@ -115,15 +96,17 @@ impl MiningArgs {
     pub const HELP: &'static str = "\
 [--threads N]           support-counting threads (0 = all cores)\n\
 [--trim on|off]         per-level database reduction (default on)\n\
-[--backend NAME]        counting backend (horizontal|tidset|bitmap|auto)\n\
-[--shards N]            horizontal shard count for counting (default 1)";
+[--backend NAME]        counting backend (horizontal|tidset|bitmap|auto)";
 
-    /// Parses the four shared flags out of `a`. `default_threads` differs
+    /// The option names [`MiningArgs::from_args`] reads, for the option
+    /// list of each subcommand that takes them.
+    pub const OPTIONS: &'static [&'static str] = &["threads", "trim", "backend"];
+
+    /// Parses the three shared flags out of `a`. `default_threads` differs
     /// per subcommand: the one-shot CLI commands default to 0 (all
     /// cores), `serve` to the engine default (1, for deterministic scan
     /// accounting across requests).
     pub fn from_args(a: &Args, default_threads: usize) -> Result<MiningArgs> {
-        let backend_given = a.get("backend").is_some();
         let backend = match a.get("backend") {
             None => CountingBackend::Horizontal,
             Some(name) => CountingBackend::parse(name).ok_or_else(|| {
@@ -139,32 +122,19 @@ impl MiningArgs {
                 return Err(CfqError::Config(format!("bad --trim `{other}` (use on|off)")))
             }
         };
-        let shards = a.num("shards", 1usize)?;
-        if shards == 0 {
-            return Err(CfqError::Config("--shards must be at least 1".into()));
-        }
-        Ok(MiningArgs {
-            threads: a.num("threads", default_threads)?,
-            trim,
-            backend,
-            backend_given,
-            shards,
-        })
+        Ok(MiningArgs { threads: a.num("threads", default_threads)?, trim, backend })
     }
 
     /// Applies the knobs to an [`EngineConfigBuilder`] — the `serve`
     /// path, where they become the engine-wide defaults every request
     /// inherits unless its `QueryRequest` overrides them.
     pub fn apply_to(&self, b: EngineConfigBuilder) -> EngineConfigBuilder {
-        b.counting_threads(self.threads).trim(self.trim).backend(self.backend).shards(self.shards)
+        b.counting_threads(self.threads).trim(self.trim).backend(self.backend)
     }
 
     /// Applies the knobs to an [`AprioriConfig`] — the `mine` path.
     pub fn apply_to_apriori(&self, cfg: AprioriConfig) -> AprioriConfig {
-        cfg.with_counting_threads(self.threads)
-            .with_trim(self.trim)
-            .with_backend(self.backend)
-            .with_shards(self.shards)
+        cfg.with_counting_threads(self.threads).with_trim(self.trim).with_backend(self.backend)
     }
 }
 
@@ -173,7 +143,8 @@ mod tests {
     use super::*;
 
     fn parse(v: &[&str]) -> Args {
-        Args::parse(v.iter().map(|s| s.to_string()), &["explain", "rules"]).unwrap()
+        let options = ["min-support", "n"];
+        Args::parse_known(v.iter().map(|s| s.to_string()), &["explain", "rules"], &options).unwrap()
     }
 
     #[test]
@@ -197,7 +168,7 @@ mod tests {
 
     #[test]
     fn missing_value_is_an_error() {
-        let r = Args::parse(vec!["--lonely".to_string()], &[]);
+        let r = Args::parse_known(vec!["--lonely".to_string()], &[], &["lonely"]);
         assert!(r.is_err());
     }
 
@@ -230,7 +201,7 @@ mod tests {
 
     fn mining(v: &[&str], default_threads: usize) -> Result<MiningArgs> {
         MiningArgs::from_args(
-            &Args::parse(v.iter().map(|s| s.to_string()), &[]).unwrap(),
+            &Args::parse_known(v.iter().map(|s| s.to_string()), &[], MiningArgs::OPTIONS)?,
             default_threads,
         )
     }
@@ -238,53 +209,32 @@ mod tests {
     #[test]
     fn mining_args_defaults_and_parsing() {
         let m = mining(&[], 0).unwrap();
-        assert_eq!(
-            m,
-            MiningArgs {
-                threads: 0,
-                trim: true,
-                backend: CountingBackend::Horizontal,
-                backend_given: false,
-                shards: 1,
-            }
-        );
+        assert_eq!(m, MiningArgs { threads: 0, trim: true, backend: CountingBackend::Horizontal });
         // The per-subcommand thread default threads through.
         assert_eq!(mining(&[], 1).unwrap().threads, 1);
 
-        let m = mining(
-            &["--threads", "4", "--trim", "off", "--backend", "bitmap", "--shards", "3"],
-            0,
-        )
-        .unwrap();
-        assert_eq!(m.threads, 4);
-        assert!(!m.trim);
-        assert_eq!(m.backend, CountingBackend::Bitmap);
-        assert!(m.backend_given);
-        assert_eq!(m.shards, 3);
+        let m = mining(&["--threads", "4", "--trim", "off", "--backend", "bitmap"], 0).unwrap();
+        assert_eq!(m, MiningArgs { threads: 4, trim: false, backend: CountingBackend::Bitmap });
     }
 
     #[test]
     fn mining_args_rejects_bad_values() {
         assert!(mining(&["--trim", "sideways"], 0).is_err());
         assert!(mining(&["--backend", "diagonal"], 0).is_err());
-        assert!(mining(&["--shards", "0"], 0).is_err());
         assert!(mining(&["--threads", "many"], 0).is_err());
     }
 
     #[test]
     fn mining_args_apply_to_engine_builder_and_apriori() {
-        let m = mining(&["--threads", "2", "--trim", "off", "--backend", "auto", "--shards", "2"], 0)
-            .unwrap();
+        let m = mining(&["--threads", "2", "--trim", "off", "--backend", "auto"], 0).unwrap();
         let cfg = m.apply_to(cfq_engine::EngineConfig::builder()).build();
         assert_eq!(cfg.counting_threads, 2);
         assert!(!cfg.trim);
         assert_eq!(cfg.backend, CountingBackend::Auto);
-        assert_eq!(cfg.shards, 2);
 
         let apriori = m.apply_to_apriori(AprioriConfig::new(5));
         assert_eq!(apriori.counting_threads, 2);
         assert!(!apriori.trim);
         assert_eq!(apriori.backend, CountingBackend::Auto);
-        assert_eq!(apriori.shards, 2);
     }
 }

@@ -17,9 +17,7 @@ use cfq_mining::counter::count_supports_with;
 use cfq_model::lint::lint_workspace;
 use cfq_model::models::cache_evict::{CacheBug, CacheEvictModel};
 use cfq_model::models::epoch::{EpochBug, EpochSwapModel};
-use cfq_mining::trim::{trim_db, LiveSet};
 use cfq_model::models::merge::MergeModel;
-use cfq_model::models::sharded_trim::ShardedTrimModel;
 use cfq_model::models::single_flight::{SingleFlightBug, SingleFlightModel};
 use cfq_model::report::{render, InjectionReport, ProtocolReport};
 use cfq_model::{CheckConfig, Checker, Model, Outcome};
@@ -43,7 +41,7 @@ options:
   --root DIR   workspace root to scan (default: current directory)
   --json       print the machine-readable report instead of text";
 
-/// The merge protocol grounded in the real sharded counter: partial
+/// The merge protocol grounded in the real chunked counter: partial
 /// vectors come from `cfq_mining::counter::count_supports_with` over a
 /// 3-chunk partition of a small database.
 fn merge_model() -> MergeModel {
@@ -71,51 +69,6 @@ fn merge_model() -> MergeModel {
         })
         .collect();
     MergeModel { partials, expected, granularity: 1 }
-}
-
-/// The sharded-trim protocol grounded in real mining data: each shard's
-/// partial counts and trim drops come from `cfq_mining::trim::trim_db` +
-/// `count_supports_with` over a 3-way row split, against the **global**
-/// live set — exactly what `ShardedRun` does at a level barrier. The
-/// expected values are the unsharded trim + count of the same level.
-fn sharded_trim_model() -> ShardedTrimModel {
-    let db = TransactionDb::from_u32(
-        6,
-        &[&[0, 1, 2, 3], &[1, 2, 3], &[0, 2, 4], &[1, 5], &[2, 3, 4, 5], &[5], &[0, 5]],
-    );
-    // A level-2 candidate batch; items 4 and 5 fall outside it, so the
-    // trim genuinely drops rows (e.g. the singleton row [5]).
-    let mut cands: Vec<Itemset> = Vec::new();
-    for (a, b) in [(0u32, 1u32), (0, 2), (1, 2), (1, 3), (2, 3)] {
-        cands.push([a, b].into());
-    }
-    cands.sort();
-    cands.dedup();
-    let live = LiveSet::from_items(db.n_items(), cands.iter().flat_map(|c| c.iter()));
-
-    let global = trim_db(&db, &live, 2);
-    let expected = count_supports_with(&global.db, &[&cands], 1).remove(0);
-    let expected_drops = global.rows_dropped;
-
-    let bounds = [0usize, 3, 5, db.len()];
-    let mut shard_counts = Vec::new();
-    let mut shard_drops = Vec::new();
-    for w in bounds.windows(2) {
-        let rows: Vec<Vec<cfq_types::ItemId>> =
-            (w[0]..w[1]).map(|i| db.transaction(i).to_vec()).collect();
-        match TransactionDb::new(db.n_items(), rows) {
-            Ok(shard) => {
-                let t = trim_db(&shard, &live, 2);
-                shard_counts.push(count_supports_with(&t.db, &[&cands], 1).remove(0));
-                shard_drops.push(t.rows_dropped);
-            }
-            Err(_) => {
-                shard_counts.push(vec![0; cands.len()]);
-                shard_drops.push(0);
-            }
-        }
-    }
-    ShardedTrimModel { shard_counts, shard_drops, expected, expected_drops, granularity: 1 }
 }
 
 fn run_protocol<M: Model>(checker: &Checker, name: &str, model: &M) -> ProtocolReport
@@ -158,7 +111,7 @@ fn print_outcome(name: &str, bug: Option<&str>, o: &Outcome) {
 /// `cfq model`: explore every protocol, optionally prove the seeded bugs
 /// are caught, and emit the JSON report.
 pub fn model(argv: Vec<String>) -> Result<()> {
-    let a = Args::parse(argv, &["inject", "help"])?;
+    let a = Args::parse_known(argv, &["inject", "help"], &["out"])?;
     if a.flag("help") {
         println!("{MODEL_USAGE}");
         return Ok(());
@@ -170,7 +123,6 @@ pub fn model(argv: Vec<String>) -> Result<()> {
         run_protocol(&checker, "single_flight", &SingleFlightModel { bug: None }),
         run_protocol(&checker, "cache_evict", &CacheEvictModel { bug: None }),
         run_protocol(&checker, "merge", &merge_model()),
-        run_protocol(&checker, "sharded_trim", &sharded_trim_model()),
     ];
 
     let mut injections = Vec::new();
@@ -205,20 +157,6 @@ pub fn model(argv: Vec<String>) -> Result<()> {
             *x *= 2;
         }
         injections.push(run_injection(&checker, "merge", "double_merge", &doubled));
-        // Sharded-trim bug: shard 0's trim wrongly drops a row that still
-        // holds a live candidate — its counts lose that row and its drop
-        // accounting gains one.
-        let mut over_trimmed = sharded_trim_model();
-        for x in &mut over_trimmed.shard_counts[0] {
-            *x = x.saturating_sub(1);
-        }
-        over_trimmed.shard_drops[0] += 1;
-        injections.push(run_injection(
-            &checker,
-            "sharded_trim",
-            "over_trim",
-            &over_trimmed,
-        ));
     }
 
     let json = render(&protocols, &injections);
@@ -252,7 +190,7 @@ pub fn model(argv: Vec<String>) -> Result<()> {
 
 /// `cfq lint`: scan the workspace sources and fail on any finding.
 pub fn lint(argv: Vec<String>) -> Result<()> {
-    let a = Args::parse(argv, &["workspace", "json", "help"])?;
+    let a = Args::parse_known(argv, &["workspace", "json", "help"], &["root"])?;
     if a.flag("help") {
         println!("{LINT_USAGE}");
         return Ok(());

@@ -5,10 +5,7 @@ use cfq_audit::{AuditReport, Auditor};
 use cfq_constraints::{bind_dnf, parse_dnf};
 use cfq_core::{form_rules, Optimizer, QueryEnv, RuleConfig};
 use cfq_datagen::{generate_transactions, io, QuestConfig};
-use cfq_mining::{
-    apriori, fp_growth, partition_mine, AprioriConfig, FpGrowthConfig,
-    FrequentSets, PartitionConfig, WorkStats,
-};
+use cfq_mining::{apriori, AprioriConfig, WorkStats};
 use cfq_types::{Catalog, CatalogBuilder, CfqError, Result, TransactionDb};
 use rand_lite::Pcg;
 
@@ -21,7 +18,9 @@ pub fn gen(argv: Vec<String>) -> Result<()> {
         );
         return Ok(());
     }
-    let a = Args::parse(argv, &[])?;
+    let options =
+        ["out", "items", "transactions", "seed", "avg-trans-len", "avg-pattern-len", "patterns"];
+    let a = Args::parse_known(argv, &[], &options)?;
     // Every option defaults to the paper's workload, a tenth as many rows.
     let paper = QuestConfig::default();
     let cfg = QuestConfig {
@@ -58,7 +57,7 @@ pub fn gen_catalog(argv: Vec<String>) -> Result<()> {
         );
         return Ok(());
     }
-    let a = Args::parse(argv, &[])?;
+    let a = Args::parse_known(argv, &[], &["items", "out", "seed", "num", "cat"])?;
     let n_items: usize = a.num("items", 0usize)?;
     if n_items == 0 {
         return Err(CfqError::Config("--items must be given and positive".into()));
@@ -117,7 +116,14 @@ pub fn query(argv: Vec<String>) -> Result<()> {
         );
         return Ok(());
     }
-    let a = Args::parse(argv, &["explain", "rules", "audit"])?;
+    let options: &[&str] = &[
+        "data", "catalog", "min-support", "abs-support", "strategy", "limit", "min-confidence", "out",
+    ];
+    let a = Args::parse_known(
+        argv,
+        &["explain", "rules", "audit"],
+        &[options, MiningArgs::OPTIONS].concat(),
+    )?;
     let (db, catalog) = load(&a)?;
     let text = a
         .positional
@@ -148,8 +154,7 @@ pub fn query(argv: Vec<String>) -> Result<()> {
     let env = QueryEnv::new(&db, &catalog, min_support)
         .with_counting_threads(mining.threads)
         .with_trim(mining.trim)
-        .with_backend(mining.backend)
-        .with_shards(mining.shards);
+        .with_backend(mining.backend);
     if a.flag("explain") {
         for (i, bound) in disjuncts.iter().enumerate() {
             if disjuncts.len() > 1 {
@@ -214,7 +219,7 @@ pub fn audit(argv: Vec<String>) -> Result<()> {
         );
         return Ok(());
     }
-    let a = Args::parse(argv, &[])?;
+    let a = Args::parse_known(argv, &[], &["catalog", "strategy", "json"])?;
     let catalog = io::read_catalog(std::fs::File::open(a.require("catalog")?)?)?;
     let text = a
         .positional
@@ -247,18 +252,22 @@ fn render_audit(reports: &[AuditReport], json_path: Option<&str>) -> Result<()> 
     Ok(())
 }
 
-/// `cfq mine` — plain frequent-set mining with a selectable backbone.
+/// `cfq mine` — plain frequent-set mining (Apriori).
 pub fn mine(argv: Vec<String>) -> Result<()> {
     if wants_help(&argv) {
         println!(
             "cfq mine --data FILE [--min-support FRAC|--abs-support N]\n\
-             [--backbone apriori|fpgrowth|partition] [--limit N] [--maximal] [--closed]\n\
-             [--audit]\n{}",
+             [--limit N] [--maximal] [--closed] [--audit]\n{}",
             MiningArgs::HELP
         );
         return Ok(());
     }
-    let a = Args::parse(argv, &["maximal", "closed", "audit"])?;
+    let options: &[&str] = &["data", "min-support", "abs-support", "limit"];
+    let a = Args::parse_known(
+        argv,
+        &["maximal", "closed", "audit"],
+        &[options, MiningArgs::OPTIONS].concat(),
+    )?;
     let db = io::load_transactions(a.require("data")?)?;
     if a.flag("audit") {
         // Release-build equivalent of the CSR store's debug invariants.
@@ -274,40 +283,13 @@ pub fn mine(argv: Vec<String>) -> Result<()> {
             ((db.len() as f64) * frac).round().max(1.0) as u64
         }
     };
-    let backbone = a.get("backbone").unwrap_or("fpgrowth");
     let mining = MiningArgs::from_args(&a, 0)?;
     let mut stats = WorkStats::new();
     let start = std::time::Instant::now();
-    let fs: FrequentSets = match backbone {
-        "apriori" => {
-            let cfg = mining.apply_to_apriori(AprioriConfig::new(min_support));
-            apriori(&db, &cfg, &mut stats)
-        }
-        "fpgrowth" | "fp-growth" => {
-            let cfg = FpGrowthConfig { backend: mining.backend, ..FpGrowthConfig::new(min_support) };
-            fp_growth(&db, &cfg, &mut stats)
-        }
-        "partition" => {
-            let cfg = PartitionConfig {
-                min_support,
-                n_partitions: 8,
-                // `Auto` (the PartitionConfig default) resolves to bitmaps
-                // in one place inside the partition module; an explicit
-                // --backend overrides it.
-                backend: if mining.backend_given {
-                    mining.backend
-                } else {
-                    PartitionConfig::default().backend
-                },
-                ..PartitionConfig::default()
-            };
-            partition_mine(&db, &cfg, &mut stats)
-        }
-        other => return Err(CfqError::Config(format!("unknown backbone `{other}`"))),
-    };
+    let fs = apriori(&db, &mining.apply_to_apriori(AprioriConfig::new(min_support)), &mut stats);
     let took = start.elapsed().as_secs_f64();
     println!(
-        "{} frequent sets (max size {}) | min_support={} | {} db scans | {:.3}s [{backbone}]",
+        "{} frequent sets (max size {}) | min_support={} | {} db scans | {:.3}s",
         fs.total(),
         fs.n_levels(),
         min_support,
@@ -343,7 +325,7 @@ pub fn stats(argv: Vec<String>) -> Result<()> {
         println!("cfq stats --data FILE");
         return Ok(());
     }
-    let a = Args::parse(argv, &[])?;
+    let a = Args::parse_known(argv, &[], &["data"])?;
     let db = io::load_transactions(a.require("data")?)?;
     let mut freq = vec![0u64; db.n_items()];
     let mut max_len = 0usize;
@@ -494,17 +476,8 @@ mod tests {
         ]))
         .unwrap();
         stats(argv(&["--data".into(), data.clone()])).unwrap();
-        for backbone in ["apriori", "fpgrowth", "partition"] {
-            mine(argv(&[
-                "--data".into(),
-                data.clone(),
-                "--backbone".into(),
-                backbone.into(),
-                "--min-support".into(),
-                "0.05".into(),
-            ]))
+        mine(argv(&["--data".into(), data.clone(), "--min-support".into(), "0.05".into()]))
             .unwrap();
-        }
         mine(argv(&["--data".into(), data.clone(), "--maximal".into()])).unwrap();
         mine(argv(&["--data".into(), data, "--closed".into()])).unwrap();
     }
@@ -536,15 +509,7 @@ mod tests {
                 "S disjoint T".into(),
             ]))
             .unwrap();
-            mine(argv(&[
-                "--data".into(),
-                data.clone(),
-                "--backbone".into(),
-                "apriori".into(),
-                "--trim".into(),
-                trim.into(),
-            ]))
-            .unwrap();
+            mine(argv(&["--data".into(), data.clone(), "--trim".into(), trim.into()])).unwrap();
         }
         assert!(query(argv(&[
             "--data".into(),
@@ -581,17 +546,8 @@ mod tests {
                 "S disjoint T".into(),
             ]))
             .unwrap();
-            for backbone in ["apriori", "fpgrowth", "partition"] {
-                mine(argv(&[
-                    "--data".into(),
-                    data.clone(),
-                    "--backbone".into(),
-                    backbone.into(),
-                    "--backend".into(),
-                    backend.into(),
-                ]))
+            mine(argv(&["--data".into(), data.clone(), "--backend".into(), backend.into()]))
                 .unwrap();
-            }
         }
         assert!(query(argv(&[
             "--data".into(),
@@ -664,21 +620,19 @@ mod tests {
         .is_err());
     }
 
+    /// Options that no longer exist fail like a typo does; none of them
+    /// swallows the token after it and runs.
     #[test]
-    fn mine_rejects_unknown_backbone() {
-        let data = tmp("d3.txt");
-        gen(argv(&[
-            "--out".into(),
-            data.clone(),
-            "--items".into(),
-            "10".into(),
-            "--transactions".into(),
-            "40".into(),
-            "--patterns".into(),
-            "5".into(),
-        ]))
-        .unwrap();
-        assert!(mine(argv(&["--data".into(), data, "--backbone".into(), "magic".into()])).is_err());
+    fn removed_options_and_typos_are_unknown_options() {
+        for command in [query as fn(Vec<String>) -> Result<()>, mine] {
+            for (option, value) in [("shards", "4"), ("backbone", "fpgrowth"), ("min-suport", "0.1")] {
+                let line = ["--data", "/nonexistent", &format!("--{option}"), value, "freq(S)"];
+                match command(line.map(String::from).to_vec()) {
+                    Err(CfqError::Config(m)) => assert_eq!(m, format!("unknown option --{option}")),
+                    other => panic!("--{option}: {other:?}"),
+                }
+            }
+        }
     }
 
     #[test]

@@ -45,7 +45,8 @@ pub fn loadgen(argv: Vec<String>) -> Result<()> {
         );
         return Ok(());
     }
-    let a = Args::parse(argv, &["emit", "list", "print-metrics"])?;
+    let options = ["addr", "seed", "scenario", "append-file", "items", "timeout-secs", "out"];
+    let a = Args::parse_known(argv, &["emit", "list", "print-metrics"], &options)?;
     if a.flag("list") {
         for s in SCENARIOS {
             println!(

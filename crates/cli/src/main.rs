@@ -29,7 +29,7 @@ commands:
   gen-catalog  generate an itemInfo catalog (numeric/categorical attributes)
   query        run a CFQ against a database + catalog
   audit        statically verify a query's plan is sound (no data needed)
-  mine         plain frequent-set mining (apriori | fpgrowth | partition)
+  mine         plain frequent-set mining (Apriori)
   stats        summarize a transaction database
   repl         interactive session over a long-lived caching engine
   serve        line-protocol TCP server; all connections share one engine

@@ -157,11 +157,11 @@ pub fn repl_loop<R: BufRead, W: Write>(
     Ok(())
 }
 
-/// The options [`build_engine`] and [`install_tracing`] read — all that
-/// `cfq repl` takes.
+/// The options [`build_engine`] and [`install_tracing`] read besides
+/// [`MiningArgs::OPTIONS`] — with those, all that `cfq repl` takes.
 const ENGINE_OPTIONS: &[&str] = &[
-    "data", "catalog", "trace", "threads", "trim", "backend", "shards", "max-inflight",
-    "queue-depth", "batch-window-ms", "wal-dir", "snapshot-every", "follow",
+    "data", "catalog", "trace", "max-inflight", "queue-depth", "batch-window-ms", "wal-dir",
+    "snapshot-every", "follow",
 ];
 /// What `cfq serve` reads besides.
 const SERVE_OPTIONS: &[&str] =
@@ -283,7 +283,7 @@ pub fn repl(argv: Vec<String>) -> Result<()> {
         );
         return Ok(());
     }
-    let a = Args::parse_known(argv, &[], ENGINE_OPTIONS)?;
+    let a = Args::parse_known(argv, &[], &[ENGINE_OPTIONS, MiningArgs::OPTIONS].concat())?;
     install_tracing(&a)?;
     let engine = build_engine(&a)?;
     let defaults = ServeOptions::default();
@@ -642,7 +642,6 @@ pub fn serve(argv: Vec<String>) -> Result<()> {
              [--threads N]           default support-counting threads (0 = all cores; default 1)\n\
              [--trim on|off]         default per-level database reduction (default on)\n\
              [--backend NAME]        default counting backend (horizontal|tidset|bitmap|auto)\n\
-             [--shards N]            default horizontal shard count for counting (default 1)\n\
              [--wal-dir DIR]         durable mode: WAL + snapshots in DIR, warm restart on boot\n\
              [--snapshot-every N]    snapshot cadence in appends (default 8, 0 = manual :snapshot only)\n\
              [--follow DIR]          read replica: tail the primary's WAL DIR (read-only)\n\
@@ -653,7 +652,8 @@ pub fn serve(argv: Vec<String>) -> Result<()> {
         );
         return Ok(());
     }
-    let a = Args::parse_known(argv, &[], &[ENGINE_OPTIONS, SERVE_OPTIONS].concat())?;
+    let options = [ENGINE_OPTIONS, MiningArgs::OPTIONS, SERVE_OPTIONS].concat();
+    let a = Args::parse_known(argv, &[], &options)?;
     use_one_malloc_arena();
     install_tracing(&a)?;
     let engine = build_engine(&a)?;

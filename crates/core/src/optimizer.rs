@@ -67,8 +67,8 @@ pub struct QueryEnv<'a> {
     /// benchmarks that compare mining work only.
     pub form_pairs: bool,
     /// Support-counting worker threads: 1 = sequential (default), 0 = one
-    /// per core, n = exactly n. Counting shards transactions; results are
-    /// bit-identical to sequential.
+    /// per core, n = exactly n. Counting splits the rows across them;
+    /// results are bit-identical to sequential.
     pub counting_threads: usize,
     /// Per-level database reduction (default on): between levels the
     /// executor drops items outside the upcoming candidates — for the
@@ -80,12 +80,6 @@ pub struct QueryEnv<'a> {
     /// scans or a vertical tidset/bitmap index (`Auto` is `Horizontal`).
     /// Answers are bit-identical across backends.
     pub backend: CountingBackend,
-    /// Horizontal database shards for counting (1 = unsharded, the
-    /// default). With `n > 1` the store is split into `n` row ranges,
-    /// counted (and trimmed) independently, and partial counts are merged
-    /// at a per-level barrier. Answers are bit-identical to unsharded —
-    /// support is additive over a row partition.
-    pub shards: usize,
 }
 
 impl<'a> QueryEnv<'a> {
@@ -104,7 +98,6 @@ impl<'a> QueryEnv<'a> {
             counting_threads: 1,
             trim: true,
             backend: CountingBackend::Horizontal,
-            shards: 1,
         }
     }
 
@@ -123,12 +116,6 @@ impl<'a> QueryEnv<'a> {
     /// Enables or disables per-level database reduction.
     pub fn with_trim(mut self, trim: bool) -> Self {
         self.trim = trim;
-        self
-    }
-
-    /// Shards counting over `shards` horizontal row ranges (1 = unsharded).
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards;
         self
     }
 
@@ -625,8 +612,7 @@ impl Optimizer {
             )));
         }
         let catalog = env.catalog;
-        let mut sub =
-            Substrate::new(env.db, env.backend, env.trim, env.counting_threads, env.shards);
+        let mut sub = Substrate::new(env.db, env.backend, env.trim, env.counting_threads);
 
         let make_run = |var: Var| {
             let pushed: Vec<OneVar> = if self.push_one_var {
@@ -1160,55 +1146,6 @@ mod tests {
                         // A fully vertical run reads the database exactly
                         // once: the index inversion pass.
                         assert_eq!(got.db_scans, 1, "`{src}` {b}");
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn sharded_answers_and_accounting_match_unsharded() {
-        let cat = catalog();
-        let d = db();
-        // Dovetail + J^k_max, sequential, and Apriori⁺, across all four
-        // backends and several shard counts: answers AND accounting
-        // (scan count, volumes, trim drops) must be bit-identical.
-        for src in [
-            "sum(S.Price) <= sum(T.Price)",
-            "max(S.Price) <= min(T.Price)",
-            "S.Type disjoint T.Type",
-        ] {
-            let q = bind_query(&parse_query(src).unwrap(), &cat).unwrap();
-            for opt in [
-                Optimizer::default(),
-                Optimizer { dovetail: false, ..Optimizer::default() },
-                Optimizer::apriori_plus(),
-            ] {
-                for b in CountingBackend::all() {
-                    let base =
-                        opt.evaluate(&q, &QueryEnv::new(&d, &cat, 2).with_backend(b)).unwrap();
-                    for shards in [2usize, 3, 8] {
-                        let env =
-                            QueryEnv::new(&d, &cat, 2).with_backend(b).with_shards(shards);
-                        let got = opt.evaluate(&q, &env).unwrap();
-                        let tag = format!("`{src}` {b} shards={shards}");
-                        assert_eq!(base.s_sets, got.s_sets, "{tag}: S-sets diverge");
-                        assert_eq!(base.t_sets, got.t_sets, "{tag}: T-sets diverge");
-                        assert_eq!(base.pair_result.pairs, got.pair_result.pairs, "{tag}");
-                        assert_eq!(base.v_histories, got.v_histories, "{tag}: V^k diverges");
-                        assert_eq!(base.db_scans, got.db_scans, "{tag}: scan count");
-                        assert_eq!(
-                            base.scan.rows_scanned, got.scan.rows_scanned,
-                            "{tag}: rows scanned"
-                        );
-                        assert_eq!(
-                            base.scan.items_scanned, got.scan.items_scanned,
-                            "{tag}: items scanned"
-                        );
-                        assert_eq!(
-                            base.scan.trim_rows_dropped, got.scan.trim_rows_dropped,
-                            "{tag}: trim drops"
-                        );
                     }
                 }
             }

@@ -53,11 +53,6 @@ pub struct EngineConfig {
     /// query. All backends produce bit-identical lattices, so cache
     /// entries are shared across queries regardless of backend.
     pub backend: CountingBackend,
-    /// Default horizontal shard count for cold mining (1 = unsharded);
-    /// overridable per query. Sharded lattices are bit-identical to
-    /// unsharded ones, so cache entries are shared regardless of the
-    /// shard count.
-    pub shards: usize,
     /// Maximum concurrently executing queries (0 = unlimited;
     /// default 256).
     pub max_inflight_queries: usize,
@@ -92,7 +87,6 @@ impl Default for EngineConfig {
             counting_threads: 1,
             trim: true,
             backend: CountingBackend::Horizontal,
-            shards: 1,
             max_inflight_queries: 256,
             max_queued_queries: 1024,
             batch_window: Duration::from_millis(2),
@@ -146,12 +140,6 @@ impl EngineConfigBuilder {
     /// Default support-counting backend.
     pub fn backend(mut self, backend: CountingBackend) -> Self {
         self.config.backend = backend;
-        self
-    }
-
-    /// Default horizontal shard count for counting (1 = unsharded).
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.config.shards = shards;
         self
     }
 
@@ -564,7 +552,6 @@ impl Engine {
         threads: usize,
         trim: bool,
         backend: CountingBackend,
-        shards: usize,
         stats: &mut WorkStats,
     ) -> (Arc<FrequentSets>, LatticeSource) {
         if universe.is_empty() {
@@ -600,7 +587,6 @@ impl Engine {
                     .with_universe(universe.to_vec())
                     .with_trim(trim)
                     .with_backend(backend)
-                    .with_shards(shards)
                     .with_counting_threads(threads);
                 let lattice = Arc::new(apriori(&snap.db, &cfg, &mut mine));
                 let scans_cost = mine.db_scans;
@@ -652,7 +638,6 @@ impl Engine {
                     .with_max_level(max_level)
                     .with_trim(trim)
                     .with_backend(backend)
-                    .with_shards(shards)
                     .with_counting_threads(threads);
                 let lattice = Arc::new(apriori(&snap.db, &cfg, &mut mine));
                 self.scheduler.note_direct_mining();
@@ -990,13 +975,13 @@ mod tests {
         let snap = engine.snapshot();
         let universe: Vec<ItemId> = (0..6u32).map(ItemId).collect();
         let mut stats = WorkStats::new();
-        let (cold, src) = engine.lattice_for(&snap, &universe, 2, 0, 1, true, CountingBackend::Horizontal, 1, &mut stats);
+        let (cold, src) = engine.lattice_for(&snap, &universe, 2, 0, 1, true, CountingBackend::Horizontal, &mut stats);
         assert_eq!(src, LatticeSource::MinedCold);
         assert!(stats.db_scans > 0);
         assert_eq!(stats.cache_misses, 1);
 
         let mut warm_stats = WorkStats::new();
-        let (warm, src) = engine.lattice_for(&snap, &universe, 2, 0, 1, true, CountingBackend::Horizontal, 1, &mut warm_stats);
+        let (warm, src) = engine.lattice_for(&snap, &universe, 2, 0, 1, true, CountingBackend::Horizontal, &mut warm_stats);
         assert_eq!(src, LatticeSource::Cached);
         assert_eq!(warm_stats.db_scans, 0);
         assert_eq!(warm_stats.cache_hits, 1);
@@ -1006,7 +991,7 @@ mod tests {
         // A subset universe at a higher threshold also hits.
         let sub: Vec<ItemId> = vec![ItemId(1), ItemId(2)];
         let mut sub_stats = WorkStats::new();
-        let (_, src) = engine.lattice_for(&snap, &sub, 3, 0, 1, true, CountingBackend::Horizontal, 1, &mut sub_stats);
+        let (_, src) = engine.lattice_for(&snap, &sub, 3, 0, 1, true, CountingBackend::Horizontal, &mut sub_stats);
         assert_eq!(src, LatticeSource::Cached);
         assert_eq!(sub_stats.db_scans, 0);
     }
@@ -1017,7 +1002,7 @@ mod tests {
         let snap = engine.snapshot();
         let universe: Vec<ItemId> = (0..6u32).map(ItemId).collect();
         let mut stats = WorkStats::new();
-        let (_, src) = engine.lattice_for(&snap, &universe, 2, 1, 1, true, CountingBackend::Horizontal, 1, &mut stats);
+        let (_, src) = engine.lattice_for(&snap, &universe, 2, 1, 1, true, CountingBackend::Horizontal, &mut stats);
         assert_eq!(src, LatticeSource::MinedCold);
         assert_eq!(engine.cache_stats().entries, 0);
     }
@@ -1028,7 +1013,7 @@ mod tests {
         let snap = engine.snapshot();
         let universe: Vec<ItemId> = (0..6u32).map(ItemId).collect();
         let mut stats = WorkStats::new();
-        engine.lattice_for(&snap, &universe, 2, 0, 1, true, CountingBackend::Horizontal, 1, &mut stats);
+        engine.lattice_for(&snap, &universe, 2, 0, 1, true, CountingBackend::Horizontal, &mut stats);
 
         let delta = TransactionDb::from_u32(6, &[&[0, 1, 2], &[3, 4, 5], &[0, 3]]);
         let info = engine.append(delta.clone()).unwrap();
@@ -1038,7 +1023,7 @@ mod tests {
         // matches a cold re-mine of the combined database.
         let snap2 = engine.snapshot();
         let mut warm = WorkStats::new();
-        let (lattice, src) = engine.lattice_for(&snap2, &universe, 2, 0, 1, true, CountingBackend::Horizontal, 1, &mut warm);
+        let (lattice, src) = engine.lattice_for(&snap2, &universe, 2, 0, 1, true, CountingBackend::Horizontal, &mut warm);
         assert_eq!(src, LatticeSource::FupUpgraded);
         assert_eq!(warm.db_scans, 0);
 
@@ -1093,7 +1078,7 @@ mod tests {
                                     let mut stats = WorkStats::new();
                                     engine.lattice_for(
                                         &snap, universe, support, 0, 1, true,
-                                        CountingBackend::Horizontal, 1, &mut stats,
+                                        CountingBackend::Horizontal, &mut stats,
                                     ).0
                                 })
                             })

@@ -83,9 +83,6 @@ pub struct QueryRequest {
     pub max_pairs: Option<usize>,
     /// Support-counting thread override (`None` = engine default).
     pub counting_threads: Option<usize>,
-    /// Horizontal shard-count override for counting (`None` = engine
-    /// default; 1 = unsharded). Sharded answers are bit-identical.
-    pub shards: Option<usize>,
     /// Per-level database reduction override (`None` = engine default).
     pub trim: Option<bool>,
     /// Support-counting backend override (`None` = engine default).
@@ -109,7 +106,6 @@ impl QueryRequest {
             max_level: 0,
             max_pairs: None,
             counting_threads: None,
-            shards: None,
             trim: None,
             backend: None,
             strategy: Strategy::default(),
@@ -142,11 +138,6 @@ impl QueryRequest {
                 ));
             }
             _ => {}
-        }
-        if self.shards == Some(0) {
-            return Err(CfqError::Config(
-                "`shards` must be at least 1 (omit it for the engine default)".into(),
-            ));
         }
         Ok(())
     }
@@ -187,9 +178,6 @@ impl QueryRequest {
         }
         if let Some(n) = self.counting_threads {
             let _ = write!(out, ",\"counting_threads\":{n}");
-        }
-        if let Some(n) = self.shards {
-            let _ = write!(out, ",\"shards\":{n}");
         }
         if let Some(t) = self.trim {
             let _ = write!(out, ",\"trim\":{t}");
@@ -238,7 +226,7 @@ impl QueryRequest {
         };
         const KNOWN: &[&str] = &[
             "query", "support", "s_universe", "t_universe", "max_level", "max_pairs",
-            "counting_threads", "shards", "trim", "backend", "strategy", "bypass_cache",
+            "counting_threads", "trim", "backend", "strategy", "bypass_cache",
         ];
         for (key, _) in fields {
             if !KNOWN.contains(&key.as_str()) {
@@ -285,11 +273,9 @@ impl QueryRequest {
                 .ok_or_else(|| CfqError::Parse("`max_level` must be a non-negative integer".into()))?
                 as usize;
         }
-        for (key, slot) in [
-            ("max_pairs", &mut req.max_pairs),
-            ("counting_threads", &mut req.counting_threads),
-            ("shards", &mut req.shards),
-        ] {
+        for (key, slot) in
+            [("max_pairs", &mut req.max_pairs), ("counting_threads", &mut req.counting_threads)]
+        {
             match v.get(key) {
                 None => {}
                 Some(j) if j.is_null() => {}
@@ -684,7 +670,6 @@ mod tests {
             max_level: 3,
             max_pairs: Some(100),
             counting_threads: Some(2),
-            shards: Some(4),
             trim: Some(false),
             backend: Some(CountingBackend::Auto),
             strategy: Strategy::cap_one_var(),
@@ -763,13 +748,6 @@ mod tests {
         assert!(req.validate().is_err());
         req.support = SupportSpec::Abs(0, 3);
         assert!(matches!(req.validate().unwrap_err(), CfqError::Config(_)));
-
-        let mut req = ok.clone();
-        req.shards = Some(0);
-        let err = req.validate().unwrap_err();
-        assert!(err.to_string().contains("shards"), "{err}");
-        req.shards = Some(1);
-        assert!(req.validate().is_ok());
 
         let empty = QueryRequest::new("   ");
         assert!(matches!(empty.validate().unwrap_err(), CfqError::Config(_)));

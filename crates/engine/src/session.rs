@@ -188,13 +188,6 @@ impl QueryBuilder {
         self
     }
 
-    /// Overrides the engine's default horizontal shard count for
-    /// counting (1 = unsharded). Sharded answers are bit-identical.
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.req.shards = Some(shards);
-        self
-    }
-
     /// Overrides the engine's default per-level database reduction.
     pub fn trim(mut self, trim: bool) -> Self {
         self.req.trim = Some(trim);
@@ -305,7 +298,6 @@ pub(crate) fn execute(engine: &Arc<Engine>, req: &QueryRequest) -> Result<QueryO
     let threads = req.counting_threads.unwrap_or(engine.config().counting_threads);
     let trim = req.trim.unwrap_or(engine.config().trim);
     let backend = req.backend.unwrap_or(engine.config().backend);
-    let shards = req.shards.unwrap_or(engine.config().shards);
     let planned = Instant::now();
     let micros = |from: Instant, to: Instant| to.duration_since(from).as_micros() as u64;
 
@@ -326,7 +318,6 @@ pub(crate) fn execute(engine: &Arc<Engine>, req: &QueryRequest) -> Result<QueryO
             counting_threads: threads,
             trim,
             backend,
-            shards,
         };
         let mined = req.strategy.execute_plan(&plan, &env)?;
         let mined_at = Instant::now();
@@ -357,11 +348,9 @@ pub(crate) fn execute(engine: &Arc<Engine>, req: &QueryRequest) -> Result<QueryO
         });
     }
 
-    let s_side =
-        run_side(engine, req, &snap, &bound, Var::S, s_sup, threads, trim, backend, shards);
+    let s_side = run_side(engine, req, &snap, &bound, Var::S, s_sup, threads, trim, backend);
     let s_done = Instant::now();
-    let t_side =
-        run_side(engine, req, &snap, &bound, Var::T, t_sup, threads, trim, backend, shards);
+    let t_side = run_side(engine, req, &snap, &bound, Var::T, t_sup, threads, trim, backend);
     let t_done = Instant::now();
 
     let (s_sets, t_sets, pair_result) =
@@ -445,7 +434,6 @@ fn run_side(
     threads: usize,
     trim: bool,
     backend: CountingBackend,
-    shards: usize,
 ) -> SideOutcome {
     let one: Vec<OneVar> = bound.one_var_for(var).cloned().collect();
     let form = SuccinctForm::compile(&one, &snap.catalog);
@@ -462,7 +450,6 @@ fn run_side(
         threads,
         trim,
         backend,
-        shards,
         &mut stats,
     );
 

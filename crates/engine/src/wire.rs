@@ -238,7 +238,8 @@ mod tests {
             (r#"{"v":1,"cmd":"query"}"#, "protocol"),
             (r#"{"v":1,"cmd":"query","req":{"quary":"q"}}"#, "parse"),
             (r#"{"v":1,"cmd":"query","req":{"query":"q","support":{"frac":0}}}"#, "config"),
-            (r#"{"v":1,"cmd":"query","req":{"query":"q","shards":0}}"#, "config"),
+            // The removed `shards` field: unknown, like any other typo.
+            (r#"{"v":1,"cmd":"query","req":{"query":"q","shards":2}}"#, "parse"),
             (r#"{"v":1,"cmd":"status","extra":true}"#, "protocol"),
             (r#"{"v":1,"cmd":"status","cmd":"snapshot"}"#, "protocol"),
             (r#"{"v":1,"cmd":"query","req":{"query":"q","query":"r"}}"#, "parse"),

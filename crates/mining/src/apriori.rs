@@ -29,11 +29,6 @@ pub struct AprioriConfig {
     /// The support-counting substrate (see [`CountingBackend`]). The
     /// default `Horizontal` keeps the classic one-scan-per-level shape.
     pub backend: CountingBackend,
-    /// Horizontal shards (0 or 1 = unsharded). With `N > 1` the database
-    /// is split into N contiguous row ranges counted concurrently and
-    /// merged per level ([`crate::shard::ShardedRun`]); lattices and work
-    /// accounting are bit-identical to the unsharded run.
-    pub shards: usize,
 }
 
 impl AprioriConfig {
@@ -47,7 +42,6 @@ impl AprioriConfig {
             trim: true,
             counting_threads: 1,
             backend: CountingBackend::Horizontal,
-            shards: 1,
         }
     }
 
@@ -81,12 +75,6 @@ impl AprioriConfig {
         self.backend = backend;
         self
     }
-
-    /// Sets the horizontal shard count (0 or 1 = unsharded).
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards;
-        self
-    }
 }
 
 /// Runs levelwise Apriori, recording work in `stats`.
@@ -103,11 +91,10 @@ pub fn apriori(db: &TransactionDb, cfg: &AprioriConfig, stats: &mut WorkStats) -
         .u64("universe", universe.len() as u64)
         .u64("min_support", cfg.min_support)
         .bool("trim", cfg.trim)
-        .str("backend", cfg.backend.name())
-        .u64("shards", cfg.shards.max(1) as u64);
+        .str("backend", cfg.backend.name());
 
     let mut result = FrequentSets::new();
-    let mut sub = Substrate::new(db, cfg.backend, cfg.trim, cfg.counting_threads, cfg.shards);
+    let mut sub = Substrate::new(db, cfg.backend, cfg.trim, cfg.counting_threads);
     stats.record_backend(sub.backend_name());
 
     // The frequent sets of the level below.
@@ -248,7 +235,6 @@ mod tests {
         assert!(fs.total() > 0);
         for cfg in [
             AprioriConfig::new(2).with_trim(false),
-            AprioriConfig::new(2).with_shards(2),
             AprioriConfig::new(2).with_counting_threads(2),
         ] {
             let mut knob = WorkStats::new();
@@ -350,44 +336,6 @@ mod tests {
             // The index inversion pass is the run's only database read.
             assert_eq!(stats.db_scans, 1, "{b}");
             assert_eq!(stats.scan.extents.len(), 1, "{b}");
-        }
-    }
-
-    #[test]
-    fn sharded_lattices_and_accounting_match_unsharded() {
-        let d = db();
-        for backend in CountingBackend::all() {
-            for min_support in 1..=3u64 {
-                let mut s_ref = WorkStats::new();
-                let reference = apriori(
-                    &d,
-                    &AprioriConfig::new(min_support).with_backend(backend),
-                    &mut s_ref,
-                );
-                let r: Vec<(Itemset, u64)> =
-                    reference.iter().map(|(s, n)| (s.clone(), n)).collect();
-                for shards in [2usize, 3, 4, 16] {
-                    let mut s = WorkStats::new();
-                    let fs = apriori(
-                        &d,
-                        &AprioriConfig::new(min_support)
-                            .with_backend(backend)
-                            .with_shards(shards),
-                        &mut s,
-                    );
-                    let got: Vec<(Itemset, u64)> =
-                        fs.iter().map(|(s, n)| (s.clone(), n)).collect();
-                    assert_eq!(got, r, "{backend} shards={shards} s={min_support}");
-                    // Work accounting is shard-transparent.
-                    assert_eq!(s.db_scans, s_ref.db_scans, "{backend} shards={shards}");
-                    assert_eq!(s.support_counted, s_ref.support_counted);
-                    assert_eq!(s.scan.rows_scanned, s_ref.scan.rows_scanned);
-                    assert_eq!(s.scan.items_scanned, s_ref.scan.items_scanned);
-                    assert_eq!(s.scan.trim_rows_dropped, s_ref.scan.trim_rows_dropped);
-                    assert_eq!(s.scan.trim_items_dropped, s_ref.scan.trim_items_dropped);
-                    assert_eq!(s.backends_used, s_ref.backends_used);
-                }
-            }
         }
     }
 

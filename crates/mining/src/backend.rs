@@ -1,15 +1,14 @@
 //! The counting-backend axis: horizontal scans vs vertical indices.
 //!
 //! Every levelwise executor (Apriori, the CAP/dovetail executors in
-//! `cfq-core`, Partition's local mining) counts candidate supports
-//! against the database. *How* is a first-class choice, selected the same
-//! way `--trim` already is:
+//! `cfq-core`) counts candidate supports against the database. *How* is a
+//! first-class choice, selected the same way `--trim` already is:
 //!
 //! * [`CountingBackend::Horizontal`] — row scans (the default): the
 //!   rank-space working database of [`crate::projection`] — pair triangles
 //!   at level 2, tid-bitmaps over the shrinking projection below.
-//!   Untrimmed, sharded or very wide runs count per-level scans with the
-//!   dense pair kernel and the trie instead.
+//!   Untrimmed or very wide runs count per-level scans with the dense
+//!   pair kernel and the trie instead.
 //! * [`CountingBackend::Tidset`] — invert once into sorted-u32 tid lists
 //!   ([`crate::vertical`]) and count by merge intersection.
 //! * [`CountingBackend::Bitmap`] — invert once into u64 tid-bitmaps
@@ -221,31 +220,6 @@ pub fn metric_words_anded(n: u64) {
         .counter_with(
             "cfq_mining_backend_words_anded_total",
             "u64 word operations performed by bitmap AND/popcount loops.",
-            &[],
-        )
-        .add(n);
-}
-
-/// Bumps `cfq_mining_shard_levels_total{shards=...}` — one increment per
-/// level counted through the sharded substrate, labeled by shard count.
-pub fn metric_shard_levels(n_shards: usize) {
-    let shards = n_shards.to_string();
-    obs::metrics::global()
-        .counter_with(
-            "cfq_mining_shard_levels_total",
-            "Levels counted through the sharded substrate, per shard count.",
-            &[("shards", shards.as_str())],
-        )
-        .inc();
-}
-
-/// Adds to `cfq_mining_shard_merges_total` — per-shard partial count
-/// vectors merged at level barriers (one per shard per counted level).
-pub fn metric_shard_merges(n: u64) {
-    obs::metrics::global()
-        .counter_with(
-            "cfq_mining_shard_merges_total",
-            "Per-shard partial count vectors merged at level barriers.",
             &[],
         )
         .add(n);

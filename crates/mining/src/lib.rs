@@ -17,8 +17,8 @@
 //!   by bitmaps over its rows.
 //! * [`substrate`] — the one place that decides what a level is counted
 //!   on (level 1: the item-support column, no rows; below: the projection,
-//!   a per-level trimmed copy, the shards, a vertical index); `apriori` and
-//!   the optimizer's executor both count through it.
+//!   a per-level trimmed copy, a vertical index); `apriori` and the
+//!   optimizer's executor both count through it.
 //! * [`backend`] — the [`backend::CountingBackend`] axis
 //!   (`horizontal | tidset | bitmap | auto`) every executor threads
 //!   through.
@@ -30,15 +30,11 @@
 //! * [`frequent`] — the levelled collection of frequent sets with support
 //!   lookup and the `L_k` element summaries (`L1^S`, `L1^T`, `L_k^T.B` …)
 //!   that quasi-succinct reduction and `J^k_max` pruning consume.
-//! * [`apriori`](mod@apriori) — plain Apriori over a restricted item universe.
-//! * [`partition`] — the two-scan Partition algorithm (Savasere et al.,
-//!   VLDB 1995) and [`fpgrowth`] — FP-Growth (Han et al., SIGMOD 2000) —
-//!   as alternative frequency backbones, both result-equivalent to Apriori.
+//! * [`apriori`](mod@apriori) — plain Apriori over a restricted item
+//!   universe: the one frequency backbone (the paper's optimizer is
+//!   levelwise by construction).
 //! * [`incremental`] — FUP-style maintenance of frequent sets under
 //!   insertions (Cheung et al., ICDE 1996; the paper's citation \[6\]).
-//! * [`shard`] — horizontally sharded counting: split the CSR store into
-//!   P row ranges, count (and trim) each independently, merge per-level
-//!   at a barrier; bit-identical to unsharded by support additivity.
 //! * [`stats`] — work accounting: database scans, sets counted for support,
 //!   constraint-check invocations; the raw material for the paper's
 //!   ccc-optimality (Definition 6) and for the §7 tables. [`stats::ScanStats`]
@@ -52,12 +48,9 @@ pub mod backend;
 pub mod bitmap;
 pub mod candidates;
 pub mod counter;
-pub mod fpgrowth;
 pub mod frequent;
 pub mod incremental;
-pub mod partition;
 pub mod projection;
-pub mod shard;
 pub mod stats;
 pub mod substrate;
 pub mod trim;
@@ -72,11 +65,8 @@ pub use counter::{
     ParallelTrieCounter, SupportCounter, TrieCounter,
 };
 pub use incremental::{fup_update, fup_update_abs, UpdateOutcome};
-pub use partition::{partition_mine, PartitionConfig};
 pub use projection::Projection;
-pub use shard::ShardedRun;
 pub use vertical::{TidsetIndex, VerticalCounter};
-pub use fpgrowth::{fp_growth, FpGrowthConfig};
 pub use frequent::FrequentSets;
 pub use stats::{LevelStats, ScanExtent, ScanStats, WorkStats};
 pub use substrate::Substrate;

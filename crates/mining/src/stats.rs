@@ -16,14 +16,13 @@ pub struct LevelStats {
     /// Candidates found frequent at this level.
     pub frequent: u64,
     /// Wall-clock microseconds spent generating and counting this level
-    /// (0 on the paths that do not time levels: FUP and Partition). Where
-    /// two lattices share a scan, each one's row includes that scan.
+    /// (0 on FUP, which does not time levels). Where two lattices share a
+    /// scan, each one's row includes that scan.
     pub micros: u64,
     /// What counted the level: `column` at level 1 (the database's
     /// item-support column, whatever the backend), `triangle` or
     /// `projection` below it on the default path, the resolved backend's
-    /// name elsewhere (empty on the paths that do not say: FUP and
-    /// Partition).
+    /// name elsewhere (empty on FUP, which does not say).
     pub counted_by: &'static str,
 }
 
@@ -149,13 +148,6 @@ impl WorkStats {
     /// Records one database scan.
     pub fn record_scan(&mut self) {
         self.db_scans += 1;
-    }
-
-    /// Records `n` sets counted for support outside the levelwise path
-    /// (e.g. Partition's per-partition vertical mining), without adding a
-    /// level row.
-    pub fn record_counted(&mut self, n: u64) {
-        self.support_counted += n;
     }
 
     /// Records `n` constraint-check invocations.

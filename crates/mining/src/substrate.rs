@@ -6,12 +6,14 @@
 //! ([`TransactionDb::item_supports`]) and no scan is recorded, so the
 //! first pass a run makes over rows is its level-2 pass.
 //! The default configuration (backend resolving to `horizontal`, trim on,
-//! unsharded, sides that [`Projection::fits`]) counts level 2 straight off
-//! L1 with the pass that writes the rank-space [`Projection`]
+//! sides that [`Projection::fits`]) counts level 2 straight off L1 with
+//! the pass that writes the rank-space [`Projection`]
 //! ([`Substrate::count_pairs`]) and every deeper level on that projection.
-//! The knobs keep per-level scans: a `trim_db` copy per level, the
-//! [`ShardedRun`], or the vertical indices of a [`CountingRun`]. Both
-//! callers — [`crate::apriori`](mod@crate::apriori) and the optimizer's
+//! That leaves two other outcomes: an explicit `tidset`/`bitmap` counts on
+//! the vertical indices of a [`CountingRun`], and per-level scans — of a
+//! `trim_db` copy per level when the sides are too wide to fit (the only
+//! fallback the input selects), of the database itself with trim off.
+//! Both callers — [`crate::apriori`](mod@crate::apriori) and the optimizer's
 //! dovetailed executor in `cfq-core` — hand their candidates (or, at level
 //! 2, their L1 items) to a [`Substrate`] and read the scan ledger back
 //! from it.
@@ -19,7 +21,6 @@
 use crate::backend::{self, CountingBackend, CountingRun, ResolvedBackend};
 use crate::counter::{count_supports_with, singleton_supports, PairCounts};
 use crate::projection::Projection;
-use crate::shard::ShardedRun;
 use crate::stats::ScanStats;
 use crate::trim::{trim_db_recorded, LiveSet};
 use cfq_types::{ItemId, Itemset, TransactionDb};
@@ -35,14 +36,11 @@ pub struct Substrate<'a> {
     /// (accounted as one database scan), then serving every batch
     /// scan-free.
     crun: CountingRun<'a>,
-    /// Sharded counting (`shards > 1`): partial counts per row range,
-    /// merged at each level. Accounting is shard-transparent (one
-    /// scan/extent/trim record per level with summed volumes).
-    sharded: Option<ShardedRun>,
     /// The default configuration's working database below level 2: what
     /// the level-2 pass wrote, shrinking in place level by level.
     projection: Option<Projection>,
-    /// The knobs' working database: the last level's trimmed copy.
+    /// The per-level-scan path's working database: the last level's
+    /// trimmed copy.
     trimmed: Option<TransactionDb>,
     /// Full passes over a working database so far.
     pub db_scans: u64,
@@ -52,22 +50,14 @@ pub struct Substrate<'a> {
 
 impl<'a> Substrate<'a> {
     /// The substrate of one run over `db`: `backend` and `trim` as
-    /// configured, `threads` counting workers (0 = all cores), `shards`
-    /// horizontal shards (0 or 1 = unsharded).
-    pub fn new(
-        db: &'a TransactionDb,
-        backend: CountingBackend,
-        trim: bool,
-        threads: usize,
-        shards: usize,
-    ) -> Self {
+    /// configured, `threads` counting workers (0 = all cores).
+    pub fn new(db: &'a TransactionDb, backend: CountingBackend, trim: bool, threads: usize) -> Self {
         Substrate {
             db,
             trim,
             threads,
             resolved: backend.resolved(),
             crun: CountingRun::new(db),
-            sharded: (shards > 1).then(|| ShardedRun::new(db, shards)),
             projection: None,
             trimmed: None,
             db_scans: 0,
@@ -85,9 +75,6 @@ impl<'a> Substrate<'a> {
     pub fn restart_trim(&mut self) {
         self.projection = None;
         self.trimmed = None;
-        if let Some(s) = &mut self.sharded {
-            s.reset_trim();
-        }
     }
 
     /// Whether `level` is counted by [`Substrate::count_pairs`] rather
@@ -98,7 +85,6 @@ impl<'a> Substrate<'a> {
         level == 2
             && self.resolved == ResolvedBackend::Horizontal
             && self.trim
-            && self.sharded.is_none()
             && Projection::fits(l1_sizes)
     }
 
@@ -143,19 +129,11 @@ impl<'a> Substrate<'a> {
             self.record_scan(level, rows, items);
             return counts;
         }
-        // The live set is built from the global candidates, which is what
-        // keeps per-shard trimming lossless — see the shard module docs.
-        let live = self.trim.then(|| {
+        if self.trim {
             let items = batches.iter().flat_map(|b| b.iter()).flat_map(|c| c.iter());
-            LiveSet::from_items(self.db.n_items(), items)
-        });
-        if let Some(s) = &mut self.sharded {
-            let trim_to = live.as_ref().map(|l| (l, min_len));
-            return s.count_batches(batches, level, trim_to, &mut self.db_scans, &mut self.scan);
-        }
-        if let Some(live) = &live {
+            let live = LiveSet::from_items(self.db.n_items(), items);
             let cur = self.trimmed.as_ref().unwrap_or(self.db);
-            self.trimmed = Some(trim_db_recorded(cur, live, min_len, &mut self.scan).db);
+            self.trimmed = Some(trim_db_recorded(cur, &live, min_len, &mut self.scan).db);
         }
         let cur = self.trimmed.as_ref().unwrap_or(self.db);
         let counts = count_supports_with(cur, batches, self.threads);
@@ -174,9 +152,6 @@ impl<'a> Substrate<'a> {
     }
 
     fn count_vertical(&mut self, cands: &[Itemset], level: usize) -> Vec<u64> {
-        if let Some(s) = &mut self.sharded {
-            return s.count_vertical(self.resolved, cands, level, &mut self.db_scans, &mut self.scan);
-        }
         self.crun.count_vertical(self.resolved, cands, level, &mut self.db_scans, &mut self.scan)
     }
 
@@ -190,7 +165,10 @@ impl<'a> Substrate<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::candidates::generate_candidates;
     use crate::counter::{NaiveCounter, SupportCounter};
+    use crate::stats::ScanExtent;
+    use cfq_datagen::{generate_transactions, io, QuestConfig};
 
     #[test]
     fn level_one_is_a_column_read_under_every_configuration() {
@@ -205,9 +183,9 @@ mod tests {
         let refs: Vec<&[Itemset]> = batches.iter().map(|b| b.as_slice()).collect();
         let want: Vec<Vec<u64>> = batches.iter().map(|b| NaiveCounter.count(&db, b)).collect();
         for backend in CountingBackend::all() {
-            for (trim, shards) in [(true, 1), (false, 1), (true, 2)] {
-                let mut sub = Substrate::new(&db, backend, trim, 2, shards);
-                let tag = format!("{backend} trim={trim} shards={shards}");
+            for trim in [true, false] {
+                let mut sub = Substrate::new(&db, backend, trim, 2);
+                let tag = format!("{backend} trim={trim}");
                 assert_eq!(sub.count(1, &refs), want, "{tag}");
                 assert_eq!(sub.db_scans, 0, "{tag}: level 1 scans nothing");
                 assert!(sub.scan.extents.is_empty() && sub.scan.trim_passes == 0, "{tag}");
@@ -217,6 +195,59 @@ mod tests {
                 assert_eq!(sub.count(2, &[&pairs]), vec![NaiveCounter.count(&db, &pairs)], "{tag}");
                 assert_eq!((sub.db_scans, sub.scan.extents[0].level), (1, 2), "{tag}");
             }
+        }
+    }
+
+    /// Scans, their extents, trim passes and what they dropped, so far.
+    fn ledger(sub: &Substrate) -> (u64, Vec<ScanExtent>, [u64; 3]) {
+        let s = &sub.scan;
+        (sub.db_scans, s.extents.clone(), [s.trim_passes, s.trim_rows_dropped, s.trim_items_dropped])
+    }
+
+    /// Sides too wide to [`Projection::fits`] are handed to `count` as
+    /// candidate lists from level 2 on and counted on a `trim_db` copy per
+    /// level. No test can cheaply build 2,897 frequent items, so whole runs
+    /// take that route by never calling `count_pairs`, beside the route
+    /// `apriori` takes, and must account like it level for level.
+    #[test]
+    fn per_level_scans_account_like_the_projection() {
+        let matrix = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/golden/ledger/matrix.tx");
+        let matrix = io::load_transactions(matrix).unwrap();
+        let quest = QuestConfig { n_transactions: 2000, n_patterns: 150, ..QuestConfig::default() };
+        let quest = generate_transactions(&quest).unwrap();
+        for (db, min_support) in [(&matrix, 2), (&matrix, 4), (&quest, 20)] {
+            let keep = |cands: &[Itemset], counts: Vec<u64>| -> Vec<(Itemset, u64)> {
+                cands.iter().cloned().zip(counts).filter(|&(_, n)| n >= min_support).collect()
+            };
+            let mut projected = Substrate::new(db, CountingBackend::Horizontal, true, 1);
+            let mut scanned = Substrate::new(db, CountingBackend::Horizontal, true, 1);
+            let singles: Vec<Itemset> = (0..db.n_items() as u32).map(|i| [i].into()).collect();
+            let l1 = keep(&singles, projected.count(1, &[&singles]).remove(0));
+            let mut sets: Vec<Itemset> = l1.into_iter().map(|(s, _)| s).collect();
+            let items: Vec<ItemId> = sets.iter().map(|s| s.as_slice()[0]).collect();
+            let mut deepest = 1;
+            for level in 2.. {
+                let cands = generate_candidates(&sets, |_| true);
+                if cands.is_empty() {
+                    break;
+                }
+                let tag = format!("{} rows, support {min_support}, level {level}", db.len());
+                let listed = keep(&cands, scanned.count(level, &[&cands]).remove(0));
+                let frequent = if projected.counts_pairs(level, &[items.len()]) {
+                    projected.count_pairs(&[&items])[0].frequent(&items, min_support)
+                } else {
+                    keep(&cands, projected.count(level, &[&cands]).remove(0))
+                };
+                assert_eq!(listed, frequent, "{tag}");
+                assert_eq!(ledger(&scanned), ledger(&projected), "{tag}");
+                let kernel = if level == 2 { "triangle" } else { "projection" };
+                assert_eq!(projected.publish_level(level, 0), kernel, "{tag}");
+                assert_eq!(scanned.publish_level(level, 0), "horizontal", "{tag}");
+                sets = frequent.into_iter().map(|(s, _)| s).collect();
+                deepest = level;
+            }
+            assert!(deepest >= 3, "support {min_support}: the run must reach past the triangle");
+            assert_eq!(scanned.db_scans as usize, deepest - 1);
         }
     }
 }

@@ -156,11 +156,11 @@ impl TrimResult {
     ///   source row (no item kept that is dead, none dropped that is
     ///   live).
     ///
-    /// Together with [`TrimResult::check_invariants`] this is the proof
-    /// obligation sharded mining discharges per shard: a row partition of
-    /// the database trimmed shard-by-shard against the *same* `live` set
-    /// is then row-for-row identical to the global trim, so per-shard
-    /// counts still sum to the global counts.
+    /// Together with [`TrimResult::check_invariants`] this is what lets a
+    /// pass be split by rows: a row partition of the database trimmed part
+    /// by part against the *same* `live` set is row-for-row the global
+    /// trim — [`crate::projection::Projection::pairs`] relies on it when it
+    /// splits its pass across counting threads.
     pub fn check_exactness(
         &self,
         input: &TransactionDb,
@@ -372,10 +372,10 @@ mod tests {
     }
 
     #[test]
-    fn sharded_trim_equals_global_trim() {
-        // The soundness core of sharded mining: trimming each half of a
-        // row partition against the same live set concatenates to the
-        // global trim.
+    fn row_partition_trim_equals_global_trim() {
+        // What `Projection::pairs` relies on across `counting_threads`:
+        // trimming each half of a row partition against the same live set
+        // concatenates to the global trim.
         let d = db();
         let live = LiveSet::from_items(6, [1, 2, 3].map(ItemId));
         let global = trim_db(&d, &live, 2);

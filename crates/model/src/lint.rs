@@ -21,9 +21,6 @@
 //!   [`DURABILITY_METRICS`], or with the wrong instrument kind, is a
 //!   finding. Primaries and replicas must export the same durability
 //!   surface, so new families are added to the catalog deliberately.
-//! * **shard-metric** — the `cfq_mining_shard_*` family is likewise a
-//!   closed catalog ([`SHARD_METRICS`]): the CI shard stage scrapes it
-//!   and the substrate bench charts a speedup curve from it.
 //! * **span-guard-bound** — `obs::span(...)` in statement position is a
 //!   guard dropped immediately (the span closes before the work runs);
 //!   it must be bound to a local.
@@ -81,15 +78,6 @@ pub const DURABILITY_METRICS: &[(&str, &str)] = &[
     ("cfq_snapshot_writes_total", "counter"),
     ("cfq_snapshot_bytes_total", "counter"),
     ("cfq_snapshot_last_epoch", "gauge"),
-];
-
-/// The closed catalog of sharded-mining metric families, enforced the
-/// same way as [`DURABILITY_METRICS`]: the `cfq_mining_shard_*` surface
-/// is what the CI shard stage scrapes and dashboards chart a speedup
-/// curve from, so new families are a deliberate edit to this table.
-pub const SHARD_METRICS: &[(&str, &str)] = &[
-    ("cfq_mining_shard_levels_total", "counter"),
-    ("cfq_mining_shard_merges_total", "counter"),
 ];
 
 /// The closed catalog of load-generator client metric families,
@@ -624,27 +612,6 @@ pub fn lint_source(path: &str, class: FileClass, src: &str) -> (Vec<Finding>, Ve
                         )),
                         Some(_) => {}
                     }
-                } else if name.starts_with("cfq_mining_shard_") {
-                    match SHARD_METRICS.iter().find(|(n, _)| *n == name) {
-                        None => findings.push(finding(
-                            t.line,
-                            "shard-metric",
-                            format!(
-                                "shard metric `{name}` is not in the catalog — add it \
-                                 to SHARD_METRICS (lint.rs) or fix the name"
-                            ),
-                        )),
-                        Some((_, kind)) if !t.text.starts_with(kind) => findings.push(finding(
-                            t.line,
-                            "shard-metric",
-                            format!(
-                                "shard metric `{name}` must be registered as a {kind}, \
-                                 not `{}`",
-                                t.text
-                            ),
-                        )),
-                        Some(_) => {}
-                    }
                 } else if name.starts_with("cfq_loadgen_") {
                     match LOADGEN_METRICS.iter().find(|(n, _)| *n == name) {
                         None => findings.push(finding(
@@ -997,34 +964,6 @@ mod tests {
         // Known name, wrong instrument: a byte counter is not a gauge.
         assert!(
             hits.iter().any(|x| x.message.contains("cfq_wal_bytes_total")
-                && x.message.contains("counter")),
-            "{hits:?}"
-        );
-    }
-
-    #[test]
-    fn shard_metrics_come_from_the_catalog() {
-        let src = r#"
-            fn wire(r: &obs::Registry) {
-                r.counter("cfq_mining_shard_levels_total", "d");
-                r.counter("cfq_mining_shard_merges_total", "d");
-                r.counter("cfq_mining_shard_stalls_total", "d");
-                r.gauge("cfq_mining_shard_levels_total", "d");
-            }
-        "#;
-        let (f, m) = lint_source("crates/mining/src/backend.rs", FileClass::Normal, src);
-        assert_eq!(m.len(), 4);
-        let hits: Vec<&Finding> = f.iter().filter(|x| x.rule == "shard-metric").collect();
-        assert_eq!(hits.len(), 2, "{f:?}");
-        // Unknown family name: points at the catalog.
-        assert!(
-            hits.iter().any(|x| x.message.contains("cfq_mining_shard_stalls_total")
-                && x.message.contains("SHARD_METRICS")),
-            "{hits:?}"
-        );
-        // Known name, wrong instrument: the level counter is not a gauge.
-        assert!(
-            hits.iter().any(|x| x.message.contains("cfq_mining_shard_levels_total")
                 && x.message.contains("counter")),
             "{hits:?}"
         );

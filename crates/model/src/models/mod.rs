@@ -11,10 +11,8 @@
 //!   batching, condvar publication.
 //! * [`cache_evict::CacheEvictModel`] — the LRU lattice cache's byte
 //!   budget and Arc-refcounted eviction against concurrent hits.
-//! * [`merge::MergeModel`] — the sharded counter's partial-count merge,
+//! * [`merge::MergeModel`] — the chunked counter's partial-count merge,
 //!   parameterized over caller-supplied partial vectors.
-//! * [`sharded_trim::ShardedTrimModel`] — sharded mining's per-shard
-//!   trim → count → merge level barrier, with trim accounting.
 //!
 //! Every model carries an optional **seeded bug** (`--inject`): a
 //! deliberate protocol mutation the checker must flag. An injection that
@@ -24,5 +22,4 @@
 pub mod cache_evict;
 pub mod epoch;
 pub mod merge;
-pub mod sharded_trim;
 pub mod single_flight;

@@ -95,11 +95,11 @@ head -c 400 "$OUT/BENCH_substrate.json"; echo
 
 echo "== repro substrate at paper scale (scale=1.0)"
 # The smoke run above keeps the full config matrix honest at 2% scale; this
-# pass runs `repro substrate`'s answers-must-agree asserts (untrimmed,
-# trimmed, bitmap, auto, shards 1-8 — the projection against every
-# per-level-scan path) on the paper's 100k x 1000 database. It rewrites
-# $OUT/BENCH_substrate.json in full, so the backend-comparison and
-# shard-curve greps at the end of the script read the paper-scale file.
+# pass runs `repro substrate`'s answers-must-agree asserts (trimmed,
+# bitmap, auto — the projection against the vertical index) on the paper's
+# 100k x 1000 database. It rewrites $OUT/BENCH_substrate.json in full, so
+# the backend-comparison greps at the end of the script read the
+# paper-scale file.
 CFQ_SCALE="${CFQ_PAPER_SCALE:-1.0}" cargo run -p cfq-bench --release --bin repro -- substrate
 test -s "$OUT/BENCH_substrate.json"
 if [ -z "${CFQ_PAPER_SCALE:-}" ]; then
@@ -209,7 +209,7 @@ head -c 400 "$OUT/BENCH_serve.json"; echo
 
 echo "== cfq serve: wire goldens (six benchmark families x {every item, one 250-item window})"
 # Each reply's timing-free answer prefix — everything before `,"db_scans":`,
-# the same style of prefix comparison the backend and shard stages use —
+# the same style of prefix comparison the backend stage uses —
 # must equal the file recorded with the *previous* commit's binary under
 # tests/golden/wire. The benchmark's identical-answer hash only compares
 # replies within one run; this is the gate that catches a byte of drift in
@@ -219,15 +219,13 @@ echo "== cfq serve: wire goldens (six benchmark families x {every item, one 250-
 # answer on purpose.
 bash scripts/wire_golden.sh ./target/release/cfq tests/golden/wire
 
-echo "== cfq query --explain: ledger golden (204 cases; default path, --threads 2, --backend auto, --shards 2)"
+echo "== cfq query --explain: ledger golden (204 cases; default path, --threads 2, --backend auto)"
 # What each run *did* — scans, scan volume, trim drops, per-level
 # candidates and frequent sets, checks, pruned, V^k — must equal the
 # recorded file (tests/ledger_golden.rs says which binaries recorded it; the
-# confined stage below pins the recording itself). `--shards 2` is defined
-# to account like the unsharded run and still counts by per-level scans, so
-# the same file pins that path too.
+# confined stage below pins the recording itself).
 # tests/ledger_golden.rs replays the cases in-process; this drives the CLI.
-for flags in "" "--threads 2" "--backend auto" "--shards 2"; do
+for flags in "" "--threads 2" "--backend auto"; do
   # shellcheck disable=SC2086
   bash scripts/ledger_golden.sh ./target/release/cfq tests/golden/ledger $flags
 done
@@ -394,7 +392,11 @@ if [ -z "$PORT" ] || [ -z "$MPORT" ]; then
   echo "backend serve did not come up:"; cat "$SERVE_DIR/backend.log"; exit 1
 fi
 exec 3<>"/dev/tcp/127.0.0.1/$PORT"
+# First a request carrying the removed `shards` field (checked in the next
+# stage): the connection must outlive its error and serve the bitmap query.
+printf '{"v":1,"cmd":"query","req":{"query":"max(S.Price) <= min(T.Price)","support":{"frac":0.1},"shards":2}}\n' >&3
 printf '{"v":1,"cmd":"query","req":{"query":"max(S.Price) <= min(T.Price)","support":{"frac":0.1},"backend":"bitmap"}}\n:quit\n' >&3
+read -r GONE_REPLY <&3
 read -r BK_REPLY <&3
 exec 3<&- 3>&-
 exec 4<>"/dev/tcp/127.0.0.1/$MPORT"
@@ -413,54 +415,21 @@ kill -INT "$SERVE_PID"
 wait "$SERVE_PID" || { echo "backend serve exited non-zero on SIGINT"; cat "$SERVE_DIR/backend.log"; exit 1; }
 SERVE_PID=""
 
-echo "== sharded mining: --shards answers bit-identical, cfq_mining_shard_* metrics surface"
-# Same timing-free prefix comparison as the backend stage: byte-equality
-# of the pair/set counts means sharded counting merged to the exact
-# lattices the unsharded run mined.
-for Q in "$FIG8A" "$FIG8B"; do
-  REF=""
-  for N in 1 4; do
-    FULL="$(./target/release/cfq query --data "$SERVE_DIR/tx.txt" --catalog "$SERVE_DIR/catalog.txt" \
-      --min-support 0.1 --shards "$N" "$Q")"
-    ANSWER="$(printf '%s\n' "$FULL" | sed -n '1s/|.*$//p')"
-    if [ -z "$REF" ]; then REF="$ANSWER"; fi
-    [ "$ANSWER" = "$REF" ] \
-      || { echo "--shards $N disagrees on \`$Q\`: got '$ANSWER', want '$REF'"; exit 1; }
-  done
-  echo "  \`$Q\` -> ${REF}(identical under --shards 1 and 4)"
+echo "== removed options are rejected, not swallowed: --shards, --backbone, \"shards\""
+# `--shards N`, `mine --backbone NAME` and the `shards` request field are
+# gone. Each must fail naming itself — a lenient parser would take the
+# next token as the option's value and run.
+for GONE in "query shards 2" "mine backbone fpgrowth"; do
+  read -r CMD OPT VAL <<< "$GONE"
+  if ERR="$(./target/release/cfq "$CMD" "--$OPT" "$VAL" --data "$SERVE_DIR/tx.txt" "$FIG8A" 2>&1 > /dev/null)"; then
+    echo "cfq $CMD --$OPT $VAL ran instead of failing"; exit 1
+  fi
+  echo "$ERR" | grep -qF "unknown option --$OPT" \
+    || { echo "cfq $CMD --$OPT $VAL failed without naming the option: $ERR"; exit 1; }
 done
-
-./target/release/cfq serve --data "$SERVE_DIR/tx.txt" --catalog "$SERVE_DIR/catalog.txt" \
-  --listen 127.0.0.1:0 --metrics-addr 127.0.0.1:0 \
-  > "$SERVE_DIR/shard.log" 2>&1 &
-SERVE_PID=$!
-for _ in $(seq 1 100); do
-  grep -q '^metrics on ' "$SERVE_DIR/shard.log" 2>/dev/null && break
-  sleep 0.1
-done
-PORT="$(sed -n 's/^listening on .*:\([0-9][0-9]*\)$/\1/p' "$SERVE_DIR/shard.log")"
-MPORT="$(sed -n 's/^metrics on http:.*:\([0-9][0-9]*\)$/\1/p' "$SERVE_DIR/shard.log")"
-if [ -z "$PORT" ] || [ -z "$MPORT" ]; then
-  echo "shard serve did not come up:"; cat "$SERVE_DIR/shard.log"; exit 1
-fi
-exec 3<>"/dev/tcp/127.0.0.1/$PORT"
-printf '{"v":1,"cmd":"query","req":{"query":"max(S.Price) <= min(T.Price)","support":{"frac":0.1},"shards":2}}\n:quit\n' >&3
-read -r SH_REPLY <&3
-exec 3<&- 3>&-
-exec 4<>"/dev/tcp/127.0.0.1/$MPORT"
-printf 'GET /metrics HTTP/1.0\r\n\r\n' >&4
-SH_SCRAPE="$(cat <&4)"
-exec 4<&- 4>&-
-echo "$SH_REPLY" | grep -q '"pair_count"' || { echo "sharded envelope query failed: $SH_REPLY"; exit 1; }
-for M in \
-  'cfq_mining_shard_levels_total{shards="2"}' \
-  'cfq_mining_shard_merges_total'; do
-  echo "$SH_SCRAPE" | grep -qF "$M" \
-    || { echo "scrape missing $M"; echo "$SH_SCRAPE"; exit 1; }
-done
-kill -INT "$SERVE_PID"
-wait "$SERVE_PID" || { echo "shard serve exited non-zero on SIGINT"; cat "$SERVE_DIR/shard.log"; exit 1; }
-SERVE_PID=""
+echo "$GONE_REPLY" | grep -qF '"kind":"parse"' && echo "$GONE_REPLY" | grep -qF 'unknown request field `shards`' \
+  || { echo "a request with \"shards\" did not get the typed unknown-field error: $GONE_REPLY"; exit 1; }
+echo "  --shards, --backbone and the \"shards\" field are each refused by name"
 
 echo "== durability: WAL + snapshot survive kill -9, restart serves warm (extends BENCH_serve.json)"
 WAL_DIR="$SERVE_DIR/wal"
@@ -624,14 +593,6 @@ grep -q '"config":"auto"' "$OUT/BENCH_substrate.json" \
   || { echo "BENCH_substrate.json missing auto config"; exit 1; }
 grep -q '"speedup_vs_trimmed_parallel"' "$OUT/BENCH_substrate.json" \
   || { echo "BENCH_substrate.json missing speedup_vs_trimmed_parallel"; exit 1; }
-
-echo "== BENCH_substrate.json carries the shard-speedup curve"
-grep -q '"shard_curve":\[{"workload":"shard_curve"' "$OUT/BENCH_substrate.json" \
-  || { echo "BENCH_substrate.json missing the shard curve"; exit 1; }
-grep -q '"speedup_vs_shards1"' "$OUT/BENCH_substrate.json" \
-  || { echo "BENCH_substrate.json missing speedup_vs_shards1"; exit 1; }
-grep -q '"shards":8' "$OUT/BENCH_substrate.json" \
-  || { echo "BENCH_substrate.json shard curve missing the shards=8 point"; exit 1; }
 
 echo "== cargo doc --no-deps (rustdoc warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet

@@ -14,8 +14,8 @@
 # pair listing's `… N more` line (the count is in the summary) are left
 # out. `--record` writes the file instead; it is recorded with the binary of
 # the commit *before* a change to the mining substrate. Extra flags (e.g.
-# `--shards 2`, whose accounting is defined to equal the unsharded run's)
-# check another configuration against the same file.
+# `--threads 2`, `--backend auto`: configurations whose accounting is
+# defined to equal the default's) check them against the same file.
 #
 # `--confined REV` runs nothing: it checks what a re-recording was allowed
 # to move. GOLDEN_DIR/ledger.out and the recording it replaced (the file as

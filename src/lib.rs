@@ -89,8 +89,7 @@ pub mod prelude {
         SessionPool, SnapshotInfo, SupportSpec,
     };
     pub use cfq_mining::{
-        apriori, fp_growth, partition_mine, AprioriConfig, CountingBackend, FpGrowthConfig,
-        FrequentSets, PartitionConfig, ShardedRun, TrieCounter, WorkStats,
+        apriori, AprioriConfig, CountingBackend, FrequentSets, TrieCounter, WorkStats,
     };
     pub use cfq_types::{
         Catalog, CatalogBuilder, CfqError, ItemId, Itemset, Result, TransactionDb,

@@ -7,7 +7,7 @@
 //!   `threads` ∈ {0, 1, 2},
 //! * the column itself is a recount of the rows however the database came
 //!   to be (`new`, `from_parts`, chained `concat`, `project`, a `trim_db`
-//!   copy, the row ranges shards copy) and `validate()` says so,
+//!   copy, a copy of a row range) and `validate()` says so,
 //! * several batches in one call — a level-1 batch, an empty batch, a
 //!   level-2 batch and a deeper batch for the trie — come back in order,
 //! * candidates may name items no row holds (inside and past the
@@ -204,7 +204,7 @@ proptest! {
         ),
         live_mask in 0u16..4096,
         types in prop::collection::vec(0u32..4, 12),
-        n_shards in 1usize..5,
+        n_parts in 1usize..5,
     ) {
         let check = |db: &TransactionDb, how: &str| {
             let recount: Vec<u32> = (0..db.n_items() as u32)
@@ -241,12 +241,12 @@ proptest! {
         let live = LiveSet::from_items(12, k_subsets(live_mask, 1).iter().flat_map(|s| s.iter()));
         check(&trim_db(&grown, &live, 2).db, "trim_db");
 
-        // Shards copy contiguous row ranges; support is additive over them.
+        // Copies of contiguous row ranges: support is additive over them.
         let mut summed = [0u32; 12];
-        for chunk in grown.chunks(n_shards) {
-            let shard = TransactionDb::new(12, chunk.iter().map(<[ItemId]>::to_vec).collect()).unwrap();
-            check(&shard, "shard copy");
-            for (sum, n) in summed.iter_mut().zip(shard.item_supports()) {
+        for chunk in grown.chunks(n_parts) {
+            let part = TransactionDb::new(12, chunk.iter().map(<[ItemId]>::to_vec).collect()).unwrap();
+            check(&part, "row-range copy");
+            for (sum, n) in summed.iter_mut().zip(part.item_supports()) {
                 *sum += n;
             }
         }
