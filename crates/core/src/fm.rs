@@ -13,7 +13,7 @@
 //! test-suite and docs can be run for real.
 
 use crate::optimizer::{ExecutionOutcome, OutcomeProvenance, QueryEnv};
-use crate::pairs::{compact_used, form_pairs};
+use crate::pairs::pair_up;
 use cfq_constraints::{eval_all_one, BoundQuery, OneVar, Var};
 use cfq_mining::{SupportCounter, TrieCounter, WorkStats};
 use cfq_types::{CfqError, ItemId, Itemset, Result};
@@ -29,14 +29,8 @@ pub fn full_materialization(query: &BoundQuery, env: &QueryEnv<'_>) -> Result<Ex
     let (t_sets, t_stats) = fm_side(query, env, Var::T)?;
     let db_scans = s_stats.db_scans + t_stats.db_scans;
 
-    let mut pair_result =
-        form_pairs(&s_sets, &t_sets, &query.two_var, env.catalog, env.max_pairs);
-    let (s_sets, s_remap) = compact_used(s_sets, &pair_result.s_used);
-    let (t_sets, t_remap) = compact_used(t_sets, &pair_result.t_used);
-    for (si, ti) in &mut pair_result.pairs {
-        *si = s_remap[*si as usize];
-        *ti = t_remap[*ti as usize];
-    }
+    let (s_sets, t_sets, pair_result) =
+        pair_up(s_sets, t_sets, &query.two_var, env.catalog, env.max_pairs);
 
     let mut scan = s_stats.scan.clone();
     scan.absorb(&t_stats.scan);

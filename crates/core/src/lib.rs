@@ -35,5 +35,5 @@ pub use fm::full_materialization;
 pub use cap::{LatticeConfig, LatticeRun};
 pub use jkmax::{binomial, count_bound, j_stats, v_bound, v_bound_per_element, CountSeries, JStats, VSeries};
 pub use optimizer::{CfqPlan, ExecutionOutcome, JkSummary, LatticeSource, Optimizer, OutcomeProvenance, PlanTrace, QueryEnv, Strategy, StrategyKind, TraceNode};
-pub use pairs::{compact_used, count_pairs, form_pairs, form_pairs_with, PairResult};
+pub use pairs::{compact_used, form_pairs, pair_up, PairResult};
 pub use rules::{form_rules, Rule, RuleConfig};

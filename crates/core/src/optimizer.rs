@@ -22,7 +22,7 @@
 
 use crate::cap::{LatticeConfig, LatticeRun};
 use crate::jkmax::{CountSeries, VSeries};
-use crate::pairs::{compact_used, form_pairs, form_pairs_with, PairResult};
+use crate::pairs::{form_pairs, pair_up, PairResult};
 use cfq_constraints::{
     classify_two, eval_all_one, induce_weaker, reduce_quasi_succinct, Agg, BoundQuery, CmpOp,
     OneVar, SuccinctForm, TwoVar, Var,
@@ -779,25 +779,12 @@ impl Optimizer {
                 provenance: OutcomeProvenance::default(),
             });
         }
-        let mut pair_result = form_pairs_with(
-            &s_sets,
-            &t_sets,
-            &plan.final_two,
-            catalog,
-            env.max_pairs,
-            env.counting_threads,
-        );
-
-        // Restrict the reported sets to Definition 3's *frequent valid*
-        // sets: those participating in at least one valid pair. This makes
-        // every strategy's output identical regardless of how much of the
-        // validity pruning it performed during mining.
-        let (s_sets, s_remap) = compact_used(s_sets, &pair_result.s_used);
-        let (t_sets, t_remap) = compact_used(t_sets, &pair_result.t_used);
-        for (si, ti) in &mut pair_result.pairs {
-            *si = s_remap[*si as usize];
-            *ti = t_remap[*ti as usize];
-        }
+        // Pairing also restricts the reported sets to Definition 3's
+        // *frequent valid* sets, which makes every strategy's output
+        // identical regardless of how much of the validity pruning it
+        // performed during mining.
+        let (s_sets, t_sets, pair_result) =
+            pair_up(s_sets, t_sets, &plan.final_two, catalog, env.max_pairs);
 
         Ok(ExecutionOutcome {
             s_sets,

@@ -17,7 +17,7 @@ use crate::session::{QueryOutcome, SessionPool};
 use crate::{json, wire};
 use cfq_core::Strategy;
 use cfq_datagen::io::load_transactions;
-use cfq_obs::{self as obs, SlowLevel, SlowLog, SlowQuery};
+use cfq_obs::{self as obs, SlowLevel, SlowLog, SlowQuery, SlowStages};
 use cfq_types::{CfqError, Result};
 use std::io::{self, Write};
 use std::sync::Arc;
@@ -295,25 +295,37 @@ impl Dispatcher {
             histogram.observe(micros as f64 / 1e6);
         }
 
-        let p = &out.outcome.provenance;
-        let levels = out.outcome.s_stats.levels.iter().chain(&out.outcome.t_stats.levels);
-        let slow = SlowQuery {
-            query: req.query.clone(),
-            fingerprint: out.plan_fingerprint(),
-            provenance: format!("[S] {} [T] {}", p.s_lattice.describe(), p.t_lattice.describe()),
-            total: elapsed,
-            db_scans: out.outcome.db_scans,
-            levels: levels
-                .map(|l| SlowLevel {
-                    level: l.level,
-                    candidates: l.candidates,
-                    frequent: l.frequent,
-                    micros: l.micros,
-                    counted_by: l.counted_by,
-                })
-                .collect(),
+        let entry = || {
+            let p = &out.outcome.provenance;
+            let levels = out.outcome.s_stats.levels.iter().chain(&out.outcome.t_stats.levels);
+            SlowQuery {
+                query: req.query.clone(),
+                fingerprint: out.plan_fingerprint(),
+                provenance: format!(
+                    "[S] {} [T] {}",
+                    p.s_lattice.describe(),
+                    p.t_lattice.describe()
+                ),
+                total: elapsed,
+                db_scans: out.outcome.db_scans,
+                stages: SlowStages {
+                    plan: out.stage_us.plan,
+                    s_lattice: out.stage_us.s_lattice,
+                    t_lattice: out.stage_us.t_lattice,
+                    pairs: out.stage_us.pairs,
+                },
+                levels: levels
+                    .map(|l| SlowLevel {
+                        level: l.level,
+                        candidates: l.candidates,
+                        frequent: l.frequent,
+                        micros: l.micros,
+                        counted_by: l.counted_by,
+                    })
+                    .collect(),
+            }
         };
-        if self.slow.maybe_record(slow) {
+        if self.slow.maybe_record_with(elapsed, entry) {
             m.slow_queries_total.inc();
             obs::event(
                 obs::Level::Warn,
@@ -662,6 +674,7 @@ mod tests {
         assert!(text.contains("L1:"), "{text}");
         assert!(text.contains(" ms, column"), "{text}");
         assert!(text.contains("[S] freshly mined (cold)"), "{text}");
+        assert!(text.contains("stages: plan "), "{text}");
         // Either addressing of a query lands in the same log.
         handle_line(&mut state, &query_envelope("")).unwrap();
         assert_eq!(state.metrics.slow_queries_total.get(), 2);

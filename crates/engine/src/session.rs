@@ -36,8 +36,7 @@ use crate::engine::{plan_fingerprint, Engine, EpochState};
 use crate::request::QueryRequest;
 use cfq_constraints::{bind_query, parse_query, OneVar, SuccinctForm, Var};
 use cfq_core::{
-    compact_used, form_pairs_with, CfqPlan, ExecutionOutcome, LatticeSource, Optimizer,
-    OutcomeProvenance, PairResult, QueryEnv,
+    pair_up, CfqPlan, ExecutionOutcome, LatticeSource, Optimizer, OutcomeProvenance, QueryEnv,
 };
 use cfq_mining::{CountingBackend, WorkStats};
 use cfq_obs as obs;
@@ -287,7 +286,7 @@ pub(crate) fn execute(engine: &Arc<Engine>, req: &QueryRequest) -> Result<QueryO
 
     let snap = engine.snapshot();
     let mut query_span = obs::span(obs::Level::Info, "session.query")
-        .str("query", req.query.clone())
+        .str("query", req.query.as_str())
         .u64("epoch", snap.epoch)
         .u64("wait_us", admission_wait.as_micros() as u64);
     let bound = bind_query(&parse_query(&req.query)?, &snap.catalog)?;
@@ -321,8 +320,13 @@ pub(crate) fn execute(engine: &Arc<Engine>, req: &QueryRequest) -> Result<QueryO
         };
         let mined = req.strategy.execute_plan(&plan, &env)?;
         let mined_at = Instant::now();
-        let (s_sets, t_sets, pair_result) =
-            pair_up(mined.s_sets, mined.t_sets, &plan, &snap.catalog, req.max_pairs, threads);
+        let (s_sets, t_sets, pair_result) = pair_up(
+            mined.s_sets,
+            mined.t_sets,
+            &plan.trace().final_two,
+            &snap.catalog,
+            req.max_pairs,
+        );
         let outcome = ExecutionOutcome {
             s_sets,
             t_sets,
@@ -354,7 +358,7 @@ pub(crate) fn execute(engine: &Arc<Engine>, req: &QueryRequest) -> Result<QueryO
     let t_done = Instant::now();
 
     let (s_sets, t_sets, pair_result) =
-        pair_up(s_side.sets, t_side.sets, &plan, &snap.catalog, req.max_pairs, threads);
+        pair_up(s_side.sets, t_side.sets, &plan.trace().final_two, &snap.catalog, req.max_pairs);
     let stage_us = StageMicros {
         plan: micros(admitted, planned),
         s_lattice: micros(planned, s_done),
@@ -393,31 +397,6 @@ pub(crate) fn execute(engine: &Arc<Engine>, req: &QueryRequest) -> Result<QueryO
         fingerprint,
         catalog: Arc::clone(&snap.catalog),
     })
-}
-
-/// One side's sets with their supports.
-type Sets = Vec<(Itemset, u64)>;
-
-/// The step every execution ends with: pair formation over both sides'
-/// frequent valid sets, re-verifying every original 2-var constraint, and
-/// compaction of the sides to the sets that participate in a valid pair.
-fn pair_up(
-    s_sets: Sets,
-    t_sets: Sets,
-    plan: &CfqPlan,
-    catalog: &Catalog,
-    max_pairs: Option<usize>,
-    threads: usize,
-) -> (Sets, Sets, PairResult) {
-    let mut pair_result =
-        form_pairs_with(&s_sets, &t_sets, &plan.trace().final_two, catalog, max_pairs, threads);
-    let (s_sets, s_remap) = compact_used(s_sets, &pair_result.s_used);
-    let (t_sets, t_remap) = compact_used(t_sets, &pair_result.t_used);
-    for (si, ti) in &mut pair_result.pairs {
-        *si = s_remap[*si as usize];
-        *ti = t_remap[*ti as usize];
-    }
-    (s_sets, t_sets, pair_result)
 }
 
 /// One variable's cache-first evaluation: effective universe, lattice

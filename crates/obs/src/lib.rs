@@ -30,7 +30,7 @@ pub mod slowlog;
 pub mod trace;
 
 pub use metrics::{latency_buckets, wait_buckets, Counter, Gauge, Histogram, Registry};
-pub use slowlog::{SlowLevel, SlowLog, SlowQuery};
+pub use slowlog::{SlowLevel, SlowLog, SlowQuery, SlowStages};
 pub use trace::{
     enabled, event, set_subscriber, span, Event, FieldValue, FmtSubscriber, Level, SpanGuard,
     SpanRecord, Subscriber,

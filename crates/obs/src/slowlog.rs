@@ -1,13 +1,14 @@
 //! Slow-query log: a bounded, thread-safe ring of the most recent
 //! queries whose end-to-end latency crossed a threshold.
 //!
-//! The serve layer records every query through [`SlowLog::maybe_record`];
-//! entries above the threshold are kept (newest first, bounded capacity)
-//! and rendered for the `:slowlog` protocol command. Each record carries
-//! what the paper's Figs. 7–8 analysis needs to explain *where the time
-//! went*: the query text, the plan fingerprint, per-side cache
-//! provenance, and level-by-level candidate/frequent counts with
-//! per-level timings.
+//! The serve layer offers every query to [`SlowLog::maybe_record_with`],
+//! which builds an entry only for one above the threshold; entries are
+//! kept (newest first, bounded capacity) and rendered for the `:slowlog`
+//! protocol command. Each record carries what the paper's Figs. 7–8
+//! analysis needs to explain *where the time went*: the query text, the
+//! plan fingerprint, per-side cache provenance, the request's stage
+//! timings, and level-by-level candidate/frequent counts with per-level
+//! timings.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -32,6 +33,20 @@ pub struct SlowLevel {
     pub counted_by: &'static str,
 }
 
+/// Where a slow query's time went, in microseconds: the engine's stage
+/// clock (plan, each side's lattice, pair formation).
+#[derive(Clone, Copy, Debug, Default)]
+pub struct SlowStages {
+    /// Snapshot, parse, bind and plan.
+    pub plan: u64,
+    /// The S side: lattice lookup (or mining) and filter.
+    pub s_lattice: u64,
+    /// The T side.
+    pub t_lattice: u64,
+    /// Pair formation and compaction.
+    pub pairs: u64,
+}
+
 /// One slow query.
 #[derive(Clone, Debug)]
 pub struct SlowQuery {
@@ -45,6 +60,8 @@ pub struct SlowQuery {
     pub total: Duration,
     /// Database scans the query performed.
     pub db_scans: u64,
+    /// Stage timings.
+    pub stages: SlowStages,
     /// Level-by-level work, S levels then T levels.
     pub levels: Vec<SlowLevel>,
 }
@@ -72,11 +89,16 @@ impl SlowLog {
         self.threshold
     }
 
-    /// Records `q` if it crossed the threshold; returns whether it did.
-    pub fn maybe_record(&self, q: SlowQuery) -> bool {
-        if q.total < self.threshold {
+    /// Records a query that took `total` if that crossed the threshold,
+    /// and returns whether it did. `entry` runs only then: a query under
+    /// the threshold — nearly every one — costs a comparison, not a copy
+    /// of its text.
+    pub fn maybe_record_with(&self, total: Duration, entry: impl FnOnce() -> SlowQuery) -> bool {
+        if total < self.threshold {
             return false;
         }
+        let q = entry();
+        debug_assert_eq!(q.total, total, "the entry is of the query that was timed");
         self.recorded.fetch_add(1, Ordering::Relaxed);
         let mut ring = self.ring.lock().unwrap_or_else(|e| e.into_inner());
         if ring.len() == self.cap {
@@ -122,6 +144,11 @@ impl SlowLog {
                 q.provenance,
                 q.query,
             ));
+            let st = q.stages;
+            out.push_str(&format!(
+                "\n            stages: plan {} S {} T {} pairs {} µs",
+                st.plan, st.s_lattice, st.t_lattice, st.pairs,
+            ));
             for l in &q.levels {
                 out.push_str(&format!(
                     "\n            L{}: {} candidates, {} frequent, {:.3} ms, {}",
@@ -148,6 +175,7 @@ mod tests {
             provenance: "[S] cold [T] cached".into(),
             total: Duration::from_millis(ms),
             db_scans: 3,
+            stages: SlowStages { plan: 12, s_lattice: 340_000, t_lattice: 280, pairs: 95 },
             levels: vec![SlowLevel {
                 level: 1,
                 candidates: 10,
@@ -161,10 +189,12 @@ mod tests {
     #[test]
     fn threshold_filters_and_ring_caps() {
         let log = SlowLog::new(Duration::from_millis(100), 2);
-        assert!(!log.maybe_record(q("fast", 10)));
-        assert!(log.maybe_record(q("a", 150)));
-        assert!(log.maybe_record(q("b", 200)));
-        assert!(log.maybe_record(q("c", 300)));
+        let record =
+            |text: &str, ms| log.maybe_record_with(Duration::from_millis(ms), || q(text, ms));
+        assert!(!record("fast", 10));
+        assert!(record("a", 150));
+        assert!(record("b", 200));
+        assert!(record("c", 300));
         let entries = log.entries();
         assert_eq!(entries.len(), 2, "ring capped");
         assert_eq!(entries[0].query, "b", "oldest surviving");
@@ -172,15 +202,25 @@ mod tests {
     }
 
     #[test]
+    fn an_entry_is_built_only_for_a_query_over_the_threshold() {
+        let log = SlowLog::new(Duration::from_millis(100), 2);
+        let fast = Duration::from_millis(99);
+        assert!(!log.maybe_record_with(fast, || unreachable!("under the threshold")));
+        assert!(log.maybe_record_with(Duration::from_millis(100), || q("at it", 100)));
+    }
+
+    #[test]
     fn render_contains_the_anatomy() {
         let log = SlowLog::new(Duration::ZERO, 8);
-        log.maybe_record(q("max(S.Price) <= min(T.Price)", 750));
+        let text = "max(S.Price) <= min(T.Price)";
+        log.maybe_record_with(Duration::from_millis(750), || q(text, 750));
         let text = log.render();
         assert!(text.contains("max(S.Price) <= min(T.Price)"), "{text}");
         assert!(text.contains("plan=000000000000abcd"), "{text}");
         assert!(text.contains("[S] cold [T] cached"), "{text}");
         assert!(text.contains("L1: 10 candidates, 4 frequent, 1.500 ms, column"), "{text}");
         assert!(text.contains("scans=3"), "{text}");
+        assert!(text.contains("stages: plan 12 S 340000 T 280 pairs 95 µs"), "{text}");
     }
 
     #[test]

@@ -217,13 +217,21 @@ impl Catalog {
     /// "values" are the item ids themselves (the constraint is over the bare
     /// variable, e.g. `S ∩ T = ∅`).
     pub fn value_set(&self, attr: Option<AttrId>, set: &Itemset) -> Vec<u64> {
-        let mut v: Vec<u64> = match attr {
-            None => set.iter().map(|i| i.0 as u64).collect(),
-            Some(a) => set.iter().map(|i| self.value_key(a, i)).collect(),
-        };
-        v.sort_unstable();
-        v.dedup();
+        let mut v = Vec::new();
+        self.value_set_into(attr, set, &mut v);
         v
+    }
+
+    /// [`Catalog::value_set`] written over `out`, for a caller that keys
+    /// thousands of sets and keeps none of the vectors (pair formation).
+    pub fn value_set_into(&self, attr: Option<AttrId>, set: &Itemset, out: &mut Vec<u64>) {
+        out.clear();
+        match attr {
+            None => out.extend(set.iter().map(|i| i.0 as u64)),
+            Some(a) => out.extend(set.iter().map(|i| self.value_key(a, i))),
+        }
+        out.sort_unstable();
+        out.dedup();
     }
 
     /// Iterator over numeric values of `attr` across `set`'s items.
@@ -384,6 +392,10 @@ mod tests {
         assert_eq!(c.count_distinct(Some(ty), &set), 2);
         // Bare variable: values are the item ids.
         assert_eq!(c.value_set(None, &set), vec![0, 1, 2]);
+        // The buffer form overwrites whatever the buffer held.
+        let mut buf = vec![9, 9, 9, 9];
+        c.value_set_into(Some(ty), &set, &mut buf);
+        assert_eq!(buf, c.value_set(Some(ty), &set));
     }
 
     #[test]

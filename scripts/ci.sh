@@ -207,7 +207,7 @@ printf '{"bench":"serve","query":"%s","cold_ms":%s,"warm_ms":%s,"p50_s":%s,"p95_
 test -s "$OUT/BENCH_serve.json"
 head -c 400 "$OUT/BENCH_serve.json"; echo
 
-echo "== cfq serve: wire goldens (six benchmark families x {every item, one 250-item window})"
+echo "== cfq serve: wire goldens (six benchmark families + nine pair-formation branches x {every item, one 250-item window})"
 # Each reply's timing-free answer prefix — everything before `,"db_scans":`,
 # the same style of prefix comparison the backend stage uses —
 # must equal the file recorded with the *previous* commit's binary under

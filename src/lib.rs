@@ -75,7 +75,7 @@ pub mod prelude {
         CmpOp, OneVar, SetRel, SuccinctForm, TwoVar, Var,
     };
     pub use cfq_core::{
-        apriori_plus, count_pairs, form_pairs, form_rules, CfqPlan, ExecutionOutcome,
+        apriori_plus, form_pairs, form_rules, CfqPlan, ExecutionOutcome,
         LatticeConfig, LatticeRun, LatticeSource, Optimizer, OutcomeProvenance, QueryEnv, Rule,
         RuleConfig,
     };
