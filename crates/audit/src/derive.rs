@@ -17,7 +17,7 @@
 //!   which direction.
 
 use cfq_constraints::{Agg, CmpOp, OneVar, OneVarClass, SetRel, TwoVar, TwoVarClass, Var};
-use cfq_core::JkSummary;
+use cfq_core::JkTask;
 use cfq_types::{AttrId, Catalog};
 
 /// The value envelope `[lo, hi]` of a numeric column; `None` when the
@@ -245,7 +245,7 @@ pub fn is_sanctioned_weakening(original: &TwoVar, weak: &TwoVar, catalog: &Catal
 /// comparison must bound the pruned side from above (directly, mirrored,
 /// or as half of an equality), and the task's own comparison must be an
 /// upper bound (the series is an upper envelope).
-pub fn jk_is_justified(c: &TwoVar, jk: &JkSummary, catalog: &Catalog) -> bool {
+pub fn jk_is_justified(c: &TwoVar, jk: &JkTask, catalog: &Catalog) -> bool {
     if !matches!(jk.op, CmpOp::Le | CmpOp::Lt) {
         return false;
     }

@@ -32,7 +32,7 @@ use cfq_constraints::{
     bind_constraint, classify_two, parse_dnf_spanned, parse_query_spanned, Bound, BoundQuery,
     Span, TwoVar, TwoVarClass,
 };
-use cfq_core::{Optimizer, PlanTrace};
+use cfq_core::PlanTrace;
 use cfq_types::{Catalog, Result};
 
 /// Byte spans of each bound constraint in the query source, parallel to
@@ -47,27 +47,21 @@ pub struct SpanMap {
 
 /// The plan soundness auditor.
 ///
-/// Holds the catalog the plans were built against, the optimizer
-/// configuration to re-plan with, and the 2-var classifier under audit
-/// (the production [`classify_two`] by default; tests inject deliberately
-/// broken classifiers to prove the cross-check fires).
+/// Holds the catalog the plans were built against and the 2-var classifier
+/// under audit (the production [`classify_two`] by default; tests inject
+/// deliberately broken classifiers to prove the cross-check fires). There
+/// is one plan per query whatever strategy executes it (`cfq_core::plan`
+/// takes no flags), so there is no strategy to choose here.
 pub struct Auditor<'a> {
     catalog: &'a Catalog,
-    optimizer: Optimizer,
     classify: Box<dyn Fn(&TwoVar) -> TwoVarClass + 'a>,
 }
 
 impl<'a> Auditor<'a> {
-    /// An auditor for plans built against `catalog`, auditing the default
-    /// (full Figure-7) optimizer and the production classifier.
+    /// An auditor for plans built against `catalog`, with the production
+    /// classifier.
     pub fn new(catalog: &'a Catalog) -> Self {
-        Auditor { catalog, optimizer: Optimizer::default(), classify: Box::new(classify_two) }
-    }
-
-    /// Audits plans produced by `optimizer` instead of the default.
-    pub fn with_optimizer(mut self, optimizer: Optimizer) -> Self {
-        self.optimizer = optimizer;
-        self
+        Auditor { catalog, classify: Box::new(classify_two) }
     }
 
     /// Replaces the 2-var classifier that is cross-checked against the
@@ -94,9 +88,9 @@ impl<'a> Auditor<'a> {
         report
     }
 
-    /// Plans `query` with the configured optimizer and audits the result.
+    /// Plans `query` and audits the result.
     pub fn audit_query(&self, query: &BoundQuery, spans: Option<&SpanMap>) -> AuditReport {
-        let plan = self.optimizer.build_plan(query, self.catalog);
+        let plan = cfq_core::plan(query, self.catalog);
         self.audit_trace(plan.trace(), query, spans)
     }
 
@@ -151,6 +145,7 @@ fn bind_spanned(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cfq_core::Optimizer;
     use cfq_types::CatalogBuilder;
 
     fn catalog() -> Catalog {
@@ -187,15 +182,19 @@ mod tests {
         audit_clean("S.Type != T.Type");
     }
 
+    /// The strategy families share one plan (the flags only switch its
+    /// steps off at execution), so one audit covers all three.
     #[test]
     fn audit_all_strategy_families() {
         let cat = catalog();
+        let src = "avg(S.Price) <= avg(T.Price) & count(S) < 4";
+        let report = Auditor::new(&cat).audit_source(src).unwrap();
+        assert!(report.is_sound(), "{}", report.render());
+        let (ast, spans) = parse_query_spanned(src).unwrap();
+        let (query, _) = bind_spanned(&ast, &spans, &cat).unwrap();
+        let audited = cfq_core::plan(&query, &cat);
         for opt in [Optimizer::default(), Optimizer::apriori_plus(), Optimizer::cap_one_var()] {
-            let report = Auditor::new(&cat)
-                .with_optimizer(opt)
-                .audit_source("avg(S.Price) <= avg(T.Price) & count(S) < 4")
-                .unwrap();
-            assert!(report.is_sound(), "{}", report.render());
+            assert_eq!(opt.build_plan(&query, &cat).trace(), audited.trace(), "{opt:?}");
         }
     }
 

@@ -3,7 +3,7 @@
 use crate::args::{Args, MiningArgs};
 use cfq_audit::{AuditReport, Auditor};
 use cfq_constraints::{bind_dnf, parse_dnf};
-use cfq_core::{form_rules, Optimizer, QueryEnv, RuleConfig};
+use cfq_core::{form_rules, plan, Optimizer, QueryEnv, RuleConfig};
 use cfq_datagen::{generate_transactions, io, QuestConfig};
 use cfq_mining::{apriori, AprioriConfig, WorkStats};
 use cfq_types::{Catalog, CatalogBuilder, CfqError, Result, TransactionDb};
@@ -145,7 +145,7 @@ pub fn query(argv: Vec<String>) -> Result<()> {
     // The --audit gate: statically verify the plan's rewrite obligations
     // before touching the data, and refuse to execute an unsound plan.
     if a.flag("audit") {
-        render_audit(&Auditor::new(&catalog).with_optimizer(optimizer).audit_dnf(text)?, None)?;
+        render_audit(&Auditor::new(&catalog).audit_dnf(text)?, None)?;
     }
 
     // The CLI defaults to all cores (0); the library default stays 1 so
@@ -160,7 +160,7 @@ pub fn query(argv: Vec<String>) -> Result<()> {
             if disjuncts.len() > 1 {
                 println!("-- disjunct {} --", i + 1);
             }
-            println!("{}", optimizer.build_plan(bound, &catalog).explain(&catalog));
+            println!("{}", plan(bound, &catalog).explain(&optimizer, &catalog));
         }
     }
     let start = std::time::Instant::now();
@@ -214,19 +214,17 @@ pub fn query(argv: Vec<String>) -> Result<()> {
 pub fn audit(argv: Vec<String>) -> Result<()> {
     if wants_help(&argv) {
         println!(
-            "cfq audit --catalog FILE \"CONSTRAINTS\"\n\
-             [--strategy full|cap1|apriori+] [--json report.json]"
+            "cfq audit --catalog FILE \"CONSTRAINTS\" [--json report.json]"
         );
         return Ok(());
     }
-    let a = Args::parse_known(argv, &[], &["catalog", "strategy", "json"])?;
+    let a = Args::parse_known(argv, &[], &["catalog", "json"])?;
     let catalog = io::read_catalog(std::fs::File::open(a.require("catalog")?)?)?;
     let text = a
         .positional
         .first()
         .ok_or_else(|| CfqError::Config("give the query as a positional argument".into()))?;
-    let optimizer = parse_strategy(a.get("strategy"))?;
-    let reports = Auditor::new(&catalog).with_optimizer(optimizer).audit_dnf(text)?;
+    let reports = Auditor::new(&catalog).audit_dnf(text)?;
     render_audit(&reports, a.get("json"))
 }
 

@@ -12,11 +12,10 @@
 //! by a domain-size limit) so that the ccc accounting comparisons in the
 //! test-suite and docs can be run for real.
 
-use crate::optimizer::{ExecutionOutcome, OutcomeProvenance, QueryEnv};
-use crate::pairs::pair_up;
+use crate::optimizer::{ExecutionOutcome, QueryEnv};
 use cfq_constraints::{eval_all_one, BoundQuery, OneVar, Var};
 use cfq_mining::{SupportCounter, TrieCounter, WorkStats};
-use cfq_types::{CfqError, ItemId, Itemset, Result};
+use cfq_types::{CfqError, Itemset, Result};
 
 /// Largest variable domain FM will enumerate (2^20 subsets).
 pub const FM_MAX_DOMAIN: usize = 20;
@@ -25,26 +24,9 @@ pub const FM_MAX_DOMAIN: usize = 20;
 /// [`FM_MAX_DOMAIN`] items (the whole point of FM is that it does not
 /// scale; we refuse to melt the machine demonstrating it).
 pub fn full_materialization(query: &BoundQuery, env: &QueryEnv<'_>) -> Result<ExecutionOutcome> {
-    let (s_sets, s_stats) = fm_side(query, env, Var::S)?;
-    let (t_sets, t_stats) = fm_side(query, env, Var::T)?;
-    let db_scans = s_stats.db_scans + t_stats.db_scans;
-
-    let (s_sets, t_sets, pair_result) =
-        pair_up(s_sets, t_sets, &query.two_var, env.catalog, env.max_pairs);
-
-    let mut scan = s_stats.scan.clone();
-    scan.absorb(&t_stats.scan);
-    Ok(ExecutionOutcome {
-        s_sets,
-        t_sets,
-        pair_result,
-        s_stats,
-        t_stats,
-        db_scans,
-        scan,
-        v_histories: Vec::new(),
-        provenance: OutcomeProvenance::default(),
-    })
+    let (s_side, t_side) = (fm_side(query, env, Var::S)?, fm_side(query, env, Var::T)?);
+    let sides = ExecutionOutcome::of_sides(s_side, t_side);
+    Ok(sides.paired(&query.two_var, env.catalog, env.max_pairs))
 }
 
 #[allow(clippy::type_complexity)]
@@ -53,27 +35,14 @@ fn fm_side(
     env: &QueryEnv<'_>,
     var: Var,
 ) -> Result<(Vec<(Itemset, u64)>, WorkStats)> {
-    let universe: Vec<ItemId> = {
-        let u = match var {
-            Var::S => &env.s_universe,
-            Var::T => &env.t_universe,
-        };
-        if u.is_empty() {
-            (0..env.db.n_items() as u32).map(ItemId).collect()
-        } else {
-            u.clone()
-        }
-    };
+    let universe = env.universe(var);
     if universe.len() > FM_MAX_DOMAIN {
         return Err(CfqError::Config(format!(
             "FM enumerates 2^{} subsets; refusing domains above {FM_MAX_DOMAIN} items",
             universe.len()
         )));
     }
-    let min_support = match var {
-        Var::S => env.s_min_support,
-        Var::T => env.t_min_support,
-    };
+    let min_support = env.min_support(var);
     let one: Vec<OneVar> = query.one_var_for(var).cloned().collect();
     let mut stats = WorkStats::new();
 

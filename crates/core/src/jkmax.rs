@@ -126,8 +126,37 @@ pub fn v_bound(level_sets: &[Itemset], k: usize, attr: AttrId, catalog: &Catalog
     (v > f64::NEG_INFINITY).then_some(v)
 }
 
-/// The evolving bound state the dovetailed executor keeps per pruned
-/// variable.
+/// What a bound series measures over the source lattice's frequent sets —
+/// and with it which bound covers the sets still to come.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Measure {
+    /// `sum(T.B)`, bounded by [`v_bound`] (Figure 6). Needs a non-negative
+    /// domain for `B`.
+    Sum(AttrId),
+    /// `count(distinct T.B)` (`count(T)` for `None`), bounded by
+    /// [`count_bound`] — the 2-var count extension.
+    Count(Option<AttrId>),
+}
+
+impl Measure {
+    fn of(self, set: &Itemset, catalog: &Catalog) -> f64 {
+        match self {
+            Measure::Sum(attr) => catalog.sum_num(attr, set),
+            Measure::Count(attr) => catalog.count_distinct(attr, set) as f64,
+        }
+    }
+
+    /// The bound over frequent sets of size ≥ k, from the frequent k-sets.
+    fn bound(self, level_sets: &[Itemset], k: usize, catalog: &Catalog) -> Option<f64> {
+        match self {
+            Measure::Sum(attr) => v_bound(level_sets, k, attr, catalog),
+            Measure::Count(attr) => count_bound(level_sets, k, attr, catalog).map(|b| b as f64),
+        }
+    }
+}
+
+/// The evolving bound state the executor keeps per `J^k_max` task: an upper
+/// bound on a [`Measure`] over every frequent set of the source lattice.
 ///
 /// One subtlety the paper's Lemma 6 glosses over: `V^k` (Figure 6) bounds
 /// `sum(T.B)` only over frequent sets **of size ≥ k** — a small frequent
@@ -136,68 +165,60 @@ pub fn v_bound(level_sets: &[Itemset], k: usize, attr: AttrId, catalog: &Catalog
 /// `V^k` series would undercut it, wrongly pruning its valid S partners.
 /// The series therefore tracks two components and reports their maximum:
 ///
-/// * `materialized_max` — the *exact* maximum sum over frequent sets
-///   already absorbed (levels 1..k), which needs no bounding;
-/// * `future` — the latest `V^k`, bounding every frequent set of size > k
+/// * `materialized_max` — the *exact* maximum over frequent sets already
+///   absorbed (levels 1..k), which needs no bounding;
+/// * `future` — the latest bound, covering every frequent set of size > k
 ///   still to come.
 ///
 /// The combined bound is clamped to be non-increasing (each previous value
 /// was itself a sound bound on everything, seen and unseen — Lemma 7's
-/// monotonicity, made robust).
+/// monotonicity, made robust). Counts are small integers, exact in `f64`,
+/// so one series drives `sum(..) ≤ v` and `count(..) ≤ c` conditions alike.
 #[derive(Clone, Debug)]
-pub struct VSeries {
-    attr: AttrId,
+pub struct BoundSeries {
+    measure: Measure,
     materialized_max: f64,
     future: f64,
     current: f64,
     history: Vec<(usize, f64)>,
 }
 
-impl VSeries {
+impl BoundSeries {
     /// Initializes from the level-1 frequent items of the source lattice:
-    /// `V¹ = Σ_{t ∈ L1} t.B` bounds every frequent set (all are subsets of
-    /// `L1`; non-negative domain).
-    pub fn from_l1(l1: &[ItemId], attr: AttrId, catalog: &Catalog) -> VSeries {
-        let set: Itemset = l1.iter().copied().collect();
-        let v1 = catalog.sum_num(attr, &set);
+    /// every frequent set is a subset of `L1`, so the measure of `L1`
+    /// itself bounds them all (`V¹ = Σ_{t ∈ L1} t.B`; the distinct values
+    /// of `L1.B`).
+    pub fn from_l1(l1: &[ItemId], measure: Measure, catalog: &Catalog) -> BoundSeries {
+        let all: Itemset = l1.iter().copied().collect();
+        let v1 = measure.of(&all, catalog);
         let materialized_max = l1
             .iter()
-            .map(|&i| catalog.num(attr, i))
+            .map(|&i| measure.of(&Itemset::singleton(i), catalog))
             .fold(0.0f64, f64::max);
-        VSeries { attr, materialized_max, future: v1, current: v1, history: vec![(1, v1)] }
+        BoundSeries { measure, materialized_max, future: v1, current: v1, history: vec![(1, v1)] }
     }
 
     /// Absorbs the frequent k-sets of the source lattice: records their
-    /// exact sums as materialized and refreshes the future bound via
-    /// Figure 6.
+    /// exact measures as materialized and refreshes the future bound.
     pub fn update(&mut self, level_sets: &[Itemset], k: usize, catalog: &Catalog) {
         for s in level_sets {
-            let sum = catalog.sum_num(self.attr, s);
-            if sum > self.materialized_max {
-                self.materialized_max = sum;
-            }
+            self.materialized_max = self.materialized_max.max(self.measure.of(s, catalog));
         }
-        if let Some(v) = v_bound(level_sets, k, self.attr, catalog) {
+        if let Some(v) = self.measure.bound(level_sets, k, catalog) {
             self.future = v;
         } else if level_sets.is_empty() {
             // The source lattice produced nothing at this level: no
             // frequent set of size ≥ k exists, the future is empty.
             self.future = self.materialized_max;
         }
-        let bound = self.materialized_max.max(self.future).min(self.current);
-        self.current = bound;
+        self.current = self.materialized_max.max(self.future).min(self.current);
         self.history.push((k, self.current));
     }
 
-    /// The current upper bound on `sum(T.B)` over *all* frequent source
-    /// sets (materialized and future).
+    /// The current upper bound over *all* frequent source sets
+    /// (materialized and future).
     pub fn current(&self) -> f64 {
         self.current
-    }
-
-    /// The exact maximum over materialized frequent sets so far.
-    pub fn materialized_max(&self) -> f64 {
-        self.materialized_max
     }
 
     /// `(k, bound)` pairs recorded so far (non-increasing).
@@ -270,63 +291,6 @@ pub fn count_bound(
     Some(max_count + stats.j_max)
 }
 
-/// The evolving `count(distinct ·)` bound — same two-component structure as
-/// [`VSeries`] (exact over materialized levels, [`count_bound`] for the
-/// future), reported as an `f64` so it can drive a `count(..) ≤ c`
-/// pruning condition directly.
-#[derive(Clone, Debug)]
-pub struct CountSeries {
-    attr: Option<AttrId>,
-    materialized_max: u64,
-    future: u64,
-    current: u64,
-    history: Vec<(usize, f64)>,
-}
-
-impl CountSeries {
-    /// Initializes from the level-1 frequent items: every frequent set
-    /// draws its values from `L1`, so `count(distinct L1.B)` bounds all.
-    pub fn from_l1(l1: &[ItemId], attr: Option<AttrId>, catalog: &Catalog) -> CountSeries {
-        let set: Itemset = l1.iter().copied().collect();
-        let total = catalog.count_distinct(attr, &set) as u64;
-        CountSeries {
-            attr,
-            materialized_max: if l1.is_empty() { 0 } else { 1 },
-            future: total,
-            current: total,
-            history: vec![(1, total as f64)],
-        }
-    }
-
-    /// Absorbs the frequent k-sets of the source lattice.
-    pub fn update(&mut self, level_sets: &[Itemset], k: usize, catalog: &Catalog) {
-        for s in level_sets {
-            let c = catalog.count_distinct(self.attr, s) as u64;
-            if c > self.materialized_max {
-                self.materialized_max = c;
-            }
-        }
-        if let Some(b) = count_bound(level_sets, k, self.attr, catalog) {
-            self.future = b;
-        } else if level_sets.is_empty() {
-            self.future = self.materialized_max;
-        }
-        self.current = self.materialized_max.max(self.future).min(self.current);
-        self.history.push((k, self.current as f64));
-    }
-
-    /// The current upper bound on `count(distinct T.B)` over all frequent
-    /// source sets.
-    pub fn current(&self) -> f64 {
-        self.current as f64
-    }
-
-    /// `(k, bound)` pairs recorded so far (non-increasing).
-    pub fn history(&self) -> &[(usize, f64)] {
-        &self.history
-    }
-}
-
 #[cfg(test)]
 mod count_bound_tests {
     use super::*;
@@ -363,28 +327,6 @@ mod count_bound_tests {
                 .unwrap();
             assert!(b >= true_max, "count bound {b} below true max {true_max} at k={k}");
         }
-    }
-
-    #[test]
-    fn count_series_sound_and_monotone() {
-        let cat = catalog();
-        let ty = cat.attr("Type");
-        let fam: Itemset = [0u32, 2, 4].into();
-        let frequent = fam.all_nonempty_subsets();
-        let l1: Vec<ItemId> = (0..6).map(ItemId).collect();
-        let mut series = CountSeries::from_l1(&l1, ty, &cat);
-        assert_eq!(series.current(), 3.0); // 3 distinct types in L1
-        let mut last = series.current();
-        for k in 2..=4usize {
-            let level: Vec<Itemset> =
-                frequent.iter().filter(|s| s.len() == k).cloned().collect();
-            series.update(&level, k, &cat);
-            assert!(series.current() <= last);
-            // True max count over all frequent sets is 3 ({0,2,4}).
-            assert!(series.current() >= 3.0);
-            last = series.current();
-        }
-        assert_eq!(series.history().len(), 4);
     }
 
     #[test]
@@ -531,64 +473,83 @@ mod tests {
             );
         }
     }
-
-    /// Lemma 7: the VSeries is non-increasing.
-    #[test]
-    fn v_series_monotone() {
-        let n = 8usize;
-        let mut b = CatalogBuilder::new(n);
-        b.num_attr("B", vec![3.0, 7.0, 1.0, 9.0, 4.0, 6.0, 2.0, 8.0]).unwrap();
-        let cat = b.build();
-        let attr = cat.attr("B").unwrap();
-        let fam: Itemset = [0u32, 1, 3, 5, 7].into();
-        let frequent = fam.all_nonempty_subsets();
-        let l1: Vec<ItemId> = (0..n as u32).map(ItemId).collect();
-        let mut series = VSeries::from_l1(&l1, attr, &cat);
-        let mut last = series.current();
-        for k in 2..=5usize {
-            let level: Vec<Itemset> = frequent.iter().filter(|s| s.len() == k).cloned().collect();
-            series.update(&level, k, &cat);
-            assert!(series.current() <= last + 1e-12);
-            last = series.current();
-        }
-        assert_eq!(series.history().len(), 5);
-    }
 }
 
 #[cfg(test)]
-mod soundness_regression {
+mod series_tests {
     use super::*;
     use cfq_types::CatalogBuilder;
+
+    /// Walks a series from `L1 = {0..n_items}` through levels `2..=depth`
+    /// of the downward-closed family under `maximal`. At every level it
+    /// must not rise (Lemma 7) and must not drop below the true maximum of
+    /// the measure over the whole family — small sets included.
+    fn walk(
+        measure: Measure,
+        cat: &Catalog,
+        n_items: u32,
+        maximal: &[Itemset],
+        depth: usize,
+    ) -> BoundSeries {
+        let frequent: Vec<Itemset> =
+            maximal.iter().flat_map(|m| m.all_nonempty_subsets()).collect();
+        let true_max =
+            frequent.iter().map(|s| measure.of(s, cat)).fold(f64::NEG_INFINITY, f64::max);
+        let l1: Vec<ItemId> = (0..n_items).map(ItemId).collect();
+        let mut series = BoundSeries::from_l1(&l1, measure, cat);
+        let mut last = series.current();
+        for k in 2..=depth {
+            let level: Vec<Itemset> =
+                frequent.iter().filter(|s| s.len() == k).cloned().collect();
+            series.update(&level, k, cat);
+            assert!(series.current() <= last + 1e-12, "series rose at k={k}");
+            assert!(
+                series.current() >= true_max,
+                "series dropped to {} at k={k}, below the family's {true_max}",
+                series.current()
+            );
+            last = series.current();
+        }
+        assert_eq!(series.history().len(), depth);
+        series
+    }
+
+    fn priced(prices: Vec<f64>) -> (Catalog, Measure) {
+        let mut b = CatalogBuilder::new(prices.len());
+        b.num_attr("B", prices).unwrap();
+        let cat = b.build();
+        let attr = cat.attr("B").unwrap();
+        (cat, Measure::Sum(attr))
+    }
+
+    /// Lemma 7: the sum series is non-increasing.
+    #[test]
+    fn v_series_monotone() {
+        let (cat, sum) = priced(vec![3.0, 7.0, 1.0, 9.0, 4.0, 6.0, 2.0, 8.0]);
+        walk(sum, &cat, 8, &[[0u32, 1, 3, 5, 7].into()], 5);
+    }
 
     /// A frequent *small* T-set can out-sum every deep frequent T-set. The
     /// series must never drop below its sum, even though `V^k` for large k
     /// only sees the deep (cheap) part of the lattice.
     #[test]
     fn series_never_undercuts_small_heavy_sets() {
-        // Items 0,1 heavy (B=100); 2..6 cheap (B=1).
-        let mut b = CatalogBuilder::new(7);
-        b.num_attr("B", vec![100.0, 100.0, 1.0, 1.0, 1.0, 1.0, 1.0]).unwrap();
-        let cat = b.build();
-        let attr = cat.attr("B").unwrap();
-        // Downward-closed frequent family: P({0,1}) ∪ P({2,3,4,5,6}).
-        let heavy: Itemset = [0u32, 1].into();
-        let cheap: Itemset = (2u32..7).collect();
-        let mut frequent = heavy.all_nonempty_subsets();
-        frequent.extend(cheap.all_nonempty_subsets());
-        let l1: Vec<ItemId> = (0..7).map(ItemId).collect();
+        // Items 0,1 heavy (B=100); 2..6 cheap (B=1): the heavy pair's 200
+        // is the maximum over P({0,1}) ∪ P({2,3,4,5,6}).
+        let (cat, sum) = priced(vec![100.0, 100.0, 1.0, 1.0, 1.0, 1.0, 1.0]);
+        let series = walk(sum, &cat, 7, &[[0u32, 1].into(), (2u32..7).collect()], 5);
+        assert!(series.current() >= 200.0);
+    }
 
-        let mut series = VSeries::from_l1(&l1, attr, &cat);
-        for k in 2..=5usize {
-            let level: Vec<Itemset> =
-                frequent.iter().filter(|s| s.len() == k).cloned().collect();
-            series.update(&level, k, &cat);
-            // max sum over ALL frequent T-sets is 200 (= {0,1}).
-            assert!(
-                series.current() >= 200.0,
-                "V series dropped to {} at k={k}, below the frequent heavy pair's 200",
-                series.current()
-            );
-        }
+    #[test]
+    fn count_series_sound_and_monotone() {
+        let mut b = CatalogBuilder::new(6);
+        b.cat_attr("Type", &["a", "a", "b", "b", "c", "c"]).unwrap();
+        let cat = b.build();
+        // The true max count over all frequent sets is 3 ({0,2,4}).
+        let series = walk(Measure::Count(cat.attr("Type")), &cat, 6, &[[0u32, 2, 4].into()], 4);
+        assert_eq!(series.history()[0], (1, 3.0)); // 3 distinct types in L1
+        assert!(series.current() >= 3.0);
     }
 }
 

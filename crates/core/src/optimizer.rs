@@ -1,48 +1,38 @@
-//! The CFQ query optimizer (§6, Figure 7).
+//! The CFQ query optimizer (§6, Figure 7), step by step.
 //!
-//! Given a bound CFQ, the optimizer:
+//! [`mod@crate::plan`] decides, from the catalog alone, everything Figure 7
+//! decides before counting: the 1-var / 2-var split, which 2-var
+//! constraints are quasi-succinct (`C_qs`), which weaker ones Figure 4
+//! induces from the rest, and where a `J^k_max` task attaches. This module
+//! executes a plan, one function a box:
 //!
-//! 1. separates 1-var and 2-var constraints (done at binding);
-//! 2. splits the 2-var constraints into quasi-succinct (`C_qs`) and not
-//!    (`C_nqs`); induces weaker quasi-succinct constraints from `C_nqs`
-//!    (Figure 4) and adds them to `C_qs`;
-//! 3. after the first counting iteration, reduces every constraint in
-//!    `C_qs` to succinct 1-var pruning conditions (Figures 2–3) and pushes
-//!    them into the CAP lattices;
-//! 4. for `C_nqs` constraints bounded by a `sum`, attaches `J^k_max`
-//!    iterative pruning (§5.2) to the bounded lattice, fed by the bounding
-//!    lattice's levels as the two lattices are computed *dovetailed* over
-//!    shared database scans;
-//! 5. forms the final pairs, re-verifying every original 2-var constraint
-//!    (which also absorbs the non-tight and induced-weaker looseness).
+//! 1. **level 1** of both CAP lattices, read off the [`Substrate`];
+//! 2. [`reduce`]: every constraint of `C_qs` becomes succinct 1-var
+//!    conditions over `L1^S` / `L1^T` (Figures 2–3) — returned as data, the
+//!    [`Reductions`], then pushed into the lattices;
+//! 3. the `J^k_max` states (§5.2): one bound series per task of the plan,
+//!    started from the bounding lattice's `L1`;
+//! 4. `mine`: levels ≥ 2 of both lattices *dovetailed* over shared scans,
+//!    each level of the bounding lattice tightening the bounded one's
+//!    series — or, as §5.2's alternative, one lattice after the other;
+//! 5. the outcome: each side's frequent valid sets collected and the pairs
+//!    formed, re-verifying every original 2-var constraint (which also
+//!    absorbs the non-tight and induced-weaker looseness).
 //!
-//! Setting all three `push_*` flags to `false` yields exactly the Apriori⁺
-//! baseline; `push_one_var` alone yields the CAP-1-var strategy the paper
-//! compares against in §7.2.
+//! The [`Strategy`] flags switch steps off, never the plan: all three
+//! `push_*` flags `false` is exactly the Apriori⁺ baseline; `push_one_var`
+//! alone is the CAP-1-var strategy the paper compares against in §7.2.
 
 use crate::cap::{LatticeConfig, LatticeRun};
-use crate::jkmax::{CountSeries, VSeries};
-use crate::pairs::{form_pairs, pair_up, PairResult};
+use crate::jkmax::BoundSeries;
+use crate::pairs::{pair_up, PairResult};
+use crate::plan::{plan, CfqPlan, JkTask};
 use cfq_constraints::{
-    classify_two, eval_all_one, induce_weaker, reduce_quasi_succinct, Agg, BoundQuery, CmpOp,
-    OneVar, SuccinctForm, TwoVar, Var,
+    eval_all_one, reduce_quasi_succinct, BoundQuery, OneVar, Reduction, SuccinctForm, TwoVar, Var,
 };
 use cfq_mining::{CountingBackend, ScanStats, Substrate, WorkStats};
-use cfq_types::{AttrId, Catalog, CfqError, ItemId, Itemset, Result, TransactionDb};
+use cfq_types::{Catalog, CfqError, ItemId, Itemset, Result, TransactionDb};
 use std::time::Instant;
-
-/// How a 2-var constraint ends up being handled.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum StrategyKind {
-    /// Reduced to succinct 1-var conditions after level 1 (Figures 2–3).
-    QuasiSuccinct,
-    /// A weaker quasi-succinct constraint was induced and reduced (Fig. 4).
-    InducedWeaker,
-    /// `J^k_max` iterative pruning attached (§5.2).
-    JkmaxIterative,
-    /// Only verified at pair formation.
-    FinalVerifyOnly,
-}
 
 /// Execution environment of a query: data, domains, thresholds.
 pub struct QueryEnv<'a> {
@@ -150,236 +140,49 @@ impl<'a> QueryEnv<'a> {
         self
     }
 
-    fn universe(&self, var: Var) -> Vec<ItemId> {
-        let u = match var {
+    /// The domain of `var`: as given (normalized), or every item of the
+    /// database.
+    pub(crate) fn universe(&self, var: Var) -> Vec<ItemId> {
+        let given = match var {
             Var::S => &self.s_universe,
             Var::T => &self.t_universe,
         };
-        if u.is_empty() {
-            (0..self.db.n_items() as u32).map(ItemId).collect()
-        } else {
-            u.clone()
-        }
+        domain_or_all(given, self.db.n_items())
     }
 
-    fn min_support(&self, var: Var) -> u64 {
+    pub(crate) fn min_support(&self, var: Var) -> u64 {
         match var {
             Var::S => self.s_min_support,
             Var::T => self.t_min_support,
         }
     }
-}
 
-/// What an iterative bound task prunes with: a `sum(T.B)` bound (the
-/// paper's §5.2) or a `count(distinct T.B)` bound (the 2-var count
-/// extension).
-#[derive(Clone, Debug)]
-enum BoundTarget {
-    /// `bounded_agg(S.attr) op V`, `V` from the partner's sum series.
-    Sum { bounded_agg: Agg, bounded_attr: AttrId, source_attr: AttrId },
-    /// `count(S.attr) op C`, `C` from the partner's count series.
-    Count { bounded_attr: Option<AttrId>, source_attr: Option<AttrId> },
-}
-
-/// An iterative pruning task: the `pruned` variable's candidates are
-/// bounded through the partner lattice's evolving series.
-#[derive(Clone, Debug)]
-struct JkTask {
-    pruned: Var,
-    /// `Le` or `Lt`, oriented as `bounded(pruned) op BOUND`.
-    op: CmpOp,
-    target: BoundTarget,
-}
-
-impl JkTask {
-    /// Whether the per-candidate bound check is anti-monotone (pushable
-    /// during the run, not just at output).
-    fn is_am(&self, catalog: &Catalog) -> bool {
-        match &self.target {
-            BoundTarget::Sum { bounded_agg, bounded_attr, .. } => match bounded_agg {
-                Agg::Max => true,
-                Agg::Sum => catalog
-                    .column_min_num(*bounded_attr)
-                    .map(|m| m >= 0.0)
-                    .unwrap_or(true),
-                Agg::Min | Agg::Avg => false,
-            },
-            // count(X) ≤ c is always anti-monotone.
-            BoundTarget::Count { .. } => true,
+    /// Fails with [`CfqError::Engine`] when the catalog covers fewer items
+    /// than the database references — an inconsistent environment that
+    /// would otherwise surface as an opaque index panic deep inside
+    /// constraint evaluation.
+    fn check(&self) -> Result<()> {
+        if self.catalog.n_items() < self.db.n_items() {
+            return Err(CfqError::Engine(format!(
+                "catalog covers {} items but the database references up to {}",
+                self.catalog.n_items(),
+                self.db.n_items()
+            )));
         }
-    }
-
-    fn condition(&self, value: f64) -> OneVar {
-        match &self.target {
-            BoundTarget::Sum { bounded_agg, bounded_attr, .. } => OneVar::AggCmp {
-                var: self.pruned,
-                agg: *bounded_agg,
-                attr: *bounded_attr,
-                op: self.op,
-                value,
-            },
-            BoundTarget::Count { bounded_attr, .. } => OneVar::CountCmp {
-                var: self.pruned,
-                attr: *bounded_attr,
-                op: self.op,
-                value,
-            },
-        }
-    }
-
-    fn make_series(&self, source_l1: &[ItemId], catalog: &Catalog) -> Series {
-        match &self.target {
-            BoundTarget::Sum { source_attr, .. } => {
-                Series::Sum(VSeries::from_l1(source_l1, *source_attr, catalog))
-            }
-            BoundTarget::Count { source_attr, .. } => {
-                Series::Count(CountSeries::from_l1(source_l1, *source_attr, catalog))
-            }
-        }
+        Ok(())
     }
 }
 
-/// Either bound series, unified for the executor.
-enum Series {
-    Sum(VSeries),
-    Count(CountSeries),
-}
-
-impl Series {
-    fn current(&self) -> f64 {
-        match self {
-            Series::Sum(v) => v.current(),
-            Series::Count(c) => c.current(),
-        }
+/// A variable's domain as a caller gave it — ascending, duplicates dropped
+/// — or every one of `n_items` items when none was given.
+pub fn domain_or_all(given: &[ItemId], n_items: usize) -> Vec<ItemId> {
+    if given.is_empty() {
+        return (0..n_items as u32).map(ItemId).collect();
     }
-
-    fn update(&mut self, level_sets: &[Itemset], k: usize, catalog: &Catalog) {
-        match self {
-            Series::Sum(v) => v.update(level_sets, k, catalog),
-            Series::Count(c) => c.update(level_sets, k, catalog),
-        }
-    }
-
-    fn history(&self) -> &[(usize, f64)] {
-        match self {
-            Series::Sum(v) => v.history(),
-            Series::Count(c) => c.history(),
-        }
-    }
-}
-
-/// Public summary of an iterative bound task (the executable details stay
-/// in the private `JkTask`): enough for static auditing of the §5.2
-/// obligations.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct JkSummary {
-    /// The variable whose candidates the task prunes.
-    pub pruned: Var,
-    /// The comparison direction, oriented `bounded(pruned) op BOUND`.
-    pub op: CmpOp,
-}
-
-/// One step of the optimizer's rewrite trace: how a single original 2-var
-/// constraint was handled, with everything a static auditor needs to
-/// re-check the paper's per-rewrite obligations (Figs. 2–4, §5.2).
-#[derive(Clone, Debug)]
-pub struct TraceNode {
-    /// The original 2-var constraint.
-    pub constraint: TwoVar,
-    /// The strategy the optimizer chose for it.
-    pub strategy: StrategyKind,
-    /// Constraints sent to the quasi-succinct reduction on its behalf: the
-    /// constraint itself for [`StrategyKind::QuasiSuccinct`], the induced
-    /// weaker constraints for [`StrategyKind::InducedWeaker`].
-    pub pushed: Vec<TwoVar>,
-    /// `J^k_max` iterative pruning tasks attached to this constraint.
-    pub jk: Vec<JkSummary>,
-    /// Whether the constraint is re-evaluated at pair formation. Every
-    /// plan the optimizer emits sets this; a plan without it loses answers
-    /// whenever an upstream rewrite was not tight.
-    pub reverified: bool,
-}
-
-/// The optimizer's rewrite trace — what [`Optimizer::build_plan`] decided, in a
-/// form `cfq-audit` can walk without executing anything. Fields are public
-/// so tests can doctor a trace (e.g. clear a `reverified` flag) and check
-/// that the auditor rejects it.
-#[derive(Clone, Debug, Default)]
-pub struct PlanTrace {
-    /// 1-var constraints pushed on the S side.
-    pub s_one: Vec<OneVar>,
-    /// 1-var constraints pushed on the T side.
-    pub t_one: Vec<OneVar>,
-    /// One rewrite node per original 2-var constraint, in query order.
-    pub nodes: Vec<TraceNode>,
-    /// The 2-var constraints checked during final pair formation.
-    pub final_two: Vec<TwoVar>,
-}
-
-/// The optimizer's output plan for one CFQ.
-#[derive(Clone, Debug)]
-pub struct CfqPlan {
-    s_one: Vec<OneVar>,
-    t_one: Vec<OneVar>,
-    /// Quasi-succinct constraints to reduce after level 1 (original QS plus
-    /// induced weaker ones).
-    qs_two: Vec<TwoVar>,
-    /// All original 2-var constraints (verified at pair formation).
-    final_two: Vec<TwoVar>,
-    jk_tasks: Vec<JkTask>,
-    /// `(constraint, strategy)` per original 2-var constraint.
-    strategies: Vec<(TwoVar, StrategyKind)>,
-    /// The auditable rewrite trace mirroring the fields above.
-    trace: PlanTrace,
-}
-
-impl CfqPlan {
-    /// Human-readable plan description (the optimizer's EXPLAIN).
-    pub fn explain(&self, catalog: &Catalog) -> String {
-        let mut out = String::from("CFQ plan\n========\n");
-        out.push_str(&format!(
-            "1-var constraints: {} on S, {} on T (pushed via CAP)\n",
-            self.s_one.len(),
-            self.t_one.len()
-        ));
-        for c in &self.s_one {
-            out.push_str(&format!("  [S] {}{}\n", c.display(catalog), selectivity_note(c, catalog)));
-        }
-        for c in &self.t_one {
-            out.push_str(&format!("  [T] {}{}\n", c.display(catalog), selectivity_note(c, catalog)));
-        }
-        out.push_str(&format!("2-var constraints: {}\n", self.strategies.len()));
-        for (c, s) in &self.strategies {
-            let how = match s {
-                StrategyKind::QuasiSuccinct => {
-                    "quasi-succinct: reduced to succinct 1-var conditions after level 1"
-                }
-                StrategyKind::InducedWeaker => {
-                    "not quasi-succinct: weaker constraint induced (Fig. 4) and reduced"
-                }
-                StrategyKind::JkmaxIterative => {
-                    "sum-bounded: J^k_max iterative pruning attached (Figs. 5-6)"
-                }
-                StrategyKind::FinalVerifyOnly => "verified at pair formation only",
-            };
-            out.push_str(&format!("  {}  ->  {how}\n", c.display(catalog)));
-        }
-        out.push_str(&format!(
-            "final verification: {} 2-var constraint(s) at pair formation\n",
-            self.final_two.len()
-        ));
-        out
-    }
-
-    /// The strategies chosen per original 2-var constraint.
-    pub fn strategies(&self) -> &[(TwoVar, StrategyKind)] {
-        &self.strategies
-    }
-
-    /// The auditable rewrite trace of this plan.
-    pub fn trace(&self) -> &PlanTrace {
-        &self.trace
-    }
+    let mut domain = given.to_vec();
+    domain.sort_unstable();
+    domain.dedup();
+    domain
 }
 
 /// Where a lattice served during one execution came from. One-shot
@@ -467,14 +270,48 @@ pub struct ExecutionOutcome {
     pub provenance: OutcomeProvenance,
 }
 
-/// The CFQ query optimizer. Flags select the strategy family; defaults are
-/// the full optimizer of Figure 7.
+impl ExecutionOutcome {
+    /// The outcome of two sides computed apart, not yet paired: scans and
+    /// scan volume are the sides' sums, each lattice mined cold.
+    pub fn of_sides(
+        (s_sets, s_stats): (Vec<(Itemset, u64)>, WorkStats),
+        (t_sets, t_stats): (Vec<(Itemset, u64)>, WorkStats),
+    ) -> ExecutionOutcome {
+        let mut scan = s_stats.scan.clone();
+        scan.absorb(&t_stats.scan);
+        ExecutionOutcome {
+            s_sets,
+            t_sets,
+            pair_result: PairResult::default(),
+            db_scans: s_stats.db_scans + t_stats.db_scans,
+            scan,
+            s_stats,
+            t_stats,
+            v_histories: Vec::new(),
+            provenance: OutcomeProvenance::default(),
+        }
+    }
+
+    /// The step every execution ends with ([`pair_up`]): forms the pairs
+    /// over both sides, re-verifying `two`, and restricts the sides to
+    /// Definition 3's *frequent valid* sets — which makes every strategy's
+    /// output identical regardless of how much of the validity pruning it
+    /// performed during mining.
+    pub fn paired(mut self, two: &[TwoVar], catalog: &Catalog, max_pairs: Option<usize>) -> Self {
+        let (s_sets, t_sets) = (std::mem::take(&mut self.s_sets), std::mem::take(&mut self.t_sets));
+        (self.s_sets, self.t_sets, self.pair_result) =
+            pair_up(s_sets, t_sets, two, catalog, max_pairs);
+        self
+    }
+}
+
+/// The strategy family an execution runs under: which steps of Figure 7
+/// are switched on. Defaults are the full optimizer.
 ///
-/// The type plays two roles: a *flag set* naming a strategy family
-/// (what `Session::query(..).strategy(..)` and `QueryRequest` carry —
-/// use the [`Strategy`] alias there) and the *executor* of the one-shot
-/// paper pipeline ([`Optimizer::build_plan`] / [`Optimizer::evaluate`] /
-/// [`Optimizer::execute_plan`]).
+/// The flags never shape the plan — [`plan`] takes none — only what
+/// [`Optimizer::execute_plan`] does with it and what EXPLAIN therefore
+/// says. `Session::query(..).strategy(..)` and `QueryRequest` carry the
+/// value under the name [`Strategy`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Optimizer {
     /// Push 1-var constraints through CAP (off = check at output, as
@@ -496,10 +333,9 @@ impl Default for Optimizer {
     }
 }
 
-/// The preferred name for [`Optimizer`] used *as a strategy-family flag
-/// set* (in `QueryRequest`, `Session::query(..).strategy(..)`, and the
-/// wire protocol) rather than as the one-shot executor. Same type, one
-/// name per role.
+/// The preferred name for [`Optimizer`] where it travels as a value (in
+/// `QueryRequest`, `Session::query(..).strategy(..)`, and the wire
+/// protocol). Same type.
 pub type Strategy = Optimizer;
 
 impl Optimizer {
@@ -540,267 +376,261 @@ impl Optimizer {
         }
     }
 
-    /// Builds the plan from the catalog alone — planning never touches the
-    /// data, which is what lets `cfq audit` verify plans statically and the
-    /// session engine cache plans across database epochs.
+    /// [`plan`], under its old name: the flags are not consulted.
     pub fn build_plan(&self, query: &BoundQuery, catalog: &Catalog) -> CfqPlan {
-        let s_one: Vec<OneVar> = query.one_var_for(Var::S).cloned().collect();
-        let t_one: Vec<OneVar> = query.one_var_for(Var::T).cloned().collect();
-        let final_two = query.two_var.clone();
-        let mut qs_two = Vec::new();
-        let mut jk_tasks = Vec::new();
-        let mut strategies = Vec::new();
-        let mut nodes = Vec::new();
-
-        for c in &query.two_var {
-            let mut kind = StrategyKind::FinalVerifyOnly;
-            let mut pushed = Vec::new();
-            let mut jk = Vec::new();
-            if classify_two(c).quasi_succinct {
-                qs_two.push(c.clone());
-                pushed.push(c.clone());
-                kind = StrategyKind::QuasiSuccinct;
-            } else {
-                let weaker = induce_weaker(c, catalog);
-                if !weaker.is_empty() {
-                    pushed.extend(weaker.iter().cloned());
-                    qs_two.extend(weaker);
-                    kind = StrategyKind::InducedWeaker;
-                }
-                for task in jk_tasks_for(c, catalog) {
-                    jk.push(JkSummary { pruned: task.pruned, op: task.op });
-                    jk_tasks.push(task);
-                    kind = StrategyKind::JkmaxIterative;
-                }
-            }
-            strategies.push((c.clone(), kind));
-            nodes.push(TraceNode {
-                constraint: c.clone(),
-                strategy: kind,
-                pushed,
-                jk,
-                reverified: final_two.contains(c),
-            });
-        }
-
-        let trace = PlanTrace {
-            s_one: s_one.clone(),
-            t_one: t_one.clone(),
-            nodes,
-            final_two: final_two.clone(),
-        };
-        CfqPlan { s_one, t_one, qs_two, final_two, jk_tasks, strategies, trace }
+        plan(query, catalog)
     }
 
     /// Plans and executes in one step, reporting environment problems as
     /// typed errors instead of panicking.
     pub fn evaluate(&self, query: &BoundQuery, env: &QueryEnv<'_>) -> Result<ExecutionOutcome> {
-        let plan = self.build_plan(query, env.catalog);
-        self.execute_plan(&plan, env)
+        self.execute_plan(&plan(query, env.catalog), env)
     }
 
-    /// Executes a plan. Fails with [`CfqError::Engine`] when the catalog
-    /// covers fewer items than the database references — an inconsistent
-    /// environment that would otherwise surface as an opaque index panic
-    /// deep inside constraint evaluation.
+    /// Executes a plan: the steps of Figure 7 this strategy's flags leave
+    /// on, in order. Fails with [`CfqError::Engine`] on an inconsistent
+    /// environment.
     pub fn execute_plan(&self, plan: &CfqPlan, env: &QueryEnv<'_>) -> Result<ExecutionOutcome> {
-        if env.catalog.n_items() < env.db.n_items() {
-            return Err(CfqError::Engine(format!(
-                "catalog covers {} items but the database references up to {}",
-                env.catalog.n_items(),
-                env.db.n_items()
-            )));
-        }
+        env.check()?;
         let catalog = env.catalog;
         let mut sub = Substrate::new(env.db, env.backend, env.trim, env.counting_threads);
+        let mut s_run = self.open_lattice(plan, env, Var::S);
+        let mut t_run = self.open_lattice(plan, env, Var::T);
 
-        let make_run = |var: Var| {
-            let pushed: Vec<OneVar> = if self.push_one_var {
-                match var {
-                    Var::S => plan.s_one.clone(),
-                    Var::T => plan.t_one.clone(),
-                }
-            } else {
-                Vec::new()
-            };
-            let form = SuccinctForm::compile(&pushed, catalog);
-            LatticeRun::new(
-                LatticeConfig {
-                    var,
-                    universe: env.universe(var),
-                    min_support: env.min_support(var),
-                    max_level: env.max_level,
-                },
-                form,
-                catalog,
-            )
-        };
-        let mut s_run = make_run(Var::S);
-        let mut t_run = make_run(Var::T);
-
-        // ---- Level 1 (read off the database's item-support column) ----
-        if self.dovetail {
-            count_level(&mut sub, 1, &mut [&mut s_run, &mut t_run]);
-        } else {
-            count_level(&mut sub, 1, &mut [&mut s_run]);
-            count_level(&mut sub, 1, &mut [&mut t_run]);
-        }
-
-        let l1s = s_run.l1_items();
-        let l1t = t_run.l1_items();
-
-        // ---- Quasi-succinct reduction (the Fig. 7 "Reduction" box) ----
+        level_one(&mut sub, &mut s_run, &mut t_run, self.dovetail);
         if self.push_two_var {
-            let mut s_conds = Vec::new();
-            let mut t_conds = Vec::new();
-            for c in &plan.qs_two {
-                if let Some(r) = reduce_quasi_succinct(c, &l1s, &l1t, catalog) {
-                    s_conds.extend(r.s_conds);
-                    t_conds.extend(r.t_conds);
+            let reductions = reduce(plan, &s_run.l1_items(), &t_run.l1_items(), catalog);
+            for run in [&mut s_run, &mut t_run] {
+                let conds = reductions.conditions(run.var());
+                if !conds.is_empty() {
+                    run.push_conditions(&conds);
                 }
             }
-            if !s_conds.is_empty() {
-                s_run.push_conditions(&s_conds);
-            }
-            if !t_conds.is_empty() {
-                t_run.push_conditions(&t_conds);
-            }
         }
-
-        // ---- J^k_max state ----
-        let mut jk_states: Vec<JkState> = if self.use_jkmax {
-            plan.jk_tasks
-                .iter()
-                .map(|task| {
-                    let (source_l1, source_run) = match task.pruned {
-                        Var::S => (&l1t, &t_run),
-                        Var::T => (&l1s, &s_run),
-                    };
-                    JkState {
-                        series: task.make_series(source_l1, catalog),
-                        updatable: source_run.form().required_groups.is_empty(),
-                        task: task.clone(),
-                    }
-                })
-                .collect()
+        let mut bounds = if self.use_jkmax {
+            jk_states(plan, &s_run, &t_run, catalog)
         } else {
             Vec::new()
         };
+        mine(&mut sub, &mut s_run, &mut t_run, &mut bounds, self.dovetail, catalog);
+        Ok(self.outcome(plan, env, sub, s_run, t_run, bounds))
+    }
 
-        let jk_am_conds = |states: &[JkState], var: Var, catalog: &Catalog| -> Vec<OneVar> {
-            states
-                .iter()
-                .filter(|st| st.task.pruned == var && st.task.is_am(catalog))
-                .map(|st| st.task.condition(st.series.current()))
-                .collect()
+    /// An unstarted CAP lattice for `var`: its domain, threshold and — when
+    /// 1-var constraints are pushed — the plan's compiled form.
+    fn open_lattice<'a>(&self, plan: &CfqPlan, env: &QueryEnv<'a>, var: Var) -> LatticeRun<'a> {
+        let form =
+            if self.push_one_var { plan.form(var).clone() } else { SuccinctForm::default() };
+        let cfg = LatticeConfig {
+            var,
+            universe: env.universe(var),
+            min_support: env.min_support(var),
+            max_level: env.max_level,
         };
+        LatticeRun::new(cfg, form, env.catalog)
+    }
 
-        // ---- Levels ≥ 2 ----
-        if self.dovetail {
-            for level in 2.. {
-                s_run.set_extra_am(jk_am_conds(&jk_states, Var::S, catalog));
-                t_run.set_extra_am(jk_am_conds(&jk_states, Var::T, catalog));
-                let (s_before, t_before) = (s_run.levels_done(), t_run.levels_done());
-                if !count_level(&mut sub, level, &mut [&mut s_run, &mut t_run]) {
-                    break;
-                }
-                update_jk(&mut jk_states, &s_run, &t_run, s_before, t_before, catalog);
-            }
-        } else {
-            // Sequential: the bounding lattice first (so the bound series is
-            // complete before the bounded lattice runs), then the other.
-            let t_first = jk_states.iter().any(|st| st.task.pruned == Var::S)
-                || jk_states.is_empty();
-            let order: [Var; 2] = if t_first { [Var::T, Var::S] } else { [Var::S, Var::T] };
-            for var in order {
-                // Each lattice trims for its own candidates only; start it
-                // from the full database again.
-                sub.restart_trim();
-                for level in 2.. {
-                    let (s_before, t_before) = (s_run.levels_done(), t_run.levels_done());
-                    let run = match var {
-                        Var::S => &mut s_run,
-                        Var::T => &mut t_run,
-                    };
-                    run.set_extra_am(jk_am_conds(&jk_states, var, catalog));
-                    if !count_level(&mut sub, level, &mut [run]) {
-                        break;
-                    }
-                    update_jk(&mut jk_states, &s_run, &t_run, s_before, t_before, catalog);
-                }
-            }
-        }
+    /// The last box of Figure 7: each side's frequent valid sets, then —
+    /// unless the environment asked for the mining only — the pairs.
+    fn outcome<'c>(
+        &self,
+        plan: &CfqPlan,
+        env: &QueryEnv<'c>,
+        sub: Substrate<'_>,
+        mut s_run: LatticeRun<'c>,
+        mut t_run: LatticeRun<'c>,
+        bounds: Vec<JkState>,
+    ) -> ExecutionOutcome {
         let Substrate { db_scans, scan, .. } = sub;
-
-        // ---- Outputs ----
-        // J^k_max conditions (including the non-anti-monotone ones) become
-        // output filters at their final bound values.
-        let jk_out = |states: &[JkState], var: Var| -> Vec<OneVar> {
-            states
-                .iter()
-                .filter(|st| st.task.pruned == var)
-                .map(|st| st.task.condition(st.series.current()))
-                .collect()
-        };
-        let jk_s = jk_out(&jk_states, Var::S);
-        let jk_t = jk_out(&jk_states, Var::T);
-
-        let collect = |run: &LatticeRun<'_>, one: &[OneVar], jk: &[OneVar]| {
-            run.valid_sets()
-                .into_iter()
-                .filter(|(s, _)| eval_all_one(one, s, catalog) && eval_all_one(jk, s, catalog))
-                .collect::<Vec<_>>()
-        };
-        // Without 1-var pushing the constraint check on every frequent set
-        // is the Apriori⁺ post-pass; account for it.
         if !self.push_one_var {
-            let s_checks = s_run.frequent().total() as u64 * plan.s_one.len() as u64;
-            let t_checks = t_run.frequent().total() as u64 * plan.t_one.len() as u64;
-            s_run.stats_mut().record_checks(s_checks);
-            t_run.stats_mut().record_checks(t_checks);
+            // Without 1-var pushing the constraint check on every frequent
+            // set is the Apriori⁺ post-pass; account for it.
+            for run in [&mut s_run, &mut t_run] {
+                let checks = run.frequent().total() as u64 * plan.one_var(run.var()).len() as u64;
+                run.stats_mut().record_checks(checks);
+            }
         }
-        let s_sets = collect(&s_run, &plan.s_one, &jk_s);
-        let t_sets = collect(&t_run, &plan.t_one, &jk_t);
-
-        if !env.form_pairs {
-            let empty = form_pairs(&[], &[], &plan.final_two, catalog, Some(0));
-            return Ok(ExecutionOutcome {
-                s_sets,
-                t_sets,
-                pair_result: empty,
-                s_stats: s_run.stats().clone(),
-                t_stats: t_run.stats().clone(),
-                db_scans,
-                scan,
-                v_histories: jk_states
-                    .into_iter()
-                    .map(|st| (st.task.pruned, st.series.history().to_vec()))
-                    .collect(),
-                provenance: OutcomeProvenance::default(),
-            });
-        }
-        // Pairing also restricts the reported sets to Definition 3's
-        // *frequent valid* sets, which makes every strategy's output
-        // identical regardless of how much of the validity pruning it
-        // performed during mining.
-        let (s_sets, t_sets, pair_result) =
-            pair_up(s_sets, t_sets, &plan.final_two, catalog, env.max_pairs);
-
-        Ok(ExecutionOutcome {
-            s_sets,
-            t_sets,
-            pair_result,
+        let mined = ExecutionOutcome {
+            s_sets: collect(&s_run, plan, &bounds, env.catalog),
+            t_sets: collect(&t_run, plan, &bounds, env.catalog),
+            pair_result: PairResult::default(),
             s_stats: s_run.stats().clone(),
             t_stats: t_run.stats().clone(),
             db_scans,
             scan,
-            v_histories: jk_states
+            v_histories: bounds
                 .into_iter()
-                .map(|st| (st.task.pruned, st.series.history().to_vec()))
+                .map(|b| (b.task.pruned, b.series.history().to_vec()))
                 .collect(),
             provenance: OutcomeProvenance::default(),
-        })
+        };
+        if env.form_pairs {
+            mined.paired(&plan.trace().final_two, env.catalog, env.max_pairs)
+        } else {
+            mined
+        }
     }
+}
+
+/// Level 1 of both lattices, read off the database's item-support column.
+fn level_one<'c>(
+    sub: &mut Substrate<'_>,
+    s_run: &mut LatticeRun<'c>,
+    t_run: &mut LatticeRun<'c>,
+    dovetail: bool,
+) {
+    if dovetail {
+        count_level(sub, 1, &mut [s_run, t_run]);
+    } else {
+        count_level(sub, 1, &mut [s_run]);
+        count_level(sub, 1, &mut [t_run]);
+    }
+}
+
+/// What Figures 2–3 make of a plan's pushed constraints once both `L1`s
+/// are known: per constraint, in plan order, the conditions on candidate
+/// S-sets and T-sets and whether each side is tight.
+#[derive(Clone, Debug, Default)]
+pub struct Reductions(pub Vec<(TwoVar, Reduction)>);
+
+impl Reductions {
+    /// Every condition on `var`, in plan order: what is pushed into that
+    /// variable's lattice right after level 1.
+    pub fn conditions(&self, var: Var) -> Vec<OneVar> {
+        let side = |(_, r): &(TwoVar, Reduction)| match var {
+            Var::S => r.s_conds.clone(),
+            Var::T => r.t_conds.clone(),
+        };
+        self.0.iter().flat_map(side).collect()
+    }
+}
+
+/// The Figure 7 "Reduction" box: reduces every constraint the plan pushes
+/// — the quasi-succinct originals and the induced weaker ones — to 1-var
+/// conditions whose constants come from `l1_s` / `l1_t`, the frequent items
+/// of the two lattices. Needs no run: any `L1`s will do.
+pub fn reduce(plan: &CfqPlan, l1_s: &[ItemId], l1_t: &[ItemId], catalog: &Catalog) -> Reductions {
+    let pushed = plan.trace().nodes.iter().flat_map(|node| &node.pushed);
+    Reductions(
+        pushed
+            .filter_map(|c| Some((c.clone(), reduce_quasi_succinct(c, l1_s, l1_t, catalog)?)))
+            .collect(),
+    )
+}
+
+/// Live state of one `J^k_max` task during execution.
+struct JkState {
+    task: JkTask,
+    series: BoundSeries,
+    /// Whether the bound condition is anti-monotone: checked on candidates
+    /// during the run, not only on the output.
+    pushable: bool,
+    /// Bound updates need the source family downward-closed: no required
+    /// groups pushed on the source lattice.
+    updatable: bool,
+}
+
+/// The `J^k_max` states: one per task of the plan, its series started from
+/// the `L1` of the lattice that bounds it.
+fn jk_states(
+    plan: &CfqPlan,
+    s_run: &LatticeRun<'_>,
+    t_run: &LatticeRun<'_>,
+    catalog: &Catalog,
+) -> Vec<JkState> {
+    let tasks = plan.trace().nodes.iter().flat_map(|node| &node.jk);
+    tasks
+        .map(|task| {
+            let source = if task.pruned == Var::S { t_run } else { s_run };
+            JkState {
+                series: BoundSeries::from_l1(&source.l1_items(), task.source, catalog),
+                pushable: task.is_am(catalog),
+                updatable: source.form().required_groups.is_empty(),
+                task: task.clone(),
+            }
+        })
+        .collect()
+}
+
+/// The bound conditions on `var` at their current values: all of them (the
+/// output filter), or only those candidates may be pruned with.
+fn bound_conditions(bounds: &[JkState], var: Var, pushable_only: bool) -> Vec<OneVar> {
+    bounds
+        .iter()
+        .filter(|b| b.task.pruned == var && (b.pushable || !pushable_only))
+        .map(|b| b.task.condition(b.series.current()))
+        .collect()
+}
+
+/// Levels ≥ 2 of both lattices. Dovetailed, each level is one shared scan
+/// and every level of a bounding lattice tightens the series before the
+/// bounded one generates its next candidates. Sequentially (§5.2's
+/// alternative) the bounding lattice runs to its end first, so the other
+/// starts from the final bound.
+fn mine<'c>(
+    sub: &mut Substrate<'_>,
+    s_run: &mut LatticeRun<'c>,
+    t_run: &mut LatticeRun<'c>,
+    bounds: &mut [JkState],
+    dovetail: bool,
+    catalog: &Catalog,
+) {
+    if dovetail {
+        for level in 2.. {
+            s_run.set_extra_am(bound_conditions(bounds, Var::S, true));
+            t_run.set_extra_am(bound_conditions(bounds, Var::T, true));
+            let before = [s_run.levels_done(), t_run.levels_done()];
+            if !count_level(sub, level, &mut [&mut *s_run, &mut *t_run]) {
+                break;
+            }
+            update_bounds(bounds, s_run, before[0], catalog);
+            update_bounds(bounds, t_run, before[1], catalog);
+        }
+        return;
+    }
+    let t_first = bounds.iter().any(|b| b.task.pruned == Var::S) || bounds.is_empty();
+    for var in if t_first { [Var::T, Var::S] } else { [Var::S, Var::T] } {
+        // Each lattice trims for its own candidates only; start it from
+        // the full database again.
+        sub.restart_trim();
+        let run = if var == Var::S { &mut *s_run } else { &mut *t_run };
+        for level in 2.. {
+            let before = run.levels_done();
+            run.set_extra_am(bound_conditions(bounds, var, true));
+            if !count_level(sub, level, &mut [&mut *run]) {
+                break;
+            }
+            update_bounds(bounds, run, before, catalog);
+        }
+    }
+}
+
+/// After a level: if `source`, at `before` levels before it, completed a
+/// level ≥ 2, that level refreshes every series `source` feeds.
+fn update_bounds(bounds: &mut [JkState], source: &LatticeRun<'_>, before: usize, cat: &Catalog) {
+    let after = source.levels_done();
+    if after > before && after >= 2 {
+        for b in bounds.iter_mut().filter(|b| b.updatable && b.task.pruned != source.var()) {
+            b.series.update(&source.frequent().level_sets(after), after, cat);
+        }
+    }
+}
+
+/// One side's output: the run's valid sets that also pass the side's 1-var
+/// constraints (all of them — the run pushed what the strategy let it) and
+/// every bound condition, the non-anti-monotone ones included, at its
+/// final value.
+fn collect(
+    run: &LatticeRun<'_>,
+    plan: &CfqPlan,
+    bounds: &[JkState],
+    catalog: &Catalog,
+) -> Vec<(Itemset, u64)> {
+    let one = plan.one_var(run.var());
+    let bound = bound_conditions(bounds, run.var(), false);
+    let mut sets = run.valid_sets();
+    sets.retain(|(s, _)| eval_all_one(one, s, catalog) && eval_all_one(&bound, s, catalog));
+    sets
 }
 
 /// Counts the next level — `level` — of every run in `runs` over one
@@ -845,139 +675,10 @@ fn count_level(sub: &mut Substrate<'_>, level: usize, runs: &mut [&mut LatticeRu
     true
 }
 
-/// Estimated item-level selectivity of a pushed 1-var constraint: how the
-/// compiled form restricts or requires items, as a fraction of the catalog.
-/// A first step toward the paper's open problem 2 (cost models for CFQs) —
-/// today it informs the EXPLAIN output; a cost-based optimizer would
-/// consume the same numbers.
-fn selectivity_note(c: &OneVar, catalog: &Catalog) -> String {
-    let form = SuccinctForm::compile(std::slice::from_ref(c), catalog);
-    let n = catalog.n_items().max(1) as f64;
-    let mut notes = Vec::new();
-    if let Some(a) = &form.allowed {
-        notes.push(format!("allows {:.0}% of items", 100.0 * a.len() as f64 / n));
-    }
-    for g in &form.required_groups {
-        notes.push(format!("requires 1 of {} items", g.len()));
-    }
-    if !form.residual_am.is_empty() {
-        notes.push("anti-monotone check per candidate".to_string());
-    }
-    if !form.post_filters.is_empty() {
-        notes.push("post filter".to_string());
-    }
-    if notes.is_empty() {
-        String::new()
-    } else {
-        format!("  [{}]", notes.join("; "))
-    }
-}
-
-/// Derives the `J^k_max` tasks of a non-quasi-succinct aggregate
-/// constraint: one per side bounded by a `sum` over a non-negative domain.
-fn jk_tasks_for(c: &TwoVar, catalog: &Catalog) -> Vec<JkTask> {
-    let mut out = Vec::new();
-    match c {
-        TwoVar::AggCmp { s_agg, s_attr, op, t_agg, t_attr } => {
-            let nonneg = |attr: AttrId| {
-                catalog.column_min_num(attr).map(|m| m >= 0.0).unwrap_or(true)
-            };
-            let mut push =
-                |pruned: Var, bounded_agg: Agg, bounded_attr: AttrId, op: CmpOp, source: AttrId| {
-                    if nonneg(source) {
-                        out.push(JkTask {
-                            pruned,
-                            op,
-                            target: BoundTarget::Sum { bounded_agg, bounded_attr, source_attr: source },
-                        });
-                    }
-                };
-            match op {
-                CmpOp::Le | CmpOp::Lt if *t_agg == Agg::Sum => {
-                    push(Var::S, *s_agg, *s_attr, *op, *t_attr);
-                }
-                CmpOp::Ge | CmpOp::Gt if *s_agg == Agg::Sum => {
-                    push(Var::T, *t_agg, *t_attr, op.mirror(), *s_attr);
-                }
-                CmpOp::Eq => {
-                    if *t_agg == Agg::Sum {
-                        push(Var::S, *s_agg, *s_attr, CmpOp::Le, *t_attr);
-                    }
-                    if *s_agg == Agg::Sum {
-                        push(Var::T, *t_agg, *t_attr, CmpOp::Le, *s_attr);
-                    }
-                }
-                _ => {}
-            }
-        }
-        // 2-var count comparisons (language extension): the bounded side is
-        // pruned through the partner's count series; no domain assumption
-        // needed (count is non-negative by construction).
-        TwoVar::CountCmp { s_attr, op, t_attr } => match op {
-            CmpOp::Le | CmpOp::Lt => out.push(JkTask {
-                pruned: Var::S,
-                op: *op,
-                target: BoundTarget::Count { bounded_attr: *s_attr, source_attr: *t_attr },
-            }),
-            CmpOp::Ge | CmpOp::Gt => out.push(JkTask {
-                pruned: Var::T,
-                op: op.mirror(),
-                target: BoundTarget::Count { bounded_attr: *t_attr, source_attr: *s_attr },
-            }),
-            CmpOp::Eq => {
-                out.push(JkTask {
-                    pruned: Var::S,
-                    op: CmpOp::Le,
-                    target: BoundTarget::Count { bounded_attr: *s_attr, source_attr: *t_attr },
-                });
-                out.push(JkTask {
-                    pruned: Var::T,
-                    op: CmpOp::Le,
-                    target: BoundTarget::Count { bounded_attr: *t_attr, source_attr: *s_attr },
-                });
-            }
-            CmpOp::Ne => {}
-        },
-        TwoVar::Domain { .. } => {}
-    }
-    out
-}
-
-/// Live state of one iterative-bound task during execution.
-struct JkState {
-    task: JkTask,
-    series: Series,
-    /// Bound updates need the source family downward-closed: no required
-    /// groups pushed on the source lattice.
-    updatable: bool,
-}
-
-/// After absorbing a level, refresh the `V` series whose source lattice
-/// just completed a level ≥ 2.
-fn update_jk(
-    states: &mut [JkState],
-    s_run: &LatticeRun<'_>,
-    t_run: &LatticeRun<'_>,
-    s_before: usize,
-    t_before: usize,
-    catalog: &Catalog,
-) {
-    for st in states.iter_mut() {
-        let (run, before) = match st.task.pruned {
-            Var::S => (t_run, t_before),
-            Var::T => (s_run, s_before),
-        };
-        let after = run.levels_done();
-        if st.updatable && after > before && after >= 2 {
-            let level_sets = run.frequent().level_sets(after);
-            st.series.update(&level_sets, after, catalog);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::StrategyKind;
     use cfq_constraints::{bind_query, parse_query};
     use cfq_types::CatalogBuilder;
 
@@ -1161,8 +862,7 @@ mod tests {
         let cat = catalog();
         let check = |src: &str, expected: StrategyKind| {
             let q = bind_query(&parse_query(src).unwrap(), &cat).unwrap();
-            let plan = Optimizer::default().build_plan(&q, &cat);
-            assert_eq!(plan.strategies()[0].1, expected, "`{src}`");
+            assert_eq!(plan(&q, &cat).trace().nodes[0].strategy, expected, "`{src}`");
         };
         check("S.Type disjoint T.Type", StrategyKind::QuasiSuccinct);
         check("max(S.Price) <= min(T.Price)", StrategyKind::QuasiSuccinct);
@@ -1179,10 +879,63 @@ mod tests {
             &cat,
         )
         .unwrap();
-        let plan = Optimizer::default().build_plan(&q, &cat);
-        let text = plan.explain(&cat);
+        let text = plan(&q, &cat).explain(&Optimizer::default(), &cat);
         assert!(text.contains("J^k_max"));
         assert!(text.contains("1-var constraints: 1 on S"));
+    }
+
+    /// One plan, three strategies: EXPLAIN says which of its steps each
+    /// runs, and where a step that is off leaves its constraint.
+    #[test]
+    fn explain_is_rendered_under_the_flags_that_execute_it() {
+        let cat = catalog();
+        let q = bind_query(
+            &parse_query(
+                "max(S.Price) <= 30 & max(S.Price) <= min(T.Price) & sum(S.Price) <= sum(T.Price)",
+            )
+            .unwrap(),
+            &cat,
+        )
+        .unwrap();
+        let plan = plan(&q, &cat);
+        let text = |name: &str| plan.explain(&Optimizer::from_name(name).unwrap(), &cat);
+        let (full, cap1, naive) = (text("full"), text("cap1"), text("apriori+"));
+
+        assert!(full.contains("(pushed via CAP)") && full.contains("[allows 50% of items]"));
+        assert!(full.contains("reduced to succinct 1-var conditions after level 1\n"), "{full}");
+        assert!(full.contains("J^k_max iterative pruning attached (Figs. 5-6)\n"), "{full}");
+        assert!(!full.contains("off under this strategy"), "{full}");
+
+        // cap1 pushes the 1-var constraint and nothing else.
+        assert!(cap1.contains("(pushed via CAP)") && cap1.contains("[allows 50% of items]"));
+        for text in [&cap1, &naive] {
+            assert!(
+                text.contains(
+                    "max(S.Price) <= min(T.Price)  ->  verified at pair formation only \
+                     (quasi-succinct, but reduction is off under this strategy)"
+                ),
+                "{text}"
+            );
+            assert!(
+                text.contains(
+                    "sum(S.Price) <= sum(T.Price)  ->  verified at pair formation only \
+                     (J^k_max pruning is off under this strategy)"
+                ),
+                "{text}"
+            );
+        }
+        assert!(naive.contains("checked on the frequent sets at output"), "{naive}");
+        assert!(!naive.contains("pushed via CAP") && !naive.contains("allows"), "{naive}");
+
+        // J^k_max off alone: the reduction stays, the bound goes.
+        let no_jk = plan.explain(&Optimizer { use_jkmax: false, ..Optimizer::default() }, &cat);
+        assert!(no_jk.contains("reduced to succinct 1-var conditions after level 1\n"), "{no_jk}");
+        assert!(
+            no_jk.contains(
+                "verified at pair formation only (J^k_max pruning is off under this strategy)"
+            ),
+            "{no_jk}"
+        );
     }
 
     #[test]
@@ -1286,6 +1039,7 @@ mod jk_soundness_tests {
 #[cfg(test)]
 mod count_extension_tests {
     use super::*;
+    use crate::plan::StrategyKind;
     use cfq_constraints::{bind_query, parse_query};
     use cfq_types::CatalogBuilder;
 
@@ -1338,8 +1092,7 @@ mod count_extension_tests {
         // bounded by the count series, pruning deep S-sets.
         let q = bind_query(&parse_query("count(S) <= count(T.Type)").unwrap(), &cat).unwrap();
         let env = QueryEnv::new(&db, &cat, 2);
-        let plan = Optimizer::default().build_plan(&q, &cat);
-        assert_eq!(plan.strategies()[0].1, StrategyKind::JkmaxIterative);
+        assert_eq!(plan(&q, &cat).trace().nodes[0].strategy, StrategyKind::JkmaxIterative);
         let full = Optimizer::default().evaluate(&q, &env).unwrap();
         let off = Optimizer { use_jkmax: false, ..Optimizer::default() }.evaluate(&q, &env).unwrap();
         assert_eq!(full.pair_result.count, off.pair_result.count);

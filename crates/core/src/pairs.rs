@@ -46,8 +46,8 @@ use cfq_types::{AttrId, Catalog, Itemset};
 use std::collections::HashMap;
 use std::ops::Range;
 
-/// Result of pair formation.
-#[derive(Clone, Debug)]
+/// Result of pair formation; the default is the result over no sets.
+#[derive(Clone, Debug, Default)]
 pub struct PairResult {
     /// Number of valid pairs.
     pub count: u64,

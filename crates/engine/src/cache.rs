@@ -467,7 +467,7 @@ mod tests {
                 &catalog,
             )
             .unwrap();
-            Arc::new(cfq_core::Optimizer::default().build_plan(&bound, &catalog))
+            Arc::new(cfq_core::plan(&bound, &catalog))
         };
         let mut c = PlanCache::new(2);
         c.insert(1, plan("max(S.Price) <= 10"));

@@ -34,9 +34,10 @@
 
 use crate::engine::{plan_fingerprint, Engine, EpochState};
 use crate::request::QueryRequest;
-use cfq_constraints::{bind_query, parse_query, OneVar, SuccinctForm, Var};
+use cfq_constraints::{bind_query, parse_query, Var};
 use cfq_core::{
-    pair_up, CfqPlan, ExecutionOutcome, LatticeSource, Optimizer, OutcomeProvenance, QueryEnv,
+    domain_or_all, plan, CfqPlan, ExecutionOutcome, LatticeSource, Optimizer, OutcomeProvenance,
+    QueryEnv,
 };
 use cfq_mining::{CountingBackend, WorkStats};
 use cfq_obs as obs;
@@ -171,11 +172,12 @@ impl QueryBuilder {
         self
     }
 
-    /// Selects the strategy family. With the cache enabled (the default)
-    /// this shapes the plan and EXPLAIN output — answers are
-    /// strategy-invariant by final pair verification. With
-    /// [`QueryBuilder::bypass_cache`] it selects the one-shot executor
-    /// actually run.
+    /// Selects the strategy family: which steps of the plan a
+    /// [`QueryBuilder::bypass_cache`] run executes, and what EXPLAIN says
+    /// of them. The plan itself is the same under every strategy, and so
+    /// are the answers, by final pair verification; on the cached path
+    /// (the default) a miss is mined by plain Apriori over the side's
+    /// effective universe whatever the strategy.
     pub fn strategy(mut self, strategy: Optimizer) -> Self {
         self.req.strategy = strategy;
         self
@@ -231,50 +233,58 @@ impl QueryBuilder {
     }
 }
 
-fn full_universe(req: &QueryRequest, var: Var, catalog: &Catalog) -> Vec<ItemId> {
-    let u = match var {
+/// `var`'s domain in `req`, or every item the catalog describes.
+fn domain(req: &QueryRequest, var: Var, catalog: &Catalog) -> Vec<ItemId> {
+    let given = match var {
         Var::S => &req.s_universe,
         Var::T => &req.t_universe,
     };
-    if u.is_empty() {
-        (0..catalog.n_items() as u32).map(ItemId).collect()
-    } else {
-        let mut u = u.clone();
-        u.sort_unstable();
-        u.dedup();
-        u
-    }
+    domain_or_all(given, catalog.n_items())
+}
+
+/// What a validated request comes to on one snapshot, before any lattice
+/// is touched.
+struct Prepared {
+    plan: Arc<CfqPlan>,
+    plan_cached: bool,
+    fingerprint: u64,
+    s_sup: u64,
+    t_sup: u64,
+}
+
+/// Parses and binds `req` against `snap`, plans it through the plan cache
+/// and resolves its thresholds.
+fn prepare(engine: &Arc<Engine>, req: &QueryRequest, snap: &EpochState) -> Result<Prepared> {
+    let bound = bind_query(&parse_query(&req.query)?, &snap.catalog)?;
+    let fingerprint = plan_fingerprint(&req.strategy, &bound, &snap.catalog);
+    let (plan, plan_cached) = engine.plan_for(fingerprint, || plan(&bound, &snap.catalog));
+    let (s_sup, t_sup) = req.support.resolve(snap.db.len())?;
+    Ok(Prepared { plan, plan_cached, fingerprint, s_sup, t_sup })
 }
 
 /// Plans `req` and renders the EXPLAIN text with predicted provenance.
 pub(crate) fn explain(engine: &Arc<Engine>, req: &QueryRequest) -> Result<String> {
     req.validate()?;
     let snap = engine.snapshot();
-    let bound = bind_query(&parse_query(&req.query)?, &snap.catalog)?;
-    let (plan, plan_cached) = engine
-        .plan_for(plan_fingerprint(&req.strategy, &bound, &snap.catalog), || {
-            req.strategy.build_plan(&bound, &snap.catalog)
-        });
-    let (s_sup, t_sup) = req.support.resolve(snap.db.len())?;
+    let Prepared { plan, plan_cached, s_sup, t_sup, .. } = prepare(engine, req, &snap)?;
     let mut provenance = OutcomeProvenance { plan_cached, ..Default::default() };
     if !req.bypass_cache {
         for (var, sup, slot) in [
             (Var::S, s_sup, &mut provenance.s_lattice),
             (Var::T, t_sup, &mut provenance.t_lattice),
         ] {
-            let one: Vec<OneVar> = bound.one_var_for(var).cloned().collect();
-            let form = SuccinctForm::compile(&one, &snap.catalog);
+            let form = plan.form(var);
             if !form.unsatisfiable() {
-                let eff = form.filter_universe(&full_universe(req, var, &snap.catalog));
+                let eff = form.filter_universe(&domain(req, var, &snap.catalog));
                 *slot = engine.peek_source(&snap, &eff, sup);
             }
         }
     }
-    Ok(format!("{}{}", plan.explain(&snap.catalog), provenance.render()))
+    Ok(format!("{}{}", plan.explain(&req.strategy, &snap.catalog), provenance.render()))
 }
 
-/// Executes `req` against `engine`: admission, snapshot, plan, both
-/// sides cache-first, final pair formation.
+/// Executes `req` against `engine`: admission, snapshot, plan, both sides
+/// — one optimizer run, or each cache-first — and final pair formation.
 pub(crate) fn execute(engine: &Arc<Engine>, req: &QueryRequest) -> Result<QueryOutcome> {
     // A request that can never run must not consume an admission slot.
     req.validate()?;
@@ -289,26 +299,22 @@ pub(crate) fn execute(engine: &Arc<Engine>, req: &QueryRequest) -> Result<QueryO
         .str("query", req.query.as_str())
         .u64("epoch", snap.epoch)
         .u64("wait_us", admission_wait.as_micros() as u64);
-    let bound = bind_query(&parse_query(&req.query)?, &snap.catalog)?;
-    let fingerprint = plan_fingerprint(&req.strategy, &bound, &snap.catalog);
-    let (plan, plan_cached) =
-        engine.plan_for(fingerprint, || req.strategy.build_plan(&bound, &snap.catalog));
-    let (s_sup, t_sup) = req.support.resolve(snap.db.len())?;
+    let Prepared { plan, plan_cached, fingerprint, s_sup, t_sup } = prepare(engine, req, &snap)?;
     let threads = req.counting_threads.unwrap_or(engine.config().counting_threads);
     let trim = req.trim.unwrap_or(engine.config().trim);
     let backend = req.backend.unwrap_or(engine.config().backend);
     let planned = Instant::now();
-    let micros = |from: Instant, to: Instant| to.duration_since(from).as_micros() as u64;
 
-    if req.bypass_cache {
-        // The optimizer mines both lattices in one dovetailed run; pair
-        // formation is left to this function, as on the cached path, so
-        // that it is a stage of its own here too.
+    // Two ways to the sides, neither forming pairs: that is a stage of its
+    // own below, whichever way they came.
+    let (sides, s_done) = if req.bypass_cache {
+        // The optimizer mines both lattices in one dovetailed run.
+        query_span.record_str("path", "bypass_cache");
         let env = QueryEnv {
             db: &snap.db,
             catalog: &snap.catalog,
-            s_universe: full_universe(req, Var::S, &snap.catalog),
-            t_universe: full_universe(req, Var::T, &snap.catalog),
+            s_universe: domain(req, Var::S, &snap.catalog),
+            t_universe: domain(req, Var::T, &snap.catalog),
             s_min_support: s_sup,
             t_min_support: t_sup,
             max_level: req.max_level,
@@ -318,71 +324,27 @@ pub(crate) fn execute(engine: &Arc<Engine>, req: &QueryRequest) -> Result<QueryO
             trim,
             backend,
         };
-        let mined = req.strategy.execute_plan(&plan, &env)?;
-        let mined_at = Instant::now();
-        let (s_sets, t_sets, pair_result) = pair_up(
-            mined.s_sets,
-            mined.t_sets,
-            &plan.trace().final_two,
-            &snap.catalog,
-            req.max_pairs,
-        );
-        let outcome = ExecutionOutcome {
-            s_sets,
-            t_sets,
-            pair_result,
-            provenance: OutcomeProvenance { plan_cached, ..mined.provenance },
-            ..mined
-        };
-        query_span.record_u64("db_scans", outcome.db_scans);
-        query_span.record_str("path", "bypass_cache");
-        return Ok(QueryOutcome {
-            outcome,
-            epoch: snap.epoch,
-            admission_wait,
-            stage_us: StageMicros {
-                plan: micros(admitted, planned),
-                s_lattice: micros(planned, mined_at),
-                t_lattice: 0,
-                pairs: micros(mined_at, Instant::now()),
-            },
-            plan,
-            fingerprint,
-            catalog: Arc::clone(&snap.catalog),
-        });
-    }
+        (req.strategy.execute_plan(&plan, &env)?, None)
+    } else {
+        let s_side = run_side(engine, req, &snap, &plan, Var::S, s_sup, threads, trim, backend);
+        let s_done = Instant::now();
+        let t_side = run_side(engine, req, &snap, &plan, Var::T, t_sup, threads, trim, backend);
+        let mut sides =
+            ExecutionOutcome::of_sides((s_side.sets, s_side.stats), (t_side.sets, t_side.stats));
+        sides.provenance.s_lattice = s_side.source;
+        sides.provenance.t_lattice = t_side.source;
+        (sides, Some(s_done))
+    };
+    let sides_done = Instant::now();
 
-    let s_side = run_side(engine, req, &snap, &bound, Var::S, s_sup, threads, trim, backend);
-    let s_done = Instant::now();
-    let t_side = run_side(engine, req, &snap, &bound, Var::T, t_sup, threads, trim, backend);
-    let t_done = Instant::now();
-
-    let (s_sets, t_sets, pair_result) =
-        pair_up(s_side.sets, t_side.sets, &plan.trace().final_two, &snap.catalog, req.max_pairs);
+    let mut outcome = sides.paired(&plan.trace().final_two, &snap.catalog, req.max_pairs);
+    outcome.provenance.plan_cached = plan_cached;
+    let micros = |from: Instant, to: Instant| to.duration_since(from).as_micros() as u64;
     let stage_us = StageMicros {
         plan: micros(admitted, planned),
-        s_lattice: micros(planned, s_done),
-        t_lattice: micros(s_done, t_done),
-        pairs: micros(t_done, Instant::now()),
-    };
-
-    let db_scans = s_side.stats.db_scans + t_side.stats.db_scans;
-    let mut scan = s_side.stats.scan.clone();
-    scan.absorb(&t_side.stats.scan);
-    let outcome = ExecutionOutcome {
-        s_sets,
-        t_sets,
-        pair_result,
-        s_stats: s_side.stats,
-        t_stats: t_side.stats,
-        db_scans,
-        scan,
-        v_histories: Vec::new(),
-        provenance: OutcomeProvenance {
-            s_lattice: s_side.source,
-            t_lattice: t_side.source,
-            plan_cached,
-        },
+        s_lattice: micros(planned, s_done.unwrap_or(sides_done)),
+        t_lattice: s_done.map_or(0, |s_done| micros(s_done, sides_done)),
+        pairs: micros(sides_done, Instant::now()),
     };
     query_span.record_u64("db_scans", outcome.db_scans);
     query_span.record_u64("pairs", outcome.pair_result.count);
@@ -394,6 +356,7 @@ pub(crate) fn execute(engine: &Arc<Engine>, req: &QueryRequest) -> Result<QueryO
         admission_wait,
         stage_us,
         plan,
+        strategy: req.strategy,
         fingerprint,
         catalog: Arc::clone(&snap.catalog),
     })
@@ -407,20 +370,19 @@ fn run_side(
     engine: &Arc<Engine>,
     req: &QueryRequest,
     snap: &EpochState,
-    bound: &cfq_constraints::BoundQuery,
+    plan: &CfqPlan,
     var: Var,
     min_support: u64,
     threads: usize,
     trim: bool,
     backend: CountingBackend,
 ) -> SideOutcome {
-    let one: Vec<OneVar> = bound.one_var_for(var).cloned().collect();
-    let form = SuccinctForm::compile(&one, &snap.catalog);
+    let form = plan.form(var);
     let mut stats = WorkStats::new();
     if form.unsatisfiable() {
         return SideOutcome { sets: Vec::new(), stats, source: LatticeSource::MinedCold };
     }
-    let eff = form.filter_universe(&full_universe(req, var, &snap.catalog));
+    let eff = form.filter_universe(&domain(req, var, &snap.catalog));
     let (lattice, source) = engine.lattice_for(
         snap,
         &eff,
@@ -447,6 +409,7 @@ fn run_side(
         && form.residual_am.is_empty()
         && form.post_filters.is_empty();
 
+    let n_constraints = plan.one_var(var).len() as u64;
     let mut sets: Vec<(Itemset, u64)> = Vec::new();
     let mut checks = 0u64;
     for (set, n) in lattice.iter() {
@@ -458,7 +421,7 @@ fn run_side(
         }
         // The ledger keeps the unit it always had: one evaluation per
         // constraint per surviving set.
-        checks += one.len() as u64;
+        checks += n_constraints;
         if membership_decides
             || (form.satisfies_required(set)
                 && form.admits_candidate(set, &snap.catalog)
@@ -508,6 +471,7 @@ pub struct QueryOutcome {
     /// Time per stage of this execution, after admission.
     pub stage_us: StageMicros,
     plan: Arc<CfqPlan>,
+    strategy: Optimizer,
     fingerprint: u64,
     catalog: Arc<Catalog>,
 }
@@ -533,10 +497,11 @@ impl QueryOutcome {
         self.fingerprint
     }
 
-    /// The EXPLAIN text: the plan plus the actual cache provenance of
-    /// this execution.
+    /// The EXPLAIN text: the plan under the request's strategy, plus the
+    /// actual cache provenance of this execution.
     pub fn explain(&self) -> String {
-        format!("{}{}", self.plan.explain(&self.catalog), self.outcome.provenance.render())
+        let plan = self.plan.explain(&self.strategy, &self.catalog);
+        format!("{plan}{}", self.outcome.provenance.render())
     }
 
     /// Number of valid (S, T) pairs.

@@ -42,8 +42,8 @@ fn main() -> Result<()> {
                 cls.anti_monotone, cls.quasi_succinct
             );
         }
-        let plan = Optimizer::default().build_plan(&bound, env.catalog);
-        for line in plan.explain(&catalog).lines() {
+        let plan = cfq::core::plan(&bound, env.catalog);
+        for line in plan.explain(&Optimizer::default(), &catalog).lines() {
             println!("  {line}");
         }
         println!();

@@ -36,7 +36,7 @@ fn main() -> Result<()> {
     let env = QueryEnv::new(&db, &catalog, 2);
     let optimizer = Optimizer::default();
     let plan = optimizer.build_plan(&bound, env.catalog);
-    println!("{}", plan.explain(&catalog));
+    println!("{}", plan.explain(&optimizer, &catalog));
 
     let outcome = optimizer.execute_plan(&plan, &env).unwrap();
     println!(

@@ -58,7 +58,7 @@ fn main() -> Result<()> {
     let env = QueryEnv::new(&db, &catalog, 25);
     let optimizer = Optimizer::default();
     let plan = optimizer.build_plan(&bound, env.catalog);
-    println!("{}", plan.explain(&catalog));
+    println!("{}", plan.explain(&optimizer, &catalog));
     let outcome = optimizer.execute_plan(&plan, &env).unwrap();
 
     // Compare against the naive baseline to show what the pushing buys.

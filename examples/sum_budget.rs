@@ -34,7 +34,7 @@ fn main() -> Result<()> {
 
     let optimizer = Optimizer::default();
     let plan = optimizer.build_plan(&bound, env.catalog);
-    println!("{}", plan.explain(&sc.catalog));
+    println!("{}", plan.explain(&optimizer, &sc.catalog));
 
     let with_jk = optimizer.execute_plan(&plan, &env).unwrap();
     let without_jk =

@@ -107,10 +107,11 @@ if [ -z "${CFQ_PAPER_SCALE:-}" ]; then
     || { echo "BENCH_substrate.json is not the paper-scale run"; exit 1; }
 fi
 
-echo "== repro audit (static plan soundness, writes BENCH_audit.json)"
+echo "== repro audit (static plan soundness, one plan per query; writes BENCH_audit.json)"
 CFQ_SCALE="${CFQ_SCALE:-0.02}" cargo run -p cfq-bench --release --bin repro -- audit
 test -s "$OUT/BENCH_audit.json"
 grep -q '"violations":0' "$OUT/BENCH_audit.json" || { echo "audit recorded violations"; exit 1; }
+echo "  zero violations over $(grep -o '"workload"' "$OUT/BENCH_audit.json" | wc -l) plans"
 head -c 400 "$OUT/BENCH_audit.json"; echo
 
 echo "== engine: concurrent-session smoke (cfq-engine)"
@@ -207,9 +208,10 @@ printf '{"bench":"serve","query":"%s","cold_ms":%s,"warm_ms":%s,"p50_s":%s,"p95_
 test -s "$OUT/BENCH_serve.json"
 head -c 400 "$OUT/BENCH_serve.json"; echo
 
-echo "== cfq serve: wire goldens (six benchmark families + nine pair-formation branches x {every item, one 250-item window})"
+echo "== cfq serve: wire goldens (six benchmark families + nine pair-formation branches x {every item, one 250-item window} x {cached, bypass_cache under full, cap1, apriori+})"
 # Each reply's timing-free answer prefix — everything before `,"db_scans":`,
-# the same style of prefix comparison the backend stage uses —
+# the same style of prefix comparison the backend stage uses — from the
+# cached path and from the one-shot optimizer under each strategy family
 # must equal the file recorded with the *previous* commit's binary under
 # tests/golden/wire. The benchmark's identical-answer hash only compares
 # replies within one run; this is the gate that catches a byte of drift in

@@ -16,10 +16,14 @@
 # envelopes, each over every item and over one fixed 250-item window, and
 # compares the timing-free answer prefix of every reply — everything before
 # `,"db_scans":`: epoch, pair count, pairs, both set lists — with the file
-# of the same name under GOLDEN_DIR. `--record` writes the files instead;
-# they are recorded with the binary of the commit *before* a change to the
-# wire or the answer path, so that the check is against what clients
-# already parse, not against the change's own output.
+# of the same name under GOLDEN_DIR. Every request is then sent three more
+# times with `"bypass_cache":true` under `"strategy"` full, cap1 and
+# apriori+ — the one-shot optimizer in place of the lattice cache — and
+# each of those replies must equal the same file. `--record` writes the
+# files instead, from the cached reply only; they are recorded with the
+# binary of the commit *before* a change to the wire or the answer path, so
+# that the check is against what clients already parse, not against the
+# change's own output.
 #
 # `--confined REV` boots nothing: it checks what a re-recording was allowed
 # to move. The one field of a reply that a change to scan accounting may
@@ -104,21 +108,28 @@ for shape in a b c d e f g h i j k l m n o; do
       o) SUPPORT=0.003; EXTRA="$EXTRA,\"max_pairs\":100" ;;
     esac
     TOTAL=$((TOTAL + 1))
-    printf '{"v":1,"cmd":"query","req":{"query":"%s","support":{"frac":%s}%s}}\n' \
-      "$(family "$shape")" "$SUPPORT" "$EXTRA" >&3
-    read -r REPLY <&3
-    case "$REPLY" in
-      '{"v":1,"result":{"epoch":'*',"db_scans":'*) ;;
-      *) echo "wire golden $shape.$universe: not a query result: ${REPLY:0:200}"; exit 1 ;;
-    esac
     FILE="$GOLDEN/$shape.$universe.prefix"
-    if [ "$RECORD" = --record ]; then
-      printf '%s\n' "${REPLY%%,\"db_scans\":*}" > "$FILE"
-    elif [ "${REPLY%%,\"db_scans\":*}" != "$(cat "$FILE")" ]; then
-      echo "wire golden $shape.$universe: reply differs from $FILE"
-      printf '%s\n' "${REPLY%%,\"db_scans\":*}" | cmp - "$FILE" || true
-      FAILED=1
-    fi
+    # The cached reply first (the one `--record` writes), then the one-shot
+    # optimizer under each strategy family: the answer is path- and
+    # strategy-invariant by final verification, so all four equal one file.
+    for leg in "" ',"bypass_cache":true,"strategy":"full"' \
+      ',"bypass_cache":true,"strategy":"cap1"' ',"bypass_cache":true,"strategy":"apriori+"'; do
+      [ -n "$leg" ] && [ "$RECORD" = --record ] && continue
+      printf '{"v":1,"cmd":"query","req":{"query":"%s","support":{"frac":%s}%s%s}}\n' \
+        "$(family "$shape")" "$SUPPORT" "$EXTRA" "$leg" >&3
+      read -r REPLY <&3
+      case "$REPLY" in
+        '{"v":1,"result":{"epoch":'*',"db_scans":'*) ;;
+        *) echo "wire golden $shape.$universe$leg: not a query result: ${REPLY:0:200}"; exit 1 ;;
+      esac
+      if [ "$RECORD" = --record ]; then
+        printf '%s\n' "${REPLY%%,\"db_scans\":*}" > "$FILE"
+      elif [ "${REPLY%%,\"db_scans\":*}" != "$(cat "$FILE")" ]; then
+        echo "wire golden $shape.$universe$leg: reply differs from $FILE"
+        printf '%s\n' "${REPLY%%,\"db_scans\":*}" | cmp - "$FILE" || true
+        FAILED=1
+      fi
+    done
   done
 done
 printf ':quit\n' >&3
@@ -128,4 +139,4 @@ wait "$PID" || { echo "golden serve exited non-zero on SIGINT"; cat "$WORK/serve
 PID=""
 [ "$FAILED" = 0 ] || exit 1
 [ "$RECORD" = --record ] && echo "  recorded $TOTAL goldens under $GOLDEN" \
-  || echo "  $TOTAL replies byte-identical to $GOLDEN"
+  || echo "  $TOTAL replies byte-identical to $GOLDEN, cached and bypass_cache under full, cap1, apriori+"

@@ -14,8 +14,11 @@
 //!   strategies),
 //! * quasi-succinct reduction (Figures 2–3), weaker-constraint induction
 //!   (Figure 4), and `J^k_max` iterative pruning (Figures 5–6),
-//! * the Figure 7 query optimizer with dovetailed two-lattice execution
-//!   and EXPLAIN output, plus the Apriori⁺ baseline,
+//! * the Figure 7 query optimizer as its steps — `core::plan` (split,
+//!   classify, induce, attach `J^k_max`; catalog-only and strategy-free),
+//!   level 1, `core::reduce`, dovetailed two-lattice mining, pair formation
+//!   — with EXPLAIN rendered under the executing strategy, plus the
+//!   Apriori⁺ baseline,
 //! * a long-lived session [`Engine`](cfq_engine::Engine) that caches mined
 //!   lattices and plans across queries and keeps them fresh under appends
 //!   with FUP incremental maintenance,

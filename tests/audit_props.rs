@@ -78,21 +78,23 @@ proptest! {
         let srcs: Vec<&str> = picks.iter().map(|&i| pool[i].as_str()).collect();
         let text = srcs.join(" & ");
 
-        // Property 1: the plan audits clean, for every strategy family.
+        // Property 1: the plan audits clean — and it is every strategy
+        // family's plan, so the one audit covers them all.
         let auditor = Auditor::new(&catalog);
         let report = auditor.audit_source(&text).unwrap();
         prop_assert!(
             report.is_sound(),
             "`{}` should audit clean, got:\n{}", &text, report.render()
         );
+        let q = bind_query(&parse_query(&text).unwrap(), &catalog).unwrap();
+        let audited = Optimizer::default().build_plan(&q, &catalog);
         for opt in [Optimizer::apriori_plus(), Optimizer::cap_one_var()] {
-            let r = Auditor::new(&catalog).with_optimizer(opt).audit_source(&text).unwrap();
-            prop_assert!(r.is_sound(), "`{}` under {:?}:\n{}", &text, opt, r.render());
+            let plan = opt.build_plan(&q, &catalog);
+            prop_assert_eq!(plan.trace(), audited.trace(), "`{}` under {:?}", &text, opt);
         }
 
         // Property 2: the audit-clean optimized plan returns exactly the
         // naive Apriori⁺ answer.
-        let q = bind_query(&parse_query(&text).unwrap(), &catalog).unwrap();
         let env = QueryEnv::new(&db, &catalog, min_support);
         let naive = Optimizer::apriori_plus().evaluate(&q, &env).unwrap();
         let optimized = Optimizer::default().evaluate(&q, &env).unwrap();

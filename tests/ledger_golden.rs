@@ -72,23 +72,40 @@ fn ledger(out: &ExecutionOutcome, min_support: u64) -> String {
     text
 }
 
+/// Every case twice: one-shot, as `cfq query` runs it, against the
+/// recording — and through the serving path's `bypass_cache`, which must
+/// account scans, candidates, checks and `V^k` histories the same.
 #[test]
 fn the_work_ledger_matches_the_parent_binary_byte_for_byte() {
     let cases = std::fs::read_to_string(format!("{DIR}/cases.txt")).unwrap();
     let want = std::fs::read_to_string(format!("{DIR}/ledger.out")).unwrap();
-    let datasets = [("matrix", dataset("matrix")), ("shapes", dataset("shapes"))];
+    let datasets = ["matrix", "shapes"].map(|name| {
+        let (db, catalog) = dataset(name);
+        (name, Engine::new(db, catalog).unwrap())
+    });
     let mut got = String::new();
     for case in cases.lines() {
         let [name, support, strategy, query] = case.split('\t').collect::<Vec<_>>()[..] else {
             panic!("malformed case `{case}`");
         };
-        let (db, catalog) = &datasets.iter().find(|(n, _)| *n == name).unwrap().1;
-        let bound = bind_query(&parse_query(query).unwrap(), catalog).unwrap();
+        let engine = &datasets.iter().find(|(n, _)| *n == name).unwrap().1;
+        let (db, catalog) = (engine.db(), engine.catalog());
+        let bound = bind_query(&parse_query(query).unwrap(), &catalog).unwrap();
         let min_support = min_support(support, db.len());
-        let env = QueryEnv::new(db, catalog, min_support);
-        let out = Optimizer::from_name(strategy).unwrap().evaluate(&bound, &env).unwrap();
-        let _ = writeln!(got, "## {name} {support} {strategy} {query}");
-        got.push_str(&ledger(&out, min_support));
+        let strategy = Optimizer::from_name(strategy).unwrap();
+        let out = strategy.evaluate(&bound, &QueryEnv::new(&db, &catalog, min_support)).unwrap();
+        let one_shot = ledger(&out, min_support);
+        let served = engine
+            .session()
+            .query(query)
+            .min_support(min_support)
+            .strategy(strategy)
+            .bypass_cache()
+            .run()
+            .unwrap();
+        assert_eq!(ledger(&served.outcome, min_support), one_shot, "bypass_cache on `{case}`");
+        let _ = writeln!(got, "## {case}", case = case.replace('\t', " "));
+        got.push_str(&one_shot);
     }
     for (n, (g, w)) in got.lines().zip(want.lines()).enumerate() {
         assert_eq!(g, w, "line {} differs from {DIR}/ledger.out", n + 1);

@@ -147,3 +147,49 @@ fn section62_min_le_min() {
     assert_eq!(opt.pair_result.count, base.pair_result.count);
     assert_eq!(opt.s_stats.support_counted, base.s_stats.support_counted);
 }
+
+/// The Fig. 7 "Reduction" box on its own: a plan, two `L1`s and the
+/// catalog in, the Figs. 2–3 conditions out — no run around it. `L1^S` is
+/// the snacks ($2–$9), `L1^T` the beers ($8–$30), as in §2's example.
+#[test]
+fn reduce_yields_the_conditions_of_figures_2_and_3() {
+    let (_, catalog) = market();
+    let snacks: Vec<ItemId> = (0..4).map(ItemId).collect();
+    let beers: Vec<ItemId> = (4..8).map(ItemId).collect();
+    let reduced = |text: &str| {
+        let q = bind_query(&parse_query(text).unwrap(), &catalog).unwrap();
+        let plan = cfq::core::plan(&q, &catalog);
+        let reductions = cfq::core::reduce(&plan, &snacks, &beers, &catalog);
+        let show = |conds: Vec<OneVar>| -> Vec<String> {
+            conds.iter().map(|c| c.display(&catalog).to_string()).collect()
+        };
+        let pushed: Vec<String> =
+            reductions.0.iter().map(|(c, _)| c.display(&catalog).to_string()).collect();
+        (pushed, show(reductions.conditions(Var::S)), show(reductions.conditions(Var::T)))
+    };
+    let same = |text: &str| vec![text.to_string()];
+
+    // Fig. 3: max(S.A) <= min(T.B)  →  max(CS.A) <= max(L1^T.B) ; min(CT.B) >= min(L1^S.A).
+    let (pushed, s, t) = reduced("max(S.Price) <= min(T.Price)");
+    assert_eq!(pushed, same("max(S.Price) <= min(T.Price)"));
+    assert_eq!((s, t), (same("max(S.Price) <= 30"), same("min(T.Price) >= 2")));
+
+    // Fig. 3, §6.2's degenerate pair: min(S.A) >= min(T.B)  →
+    // min(CS.A) >= min(L1^T.B) ; min(CT.B) <= max(L1^S.A).
+    let (_, s, t) = reduced("min(S.Price) >= min(T.Price)");
+    assert_eq!((s, t), (same("min(S.Price) >= 8"), same("min(T.Price) <= 9")));
+
+    // Fig. 2, row 1: S.A ∩ T.B = ∅  →  CS.A ⊉ L1^T.B ; CT.B ⊉ L1^S.A.
+    let (_, s, t) = reduced("S.Type disjoint T.Type");
+    assert_eq!((s, t), (same("S.Type !superset {Beers}"), same("T.Type !superset {Snacks}")));
+
+    // Fig. 4 feeds Fig. 3: avg/avg is not quasi-succinct; what is reduced
+    // is the weaker min(S.A) <= max(T.B) induced from it.
+    let (pushed, s, t) = reduced("avg(S.Price) <= avg(T.Price)");
+    assert_eq!(pushed, same("min(S.Price) <= max(T.Price)"));
+    assert_eq!((s, t), (same("min(S.Price) <= 30"), same("max(T.Price) >= 2")));
+
+    // Nothing to reduce: sum/sum is left to J^k_max and final verification.
+    let (pushed, s, t) = reduced("sum(S.Price) <= sum(T.Price)");
+    assert!(pushed.is_empty() && s.is_empty() && t.is_empty());
+}
