@@ -41,7 +41,7 @@ pub fn loadgen(argv: Vec<String>) -> Result<()> {
              [--list]                list scenarios and exit\n\
              \n\
              exit is non-zero when a gate fails (protocol errors — a prose reply to an\n\
-             envelope line is one — unexpected overloads, missing batching)"
+             envelope line is one — unexpected or missing overloads)"
         );
         return Ok(());
     }
@@ -131,21 +131,20 @@ mod tests {
     /// An engine whose catalog carries every attribute the scenario
     /// palette mentions (Price, Type with labels Type0..Type5), with an
     /// admission gate small enough that `overload_burst`'s 10 clients
-    /// overrun it while the ≤4-client scenarios never do.
+    /// overrun it while the ≤4-client scenarios never can.
     ///
-    /// 64 transactions, not a handful: the scenarios' support ladder
-    /// (overload opens at 0.03, multi_support below 0.07, steady mines
-    /// at ≥ 0.1) only yields genuinely cold opening queries when those
-    /// fractions resolve to *distinct* absolute supports (2 < 4..5 < 7
-    /// here). On a tiny database they all collapse to 1 and the first
-    /// scenario warms the cache for everything after it.
+    /// 64 transactions of up to five of the six items: dense enough that
+    /// each of `overload_burst`'s cache-bypassing requests mines and
+    /// counts pairs long enough to hold its slot while the rest of its
+    /// burst arrives.
     fn engine() -> Arc<Engine> {
         let mut b = CatalogBuilder::new(6);
         b.num_attr("Price", vec![100.0, 250.0, 400.0, 550.0, 700.0, 850.0]).unwrap();
         b.cat_attr("Type", &["Type0", "Type1", "Type2", "Type3", "Type4", "Type5"]).unwrap();
         let rows: Vec<Vec<u32>> = (0..64u32)
             .map(|r| {
-                let mut t = vec![r % 6, (r / 2) % 6, (r / 3 + 2) % 6];
+                let mut t =
+                    vec![r % 6, (r / 2) % 6, (r / 3 + 2) % 6, (r / 5 + 1) % 6, (r / 7 + 4) % 6];
                 t.sort_unstable();
                 t.dedup();
                 t
@@ -156,7 +155,6 @@ mod tests {
         let cfg = EngineConfig::builder()
             .max_inflight_queries(2)
             .max_queued_queries(2)
-            .batch_window_ms(40)
             .build();
         Engine::with_config(db, b.build(), cfg).unwrap()
     }

@@ -160,8 +160,8 @@ pub fn repl_loop<R: BufRead, W: Write>(
 /// The options [`build_engine`] and [`install_tracing`] read besides
 /// [`MiningArgs::OPTIONS`] — with those, all that `cfq repl` takes.
 const ENGINE_OPTIONS: &[&str] = &[
-    "data", "catalog", "trace", "max-inflight", "queue-depth", "batch-window-ms", "wal-dir",
-    "snapshot-every", "follow",
+    "data", "catalog", "trace", "max-inflight", "queue-depth", "wal-dir", "snapshot-every",
+    "follow",
 ];
 /// What `cfq serve` reads besides.
 const SERVE_OPTIONS: &[&str] =
@@ -174,8 +174,7 @@ fn build_engine(a: &Args) -> Result<Arc<Engine>> {
     let mut builder = mining.apply_to(
         EngineConfig::builder()
             .max_inflight_queries(a.num("max-inflight", defaults.max_inflight_queries)?)
-            .max_queued_queries(a.num("queue-depth", defaults.max_queued_queries)?)
-            .batch_window_ms(a.num("batch-window-ms", defaults.batch_window.as_millis() as u64)?),
+            .max_queued_queries(a.num("queue-depth", defaults.max_queued_queries)?),
     );
     match (a.get("wal-dir"), a.get("follow")) {
         (Some(_), Some(_)) => {
@@ -462,7 +461,7 @@ pub fn serve_connections(
 ) -> Result<()> {
     listener.set_nonblocking(true)?;
     // One engine-wide session pool: every request from every connection
-    // contends at the same scheduler gate, so admission order, batching
+    // contends at the same scheduler gate, so admission order, single-flight
     // and overload are per-request, not per-connection.
     let pool = Arc::new(SessionPool::new(&engine, opts.max_clients));
     // Streams of live connections, so shutdown can unblock their readers.
@@ -637,7 +636,6 @@ pub fn serve(argv: Vec<String>) -> Result<()> {
              [--max-clients N]       concurrent connection cap (default 64)\n\
              [--max-inflight N]      concurrently executing queries (default 256, 0 = unlimited)\n\
              [--queue-depth N]       admission queue beyond the in-flight cap (default 1024, 0 = unlimited)\n\
-             [--batch-window-ms MS]  cold-mining batch window (default 2, 0 = single-flight only)\n\
              [--read-timeout SECS]   idle client timeout (default 300, 0 = none)\n\
              [--threads N]           default support-counting threads (0 = all cores; default 1)\n\
              [--trim on|off]         default per-level database reduction (default on)\n\
@@ -1026,22 +1024,17 @@ mod tests {
     /// No prose, no half-written lines, no unknown kinds.
     #[test]
     fn overload_rejections_over_tcp_are_typed_envelopes() {
-        let mut b = CatalogBuilder::new(6);
-        b.num_attr("Price", vec![10.0, 20.0, 30.0, 40.0, 50.0, 60.0]).unwrap();
-        let db = TransactionDb::from_u32(
-            6,
-            &[&[0, 1, 2, 3], &[0, 1, 2], &[1, 2, 3, 4], &[0, 2, 4], &[0, 1, 3, 5], &[2, 3, 4, 5]],
-        );
-        // One query executes at a time, one may queue, and a cold leader
-        // holds its admission slot for the whole 150ms batch window — so
-        // concurrent cold queries (distinct supports = distinct cache
-        // keys) are guaranteed to pile up past the gate.
-        let config = EngineConfig::builder()
-            .max_inflight_queries(1)
-            .max_queued_queries(1)
-            .batch_window_ms(150)
-            .build();
-        let eng = Engine::with_config(db, b.build(), config).unwrap();
+        // Ten items in every row: each side's lattice is the 1,023
+        // non-empty subsets, and every query counts a million pairs
+        // (materializing none). One query executes at a time and one may
+        // queue, so clients released together pile up past the gate.
+        let all: Vec<u32> = (0..10).collect();
+        let mut b = CatalogBuilder::new(10);
+        b.num_attr("Price", (0..10).map(f64::from).collect()).unwrap();
+        let config = EngineConfig::builder().max_inflight_queries(1).max_queued_queries(1).build();
+        let eng =
+            Engine::with_config(TransactionDb::from_u32(10, &[&all, &all]), b.build(), config)
+                .unwrap();
 
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
@@ -1051,21 +1044,19 @@ mod tests {
 
         let barrier = Arc::new(std::sync::Barrier::new(CLIENTS));
         let workers: Vec<_> = (0..CLIENTS)
-            .map(|c| {
+            .map(|_| {
                 let barrier = Arc::clone(&barrier);
                 std::thread::spawn(move || {
                     let mut conn = TcpStream::connect(addr).unwrap();
                     let mut rd = BufReader::new(conn.try_clone().unwrap());
                     let mut replies = Vec::new();
                     barrier.wait();
-                    for i in 0..3 {
-                        // Unique support per request: every query is a
-                        // cold cache miss that really mines.
-                        let frac = 0.02 + 0.01 * (c * 3 + i) as f64;
+                    for _ in 0..3 {
                         writeln!(
                             conn,
-                            "{{\"v\":1,\"cmd\":\"query\",\"req\":{{\"query\":\"{Q}\",\
-                             \"support\":{{\"frac\":{frac}}}}}}}"
+                            "{{\"v\":1,\"cmd\":\"query\",\"req\":{{\"query\":\
+                             \"max(S.Price) <= min(T.Price)\",\"support\":{{\"abs\":1}},\
+                             \"max_pairs\":0}}}}"
                         )
                         .unwrap();
                         let mut reply = String::new();

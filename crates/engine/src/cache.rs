@@ -11,8 +11,10 @@
 //!   effective universe is a subset and whose threshold is no lower can
 //!   carve its answer out of the entry by filtering, and it is what keeps
 //!   the family downward-closed so FUP can upgrade it in place at an
-//!   epoch swap. Eviction is least-recently-used under a byte budget
-//!   measured with [`FrequentSets::approx_bytes`].
+//!   epoch swap. An entry holds levels ≥ 2 only ([`StoredLattice`]): its
+//!   level 1 is the epoch's item-support column. Eviction is
+//!   least-recently-used under a byte budget that charges each entry its
+//!   stored levels and its key (`LatticeEntry::new`).
 //! * `PlanCache` — optimizer plans keyed by a fingerprint of the bound
 //!   query and strategy flags. Plans never read the data, so entries
 //!   survive epoch swaps; the cache is count-capped, not byte-budgeted.
@@ -23,7 +25,7 @@
 use cfq_core::{CfqPlan, LatticeSource};
 use cfq_mining::FrequentSets;
 use cfq_obs as obs;
-use cfq_types::{CfqError, FxHashMap, ItemId, Result};
+use cfq_types::{CfqError, FxHashMap, ItemId, Itemset, Result, TransactionDb};
 use std::sync::Arc;
 
 /// Point-in-time snapshot of the engine's cache counters, returned by
@@ -56,8 +58,77 @@ pub struct CacheStats {
     pub budget_bytes: usize,
 }
 
+/// A lattice as the cache holds it: the levels ≥ 2 of the family mined
+/// over some universe at some threshold in some epoch's database.
+///
+/// Level 1 is not stored. It is by definition `{i ∈ universe : supp(i) ≥
+/// min_support}`, and every `TransactionDb` carries `supp(i)` as its
+/// item-support column, so it costs one array read an item to recover —
+/// exactly, for the entry's epoch or for any universe and threshold the
+/// entry serves. Readers visit level 1 off the column and levels ≥ 2
+/// through [`StoredLattice::level`]; [`StoredLattice::complete`] rebuilds
+/// the whole family where one is needed (FUP).
+#[derive(Clone, Default)]
+pub struct StoredLattice {
+    /// The family with its level 1 emptied; never handed out whole.
+    upper: FrequentSets,
+}
+
+impl StoredLattice {
+    /// The stored form of `family`, the sets mined over some universe at
+    /// some threshold: its level 1 is dropped.
+    pub fn new(mut family: FrequentSets) -> StoredLattice {
+        family.take_level(1);
+        StoredLattice { upper: family }
+    }
+
+    /// Levels stored, counting the dropped level 1 (the size of the
+    /// largest frequent set, when it has at least two items).
+    pub fn n_levels(&self) -> usize {
+        self.upper.n_levels()
+    }
+
+    /// The frequent k-sets with supports, for `k ≥ 2`. Level 1 is the
+    /// column's ([`TransactionDb::item_support`]).
+    pub fn level(&self, k: usize) -> &[(Itemset, u64)] {
+        debug_assert!(k >= 2, "level 1 of a stored lattice is the item-support column");
+        self.upper.level(k)
+    }
+
+    /// The complete family: level 1 read off `db`'s column over
+    /// `universe` at `min_support` — the entry's own key and epoch — then
+    /// the stored levels.
+    pub fn complete(&self, db: &TransactionDb, universe: &[ItemId], min_support: u64) -> FrequentSets {
+        let mut full = FrequentSets::new();
+        full.push_level(
+            universe
+                .iter()
+                .map(|&i| (Itemset::singleton(i), db.item_support(i)))
+                .filter(|&(_, n)| n >= min_support)
+                .collect(),
+        );
+        for k in 2..=self.n_levels() {
+            full.push_level(self.level(k).to_vec());
+        }
+        full
+    }
+
+    /// The stored levels as a family whose level 1 is empty, for the
+    /// snapshot writer, which writes levels ≥ 2 only.
+    pub(crate) fn upper_levels(&self) -> &FrequentSets {
+        &self.upper
+    }
+
+    /// Approximate heap footprint of the stored levels
+    /// ([`FrequentSets::approx_bytes`]).
+    pub fn approx_bytes(&self) -> usize {
+        self.upper.approx_bytes()
+    }
+}
+
 /// One cached lattice: the complete frequent-set family of `universe` in
-/// the epoch's database at threshold `min_support`.
+/// the epoch's database at threshold `min_support`, stored without its
+/// level 1.
 pub(crate) struct LatticeEntry {
     /// Epoch of the database the supports are exact for.
     pub epoch: u64,
@@ -65,11 +136,11 @@ pub(crate) struct LatticeEntry {
     pub universe: Arc<Vec<ItemId>>,
     /// Absolute support threshold the family is complete down to.
     pub min_support: u64,
-    /// The mined family.
-    pub lattice: Arc<FrequentSets>,
+    /// The mined family, levels ≥ 2.
+    pub lattice: Arc<StoredLattice>,
     /// How this entry was produced (cold mining or FUP upgrade).
     pub source: LatticeSource,
-    /// Budget charge, from [`FrequentSets::approx_bytes`].
+    /// Budget charge: the stored levels plus the key's items.
     pub bytes: usize,
     /// Database scans the original mining cost — credited to
     /// `scans_saved` on every hit.
@@ -78,9 +149,25 @@ pub(crate) struct LatticeEntry {
     pub last_used: u64,
 }
 
+impl LatticeEntry {
+    /// An entry, charged what it holds: the stored levels and the
+    /// universe it is keyed by.
+    pub fn new(
+        epoch: u64,
+        universe: Arc<Vec<ItemId>>,
+        min_support: u64,
+        lattice: Arc<StoredLattice>,
+        source: LatticeSource,
+        scans_cost: u64,
+    ) -> LatticeEntry {
+        let bytes = lattice.approx_bytes() + std::mem::size_of_val(universe.as_slice());
+        LatticeEntry { epoch, universe, min_support, lattice, source, bytes, scans_cost, last_used: 0 }
+    }
+}
+
 /// What a successful lattice lookup hands back to the engine.
 pub(crate) struct CacheHit {
-    pub lattice: Arc<FrequentSets>,
+    pub lattice: Arc<StoredLattice>,
     pub source: LatticeSource,
     pub scans_cost: u64,
 }
@@ -158,24 +245,28 @@ impl LatticeCache {
 
     /// Looks up a lattice, recording the hit or miss and bumping LRU.
     pub fn lookup(&mut self, epoch: u64, universe: &[ItemId], min_support: u64) -> Option<CacheHit> {
-        match self.find(epoch, universe, min_support) {
-            Some(i) => {
-                let stamp = self.tick();
-                let e = &mut self.entries[i];
-                e.last_used = stamp;
-                self.hits += 1;
-                self.scans_saved += e.scans_cost;
-                Some(CacheHit {
-                    lattice: Arc::clone(&e.lattice),
-                    source: e.source,
-                    scans_cost: e.scans_cost,
-                })
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
+        let hit = self.find(epoch, universe, min_support).map(|i| self.hit(i));
+        if hit.is_none() {
+            self.misses += 1;
         }
+        hit
+    }
+
+    /// Repeats a [`LatticeCache::lookup`] that missed: a hit here replaces
+    /// that recorded miss, so the query still counts once.
+    pub fn relookup(&mut self, epoch: u64, universe: &[ItemId], min_support: u64) -> Option<CacheHit> {
+        let hit = self.find(epoch, universe, min_support).map(|i| self.hit(i))?;
+        self.misses -= 1;
+        Some(hit)
+    }
+
+    fn hit(&mut self, i: usize) -> CacheHit {
+        let stamp = self.tick();
+        let e = &mut self.entries[i];
+        e.last_used = stamp;
+        self.hits += 1;
+        self.scans_saved += e.scans_cost;
+        CacheHit { lattice: Arc::clone(&e.lattice), source: e.source, scans_cost: e.scans_cost }
     }
 
     /// Like [`LatticeCache::lookup`] but without touching any counter or
@@ -359,27 +450,24 @@ impl PlanCache {
 mod tests {
     use super::*;
 
-    fn lattice(n_singletons: u32) -> Arc<FrequentSets> {
+    /// The family of a universe whose consecutive items pair up: its
+    /// singletons and `universe.len() - 1` pairs, all at support 2.
+    fn lattice(universe: &[u32]) -> Arc<StoredLattice> {
         let mut fs = FrequentSets::new();
-        fs.push_level(
-            (0..n_singletons).map(|i| (cfq_types::Itemset::singleton(ItemId(i)), 2)).collect(),
-        );
-        Arc::new(fs)
+        fs.push_level(universe.iter().map(|&i| ([i].into(), 2)).collect());
+        fs.push_level(universe.windows(2).map(|w| (w.iter().copied().collect(), 2)).collect());
+        Arc::new(StoredLattice::new(fs))
     }
 
     fn entry(epoch: u64, universe: Vec<u32>, min_support: u64) -> LatticeEntry {
-        let lattice = lattice(universe.len() as u32);
-        let bytes = lattice.approx_bytes();
-        LatticeEntry {
+        LatticeEntry::new(
             epoch,
-            universe: Arc::new(universe.into_iter().map(ItemId).collect()),
+            Arc::new(universe.iter().map(|&i| ItemId(i)).collect()),
             min_support,
-            lattice,
-            source: LatticeSource::MinedCold,
-            bytes,
-            scans_cost: 3,
-            last_used: 0,
-        }
+            lattice(&universe),
+            LatticeSource::MinedCold,
+            3,
+        )
     }
 
     #[test]
@@ -408,6 +496,13 @@ mod tests {
         assert_eq!(c.hits, 2);
         assert_eq!(c.misses, 3);
         assert_eq!(c.scans_saved, 6);
+
+        // A repeated lookup that now hits turns its miss into a hit; one
+        // that misses again records nothing.
+        assert!(c.relookup(1, &ids, 2).is_none());
+        c.insert(entry(1, vec![2, 4], 2)).unwrap();
+        assert!(c.relookup(1, &ids, 2).is_some());
+        assert_eq!((c.hits, c.misses), (3, 2));
     }
 
     #[test]
@@ -417,8 +512,8 @@ mod tests {
         c.insert(entry(0, vec![1, 2, 3], 2)).unwrap();
         let hit_universe: Vec<ItemId> = vec![ItemId(1), ItemId(2)];
         let hit = c.lookup(0, &hit_universe, 2).unwrap();
-        // The 3-item entry is the smaller superset: 3 singletons, not 6.
-        assert_eq!(hit.lattice.total(), 3);
+        // The 3-item entry is the smaller superset: 2 pairs, not 5.
+        assert_eq!(hit.lattice.level(2).len(), 2);
     }
 
     #[test]
@@ -436,6 +531,34 @@ mod tests {
         assert!(c.lookup(0, &[ItemId(1)], 2).is_some(), "recently used survives");
         assert!(c.lookup(0, &[ItemId(4)], 2).is_none(), "LRU evicted");
         assert!(c.lookup(0, &[ItemId(7)], 2).is_some());
+    }
+
+    #[test]
+    fn the_budget_charges_stored_levels_and_key() {
+        let mut c = LatticeCache::new(1 << 20);
+        let entries = [entry(0, vec![1, 2, 3], 2), entry(0, vec![1, 2, 3, 4, 5, 6], 2)];
+        let want: usize =
+            entries.iter().map(|e| e.lattice.approx_bytes() + 4 * e.universe.len()).sum();
+        for e in entries {
+            c.insert(e).unwrap();
+        }
+        assert_eq!(c.bytes_used(), want);
+    }
+
+    #[test]
+    fn a_stored_lattice_is_complete_with_the_column() {
+        let db = TransactionDb::from_u32(5, &[&[0, 1, 2], &[0, 1, 3], &[1, 2], &[0, 1, 2, 4]]);
+        let universe: Vec<ItemId> = [0u32, 1, 2, 4].into_iter().map(ItemId).collect();
+        let cfg = cfq_mining::AprioriConfig::new(2).with_universe(universe.clone());
+        let mined = cfq_mining::apriori(&db, &cfg, &mut cfq_mining::WorkStats::new());
+        let stored = StoredLattice::new(mined.clone());
+        // Level 1 is gone from the stored form and costs nothing there.
+        assert!(stored.approx_bytes() < mined.approx_bytes());
+        assert_eq!(stored.n_levels(), mined.n_levels());
+        let full = stored.complete(&db, &universe, 2);
+        let sets = |f: &FrequentSets| f.iter().map(|(s, n)| (s.clone(), n)).collect::<Vec<_>>();
+        assert_eq!(sets(&full), sets(&mined));
+        assert_eq!(full.level(1).len(), 3, "item 4 (support 1) is below the threshold");
     }
 
     #[test]

@@ -503,7 +503,6 @@ mod tests {
             // nothing and nobody waited at the admission gate.
             "cfq_mining_passes_total 2",
             "cfq_scheduler_coalesced_total 0",
-            "cfq_scheduler_batched_total 0",
             "cfq_scheduler_overloaded_total 0",
             "cfq_scheduler_queue_depth 0",
             "cfq_scheduler_inflight 0",

@@ -16,20 +16,17 @@
 //! warm across updates, which is what makes the Fig. 8 workloads re-run
 //! with zero database scans after an append.
 
-use crate::cache::{CacheHit, CacheStats, LatticeCache, LatticeEntry, PlanCache};
-use crate::scheduler::{AdmissionPermit, GroupRole, Scheduler, SchedulerStats};
+use crate::cache::{CacheHit, CacheStats, LatticeCache, LatticeEntry, PlanCache, StoredLattice};
+use crate::scheduler::{AdmissionPermit, GroupRole, Resolved, Scheduler, SchedulerStats};
 use crate::session::Session;
 use crate::snapshot::{self, LatticeView};
 use crate::wal::{self, WalRecord, WalWriter};
 use cfq_core::{CfqPlan, LatticeSource, Optimizer};
 use cfq_obs as obs;
-use cfq_mining::{
-    apriori, fup_update_abs, AprioriConfig, CountingBackend, FrequentSets, WorkStats,
-};
+use cfq_mining::{apriori, fup_update_abs, AprioriConfig, CountingBackend, WorkStats};
 use cfq_types::{Catalog, CfqError, ItemId, Result, TransactionDb};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, MutexGuard};
-use std::time::Duration;
 
 /// Tuning knobs of an [`Engine`]. Construct with
 /// [`EngineConfig::builder`] — the builder is the one canonical surface
@@ -60,10 +57,6 @@ pub struct EngineConfig {
     /// cap before new arrivals are rejected with
     /// [`CfqError::Overloaded`] (0 = unlimited; default 1024).
     pub max_queued_queries: usize,
-    /// How long a cold mining waits for compatible queries to batch onto
-    /// its single-flight group (default 2 ms; zero disables batching but
-    /// keeps single-flight).
-    pub batch_window: Duration,
     /// Durability directory (default `None` = ephemeral engine). When
     /// set, construction recovers from the newest snapshot plus WAL
     /// replay, and every [`Engine::append`] is written to the WAL and
@@ -89,7 +82,6 @@ impl Default for EngineConfig {
             backend: CountingBackend::Horizontal,
             max_inflight_queries: 256,
             max_queued_queries: 1024,
-            batch_window: Duration::from_millis(2),
             wal_dir: None,
             snapshot_every: 8,
             follow: false,
@@ -105,8 +97,8 @@ impl EngineConfig {
 }
 
 /// Fluent builder for [`EngineConfig`] — one method per knob, mirroring
-/// the `cfq serve` flags (`--backend`, `--max-inflight`,
-/// `--batch-window-ms`, `--wal-dir`, `--snapshot-every`, `--follow`).
+/// the `cfq serve` flags (`--backend`, `--max-inflight`, `--queue-depth`,
+/// `--wal-dir`, `--snapshot-every`, `--follow`).
 #[derive(Clone, Debug)]
 pub struct EngineConfigBuilder {
     config: EngineConfig,
@@ -152,19 +144,6 @@ impl EngineConfigBuilder {
     /// Maximum queued queries beyond the in-flight cap (0 = unlimited).
     pub fn max_queued_queries(mut self, n: usize) -> Self {
         self.config.max_queued_queries = n;
-        self
-    }
-
-    /// Single-flight batch window.
-    pub fn batch_window(mut self, window: Duration) -> Self {
-        self.config.batch_window = window;
-        self
-    }
-
-    /// Single-flight batch window in milliseconds (the `--batch-window-ms`
-    /// flag's unit).
-    pub fn batch_window_ms(mut self, ms: u64) -> Self {
-        self.config.batch_window = Duration::from_millis(ms);
         self
     }
 
@@ -374,11 +353,7 @@ impl Engine {
             }),
             append_lock: Mutex::new(()),
             durability,
-            scheduler: Scheduler::new(
-                config.max_inflight_queries,
-                config.max_queued_queries,
-                config.batch_window,
-            ),
+            scheduler: Scheduler::new(config.max_inflight_queries, config.max_queued_queries),
             config,
         };
         if let Some(dir) = engine.config.wal_dir.clone() {
@@ -410,19 +385,16 @@ impl Engine {
                 catalog: Arc::clone(&st.current.catalog),
             });
             for l in image.lattices {
-                let lattice = Arc::new(l.lattice);
                 // Oversize images just don't re-enter the cache; the
                 // budget may have shrunk since the snapshot was taken.
-                let _ = st.lattices.insert(LatticeEntry {
-                    epoch: image.epoch,
-                    universe: Arc::new(l.universe),
-                    min_support: l.min_support,
-                    lattice: Arc::clone(&lattice),
-                    source: LatticeSource::Cached,
-                    bytes: lattice.approx_bytes(),
-                    scans_cost: l.scans_cost,
-                    last_used: 0,
-                });
+                let _ = st.lattices.insert(LatticeEntry::new(
+                    image.epoch,
+                    Arc::new(l.universe),
+                    l.min_support,
+                    Arc::new(l.lattice),
+                    LatticeSource::Cached,
+                    l.scans_cost,
+                ));
             }
         }
         let after_epoch = self.epoch();
@@ -478,8 +450,8 @@ impl Engine {
         Arc::clone(&self.locked().current.catalog)
     }
 
-    /// A counter snapshot of the scheduler: mining passes, coalesced and
-    /// batched queries, admission-control activity.
+    /// A counter snapshot of the scheduler: mining passes, coalesced
+    /// queries, admission-control activity.
     pub fn scheduler_stats(&self) -> SchedulerStats {
         self.scheduler.stats()
     }
@@ -534,7 +506,8 @@ impl Engine {
     }
 
     /// Serves the complete lattice of `universe` at `min_support` in
-    /// `snap`'s database: from the cache when a compatible entry exists,
+    /// `snap`'s database, in its stored form (levels ≥ 2; level 1 is
+    /// `snap.db`'s column): from the cache when a compatible entry exists,
     /// through the scheduler's single-flight groups on a miss. Cache work
     /// is recorded both in the engine's counters and in `stats`
     /// (hit/miss/scans-saved). Only unbounded minings (`max_level == 0`)
@@ -553,10 +526,10 @@ impl Engine {
         trim: bool,
         backend: CountingBackend,
         stats: &mut WorkStats,
-    ) -> (Arc<FrequentSets>, LatticeSource) {
+    ) -> (Arc<StoredLattice>, LatticeSource) {
         if universe.is_empty() {
             // An unsatisfiable side mines nothing and caches nothing.
-            return (Arc::new(FrequentSets::new()), LatticeSource::MinedCold);
+            return (Arc::default(), LatticeSource::MinedCold);
         }
         let mut span = obs::span(obs::Level::Debug, "engine.lattice")
             .u64("universe", universe.len() as u64)
@@ -571,36 +544,44 @@ impl Engine {
             return (lattice, source);
         }
 
-        // Miss: resolve through the scheduler so concurrent identical
-        // misses share one mining pass. The group may mine at a lower
-        // support than requested (a batched member asked for less); the
-        // caller filters by its own threshold, so the superset is sound.
+        // Miss: resolve through the scheduler so concurrent misses share
+        // one mining pass. A joined group may have mined at a lower
+        // support than requested; the caller filters by its own
+        // threshold, so the superset is sound.
         let mut led_work: Option<WorkStats> = None;
+        let mut found: Option<LatticeSource> = None;
         let role = self.scheduler.mine_or_join(
             snap.epoch,
             universe,
             min_support,
             max_level == 0,
-            |support| {
+            || {
+                // A group that finished between the lookup above and this
+                // group's publication has already inserted its entry:
+                // serve that rather than mine the same lattice again.
+                if let Some(hit) =
+                    self.locked().lattices.relookup(snap.epoch, universe, min_support)
+                {
+                    found = Some(hit.source);
+                    return Resolved { lattice: hit.lattice, scans_cost: hit.scans_cost, mined: false };
+                }
                 let mut mine = WorkStats::new();
-                let cfg = AprioriConfig::new(support)
+                let cfg = AprioriConfig::new(min_support)
                     .with_universe(universe.to_vec())
                     .with_trim(trim)
                     .with_backend(backend)
                     .with_counting_threads(threads);
-                let lattice = Arc::new(apriori(&snap.db, &cfg, &mut mine));
+                let lattice = Arc::new(StoredLattice::new(apriori(&snap.db, &cfg, &mut mine)));
                 let scans_cost = mine.db_scans;
                 led_work = Some(mine);
-                let entry = LatticeEntry {
-                    epoch: snap.epoch,
-                    universe: Arc::new(universe.to_vec()),
-                    min_support: support,
-                    lattice: Arc::clone(&lattice),
-                    source: LatticeSource::Cached,
-                    bytes: lattice.approx_bytes(),
+                let entry = LatticeEntry::new(
+                    snap.epoch,
+                    Arc::new(universe.to_vec()),
+                    min_support,
+                    Arc::clone(&lattice),
+                    LatticeSource::Cached,
                     scans_cost,
-                    last_used: 0,
-                };
+                );
                 let mut st = self.locked();
                 if st.current.epoch == snap.epoch {
                     // Oversize rejection is counted inside the cache; the
@@ -609,25 +590,31 @@ impl Engine {
                 } else {
                     st.lattices.record_stale_drop();
                 }
-                (lattice, scans_cost)
+                Resolved { lattice, scans_cost, mined: true }
             },
         );
-        match role {
-            Some(GroupRole::Led { lattice, scans_cost }) => {
+        match (role, found) {
+            (Some(GroupRole::Led { lattice, scans_cost }), Some(source)) => {
+                stats.record_cache_hit(scans_cost);
+                span.record_str("source", source.describe());
+                span.record_u64("scans_saved", scans_cost);
+                (lattice, source)
+            }
+            (Some(GroupRole::Led { lattice, scans_cost }), None) => {
                 stats.record_cache_miss();
                 stats.absorb(&led_work.expect("leader ran the mine closure"));
                 span.record_str("source", "mined_cold");
                 span.record_u64("db_scans", scans_cost);
                 (lattice, LatticeSource::MinedCold)
             }
-            Some(GroupRole::Joined { lattice, scans_cost }) => {
+            (Some(GroupRole::Joined { lattice, scans_cost }), _) => {
                 stats.record_cache_hit(scans_cost);
                 self.locked().lattices.credit_saved(scans_cost);
                 span.record_str("source", LatticeSource::Coalesced.describe());
                 span.record_u64("scans_saved", scans_cost);
                 (lattice, LatticeSource::Coalesced)
             }
-            None => {
+            (None, _) => {
                 // Level-capped with nothing to join: mine directly, at
                 // the requested cap, without caching.
                 stats.record_cache_miss();
@@ -639,7 +626,7 @@ impl Engine {
                     .with_trim(trim)
                     .with_backend(backend)
                     .with_counting_threads(threads);
-                let lattice = Arc::new(apriori(&snap.db, &cfg, &mut mine));
+                let lattice = Arc::new(StoredLattice::new(apriori(&snap.db, &cfg, &mut mine)));
                 self.scheduler.note_direct_mining();
                 span.record_u64("db_scans", mine.db_scans);
                 stats.absorb(&mine);
@@ -721,7 +708,7 @@ impl Engine {
         for e in old_entries {
             let mut stats = WorkStats::new();
             let out = fup_update_abs(
-                &e.lattice,
+                &e.lattice.complete(&snap.db, &e.universe, e.min_support),
                 &snap.db,
                 &delta,
                 &e.universe,
@@ -730,18 +717,19 @@ impl Engine {
                 &mut stats,
             )?;
             old_db_recounts += out.old_db_recounts;
-            let lattice = Arc::new(out.frequent);
             upgraded.push(LatticeEntry {
-                epoch: snap.epoch + 1,
-                universe: e.universe,
-                min_support: e.min_support,
-                lattice: Arc::clone(&lattice),
-                source: LatticeSource::FupUpgraded,
-                bytes: lattice.approx_bytes(),
-                // Keep crediting what a cold re-mine would have cost; the
-                // combined database is at least as expensive to scan.
-                scans_cost: e.scans_cost,
                 last_used: e.last_used,
+                ..LatticeEntry::new(
+                    snap.epoch + 1,
+                    e.universe,
+                    e.min_support,
+                    Arc::new(StoredLattice::new(out.frequent)),
+                    LatticeSource::FupUpgraded,
+                    // Keep crediting what a cold re-mine would have cost;
+                    // the combined database is at least as expensive to
+                    // scan.
+                    e.scans_cost,
+                )
             });
         }
         // Durable-before-visible: the record is on disk (fsynced) before
@@ -832,7 +820,7 @@ impl Engine {
                 universe: &e.universe,
                 min_support: e.min_support,
                 scans_cost: e.scans_cost,
-                lattice: &e.lattice,
+                lattice: e.lattice.upper_levels(),
             })
             .collect();
         let (path, bytes) = snapshot::write(&d.dir, epoch, &db, &views)?;
@@ -986,7 +974,7 @@ mod tests {
         assert_eq!(warm_stats.db_scans, 0);
         assert_eq!(warm_stats.cache_hits, 1);
         assert_eq!(warm_stats.scans_saved, stats.db_scans);
-        assert_eq!(warm.total(), cold.total());
+        assert!(Arc::ptr_eq(&warm, &cold), "the hit hands out the entry the miss inserted");
 
         // A subset universe at a higher threshold also hits.
         let sub: Vec<ItemId> = vec![ItemId(1), ItemId(2)];
@@ -1031,82 +1019,11 @@ mod tests {
         let mut remine = WorkStats::new();
         let cfg = AprioriConfig::new(2).with_universe(universe.clone());
         let expected = apriori(&combined, &cfg, &mut remine);
-        assert_eq!(lattice.total(), expected.total());
-        for (set, n) in expected.iter() {
-            assert_eq!(lattice.support(set), Some(n), "support mismatch for {set}");
-        }
-    }
-
-    /// What `tests/scheduler_props.rs` cannot assert behind a wall-clock
-    /// batch window: however many members a group has, and at whatever
-    /// supports, one mining pass per side serves them all — each at the
-    /// lattice it would have mined alone. The groups here close when every
-    /// member has arrived, not after a time.
-    mod batching {
-        use super::*;
-        use cfq_datagen::{QuestConfig, ScenarioBuilder};
-        use cfq_types::Itemset;
-        use proptest::prelude::*;
-        use std::sync::Barrier;
-
-        proptest! {
-            #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
-
-            #[test]
-            fn a_batch_mines_once_per_side(
-                seed in 0u64..1_000,
-                supports in prop::collection::vec(2u64..7, 2..6),
-            ) {
-                let sc = ScenarioBuilder::new(QuestConfig { seed, ..QuestConfig::tiny() })
-                    .split_uniform_prices((10.0, 100.0), (40.0, 160.0))
-                    .unwrap();
-                let (db, sides) = (sc.db, [sc.s_items, sc.t_items]);
-                let mut engine = Engine::new(db.clone(), sc.catalog).unwrap();
-                Arc::get_mut(&mut engine).expect("no session yet").scheduler =
-                    Scheduler::closing_groups_at(supports.len());
-
-                let barrier = Barrier::new(supports.len());
-                let lattices: Vec<_> = std::thread::scope(|scope| {
-                    let members: Vec<_> = supports
-                        .iter()
-                        .map(|&support| {
-                            let (engine, barrier, sides) = (&engine, &barrier, &sides);
-                            scope.spawn(move || {
-                                barrier.wait();
-                                let snap = engine.snapshot();
-                                sides.each_ref().map(|universe| {
-                                    let mut stats = WorkStats::new();
-                                    engine.lattice_for(
-                                        &snap, universe, support, 0, 1, true,
-                                        CountingBackend::Horizontal, &mut stats,
-                                    ).0
-                                })
-                            })
-                        })
-                        .collect();
-                    members.into_iter().map(|m| m.join().expect("member panicked")).collect()
-                });
-
-                let sched = engine.scheduler_stats();
-                prop_assert_eq!(sched.mining_passes, 2, "one pass per side: {:?}", sched);
-                prop_assert_eq!(sched.coalesced, 2 * (supports.len() as u64 - 1));
-                // Both passes ran at the group's minimum support, and each
-                // member's share is what it would have mined alone.
-                let lowest = *supports.iter().min().unwrap();
-                for (&support, lattices) in supports.iter().zip(&lattices) {
-                    for (universe, got) in sides.iter().zip(lattices) {
-                        let solo = |support: u64| {
-                            let cfg = AprioriConfig::new(support).with_universe(universe.clone());
-                            apriori(&db, &cfg, &mut WorkStats::new())
-                        };
-                        let sets = |l: &FrequentSets, at: u64| -> Vec<(Itemset, u64)> {
-                            l.iter().filter(|&(_, n)| n >= at).map(|(s, n)| (s.clone(), n)).collect()
-                        };
-                        prop_assert_eq!(sets(got, 0), sets(&solo(lowest), 0));
-                        prop_assert_eq!(sets(got, support), sets(&solo(support), 0));
-                    }
-                }
-            }
-        }
+        // The stored levels plus the new epoch's column are that re-mine.
+        let upgraded = lattice.complete(&snap2.db, &universe, 2);
+        let sets = |f: &cfq_mining::FrequentSets| -> Vec<_> {
+            f.iter().map(|(s, n)| (s.clone(), n)).collect()
+        };
+        assert_eq!(sets(&upgraded), sets(&expected));
     }
 }

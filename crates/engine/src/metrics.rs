@@ -46,7 +46,6 @@ pub struct ServerMetrics {
     // Synced from the engine at render time:
     mining_passes: Arc<Counter>,
     sched_coalesced: Arc<Counter>,
-    sched_batched: Arc<Counter>,
     sched_overloaded: Arc<Counter>,
     sched_queue_depth: Arc<Gauge>,
     sched_inflight: Arc<Gauge>,
@@ -165,10 +164,6 @@ impl ServerMetrics {
                 "cfq_scheduler_coalesced_total",
                 "Queries that joined another query's in-flight mining.",
             ),
-            sched_batched: r.counter(
-                "cfq_scheduler_batched_total",
-                "Joiners whose support differed from the group's (true batches).",
-            ),
             sched_overloaded: r.counter(
                 "cfq_scheduler_overloaded_total",
                 "Queries rejected at admission with `overloaded`.",
@@ -258,7 +253,6 @@ impl ServerMetrics {
         let sched = engine.scheduler_stats();
         self.mining_passes.store(sched.mining_passes);
         self.sched_coalesced.store(sched.coalesced);
-        self.sched_batched.store(sched.batched);
         self.sched_overloaded.store(sched.overloaded);
         self.sched_queue_depth.set(sched.queued as i64);
         self.sched_inflight.set(sched.inflight as i64);

@@ -1,4 +1,4 @@
-//! Multi-query admission and single-flight batch scheduling.
+//! Multi-query admission and single-flight scheduling.
 //!
 //! Every query entering the engine passes through two gates:
 //!
@@ -7,21 +7,25 @@
 //!   beyond that is rejected immediately with [`CfqError::Overloaded`]
 //!   so an overloaded server sheds load instead of queueing unboundedly.
 //! * **Single-flight groups** — a cold lattice mining is keyed by
-//!   `(epoch, universe)`. The first miss creates a *group* and waits a
-//!   short batch window; identical or compatible misses arriving in the
-//!   meantime **join** the group instead of mining. The group leader
-//!   mines once at the *minimum* support any member requested — a
-//!   complete lattice at a lower threshold serves every higher-threshold
-//!   member by filtering, the same weaker-envelope property the lattice
-//!   cache exploits — and every member wakes with the shared result.
+//!   `(epoch, universe)`. The first miss publishes a *group* at its own
+//!   support and mines at once. A later miss for the same key **joins**
+//!   the group instead of mining when the group's support is no higher
+//!   than its own — a complete lattice at a lower threshold serves a
+//!   higher-threshold member by filtering, the same weaker-envelope
+//!   property the lattice cache exploits — and every member wakes with
+//!   the shared result. A miss asking for less than the group mines at
+//!   leads a group of its own.
 //!
-//! Joining a group whose mining has already started (support frozen) is
-//! still allowed when the frozen threshold is low enough to serve the
-//! request. Admission is *barging*: a freed slot may be taken by a new
-//! arrival before a queued waiter wakes; the queue bounds work, it does
-//! not promise FIFO order.
+//! The leader inserts its lattice into the cache before it unpublishes
+//! the group, so an arrival too late to join finds the entry instead; and
+//! the engine's leader looks the cache up again before it mines, so a
+//! miss that looked just before that insert and found the group gone
+//! finds the entry too rather than mining the lattice a second time.
+//! Admission is *barging*: a freed slot may be taken by a new arrival
+//! before a queued waiter wakes; the queue bounds work, it does not
+//! promise FIFO order.
 
-use cfq_mining::FrequentSets;
+use crate::cache::StoredLattice;
 use cfq_obs as obs;
 use cfq_types::{CfqError, ItemId, Result};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -38,9 +42,6 @@ pub struct SchedulerStats {
     /// mining themselves. K identical concurrent cold queries show
     /// `mining_passes == 1, coalesced == K - 1`.
     pub coalesced: u64,
-    /// Joiners whose requested support differed from the group's — the
-    /// group was a genuine batch, mined once at the minimum.
-    pub batched: u64,
     /// Queries rejected with [`CfqError::Overloaded`] at admission.
     pub overloaded: u64,
     /// Queries admitted (fast-path or after queueing).
@@ -82,100 +83,70 @@ impl Drop for AdmissionPermit<'_> {
 
 /// How a cold mining request was resolved by [`Scheduler::mine_or_join`].
 pub(crate) enum GroupRole {
-    /// This query created the group, waited out the batch window, and ran
-    /// the one mining pass.
+    /// This query created the group and resolved its lattice — by its one
+    /// mining pass, or from the cache (see [`Resolved::mined`]).
     Led {
-        lattice: Arc<FrequentSets>,
-        /// Database scans the pass performed.
+        lattice: Arc<StoredLattice>,
+        /// Database scans the lattice cost to mine.
         scans_cost: u64,
     },
     /// This query attached to another query's group and shared its
     /// result without scanning anything.
     Joined {
-        lattice: Arc<FrequentSets>,
+        lattice: Arc<StoredLattice>,
         /// Scans the leader spent — what this query avoided.
         scans_cost: u64,
     },
 }
 
-/// One single-flight group: every member needs the `(epoch, universe)`
-/// lattice; the leader mines it once at the lowest requested support.
+/// What a group's leader resolved its lattice to.
+pub(crate) struct Resolved {
+    pub lattice: Arc<StoredLattice>,
+    /// Database scans the lattice cost to mine.
+    pub scans_cost: u64,
+    /// Whether the leader mined it: `false` when a group that finished
+    /// between the leader's cache miss and its publishing this group had
+    /// already left the lattice in the cache.
+    pub mined: bool,
+}
+
+/// One single-flight group: the `(epoch, universe)` lattice its leader is
+/// mining at `min_support`, fixed when the group is published.
 struct Group {
     epoch: u64,
     universe: Vec<ItemId>,
-    state: Mutex<GroupState>,
-    /// Signalled to the leader whenever a member joins.
-    #[cfg(test)]
-    joined: Condvar,
+    min_support: u64,
+    result: Mutex<Option<(Arc<StoredLattice>, u64)>>,
     done: Condvar,
 }
 
-struct GroupState {
-    /// The support the group will mine at. Joiners may lower it while
-    /// the group is still collecting.
-    min_support: u64,
-    /// Queries attached to the group, its leader included.
-    #[cfg(test)]
-    members: usize,
-    /// Once true the support is frozen: the leader is mining.
-    mining: bool,
-    result: Option<(Arc<FrequentSets>, u64)>,
-}
-
-/// When a group's leader stops collecting members and mines.
-enum BatchWindow {
-    /// After this long (zero: at once).
-    Timed(Duration),
-    /// Once the group has this many members. What tests of sharing close
-    /// the window with: that one pass serves every member must not depend
-    /// on how promptly the host schedules the members' threads.
-    #[cfg(test)]
-    Members(usize),
-}
-
 /// The engine's query scheduler. Lock order: the group map before any
-/// group's state, never the reverse.
+/// group's result, never the reverse.
 pub(crate) struct Scheduler {
     max_inflight: usize,
     max_queued: usize,
-    batch_window: BatchWindow,
     admission: Mutex<Admission>,
     admitted_cv: Condvar,
     groups: Mutex<Vec<Arc<Group>>>,
     mining_passes: AtomicU64,
     coalesced: AtomicU64,
-    batched: AtomicU64,
     overloaded: AtomicU64,
     admitted: AtomicU64,
 }
 
 impl Scheduler {
-    /// `max_inflight` / `max_queued` of 0 mean unlimited; a zero
-    /// `batch_window` disables batching but keeps single-flight (joiners
-    /// can still catch a mining in progress).
-    pub(crate) fn new(max_inflight: usize, max_queued: usize, batch_window: Duration) -> Scheduler {
+    /// `max_inflight` / `max_queued` of 0 mean unlimited.
+    pub(crate) fn new(max_inflight: usize, max_queued: usize) -> Scheduler {
         Scheduler {
             max_inflight,
             max_queued,
-            batch_window: BatchWindow::Timed(batch_window),
             admission: Mutex::new(Admission::default()),
             admitted_cv: Condvar::new(),
             groups: Mutex::new(Vec::new()),
             mining_passes: AtomicU64::new(0),
             coalesced: AtomicU64::new(0),
-            batched: AtomicU64::new(0),
             overloaded: AtomicU64::new(0),
             admitted: AtomicU64::new(0),
-        }
-    }
-
-    /// An unlimited scheduler whose groups mine as soon as they have
-    /// `members` members, however long that takes.
-    #[cfg(test)]
-    pub(crate) fn closing_groups_at(members: usize) -> Scheduler {
-        Scheduler {
-            batch_window: BatchWindow::Members(members),
-            ..Scheduler::new(0, 0, Duration::ZERO)
         }
     }
 
@@ -217,48 +188,29 @@ impl Scheduler {
     /// Resolves a cache miss for the `(epoch, universe)` lattice at
     /// `min_support`.
     ///
-    /// Joins a compatible in-flight group when one exists (collecting at
-    /// any support, or already mining at a support low enough to serve
-    /// this request). Otherwise, when `can_lead`, creates a group, waits
-    /// out the batch window so compatible misses can pile on, and runs
-    /// `mine(support)` exactly once at the group's final (minimum)
-    /// support. Returns `None` when there is nothing to join and leading
-    /// is not allowed — level-capped requests, whose truncated result
-    /// could not serve other members.
+    /// Joins an in-flight group for the same key whose support is no
+    /// higher than this request's — its result serves this request by
+    /// filtering. Otherwise, when `can_lead`, publishes a group at this
+    /// request's support and runs `mine()` at once, exactly once, counting
+    /// a mining pass if it reports one. Returns `None` when there is
+    /// nothing to join and leading is not allowed —
+    /// level-capped requests, whose truncated result could not serve
+    /// other members.
     pub(crate) fn mine_or_join(
         &self,
         epoch: u64,
         universe: &[ItemId],
         min_support: u64,
         can_lead: bool,
-        mine: impl FnOnce(u64) -> (Arc<FrequentSets>, u64),
+        mine: impl FnOnce() -> Resolved,
     ) -> Option<GroupRole> {
         let mut groups = self.groups.lock().unwrap_or_else(|e| e.into_inner());
-        let mut joined = None;
-        for g in groups.iter() {
-            if g.epoch != epoch || g.universe[..] != *universe {
-                continue;
-            }
-            let mut st = g.state.lock().unwrap_or_else(|e| e.into_inner());
-            if st.mining && st.min_support > min_support {
-                // Frozen too high: its result cannot serve this request.
-                continue;
-            }
-            if st.min_support != min_support {
-                self.batched.fetch_add(1, Ordering::Relaxed);
-            }
-            if !st.mining && min_support < st.min_support {
-                st.min_support = min_support;
-            }
-            #[cfg(test)]
-            {
-                st.members += 1;
-                g.joined.notify_one();
-            }
-            drop(st);
+        let joined = groups
+            .iter()
+            .find(|g| g.epoch == epoch && g.min_support <= min_support && g.universe[..] == *universe)
+            .cloned();
+        if joined.is_some() {
             self.coalesced.fetch_add(1, Ordering::Relaxed);
-            joined = Some(Arc::clone(g));
-            break;
         }
         // Found nothing to join: publish the new group under the same lock
         // the search ran under, or two simultaneous misses both find
@@ -267,15 +219,8 @@ impl Scheduler {
             let g = Arc::new(Group {
                 epoch,
                 universe: universe.to_vec(),
-                state: Mutex::new(GroupState {
-                    min_support,
-                    #[cfg(test)]
-                    members: 1,
-                    mining: false,
-                    result: None,
-                }),
-                #[cfg(test)]
-                joined: Condvar::new(),
+                min_support,
+                result: Mutex::new(None),
                 done: Condvar::new(),
             });
             groups.push(Arc::clone(&g));
@@ -284,47 +229,28 @@ impl Scheduler {
         drop(groups);
 
         if let Some(g) = joined {
-            let mut st = g.state.lock().unwrap_or_else(|e| e.into_inner());
+            let mut result = g.result.lock().unwrap_or_else(|e| e.into_inner());
             let (lattice, scans_cost) = loop {
-                if let Some(r) = st.result.clone() {
+                if let Some(r) = result.clone() {
                     break r;
                 }
-                st = g.done.wait(st).unwrap_or_else(|e| e.into_inner());
+                result = g.done.wait(result).unwrap_or_else(|e| e.into_inner());
             };
             return Some(GroupRole::Joined { lattice, scans_cost });
         }
         let g = led?;
-
-        let mut st = match self.batch_window {
-            BatchWindow::Timed(window) => {
-                if !window.is_zero() {
-                    std::thread::sleep(window);
-                }
-                g.state.lock().unwrap_or_else(|e| e.into_inner())
-            }
-            #[cfg(test)]
-            BatchWindow::Members(members) => {
-                let mut st = g.state.lock().unwrap_or_else(|e| e.into_inner());
-                while st.members < members {
-                    st = g.joined.wait(st).unwrap_or_else(|e| e.into_inner());
-                }
-                st
-            }
-        };
-        st.mining = true;
-        let support = st.min_support;
-        drop(st);
-        let (lattice, scans_cost) = mine(support);
-        self.mining_passes.fetch_add(1, Ordering::Relaxed);
+        let Resolved { lattice, scans_cost, mined } = mine();
+        if mined {
+            self.mining_passes.fetch_add(1, Ordering::Relaxed);
+        }
         // Unpublish before waking members: later arrivals must not join a
         // finished group.
         self.groups
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .retain(|x| !Arc::ptr_eq(x, &g));
-        let mut st = g.state.lock().unwrap_or_else(|e| e.into_inner());
-        st.result = Some((Arc::clone(&lattice), scans_cost));
-        drop(st);
+        *g.result.lock().unwrap_or_else(|e| e.into_inner()) =
+            Some((Arc::clone(&lattice), scans_cost));
         g.done.notify_all();
         Some(GroupRole::Led { lattice, scans_cost })
     }
@@ -341,7 +267,6 @@ impl Scheduler {
         SchedulerStats {
             mining_passes: self.mining_passes.load(Ordering::Relaxed),
             coalesced: self.coalesced.load(Ordering::Relaxed),
-            batched: self.batched.load(Ordering::Relaxed),
             overloaded: self.overloaded.load(Ordering::Relaxed),
             admitted: self.admitted.load(Ordering::Relaxed),
             inflight: adm.inflight,
@@ -354,17 +279,22 @@ impl Scheduler {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
-    use std::sync::Barrier;
+    use std::sync::{mpsc, Barrier};
     use std::thread;
 
     fn universe() -> Vec<ItemId> {
         vec![ItemId(0), ItemId(1), ItemId(2)]
     }
 
+    /// A freshly mined (empty) lattice that cost `scans_cost` scans.
+    fn fresh(scans_cost: u64) -> Resolved {
+        Resolved { lattice: Arc::new(StoredLattice::default()), scans_cost, mined: true }
+    }
+
     #[test]
     fn identical_concurrent_requests_share_one_mining() {
         const K: usize = 4;
-        let sched = Arc::new(Scheduler::closing_groups_at(K));
+        let sched = Arc::new(Scheduler::new(0, 0));
         let mined = Arc::new(AtomicU64::new(0));
         let barrier = Arc::new(Barrier::new(K));
         let handles: Vec<_> = (0..K)
@@ -372,10 +302,13 @@ mod tests {
                 let (s, m, b) = (Arc::clone(&sched), Arc::clone(&mined), Arc::clone(&barrier));
                 thread::spawn(move || {
                     b.wait();
-                    s.mine_or_join(0, &universe(), 2, true, |support| {
-                        assert_eq!(support, 2);
+                    s.mine_or_join(0, &universe(), 2, true, || {
                         m.fetch_add(1, Ordering::SeqCst);
-                        (Arc::new(FrequentSets::new()), 7)
+                        // Hold the group open until every peer has joined.
+                        while s.stats().coalesced < (K - 1) as u64 {
+                            thread::yield_now();
+                        }
+                        fresh(7)
                     })
                     .expect("can_lead requests always resolve")
                 })
@@ -391,61 +324,72 @@ mod tests {
             assert_eq!(*scans_cost, 7);
         }
         let st = sched.stats();
-        assert_eq!(st.mining_passes, 1);
-        assert_eq!(st.coalesced, (K - 1) as u64);
-        assert_eq!(st.batched, 0, "same support everywhere: coalesced, not batched");
+        assert_eq!((st.mining_passes, st.coalesced), (1, (K - 1) as u64));
     }
 
+    /// A group mines at its leader's support from the moment it is
+    /// published: a miss asking for less leads its own group, a miss
+    /// asking for more joins.
     #[test]
-    fn joiner_lowers_the_group_support_before_freeze() {
-        let sched = Arc::new(Scheduler::closing_groups_at(2));
-        let s2 = Arc::clone(&sched);
-        let leader = thread::spawn(move || {
-            // Report the support actually mined at through scans_cost.
-            s2.mine_or_join(0, &universe(), 5, true, |support| {
-                (Arc::new(FrequentSets::new()), support)
+    fn a_lower_support_miss_never_joins_a_higher_group() {
+        let sched = Arc::new(Scheduler::new(0, 0));
+        let (mining_tx, mining_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        let s = Arc::clone(&sched);
+        // Report the support each pass ran at through scans_cost.
+        let high = thread::spawn(move || {
+            s.mine_or_join(0, &universe(), 5, true, || {
+                mining_tx.send(()).unwrap();
+                release_rx.recv().unwrap();
+                fresh(5)
             })
         });
-        // The second request joins only once the first has published its
-        // group, which then waits for exactly this member.
-        while sched.groups.lock().unwrap().is_empty() {
+        mining_rx.recv().unwrap();
+
+        let low = sched.mine_or_join(0, &universe(), 3, true, || fresh(3)).unwrap();
+        assert!(matches!(low, GroupRole::Led { scans_cost: 3, .. }), "support 3 must lead");
+        let s = Arc::clone(&sched);
+        let higher = thread::spawn(move || {
+            s.mine_or_join(0, &universe(), 7, true, || unreachable!("support 7 must join"))
+        });
+        while sched.stats().coalesced == 0 {
             thread::yield_now();
         }
-        let joined = sched
-            .mine_or_join(0, &universe(), 3, true, |_| unreachable!("joiner must not mine"))
-            .unwrap();
-        match joined {
-            GroupRole::Joined { scans_cost, .. } => {
-                assert_eq!(scans_cost, 3, "the group mined at the joiner's lower support");
-            }
-            GroupRole::Led { .. } => panic!("second request must join, not lead"),
-        }
-        match leader.join().unwrap().unwrap() {
-            GroupRole::Led { scans_cost, .. } => assert_eq!(scans_cost, 3),
-            GroupRole::Joined { .. } => panic!("first request must lead"),
-        }
+        release_tx.send(()).unwrap();
+        assert!(matches!(high.join().unwrap(), Some(GroupRole::Led { scans_cost: 5, .. })));
+        assert!(matches!(higher.join().unwrap(), Some(GroupRole::Joined { scans_cost: 5, .. })));
         let st = sched.stats();
-        assert_eq!((st.mining_passes, st.coalesced, st.batched), (1, 1, 1));
+        assert_eq!((st.mining_passes, st.coalesced), (2, 1));
     }
 
     #[test]
     fn distinct_keys_do_not_coalesce() {
-        let sched = Scheduler::new(0, 0, Duration::ZERO);
+        let sched = Scheduler::new(0, 0);
         for (epoch, universe) in [(0, vec![ItemId(0)]), (0, vec![ItemId(1)]), (1, vec![ItemId(0)])]
         {
-            let role = sched
-                .mine_or_join(epoch, &universe, 2, true, |_| (Arc::new(FrequentSets::new()), 1))
-                .unwrap();
+            let role = sched.mine_or_join(epoch, &universe, 2, true, || fresh(1)).unwrap();
             assert!(matches!(role, GroupRole::Led { .. }));
         }
         let st = sched.stats();
         assert_eq!((st.mining_passes, st.coalesced), (3, 0));
     }
 
+    /// A leader that found its lattice in the cache hands it to the group
+    /// without counting a mining pass.
+    #[test]
+    fn a_leader_served_from_the_cache_counts_no_pass() {
+        let sched = Scheduler::new(0, 0);
+        let role = sched
+            .mine_or_join(0, &universe(), 2, true, || Resolved { mined: false, ..fresh(4) })
+            .unwrap();
+        assert!(matches!(role, GroupRole::Led { scans_cost: 4, .. }));
+        assert_eq!(sched.stats().mining_passes, 0);
+    }
+
     #[test]
     fn non_leaders_fall_through_when_nothing_is_in_flight() {
-        let sched = Scheduler::new(0, 0, Duration::ZERO);
-        let role = sched.mine_or_join(0, &universe(), 2, false, |_| unreachable!());
+        let sched = Scheduler::new(0, 0);
+        let role = sched.mine_or_join(0, &universe(), 2, false, || unreachable!());
         assert!(role.is_none());
         sched.note_direct_mining();
         assert_eq!(sched.stats().mining_passes, 1);
@@ -453,7 +397,7 @@ mod tests {
 
     #[test]
     fn full_queue_rejects_with_overloaded() {
-        let sched = Arc::new(Scheduler::new(1, 1, Duration::ZERO));
+        let sched = Arc::new(Scheduler::new(1, 1));
         let permit = sched.admit().unwrap();
         assert_eq!(permit.wait, Duration::ZERO);
 
@@ -481,7 +425,7 @@ mod tests {
 
     #[test]
     fn unlimited_admission_never_blocks() {
-        let sched = Scheduler::new(0, 0, Duration::ZERO);
+        let sched = Scheduler::new(0, 0);
         let permits: Vec<_> = (0..64).map(|_| sched.admit().unwrap()).collect();
         assert_eq!(sched.stats().inflight, 64);
         drop(permits);

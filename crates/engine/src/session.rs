@@ -15,9 +15,12 @@
 //!   item-membership bitset of the effective universe, then whatever of
 //!   the compiled 1-var form membership cannot decide) instead of
 //!   re-mined;
-//! * a cold miss goes through the scheduler's single-flight groups, so
-//!   concurrent identical misses share one mining pass and compatible
-//!   ones batch onto it at the minimum requested support;
+//! * a cached lattice holds levels ≥ 2; level 1 is read off the epoch's
+//!   item-support column, which is exact for any universe and threshold
+//!   the lattice serves;
+//! * a cold miss goes through the scheduler's single-flight groups, so a
+//!   miss joins one already mining the same universe at a support no
+//!   higher than its own instead of mining again;
 //! * final pair formation re-verifies every original 2-var constraint
 //!   and the answer is compacted to the sets participating in a valid
 //!   pair — the same step the one-shot [`Optimizer`] ends with, which is
@@ -88,7 +91,7 @@ impl Session {
 ///
 /// Serving stacks hand every request `pool.session()` instead of opening
 /// a session per connection: scheduler fairness (admission order,
-/// batching) is then per-*request*, and a connection that never speaks
+/// single-flight) is then per-*request*, and a connection that never speaks
 /// again holds no query state.
 pub struct SessionPool {
     sessions: Vec<Session>,
@@ -400,34 +403,47 @@ fn run_side(
     // it); the form's other three parts are exactly the rest of the
     // conjunction (`tests/succinct_props.rs`), so together they decide
     // what `eval_all_one` would — succinct parts by item membership alone.
+    let membership_decides = form.required_groups.is_empty()
+        && form.residual_am.is_empty()
+        && form.post_filters.is_empty();
+    let n_constraints = plan.one_var(var).len() as u64;
+    let mut sets: Vec<(Itemset, u64)> = Vec::new();
+    let mut checks = 0u64;
+    // The ledger keeps the unit it always had: one evaluation per
+    // constraint per surviving set.
+    let mut keep = |set: Itemset, n: u64| {
+        checks += n_constraints;
+        if membership_decides
+            || (form.satisfies_required(&set)
+                && form.admits_candidate(&set, &snap.catalog)
+                && form.passes_post(&set, &snap.catalog))
+        {
+            sets.push((set, n));
+        }
+    };
+
+    // Level 1 is the column: `eff` lies inside the lattice's universe and
+    // this query's threshold is no lower than the lattice's, in the same
+    // epoch, so `{i ∈ eff : supp(i) ≥ min_support}` is exactly what the
+    // complete family holds there.
+    for &i in &eff {
+        let n = snap.db.item_support(i);
+        if n >= min_support {
+            keep(Itemset::singleton(i), n);
+        }
+    }
     let mut in_eff = vec![0u64; eff.last().map_or(0, |i| i.index() / 64 + 1)];
     for item in &eff {
         in_eff[item.index() / 64] |= 1 << (item.index() % 64);
     }
     let in_eff = |i: &ItemId| in_eff.get(i.index() / 64).is_some_and(|w| w >> (i.index() % 64) & 1 == 1);
-    let membership_decides = form.required_groups.is_empty()
-        && form.residual_am.is_empty()
-        && form.post_filters.is_empty();
-
-    let n_constraints = plan.one_var(var).len() as u64;
-    let mut sets: Vec<(Itemset, u64)> = Vec::new();
-    let mut checks = 0u64;
-    for (set, n) in lattice.iter() {
-        if req.max_level != 0 && set.len() > req.max_level {
-            break; // iteration is by ascending level
-        }
-        if n < min_support || !set.as_slice().iter().all(in_eff) {
-            continue; // below this query's threshold, or outside its universe
-        }
-        // The ledger keeps the unit it always had: one evaluation per
-        // constraint per surviving set.
-        checks += n_constraints;
-        if membership_decides
-            || (form.satisfies_required(set)
-                && form.admits_candidate(set, &snap.catalog)
-                && form.passes_post(set, &snap.catalog))
-        {
-            sets.push((set.clone(), n));
+    let top = if req.max_level == 0 { lattice.n_levels() } else { req.max_level };
+    for k in 2..=top.min(lattice.n_levels()) {
+        for (set, n) in lattice.level(k) {
+            if *n < min_support || !set.as_slice().iter().all(in_eff) {
+                continue; // below this query's threshold, or outside its universe
+            }
+            keep(set.clone(), *n);
         }
     }
     stats.record_checks(checks);

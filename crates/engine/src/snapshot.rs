@@ -10,12 +10,19 @@
 //! Codec (hand-rolled, same dependency policy as [`crate::wal`]):
 //!
 //! ```text
-//! file    := magic "CFQSNAP1" len:u32 crc:u32 payload[len]
+//! file    := magic "CFQSNAP2" len:u32 crc:u32 payload[len]
 //! payload := epoch:u64 db lattice_count:u64 lattice*
 //! db      := n_items:u64 n_rows:u64 (row_len:u32 item:u32*)*
 //! lattice := ulen:u64 item:u32* min_support:u64 scans_cost:u64
 //!            n_levels:u64 (n_sets:u64 (slen:u32 item:u32* support:u64)*)*
 //! ```
+//!
+//! A lattice is written in the cache's stored form
+//! ([`StoredLattice`]): its levels from 2 up, `n_levels` counting those.
+//! Its level 1 is the database's item-support column. The loader also
+//! reads `CFQSNAP1` files, whose lattices start at level 1, and drops
+//! that level. A reader of `CFQSNAP1` only refuses a `CFQSNAP2` file at
+//! its magic rather than serve its lattices without their singletons.
 //!
 //! Writes go to a `.tmp` sibling, fsync, then rename — a crash mid-write
 //! leaves the previous snapshot intact. Every load is gated by the CRC,
@@ -23,6 +30,7 @@
 //! lattice (sorted levels, per-level cardinality) before anything is
 //! installed.
 
+use crate::cache::StoredLattice;
 use crate::wal::{crc32, decode_db, encode_db, fsync_dir, put_u32, put_u64, Cursor};
 use cfq_mining::FrequentSets;
 use cfq_types::{CfqError, ItemId, Itemset, Result, TransactionDb};
@@ -30,8 +38,11 @@ use std::fs::{self, File};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
-/// Magic header of every snapshot file.
-pub const SNAPSHOT_MAGIC: &[u8; 8] = b"CFQSNAP1";
+/// Magic header of every snapshot file written.
+pub const SNAPSHOT_MAGIC: &[u8; 8] = b"CFQSNAP2";
+/// Magic header of the previous format, whose lattices include level 1;
+/// still read.
+pub const SNAPSHOT_MAGIC_V1: &[u8; 8] = b"CFQSNAP1";
 /// File extension of snapshot files.
 pub const SNAPSHOT_EXT: &str = "cfqs";
 /// Snapshot generations kept on disk (the newest plus one fallback).
@@ -45,7 +56,8 @@ pub struct LatticeView<'a> {
     pub min_support: u64,
     /// Scans the original mining cost (LRU credit on future hits).
     pub scans_cost: u64,
-    /// The family itself.
+    /// The family itself; only its levels ≥ 2 are written, so the
+    /// cache's stored form and a complete family write the same bytes.
     pub lattice: &'a FrequentSets,
 }
 
@@ -67,8 +79,8 @@ pub struct LatticeImage {
     pub min_support: u64,
     /// Scans the original mining cost.
     pub scans_cost: u64,
-    /// The family itself.
-    pub lattice: FrequentSets,
+    /// The family itself, levels ≥ 2.
+    pub lattice: StoredLattice,
 }
 
 /// Path of the snapshot capturing `epoch`.
@@ -119,8 +131,8 @@ pub fn write(
         }
         put_u64(&mut payload, l.min_support);
         put_u64(&mut payload, l.scans_cost);
-        put_u64(&mut payload, l.lattice.n_levels() as u64);
-        for k in 1..=l.lattice.n_levels() {
+        put_u64(&mut payload, l.lattice.n_levels().saturating_sub(1) as u64);
+        for k in 2..=l.lattice.n_levels() {
             let level = l.lattice.level(k);
             put_u64(&mut payload, level.len() as u64);
             for (set, support) in level {
@@ -157,14 +169,18 @@ pub fn write(
     Ok((path, bytes))
 }
 
-/// Loads and validates the snapshot at `path`.
+/// Loads and validates the snapshot at `path`, in either format; any
+/// other file is refused with [`CfqError::Io`] before its payload is read.
 pub fn load(path: &Path) -> Result<SnapshotImage> {
     let bytes =
         fs::read(path).map_err(|e| CfqError::Io(format!("read {}: {e}", path.display())))?;
     let head = SNAPSHOT_MAGIC.len() + 8;
-    if bytes.len() < head || &bytes[..SNAPSHOT_MAGIC.len()] != SNAPSHOT_MAGIC {
+    let known = [SNAPSHOT_MAGIC, SNAPSHOT_MAGIC_V1];
+    let Some(&magic) = known.iter().find(|m| bytes.len() >= head && bytes[..8] == m[..]) else {
         return Err(CfqError::Io(format!("{} is not a cfq snapshot", path.display())));
-    }
+    };
+    // Where each lattice's stored levels start.
+    let first_level = if magic == SNAPSHOT_MAGIC_V1 { 1 } else { 2 };
     let len = u32::from_le_bytes([bytes[8], bytes[9], bytes[10], bytes[11]]) as usize;
     let crc = u32::from_le_bytes([bytes[12], bytes[13], bytes[14], bytes[15]]);
     let payload = &bytes[head..];
@@ -197,7 +213,10 @@ pub fn load(path: &Path) -> Result<SnapshotImage> {
         let scans_cost = c.u64()?;
         let n_levels = c.u64()? as usize;
         let mut lattice = FrequentSets::new();
-        for level_no in 1..=n_levels {
+        if first_level == 2 {
+            lattice.push_level(Vec::new());
+        }
+        for level_no in first_level..first_level + n_levels {
             let n_sets = c.u64()? as usize;
             let mut sets: Vec<(Itemset, u64)> = Vec::with_capacity(n_sets);
             for _ in 0..n_sets {
@@ -230,6 +249,7 @@ pub fn load(path: &Path) -> Result<SnapshotImage> {
             }
             lattice.push_level(sets);
         }
+        let lattice = StoredLattice::new(lattice);
         lattices.push(LatticeImage { universe, min_support, scans_cost, lattice });
     }
     if !c.done() {
@@ -312,11 +332,9 @@ mod tests {
         let l = &image.lattices[0];
         assert_eq!(l.min_support, 2);
         assert_eq!(l.scans_cost, 3);
-        assert_eq!(l.lattice.total(), 4);
-        assert_eq!(
-            l.lattice.support(&Itemset::from_sorted_vec(vec![ItemId(1), ItemId(2)])),
-            Some(2)
-        );
+        assert_eq!(l.lattice.level(2), fs1.level(2));
+        let full = l.lattice.complete(&image.db, &l.universe, l.min_support);
+        assert_eq!(full.iter().collect::<Vec<_>>(), fs1.iter().collect::<Vec<_>>());
         fs::remove_dir_all(&dir).ok();
     }
 

@@ -4,7 +4,7 @@
 //! burst structure a scenario encodes actually lands on the wire as
 //! concurrency. Every reply line is classified into a typed
 //! [`Outcome`]; the run is bracketed by `{"v":1,"cmd":"metrics"}`
-//! scrapes so the scheduler's coalesced / batched / overloaded /
+//! scrapes so the scheduler's coalesced / overloaded /
 //! mining-pass counters can be attributed to the scenario as deltas.
 //!
 //! The driver itself is a metrics citizen: per-request counters and a
@@ -70,8 +70,6 @@ pub struct RequestRecord {
 pub struct ServerDeltas {
     /// `cfq_scheduler_coalesced_total` delta.
     pub coalesced: u64,
-    /// `cfq_scheduler_batched_total` delta.
-    pub batched: u64,
     /// `cfq_scheduler_overloaded_total` delta.
     pub overloaded: u64,
     /// `cfq_mining_passes_total` delta.
@@ -327,7 +325,6 @@ pub fn run_scenario(
         records,
         server: ServerDeltas {
             coalesced: delta(&before, &after, "cfq_scheduler_coalesced_total"),
-            batched: delta(&before, &after, "cfq_scheduler_batched_total"),
             overloaded: delta(&before, &after, "cfq_scheduler_overloaded_total"),
             mining_passes: delta(&before, &after, "cfq_mining_passes_total"),
             lattice_hits: delta(&before, &after, "cfq_lattice_hits_total"),

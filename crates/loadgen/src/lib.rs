@@ -21,15 +21,15 @@
 //!   [`scenario::Workload`] against a server, records per-request
 //!   latency and a typed outcome for every reply, and brackets the run
 //!   with `{"v":1,"cmd":"metrics"}` scrapes so server-side scheduler
-//!   deltas (coalesced / batched / overloaded / mining passes) are
+//!   deltas (coalesced / overloaded / mining passes) are
 //!   attributed per scenario. Client-side counters and a latency
 //!   histogram land in a [`cfq_obs::metrics::Registry`] under
 //!   `cfq_loadgen_*` names.
 //! * [`report`] — exact (not bucketed) p50/p95/p99 over the recorded
 //!   latencies, the one-line `BENCH_loadgen.json` rendering, and the
 //!   gate checks CI fails on: zero protocol errors everywhere, overload
-//!   only where a scenario provokes it, batching where a scenario
-//!   targets the single-flight window.
+//!   only where a scenario provokes it, typed request errors only
+//!   where a scenario plans them.
 //!
 //! Every reply to an envelope-shaped line is one line of JSON, so
 //! framing is trivial and any prose leak is a protocol error by

@@ -37,8 +37,6 @@ pub struct ScenarioReport {
     pub max_us: u64,
     /// Server-side `cfq_scheduler_coalesced_total` delta.
     pub coalesced: u64,
-    /// Server-side `cfq_scheduler_batched_total` delta.
-    pub batched: u64,
     /// Server-side `cfq_scheduler_overloaded_total` delta.
     pub server_overloaded: u64,
     /// Server-side `cfq_mining_passes_total` delta.
@@ -74,7 +72,6 @@ impl ScenarioReport {
             p99_us: percentile(&lat, 0.99),
             max_us: lat.last().copied().unwrap_or(0),
             coalesced: out.server.coalesced,
-            batched: out.server.batched,
             server_overloaded: out.server.overloaded,
             mining_passes: out.server.mining_passes,
             lattice_hits: out.server.lattice_hits,
@@ -120,14 +117,13 @@ pub fn render(seed: u64, reports: &[ScenarioReport]) -> String {
         let _ = write!(
             out,
             "}},\"p50_us\":{},\"p95_us\":{},\"p99_us\":{},\"max_us\":{},\
-             \"coalesced\":{},\"batched\":{},\"server_overloaded\":{},\
+             \"coalesced\":{},\"server_overloaded\":{},\
              \"mining_passes\":{},\"lattice_hits\":{}}}",
             r.p50_us,
             r.p95_us,
             r.p99_us,
             r.max_us,
             r.coalesced,
-            r.batched,
             r.server_overloaded,
             r.mining_passes,
             r.lattice_hits,
@@ -144,9 +140,7 @@ pub fn render(seed: u64, reports: &[ScenarioReport]) -> String {
 /// * overload rejections appear exactly in the scenarios built to
 ///   provoke them;
 /// * typed request errors appear exactly in the scenarios that plan
-///   them;
-/// * scenarios targeting the batch window must move the server's
-///   coalesced + batched counters.
+///   them.
 pub fn check(reports: &[ScenarioReport]) -> Vec<String> {
     let mut violations = Vec::new();
     for r in reports {
@@ -185,12 +179,6 @@ pub fn check(reports: &[ScenarioReport]) -> Vec<String> {
                 r.name
             )),
             _ => {}
-        }
-        if spec.expects_sharing && r.coalesced + r.batched == 0 {
-            violations.push(format!(
-                "{}: no scheduler sharing (coalesced + batched == 0)",
-                r.name
-            ));
         }
     }
     violations
@@ -241,7 +229,7 @@ mod tests {
                 Outcome::RequestError("parse".into()),
                 Outcome::ProtocolError("x".into()),
             ],
-            ServerDeltas { coalesced: 2, batched: 1, ..ServerDeltas::default() },
+            ServerDeltas { coalesced: 2, ..ServerDeltas::default() },
         );
         let r = ScenarioReport::from_outcome(&out);
         assert_eq!((r.requests, r.ok, r.overloaded, r.protocol_errors), (6, 2, 1, 1));
@@ -291,20 +279,6 @@ mod tests {
             ServerDeltas::default(),
         ));
         assert_eq!(check(&[tame]).len(), 1);
-
-        // Sharing scenarios need the server counters to move.
-        let unshared = ScenarioReport::from_outcome(&outcome(
-            "multi_support_batch",
-            vec![Outcome::Ok; 3],
-            ServerDeltas::default(),
-        ));
-        assert_eq!(check(std::slice::from_ref(&unshared)).len(), 1);
-        let shared = ScenarioReport::from_outcome(&outcome(
-            "multi_support_batch",
-            vec![Outcome::Ok; 3],
-            ServerDeltas { batched: 4, ..ServerDeltas::default() },
-        ));
-        assert!(check(&[shared]).is_empty());
 
         // Adversarial runs must produce typed errors.
         let polite = ScenarioReport::from_outcome(&outcome(

@@ -51,9 +51,6 @@ pub struct ScenarioSpec {
     /// Whether typed request errors are part of the plan (gate: some
     /// request errors iff this is set; overloads count separately).
     pub expects_request_errors: bool,
-    /// Whether the scenario targets the single-flight batch window
-    /// (gate: coalesced + batched server delta must be positive).
-    pub expects_sharing: bool,
     /// Whether the workload interleaves `:append` of a delta file.
     pub needs_append_file: bool,
 }
@@ -70,7 +67,6 @@ pub const SCENARIOS: &[ScenarioSpec] = &[
         requests_per_client: 12,
         expects_overload: false,
         expects_request_errors: false,
-        expects_sharing: false,
         needs_append_file: false,
     },
     ScenarioSpec {
@@ -80,27 +76,15 @@ pub const SCENARIOS: &[ScenarioSpec] = &[
         requests_per_client: 10,
         expects_overload: false,
         expects_request_errors: false,
-        expects_sharing: false,
-        needs_append_file: false,
-    },
-    ScenarioSpec {
-        name: "multi_support_batch",
-        summary: "one query text at many supports, aimed at the single-flight batch window",
-        clients: 4,
-        requests_per_client: 8,
-        expects_overload: false,
-        expects_request_errors: false,
-        expects_sharing: true,
         needs_append_file: false,
     },
     ScenarioSpec {
         name: "overload_burst",
-        summary: "bursty cold traffic past the admission gate; rejections must stay typed",
+        summary: "bursts of cache-bypassing work past the admission gate; rejections must stay typed",
         clients: 10,
         requests_per_client: 6,
         expects_overload: true,
         expects_request_errors: false,
-        expects_sharing: false,
         needs_append_file: false,
     },
     ScenarioSpec {
@@ -110,7 +94,6 @@ pub const SCENARIOS: &[ScenarioSpec] = &[
         requests_per_client: 8,
         expects_overload: false,
         expects_request_errors: false,
-        expects_sharing: false,
         needs_append_file: true,
     },
     ScenarioSpec {
@@ -120,7 +103,6 @@ pub const SCENARIOS: &[ScenarioSpec] = &[
         requests_per_client: 13,
         expects_overload: false,
         expects_request_errors: true,
-        expects_sharing: false,
         needs_append_file: false,
     },
 ];
@@ -139,9 +121,7 @@ pub struct GenOptions {
     pub append_file: Option<String>,
     /// Item universe size of the served database (0 = skip universe
     /// restrictions). Lets `zipf_cold` carve Zipf-sized `s_universe`
-    /// prefixes, and gives `multi_support_batch` / `overload_burst` the
-    /// scenario-private cold windows their sharing and overload
-    /// guarantees ride on — set it to the server's item count.
+    /// prefixes — set it to the server's item count.
     pub items: usize,
 }
 
@@ -163,8 +143,7 @@ pub fn build(spec: &'static ScenarioSpec, seed: u64, opts: &GenOptions) -> Workl
             match spec.name {
                 "steady_mixed" => steady_mixed(&mut rng, spec),
                 "zipf_cold" => zipf_cold(&mut rng, spec, opts),
-                "multi_support_batch" => multi_support_batch(c, spec, opts),
-                "overload_burst" => overload_burst(c, spec, opts),
+                "overload_burst" => overload_burst(spec),
                 "append_churn" => append_churn(&mut rng, c, spec, opts),
                 "adversarial" => adversarial(c),
                 other => unreachable!("unknown scenario `{other}`"),
@@ -295,80 +274,24 @@ fn zipf_cold(rng: &mut StdRng, spec: &ScenarioSpec, opts: &GenOptions) -> Vec<Ac
         .collect()
 }
 
-/// The S-universe window reserved for `multi_support_batch`: every
-/// other item. No other scenario restricts S to this window (zipf_cold
-/// uses contiguous prefixes, everything else runs the full universe),
-/// so the scenario's first request is a cold miss even when earlier
-/// scenarios already warmed the full-universe lattice down to the
-/// lowest absolute support.
-fn stride_window(items: usize) -> Vec<ItemId> {
-    (0..items as u32).step_by(2).map(ItemId).collect()
-}
-
-/// One query text, every request at a distinct support fraction, over a
-/// scenario-private universe window: compatible cache misses over the
-/// same universe are exactly what the scheduler's batch window exists
-/// to share, so the server-side `coalesced + batched` delta must move.
+/// A burst of work from more clients than the admission gate holds:
+/// every burst must produce typed `overloaded` envelopes, never a
+/// dropped connection or prose.
 ///
-/// Coldness is guaranteed by the workload's *support ladder*, not the
-/// window alone: a cached lattice over a superset universe at an
-/// equal-or-lower threshold serves any request, so the opening supports
-/// here (< 0.07) sit strictly below everything `steady_mixed` mines
-/// (≥ 0.1). Client 0 bursts immediately and becomes the cold group
-/// leader, holding its admission slot for the whole batch window; the
-/// other clients start staggered a few milliseconds apart — safely
-/// inside any realistic window — so their equally-cold openings reach
-/// the collecting group and join instead of mining.
-fn multi_support_batch(client: usize, spec: &ScenarioSpec, opts: &GenOptions) -> Vec<Action> {
+/// Every request holds its slot for real work: it bypasses the cache, so
+/// the optimizer mines both sides over the full universe, and it counts
+/// every pair of a non-succinct 2-var constraint while materializing
+/// none (`max_pairs: 0`, so the reply stays one short line). Ten
+/// barrier-released clients send three such requests back to back, so
+/// the in-flight gate pins shut, the wait queue fills, and the rest of
+/// the burst has nowhere to go: the server must reject.
+fn overload_burst(spec: &ScenarioSpec) -> Vec<Action> {
     (0..spec.requests_per_client)
         .map(|i| {
-            let idx = client * spec.requests_per_client + i;
-            let mut req = QueryRequest::new("max(S.Price) <= min(T.Price)");
-            // Openings ladder 0.05..0.065 (cold, join-compatible); the
-            // rest climb 0.08..0.38 and drain warm. All 32 distinct.
-            req.support = SupportSpec::Frac(if i == 0 {
-                0.05 + 0.005 * client as f64
-            } else {
-                0.07 + 0.01 * idx as f64
-            });
-            if opts.items >= 4 {
-                req.s_universe = stride_window(opts.items);
-            }
-            // First requests arrive 5ms apart per client rank; the rest
-            // follow closed-loop with a token pause.
-            query_action(&req, if i == 0 { 5_000 * client as u64 } else { 500 })
-        })
-        .collect()
-}
-
-/// A burst of cold queries from more clients than the admission gate
-/// holds: every burst must produce typed `overloaded` envelopes, never
-/// a dropped connection or prose.
-///
-/// All ten clients open with the *same* query at support 0.03 — below
-/// every threshold earlier scenarios mine, so the opening is one cold
-/// cache key. The first client admitted leads a group and sleeps out
-/// the batch window holding its slot; every other admitted opening
-/// joins the group and waits (still holding its slot), so the in-flight
-/// gate pins shut, the wait queue fills, and the rest of the
-/// barrier-synced burst has nowhere to go: the server must reject.
-///
-/// Every request — opening and follow-ups alike — runs over the same
-/// eight-item window on both sides. The window caps the cold pass at a
-/// 2^8 lattice (a full-universe mine at 3% support is combinatorially
-/// explosive on CI-sized databases), and the follow-ups, whose supports
-/// sit above the opening's, drain warm from the lattice that very
-/// opening cached: the burst provokes the gate, not the miner.
-fn overload_burst(client: usize, spec: &ScenarioSpec, opts: &GenOptions) -> Vec<Action> {
-    let window: Vec<ItemId> = (0..opts.items.min(8) as u32).map(ItemId).collect();
-    (0..spec.requests_per_client)
-        .map(|i| {
-            let idx = client * spec.requests_per_client + i;
-            let mut req = QueryRequest::new("avg(S.Price) <= 800 & min(T.Price) >= 100");
-            req.support =
-                SupportSpec::Frac(if i == 0 { 0.03 } else { 0.05 + 0.005 * idx as f64 });
-            req.s_universe = window.clone();
-            req.t_universe = window.clone();
+            let mut req = QueryRequest::new("sum(S.Price) <= sum(T.Price)");
+            req.support = SupportSpec::Frac(0.05);
+            req.bypass_cache = true;
+            req.max_pairs = Some(0);
             // Bursts of 3 back-to-back, then a gap to let the gate drain.
             query_action(&req, if i % 3 == 0 && i > 0 { 15_000 } else { 0 })
         })
@@ -536,63 +459,19 @@ mod tests {
     }
 
     #[test]
-    fn multi_support_fracs_are_all_distinct() {
-        let spec = scenario_by_name("multi_support_batch").unwrap();
-        let w = build(spec, 7, &opts());
-        let mut fracs = Vec::new();
-        for actions in &w.clients {
-            for a in actions {
+    fn overload_bursts_are_simultaneous_uncached_and_count_only() {
+        let spec = scenario_by_name("overload_burst").unwrap();
+        for actions in build(spec, 7, &opts()).clients {
+            for (i, a) in actions.iter().enumerate() {
+                assert_eq!(a.delay_us == 0, i % 3 != 0 || i == 0, "bursts of three: {i}");
                 match parse_envelope(&a.line).unwrap() {
-                    WireCmd::Query(req) => match req.support {
-                        SupportSpec::Frac(f) => fracs.push(f),
-                        other => panic!("{other:?}"),
-                    },
+                    WireCmd::Query(req) => {
+                        assert!(req.bypass_cache, "a cached request would not hold its slot");
+                        assert_eq!(req.max_pairs, Some(0), "the reply must stay one short line");
+                        assert!(req.s_universe.is_empty() && req.t_universe.is_empty());
+                    }
                     other => panic!("{other:?}"),
                 }
-            }
-        }
-        let n = fracs.len();
-        fracs.sort_by(|a, b| a.total_cmp(b));
-        fracs.dedup();
-        assert_eq!(fracs.len(), n, "duplicate supports would coalesce, not batch");
-    }
-
-    #[test]
-    fn cold_opening_scenarios_respect_the_support_ladder() {
-        let opening = |spec: &'static ScenarioSpec, c: usize| {
-            let w = build(spec, 7, &GenOptions { append_file: None, items: 6 });
-            match parse_envelope(&w.clients[c][0].line).unwrap() {
-                WireCmd::Query(req) => (w.clients[c][0].delay_us, req),
-                other => panic!("{other:?}"),
-            }
-        };
-
-        // overload_burst: all ten clients open with the *same* cold key
-        // (one leader, nine joiners — the pile-up that forces typed
-        // rejections), strictly below multi_support_batch's openings.
-        let spec = scenario_by_name("overload_burst").unwrap();
-        let (_, first) = opening(spec, 0);
-        for c in 0..spec.clients {
-            let (delay, req) = opening(spec, c);
-            assert_eq!(delay, 0, "the burst must be simultaneous");
-            assert_eq!(req.to_json(), first.to_json(), "client {c} breaks the shared key");
-            assert!(matches!(req.support, SupportSpec::Frac(f) if f == 0.03));
-            let window: Vec<ItemId> = (0..6).map(ItemId).collect();
-            assert_eq!(req.s_universe, window, "the burst must stay inside its window");
-            assert_eq!(req.t_universe, window);
-        }
-
-        // multi_support_batch: openings ladder below steady_mixed's 0.1
-        // floor over a private stride window, staggered into the batch
-        // window so the non-leaders join the collecting group.
-        let spec = scenario_by_name("multi_support_batch").unwrap();
-        for c in 0..spec.clients {
-            let (delay, req) = opening(spec, c);
-            assert_eq!(delay, 5_000 * c as u64);
-            assert_eq!(req.s_universe, vec![ItemId(0), ItemId(2), ItemId(4)]);
-            match req.support {
-                SupportSpec::Frac(f) => assert!(f < 0.07, "opening {f} is not cold"),
-                other => panic!("{other:?}"),
             }
         }
     }

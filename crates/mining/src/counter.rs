@@ -220,12 +220,11 @@ pub fn count_supports(db: &TransactionDb, batches: &[&[Itemset]]) -> Vec<Vec<u64
 /// the database's item-support column: no row is touched. An item outside
 /// the universe occurs in no row.
 pub fn singleton_supports(db: &TransactionDb, singletons: &[Itemset]) -> Vec<u64> {
-    let column = db.item_supports();
     singletons
         .iter()
         .map(|c| {
             debug_assert_eq!(c.len(), 1, "{c} is not a singleton");
-            column.get(c.as_slice()[0].index()).map_or(0, |&n| u64::from(n))
+            db.item_support(c.as_slice()[0])
         })
         .collect()
 }

@@ -110,6 +110,15 @@ impl FrequentSets {
         v
     }
 
+    /// Empties level `k` and returns its sets; the levels above it keep
+    /// their numbers (empty when `k` is out of range).
+    pub fn take_level(&mut self, k: usize) -> Vec<(Itemset, u64)> {
+        match k.checked_sub(1).and_then(|i| self.levels.get_mut(i)) {
+            Some(level) => std::mem::take(level),
+            None => Vec::new(),
+        }
+    }
+
     /// Drops all levels above `k` (used by tests constructing partial
     /// lattices).
     pub fn truncate(&mut self, k: usize) {
@@ -244,6 +253,16 @@ mod tests {
         fs.truncate(0);
         assert_eq!(fs.total(), 0);
         assert_eq!(fs.approx_bytes(), FrequentSets::new().approx_bytes());
+    }
+
+    #[test]
+    fn take_level_keeps_the_levels_above_in_place() {
+        let mut fs = sample();
+        assert_eq!(fs.take_level(1).len(), 3);
+        assert_eq!((fs.n_levels(), fs.total()), (2, 2));
+        assert!(fs.level(1).is_empty());
+        assert_eq!(fs.support(&[1u32, 2].into()), Some(3));
+        assert!(fs.take_level(0).is_empty() && fs.take_level(3).is_empty());
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //! * [`epoch::EpochSwapModel`] — `Engine::append`'s snapshot → FUP →
 //!   single-swap protocol against concurrent readers.
 //! * [`single_flight::SingleFlightModel`] — the scheduler's
-//!   `mine_or_join` group protocol: one mining pass, minimum-support
-//!   batching, condvar publication.
+//!   `mine_or_join` group protocol: join only a group that serves you,
+//!   insert before unpublish, condvar publication.
 //! * [`cache_evict::CacheEvictModel`] — the LRU lattice cache's byte
 //!   budget and Arc-refcounted eviction against concurrent hits.
 //! * [`merge::MergeModel`] — the chunked counter's partial-count merge,

@@ -210,6 +210,13 @@ impl TransactionDb {
         &self.supports
     }
 
+    /// The support of `item`, read off [`TransactionDb::item_supports`]
+    /// (0 for an item past the universe: it occurs in no row).
+    #[inline]
+    pub fn item_support(&self, item: ItemId) -> u64 {
+        self.supports.get(item.index()).map_or(0, |&n| u64::from(n))
+    }
+
     /// The `i`-th transaction as a sorted item slice.
     #[inline]
     pub fn transaction(&self, i: usize) -> &[ItemId] {

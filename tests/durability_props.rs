@@ -193,6 +193,75 @@ fn snapshot_reboot_serves_warm() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The snapshot format before cached lattices dropped their level 1
+/// (`CFQSNAP1`, every lattice from level 1 up) still recovers, to the
+/// answers of the engine whose state it holds, served warm; and a reader
+/// that knows only that format refuses the current one with a typed
+/// error instead of serving lattices without their singletons.
+#[test]
+fn previous_snapshot_format_recovers_and_old_readers_refuse_the_new() {
+    use cfq::engine::snapshot::{self, SNAPSHOT_MAGIC, SNAPSHOT_MAGIC_V1};
+    let dir = temp_dir("v1");
+    let config = EngineConfig::builder().wal_dir(&dir).snapshot_every(0).build();
+    let engine = Engine::with_config(seed_db(), catalog(), config.clone()).unwrap();
+    let want = [answer(&engine, 2), answer(&engine, 3)];
+    let written = engine.snapshot_now().unwrap();
+    drop(engine);
+
+    // A `CFQSNAP1` reader accepts its own header only, and refuses any
+    // other with a typed error, as this reader refuses one it does not know.
+    let current = std::fs::read(&written.path).unwrap();
+    assert!(current.starts_with(SNAPSHOT_MAGIC) && !current.starts_with(SNAPSHOT_MAGIC_V1));
+    let mut unknown = current.clone();
+    unknown[..8].copy_from_slice(b"CFQSNAP9");
+    std::fs::write(&written.path, &unknown).unwrap();
+    let err = snapshot::load(&written.path).err().unwrap();
+    assert!(matches!(err, CfqError::Io(_)), "{err}");
+    std::fs::write(&written.path, &current).unwrap();
+
+    // The same state, written the way a `CFQSNAP1` writer wrote it.
+    let image = snapshot::load(&written.path).unwrap();
+    assert!(!image.lattices.is_empty(), "the queries cached their lattices");
+    let (mut payload, u32s, u64s) = (Vec::new(), u32::to_le_bytes, u64::to_le_bytes);
+    payload.extend(u64s(image.epoch));
+    payload.extend(u64s(image.db.n_items() as u64));
+    payload.extend(u64s(image.db.len() as u64));
+    for row in image.db.iter() {
+        payload.extend(u32s(row.len() as u32));
+        row.iter().for_each(|i| payload.extend(u32s(i.0)));
+    }
+    payload.extend(u64s(image.lattices.len() as u64));
+    for l in &image.lattices {
+        payload.extend(u64s(l.universe.len() as u64));
+        l.universe.iter().for_each(|i| payload.extend(u32s(i.0)));
+        payload.extend(u64s(l.min_support));
+        payload.extend(u64s(l.scans_cost));
+        let full = l.lattice.complete(&image.db, &l.universe, l.min_support);
+        payload.extend(u64s(full.n_levels() as u64));
+        for k in 1..=full.n_levels() {
+            payload.extend(u64s(full.level(k).len() as u64));
+            for (set, n) in full.level(k) {
+                payload.extend(u32s(set.len() as u32));
+                set.iter().for_each(|i| payload.extend(u32s(i.0)));
+                payload.extend(u64s(*n));
+            }
+        }
+    }
+    let mut file = SNAPSHOT_MAGIC_V1.to_vec();
+    file.extend(u32s(payload.len() as u32));
+    file.extend(u32s(cfq::engine::wal::crc32(&payload)));
+    file.extend(&payload);
+    std::fs::write(&written.path, file).unwrap();
+
+    let rebooted = Engine::with_config(seed_db(), catalog(), config).unwrap();
+    assert_eq!(rebooted.cache_stats().entries, image.lattices.len());
+    let warm = rebooted.session().query(QUERY).min_support(2).run().unwrap();
+    assert_eq!(warm.outcome.db_scans, 0, "the recovered lattices serve");
+    assert_eq!(warm.outcome.provenance.s_lattice, LatticeSource::Cached);
+    assert_eq!([answer(&rebooted, 2), answer(&rebooted, 3)], want);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A `--follow` replica recovered from the primary's WAL answers
 /// bit-equal (modulo scheduler wait time) and stays bit-equal as it
 /// tails later appends; writing to it is rejected.
@@ -255,7 +324,6 @@ fn builder_round_trips_and_validates() {
         .backend(CountingBackend::Bitmap)
         .max_inflight_queries(3)
         .max_queued_queries(9)
-        .batch_window_ms(50)
         .wal_dir("/tmp/cfq-nowhere")
         .snapshot_every(5)
         .follow(true)
@@ -267,7 +335,6 @@ fn builder_round_trips_and_validates() {
     assert_eq!(cfg.backend, CountingBackend::Bitmap);
     assert_eq!(cfg.max_inflight_queries, 3);
     assert_eq!(cfg.max_queued_queries, 9);
-    assert_eq!(cfg.batch_window.as_millis(), 50);
     assert_eq!(cfg.wal_dir.as_deref(), Some(std::path::Path::new("/tmp/cfq-nowhere")));
     assert_eq!(cfg.snapshot_every, 5);
     assert!(cfg.follow);

@@ -4,11 +4,14 @@
 //!   base/delta split, and a random support, the answer served from a
 //!   FUP-upgraded cache entry after `append` must equal a full re-mine of
 //!   the combined database — sets, supports, and valid pairs alike — and
-//!   must be served without a database scan.
+//!   must be served without a database scan. So must each upgraded entry
+//!   itself: its stored levels plus the new epoch's item-support column
+//!   are the complete family a fresh mine finds.
 //! * The lattice filter: whatever 1-var conjunction, universe window,
 //!   support and level cap a query carries, carving its answer out of a
-//!   cached wider lattice equals running the optimizer one-shot, and
-//!   costs the constraint checks it always did.
+//!   cached wider lattice — level 1 off the column, the rest off the
+//!   entry — equals running the optimizer one-shot, and costs the
+//!   constraint checks it always did.
 
 use cfq::prelude::*;
 use proptest::prelude::*;
@@ -77,7 +80,8 @@ proptest! {
         windows in prop::collection::vec(0u32..N_ITEMS, 4),
         cached_support in 1u64..3,
         raise in 0u64..3,
-        max_level in prop::sample::select(vec![0usize, 2]),
+        // At 1 the whole answer comes from the column.
+        max_level in prop::sample::select(vec![0usize, 1, 2]),
     ) {
         let text = s_picks.iter().map(|&i| one_var_pool('S', p1, p2)[i].clone())
             .chain(t_picks.iter().map(|&i| one_var_pool('T', p1, p2)[i].clone()))
@@ -186,7 +190,13 @@ proptest! {
         let combined = base.concat(&delta).unwrap();
         let query = QUERIES[qi];
 
-        let engine = Engine::new(base, sc.catalog).unwrap();
+        let dir = std::env::temp_dir().join(format!(
+            "cfq-engine-props-fup-{}-{seed}-{cut_pct}-{support}-{qi}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let config = EngineConfig::builder().wal_dir(&dir).snapshot_every(0).build();
+        let engine = Engine::with_config(base, sc.catalog, config).unwrap();
         let session = engine.session();
         let run = || {
             session
@@ -230,5 +240,23 @@ proptest! {
             &upgraded.outcome.pair_result.pairs, &fresh.pair_result.pairs,
             "pairs for `{}`", query
         );
+
+        // Each upgraded entry, as the snapshot writes what the cache
+        // holds: its levels ≥ 2 plus the combined database's column are
+        // the complete family a fresh mine of its universe finds.
+        let written = engine.snapshot_now().unwrap();
+        let image = cfq::engine::snapshot::load(&written.path).unwrap();
+        prop_assert_eq!(image.lattices.len(), info.upgraded_lattices);
+        for l in &image.lattices {
+            let full = l.lattice.complete(&combined, &l.universe, l.min_support);
+            let cfg = AprioriConfig::new(l.min_support).with_universe(l.universe.clone());
+            let fresh = apriori(&combined, &cfg, &mut WorkStats::new());
+            let sets = |f: &FrequentSets| -> Vec<(Itemset, u64)> {
+                f.iter().map(|(s, n)| (s.clone(), n)).collect()
+            };
+            prop_assert_eq!(sets(&full), sets(&fresh), "entry over {:?}", &l.universe);
+        }
+        drop(engine);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

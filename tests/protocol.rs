@@ -18,7 +18,11 @@
 //! file was last re-recorded by the change that made level 1 a column
 //! read, and differs from the recording before it only in scan counts
 //! (`N db scans`, `"db_scans":N`, `N scans saved`, `cfq_db_scans_total`,
-//! `cfq_scans_saved_total`) and in what `normalise` masks.
+//! `cfq_scans_saved_total`) and in what `normalise` masks. Since then it
+//! was edited by hand once, when cached lattices stopped storing level 1
+//! and the batch window went: the two cache byte counts
+//! (`"cache_bytes"`, `cfq_cache_bytes`) and the three
+//! `cfq_scheduler_batched_total` lines are all that changed.
 //! One `#[test]`, so the process-wide mining registry the scrape ends
 //! with counts this transcript and nothing else.
 
