@@ -85,6 +85,37 @@ impl SuccinctForm {
             .all(|g| g.iter().any(|&i| set.contains(i)))
     }
 
+    /// Whether `c` compiles to an `allowed` filter and nothing else:
+    /// `max ≤ / <`, `min ≥ / >`, `⊆` and `disjoint`. Such a condition
+    /// holds on a set iff it holds on each of its items, so it can narrow
+    /// a universe item by item ([`SuccinctForm::allows_item`]) with no
+    /// compiled form at all.
+    pub fn allowed_only(c: &OneVar) -> bool {
+        match c {
+            OneVar::Domain { rel, .. } => matches!(rel, SetRel::Subset | SetRel::Disjoint),
+            OneVar::AggCmp { agg, op, .. } => matches!(
+                (agg, op),
+                (Agg::Min, CmpOp::Ge | CmpOp::Gt) | (Agg::Max, CmpOp::Le | CmpOp::Lt)
+            ),
+            OneVar::CountCmp { .. } => false,
+        }
+    }
+
+    /// Whether the `allowed` filter of `c` — a condition
+    /// [`SuccinctForm::allowed_only`] accepts — holds `item`: what
+    /// `compile(&[c]).allowed` says of it, read off the item's own value.
+    pub fn allows_item(c: &OneVar, item: ItemId, catalog: &Catalog) -> bool {
+        debug_assert!(SuccinctForm::allowed_only(c), "{c:?} is not an allowed-only filter");
+        match c {
+            OneVar::Domain { attr, rel, value, .. } => {
+                let key = attr.map_or(item.0 as u64, |a| catalog.value_key(a, item));
+                value.binary_search(&key).is_ok() == (*rel == SetRel::Subset)
+            }
+            OneVar::AggCmp { attr, op, value, .. } => op.eval(catalog.num(*attr, item), *value),
+            OneVar::CountCmp { .. } => false,
+        }
+    }
+
     fn intersect_allowed(&mut self, items: Vec<ItemId>) {
         debug_assert!(items.windows(2).all(|w| w[0] < w[1]));
         self.allowed = Some(match self.allowed.take() {
@@ -340,6 +371,48 @@ mod tests {
         let f = form("S.Type = {A}");
         assert_eq!(f.allowed, Some(ids(&[0, 2])));
         assert_eq!(f.required_groups, vec![ids(&[0, 2])]);
+    }
+
+    /// The per-item reading agrees with the compiled form: a condition is
+    /// `allowed_only` exactly when it compiles to an `allowed` filter and
+    /// nothing else, and then `allows_item` is membership in that filter.
+    #[test]
+    fn allowed_only_is_the_compiled_filter_read_per_item() {
+        let c = catalog();
+        for src in [
+            "max(S.Price) <= 30",
+            "max(S.Price) < 30",
+            "max(S.Price) >= 30",
+            "max(S.Price) = 30",
+            "min(S.Price) >= 30",
+            "min(S.Price) > 30",
+            "min(S.Price) <= 30",
+            "sum(S.Price) <= 50",
+            "avg(S.Price) <= 30",
+            "count(S) <= 2",
+            "S.Type subset {A, B}",
+            "S.Type disjoint {A}",
+            "S subset {1, 3}",
+            "S disjoint {1, 3}",
+            "S.Type = {A}",
+            "S.Type intersects {A}",
+            "S.Type notsuperset {A, B}",
+        ] {
+            let one = bind_query(&parse_query(src).unwrap(), &c).unwrap().one_var;
+            let f = SuccinctForm::compile(&one, &c);
+            let only = f.allowed.is_some()
+                && f.required_groups.is_empty()
+                && f.residual_am.is_empty()
+                && f.post_filters.is_empty();
+            assert_eq!(SuccinctForm::allowed_only(&one[0]), only, "`{src}`");
+            if only {
+                let per_item: Vec<ItemId> = (0..6)
+                    .map(ItemId)
+                    .filter(|&i| SuccinctForm::allows_item(&one[0], i, &c))
+                    .collect();
+                assert_eq!(f.allowed.as_ref(), Some(&per_item), "`{src}`");
+            }
+        }
     }
 
     #[test]

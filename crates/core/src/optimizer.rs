@@ -226,18 +226,27 @@ pub struct OutcomeProvenance {
     pub t_lattice: LatticeSource,
     /// Whether the plan was served from a plan cache.
     pub plan_cached: bool,
+    /// Each side's effective universe in items, S then T, before and after
+    /// the Figs. 2–3 narrowing — set where the session engine reduced the
+    /// plan's pushed constraints on its cached path, `None` elsewhere.
+    pub universes: Option<[(usize, usize); 2]>,
 }
 
 impl OutcomeProvenance {
     /// The EXPLAIN lines describing cache provenance (appended to
     /// [`CfqPlan::explain`] by `Session::explain`).
     pub fn render(&self) -> String {
-        format!(
-            "lattice provenance:\n  [S] {}\n  [T] {}\n  plan: {}\n",
+        let mut text = format!(
+            "lattice provenance:\n  [S] {}\n  [T] {}\n",
             self.s_lattice.describe(),
             self.t_lattice.describe(),
-            if self.plan_cached { "plan cache hit" } else { "planned this run" },
-        )
+        );
+        let universes = self.universes.into_iter().flatten();
+        for (var, (before, after)) in ["S", "T"].into_iter().zip(universes) {
+            text += &format!("  {var} universe {before} → {after} items (Figs. 2–3)\n");
+        }
+        let plan = if self.plan_cached { "plan cache hit" } else { "planned this run" };
+        text + &format!("  plan: {plan}\n")
     }
 }
 
@@ -502,6 +511,22 @@ impl Reductions {
             Var::T => r.t_conds.clone(),
         };
         self.0.iter().flat_map(side).collect()
+    }
+
+    /// Drops from `universe` every item that no `var`-set of a valid pair
+    /// can hold: those an `allowed`-only condition on `var` rejects
+    /// ([`SuccinctForm::allowed_only`]), one pass over `universe` a
+    /// condition. The other conditions — required groups, per-set checks —
+    /// say nothing of a single item; pair formation re-verifies what they
+    /// would have pruned.
+    pub fn narrow(&self, var: Var, universe: &mut Vec<ItemId>, catalog: &Catalog) {
+        let conds = self.0.iter().flat_map(|(_, r)| match var {
+            Var::S => &r.s_conds,
+            Var::T => &r.t_conds,
+        });
+        for c in conds.filter(|c| SuccinctForm::allowed_only(c)) {
+            universe.retain(|&i| SuccinctForm::allows_item(c, i, catalog));
+        }
     }
 }
 

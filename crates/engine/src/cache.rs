@@ -2,19 +2,23 @@
 //!
 //! Two caches live behind the [`crate::Engine`] state lock:
 //!
-//! * `LatticeCache` — mined frequent-set lattices, keyed by the
-//!   *effective universe* they were mined over (the query universe after
-//!   the succinct allowed-item filter), their absolute support threshold,
-//!   and the database epoch. Only **complete** lattices are stored: mined
-//!   unbounded, with no validity pruning beyond the universe restriction.
-//!   Completeness is what makes an entry reusable — any query whose
-//!   effective universe is a subset and whose threshold is no lower can
-//!   carve its answer out of the entry by filtering, and it is what keeps
-//!   the family downward-closed so FUP can upgrade it in place at an
-//!   epoch swap. An entry holds levels ≥ 2 only ([`StoredLattice`]): its
-//!   level 1 is the epoch's item-support column. Eviction is
-//!   least-recently-used under a byte budget that charges each entry its
-//!   stored levels and its key (`LatticeEntry::new`).
+//! * `LatticeCache` — mined frequent-set lattices, keyed by the universe
+//!   they were mined over (a side's *effective universe*: its domain after
+//!   the succinct allowed-item filter and the Figs. 2–3 narrowing), their
+//!   absolute support threshold, and the database epoch. Only **complete**
+//!   lattices are stored: mined unbounded, with no validity pruning beyond
+//!   the universe restriction. Completeness is what makes an entry
+//!   reusable — a lookup probes with the items of its effective universe
+//!   frequent at its threshold, and any entry over a superset of them at a
+//!   threshold no higher holds every set the query can use, which it
+//!   carves out by filtering — and it is what keeps the family
+//!   downward-closed so FUP can upgrade it in place at an epoch swap,
+//!   counting in any item of the universe the append makes frequent. A
+//!   lookup scans the entries, ruling most out by a sketch of their
+//!   universe (`Sketch`) before walking it. An entry holds levels ≥ 2 only
+//!   ([`StoredLattice`]): its level 1 is the epoch's item-support column.
+//!   Eviction is least-recently-used under a byte budget that charges each
+//!   entry its stored levels and its key (`LatticeEntry::new`).
 //! * `PlanCache` — optimizer plans keyed by a fingerprint of the bound
 //!   query and strategy flags. Plans never read the data, so entries
 //!   survive epoch swaps; the cache is count-capped, not byte-budgeted.
@@ -126,6 +130,27 @@ impl StoredLattice {
     }
 }
 
+/// A 256-bit sketch of an ascending item list: bit `i mod 256` for each
+/// item `i`. A superset's sketch covers its subset's, so a sketch that does
+/// not cover rules a universe out in four word tests, before any walk.
+#[derive(Clone, Copy)]
+pub(crate) struct Sketch([u64; 4]);
+
+impl Sketch {
+    fn of(items: &[ItemId]) -> Sketch {
+        let mut words = [0u64; 4];
+        for item in items {
+            let bit = item.index() % 256;
+            words[bit / 64] |= 1 << (bit % 64);
+        }
+        Sketch(words)
+    }
+
+    fn covers(&self, sub: &Sketch) -> bool {
+        self.0.iter().zip(&sub.0).all(|(sup, sub)| sub & !sup == 0)
+    }
+}
+
 /// One cached lattice: the complete frequent-set family of `universe` in
 /// the epoch's database at threshold `min_support`, stored without its
 /// level 1.
@@ -134,6 +159,8 @@ pub(crate) struct LatticeEntry {
     pub epoch: u64,
     /// The ascending effective universe the lattice was mined over.
     pub universe: Arc<Vec<ItemId>>,
+    /// `universe`'s sketch, the first test of every lookup.
+    pub sketch: Sketch,
     /// Absolute support threshold the family is complete down to.
     pub min_support: u64,
     /// The mined family, levels ≥ 2.
@@ -161,7 +188,18 @@ impl LatticeEntry {
         scans_cost: u64,
     ) -> LatticeEntry {
         let bytes = lattice.approx_bytes() + std::mem::size_of_val(universe.as_slice());
-        LatticeEntry { epoch, universe, min_support, lattice, source, bytes, scans_cost, last_used: 0 }
+        let sketch = Sketch::of(&universe);
+        LatticeEntry {
+            epoch,
+            universe,
+            sketch,
+            min_support,
+            lattice,
+            source,
+            bytes,
+            scans_cost,
+            last_used: 0,
+        }
     }
 }
 
@@ -187,7 +225,7 @@ pub(crate) struct LatticeCache {
 }
 
 /// Two-pointer subset test over ascending item lists.
-fn is_superset(sup: &[ItemId], sub: &[ItemId]) -> bool {
+pub(crate) fn is_superset(sup: &[ItemId], sub: &[ItemId]) -> bool {
     if sub.len() > sup.len() {
         return false;
     }
@@ -231,12 +269,14 @@ impl LatticeCache {
     /// threshold no higher than requested. Prefers the smallest superset
     /// (least filtering), tie-broken toward the closest threshold.
     fn find(&self, epoch: u64, universe: &[ItemId], min_support: u64) -> Option<usize> {
+        let sketch = Sketch::of(universe);
         self.entries
             .iter()
             .enumerate()
             .filter(|(_, e)| {
                 e.epoch == epoch
                     && e.min_support <= min_support
+                    && e.sketch.covers(&sketch)
                     && is_superset(&e.universe, universe)
             })
             .min_by_key(|(_, e)| (e.universe.len(), u64::MAX - e.min_support))
@@ -344,6 +384,7 @@ impl LatticeCache {
             .map(|e| LatticeEntry {
                 epoch: e.epoch,
                 universe: Arc::clone(&e.universe),
+                sketch: e.sketch,
                 min_support: e.min_support,
                 lattice: Arc::clone(&e.lattice),
                 source: e.source,
@@ -478,6 +519,14 @@ mod tests {
         assert!(is_superset(&u, &[]));
         assert!(!is_superset(&u, &[ItemId(2)]));
         assert!(!is_superset(&[ItemId(1)], &[ItemId(1), ItemId(2)]));
+        // A superset's sketch covers; items 2 and 258 share a bit, so a
+        // covering sketch proves nothing and the walk decides.
+        let sketch = Sketch::of(&u);
+        assert!(sketch.covers(&Sketch::of(&[ItemId(3), ItemId(7)])));
+        assert!(!sketch.covers(&Sketch::of(&[ItemId(2)])));
+        let aliased = Sketch::of(&[ItemId(2), ItemId(5)]);
+        assert!(aliased.covers(&Sketch::of(&[ItemId(258)])));
+        assert!(!is_superset(&[ItemId(2), ItemId(5)], &[ItemId(258)]));
     }
 
     #[test]
@@ -503,6 +552,66 @@ mod tests {
         c.insert(entry(1, vec![2, 4], 2)).unwrap();
         assert!(c.relookup(1, &ids, 2).is_some());
         assert_eq!((c.hits, c.misses), (3, 2));
+    }
+
+    /// The engine searches by a universe's frequent items and inserts
+    /// under the whole universe: an entry covering the probe serves even
+    /// where the universe it stands for reaches past the entry.
+    #[test]
+    fn a_covered_probe_hits_where_its_universe_would_miss() {
+        let mut c = LatticeCache::new(1 << 20);
+        c.insert(entry(0, vec![1, 2, 3, 4], 2)).unwrap();
+        let eff: Vec<ItemId> = [2u32, 3, 9].into_iter().map(ItemId).collect();
+        let probe = &eff[..2]; // item 9 is infrequent
+        assert!(c.lookup(0, &eff, 2).is_none());
+        assert!(c.lookup(0, probe, 2).is_some());
+        assert_eq!((c.hits, c.misses), (1, 1));
+    }
+
+    /// An entry keyed by its whole universe keeps an item that is
+    /// infrequent when mined: once an append makes it frequent, the FUP
+    /// upgrade counts it in, and the new probe — which now holds it — is
+    /// still served, with the sets the item joined.
+    #[test]
+    fn an_upgraded_entry_serves_an_item_the_append_made_frequent() {
+        let db = TransactionDb::from_u32(4, &[&[0, 1, 3], &[0, 1, 2], &[0, 1], &[1, 2]]);
+        let delta = TransactionDb::from_u32(4, &[&[0, 3], &[0, 3], &[1, 3]]);
+        let universe: Vec<ItemId> = (0..4u32).map(ItemId).collect();
+        let cfg = cfq_mining::AprioriConfig::new(3).with_universe(universe.clone());
+        let mut stats = cfq_mining::WorkStats::new();
+        let mined = cfq_mining::apriori(&db, &cfg, &mut stats);
+        let mut c = LatticeCache::new(1 << 20);
+        let universe = Arc::new(universe);
+        let stored = Arc::new(StoredLattice::new(mined));
+        c.insert(LatticeEntry::new(0, Arc::clone(&universe), 3, stored, LatticeSource::MinedCold, 1))
+            .unwrap();
+
+        let combined = db.concat(&delta).unwrap();
+        let probe = |db: &TransactionDb| -> Vec<ItemId> {
+            universe.iter().copied().filter(|&i| db.item_support(i) >= 3).collect()
+        };
+        assert_eq!(probe(&db), [ItemId(0), ItemId(1)], "item 3 is infrequent at epoch 0");
+        let upgraded = c
+            .snapshot_epoch(0)
+            .into_iter()
+            .map(|e| {
+                let full = e.lattice.complete(&db, &e.universe, e.min_support);
+                let out = cfq_mining::fup_update_abs(
+                    &full, &db, &delta, &e.universe, 3, 3, &mut stats,
+                )
+                .unwrap();
+                let lattice = Arc::new(StoredLattice::new(out.frequent));
+                LatticeEntry::new(1, e.universe, 3, lattice, LatticeSource::FupUpgraded, 1)
+            })
+            .collect();
+        c.replace_all(upgraded);
+
+        let new_probe = probe(&combined);
+        assert_eq!(new_probe, [ItemId(0), ItemId(1), ItemId(3)]);
+        let hit = c.lookup(1, &new_probe, 3).expect("the upgraded entry covers item 3");
+        assert_eq!(hit.source, LatticeSource::FupUpgraded);
+        let pair: Itemset = [0u32, 3].into();
+        assert!(hit.lattice.level(2).iter().any(|(s, n)| *s == pair && *n == 3));
     }
 
     #[test]

@@ -505,21 +505,29 @@ impl Engine {
         (plan, false)
     }
 
-    /// Serves the complete lattice of `universe` at `min_support` in
-    /// `snap`'s database, in its stored form (levels ≥ 2; level 1 is
-    /// `snap.db`'s column): from the cache when a compatible entry exists,
-    /// through the scheduler's single-flight groups on a miss. Cache work
-    /// is recorded both in the engine's counters and in `stats`
-    /// (hit/miss/scans-saved). Only unbounded minings (`max_level == 0`)
-    /// may lead a group and be inserted — a level-capped family is not
-    /// complete, so it cannot serve other queries or be FUP-upgraded;
-    /// capped requests may still *join* a group, since the complete
-    /// result it produces serves them by filtering.
+    /// Serves a lattice holding every set of `universe` frequent at
+    /// `min_support` in `snap`'s database, in its stored form (levels ≥ 2;
+    /// level 1 is `snap.db`'s column): from the cache when a compatible
+    /// entry exists, through the scheduler's single-flight groups on a
+    /// miss. Cache work is recorded both in the engine's counters and in
+    /// `stats` (hit/miss/scans-saved). Only unbounded minings
+    /// (`max_level == 0`) may lead a group and be inserted — a level-capped
+    /// family is not complete, so it cannot serve other queries or be
+    /// FUP-upgraded; capped requests may still *join* a group, since the
+    /// complete result it produces serves them by filtering.
+    ///
+    /// The key is split. `probe` — the items of `universe` frequent at
+    /// `min_support` — is what the cache is searched with: every frequent
+    /// set of `universe` lies inside it, so any entry complete over a
+    /// superset of `probe` at a threshold no higher serves. A miss mines,
+    /// single-flights and inserts under the whole `universe`, so an item of
+    /// it that an append makes frequent is in the entry FUP upgrades.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn lattice_for(
         &self,
         snap: &EpochState,
         universe: &[ItemId],
+        probe: &[ItemId],
         min_support: u64,
         max_level: usize,
         threads: usize,
@@ -536,7 +544,7 @@ impl Engine {
             .u64("min_support", min_support)
             .u64("epoch", snap.epoch);
         if let Some(CacheHit { lattice, source, scans_cost }) =
-            self.locked().lattices.lookup(snap.epoch, universe, min_support)
+            self.locked().lattices.lookup(snap.epoch, probe, min_support)
         {
             stats.record_cache_hit(scans_cost);
             span.record_str("source", source.describe());
@@ -560,7 +568,7 @@ impl Engine {
                 // group's publication has already inserted its entry:
                 // serve that rather than mine the same lattice again.
                 if let Some(hit) =
-                    self.locked().lattices.relookup(snap.epoch, universe, min_support)
+                    self.locked().lattices.relookup(snap.epoch, probe, min_support)
                 {
                     found = Some(hit.source);
                     return Resolved { lattice: hit.lattice, scans_cost: hit.scans_cost, mined: false };
@@ -635,12 +643,13 @@ impl Engine {
         }
     }
 
-    /// Predicted provenance of a lookup, without perturbing counters or
-    /// LRU order (for `explain`).
+    /// Predicted provenance of [`Engine::lattice_for`] on the same keys,
+    /// without perturbing counters or LRU order (for `explain`).
     pub(crate) fn peek_source(
         &self,
         snap: &EpochState,
         universe: &[ItemId],
+        probe: &[ItemId],
         min_support: u64,
     ) -> LatticeSource {
         if universe.is_empty() {
@@ -648,7 +657,7 @@ impl Engine {
         }
         self.locked()
             .lattices
-            .peek(snap.epoch, universe, min_support)
+            .peek(snap.epoch, probe, min_support)
             .unwrap_or(LatticeSource::MinedCold)
     }
 
@@ -963,13 +972,13 @@ mod tests {
         let snap = engine.snapshot();
         let universe: Vec<ItemId> = (0..6u32).map(ItemId).collect();
         let mut stats = WorkStats::new();
-        let (cold, src) = engine.lattice_for(&snap, &universe, 2, 0, 1, true, CountingBackend::Horizontal, &mut stats);
+        let (cold, src) = engine.lattice_for(&snap, &universe, &universe, 2, 0, 1, true, CountingBackend::Horizontal, &mut stats);
         assert_eq!(src, LatticeSource::MinedCold);
         assert!(stats.db_scans > 0);
         assert_eq!(stats.cache_misses, 1);
 
         let mut warm_stats = WorkStats::new();
-        let (warm, src) = engine.lattice_for(&snap, &universe, 2, 0, 1, true, CountingBackend::Horizontal, &mut warm_stats);
+        let (warm, src) = engine.lattice_for(&snap, &universe, &universe, 2, 0, 1, true, CountingBackend::Horizontal, &mut warm_stats);
         assert_eq!(src, LatticeSource::Cached);
         assert_eq!(warm_stats.db_scans, 0);
         assert_eq!(warm_stats.cache_hits, 1);
@@ -979,9 +988,63 @@ mod tests {
         // A subset universe at a higher threshold also hits.
         let sub: Vec<ItemId> = vec![ItemId(1), ItemId(2)];
         let mut sub_stats = WorkStats::new();
-        let (_, src) = engine.lattice_for(&snap, &sub, 3, 0, 1, true, CountingBackend::Horizontal, &mut sub_stats);
+        let (_, src) = engine.lattice_for(&snap, &sub, &sub, 3, 0, 1, true, CountingBackend::Horizontal, &mut sub_stats);
         assert_eq!(src, LatticeSource::Cached);
         assert_eq!(sub_stats.db_scans, 0);
+    }
+
+    /// Twenty items priced 0, 50, …, 950 over forty rows, each item in
+    /// about two rows of five — except every fourth from item 2 (prices
+    /// 100, 300, 500, 700, 900), which is in at most three.
+    fn priced_engine() -> Arc<Engine> {
+        let rows: Vec<Vec<ItemId>> = (0..40u32)
+            .map(|r| {
+                let held = |i: &u32| (r * 31 + i * 17) % 5 < 2 && (i % 4 != 2 || r < 3);
+                (0..20u32).filter(held).map(ItemId).collect()
+            })
+            .collect();
+        let mut b = cfq_types::CatalogBuilder::new(20);
+        b.num_attr("Price", (0..20).map(|i| 50.0 * i as f64).collect()).unwrap();
+        Engine::new(TransactionDb::new(20, rows).unwrap(), b.build()).unwrap()
+    }
+
+    /// Figs. 2–3 on the cached path: `max(S.Price) <= min(T.Price)` narrows
+    /// S to prices up to T's dearest frequent item (650) and T to prices
+    /// from S's cheapest (350), so both sides' frequent items lie in the one
+    /// universe S mines — T hits the entry S just inserted, by its frequent
+    /// items alone: its universe still holds the infrequent item priced 700
+    /// — and a refinement that narrows the constants is served from it
+    /// without a scan.
+    #[test]
+    fn reduced_sides_share_one_mining_and_refinements_hit_it() {
+        let engine = priced_engine();
+        let session = engine.session();
+        let ask = |s: u32, t: u32, support: u64| {
+            let text = format!(
+                "min(S.Price) >= {s} & max(T.Price) <= {t} & max(S.Price) <= min(T.Price)"
+            );
+            let cached = session.query(&text).min_support(support).run().unwrap();
+            let bypass = session.query(&text).min_support(support).bypass_cache().run().unwrap();
+            let (c, b) = (&cached.outcome, &bypass.outcome);
+            assert_eq!((&c.s_sets, &c.t_sets), (&b.s_sets, &b.t_sets), "`{text}`");
+            assert_eq!(c.pair_result.pairs, b.pair_result.pairs, "`{text}`");
+            assert!(c.pair_result.count > 0, "`{text}` pairs nothing");
+            cached
+        };
+
+        let cold = ask(300, 700, 8);
+        let p = cold.outcome.provenance;
+        assert_eq!((p.s_lattice, p.t_lattice), (LatticeSource::MinedCold, LatticeSource::Cached));
+        assert_eq!(p.universes, Some([(14, 8), (15, 8)]));
+        assert_eq!(engine.scheduler_stats().mining_passes, 1);
+        assert_eq!(engine.cache_stats().entries, 1);
+
+        let refined = ask(400, 600, 9);
+        assert_eq!(refined.outcome.db_scans, 0);
+        let p = refined.outcome.provenance;
+        assert_eq!((p.s_lattice, p.t_lattice), (LatticeSource::Cached, LatticeSource::Cached));
+        assert_eq!(engine.scheduler_stats().mining_passes, 1);
+        assert_eq!(engine.cache_stats().lattice_hits, 3);
     }
 
     #[test]
@@ -990,7 +1053,7 @@ mod tests {
         let snap = engine.snapshot();
         let universe: Vec<ItemId> = (0..6u32).map(ItemId).collect();
         let mut stats = WorkStats::new();
-        let (_, src) = engine.lattice_for(&snap, &universe, 2, 1, 1, true, CountingBackend::Horizontal, &mut stats);
+        let (_, src) = engine.lattice_for(&snap, &universe, &universe, 2, 1, 1, true, CountingBackend::Horizontal, &mut stats);
         assert_eq!(src, LatticeSource::MinedCold);
         assert_eq!(engine.cache_stats().entries, 0);
     }
@@ -1001,7 +1064,7 @@ mod tests {
         let snap = engine.snapshot();
         let universe: Vec<ItemId> = (0..6u32).map(ItemId).collect();
         let mut stats = WorkStats::new();
-        engine.lattice_for(&snap, &universe, 2, 0, 1, true, CountingBackend::Horizontal, &mut stats);
+        engine.lattice_for(&snap, &universe, &universe, 2, 0, 1, true, CountingBackend::Horizontal, &mut stats);
 
         let delta = TransactionDb::from_u32(6, &[&[0, 1, 2], &[3, 4, 5], &[0, 3]]);
         let info = engine.append(delta.clone()).unwrap();
@@ -1011,7 +1074,7 @@ mod tests {
         // matches a cold re-mine of the combined database.
         let snap2 = engine.snapshot();
         let mut warm = WorkStats::new();
-        let (lattice, src) = engine.lattice_for(&snap2, &universe, 2, 0, 1, true, CountingBackend::Horizontal, &mut warm);
+        let (lattice, src) = engine.lattice_for(&snap2, &universe, &universe, 2, 0, 1, true, CountingBackend::Horizontal, &mut warm);
         assert_eq!(src, LatticeSource::FupUpgraded);
         assert_eq!(warm.db_scans, 0);
 

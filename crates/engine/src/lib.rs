@@ -8,10 +8,12 @@
 //! *across* queries:
 //!
 //! * **Lattice cache** — complete frequent-set families keyed by
-//!   effective universe, absolute threshold and epoch, LRU-evicted under
-//!   a byte budget. A refined query whose 1-var envelope is weaker or
-//!   equal reuses the mined lattice and re-runs with **zero database
-//!   scans**.
+//!   universe, absolute threshold and epoch, LRU-evicted under a byte
+//!   budget. A side's universe is its domain narrowed by its 1-var
+//!   `allowed` filter and by the paper's reductions (Figs. 2–3); a lookup
+//!   probes with the universe's frequent items. A refined query whose
+//!   envelope is weaker or equal reuses the mined lattice and re-runs with
+//!   **zero database scans**.
 //! * **Plan cache** — optimizer plans keyed by a bound-query
 //!   fingerprint; plans never read the data, so they survive epoch
 //!   swaps.
@@ -21,10 +23,9 @@
 //!   insertions.
 //! * **Scheduler** — every query passes an admission gate (bounded
 //!   in-flight and queue depth, typed `Overloaded` rejection beyond
-//!   them), and cold lattice minings are **single-flighted**: concurrent
-//!   identical misses share one mining pass, and compatible misses
-//!   arriving within a short batch window ride along, mined once at the
-//!   minimum requested support.
+//!   them), and cold lattice minings are **single-flighted**: a miss on a
+//!   universe already being mined at a support no higher than its own
+//!   joins that pass instead of mining again.
 //!
 //! Queries are described by a serializable [`QueryRequest`] (JSON in,
 //! [`QueryResponse`] JSON out — the `req` and `result` of the serve

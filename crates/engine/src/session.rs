@@ -8,13 +8,16 @@
 //! variable's lattice cache-first:
 //!
 //! * the *effective universe* of a variable is its domain after the
-//!   succinct allowed-item filter of its 1-var constraints — the largest
-//!   restriction that is sound to bake into a reusable lattice;
-//! * a cached **complete** lattice over any superset universe at any
-//!   equal-or-lower threshold is filtered down (level, support, an
-//!   item-membership bitset of the effective universe, then whatever of
-//!   the compiled 1-var form membership cannot decide) instead of
-//!   re-mined;
+//!   succinct allowed-item filter of its 1-var constraints, narrowed —
+//!   when the plan pushes a 2-var constraint — by the reduced conditions
+//!   (Figs. 2–3) that are `allowed` filters too, read off both sides'
+//!   frequent items: a restriction that drops no set of a valid pair and
+//!   keeps the lattice over it complete and reusable;
+//! * a cached **complete** lattice over any superset of the effective
+//!   universe's frequent items at any equal-or-lower threshold is filtered
+//!   down (level, support, an item-membership bitset of those items, then
+//!   whatever of the compiled 1-var form membership cannot decide) instead
+//!   of re-mined; a miss mines and caches the whole effective universe;
 //! * a cached lattice holds levels ≥ 2; level 1 is read off the epoch's
 //!   item-support column, which is exact for any universe and threshold
 //!   the lattice serves;
@@ -35,12 +38,13 @@
 //! a lattice came from is what `outcome.provenance` says, not what
 //! `db_scans` implies.
 
+use crate::cache::is_superset;
 use crate::engine::{plan_fingerprint, Engine, EpochState};
 use crate::request::QueryRequest;
 use cfq_constraints::{bind_query, parse_query, Var};
 use cfq_core::{
-    domain_or_all, plan, CfqPlan, ExecutionOutcome, LatticeSource, Optimizer, OutcomeProvenance,
-    QueryEnv,
+    domain_or_all, plan, reduce, CfqPlan, ExecutionOutcome, LatticeSource, Optimizer,
+    OutcomeProvenance, QueryEnv,
 };
 use cfq_mining::{CountingBackend, WorkStats};
 use cfq_obs as obs;
@@ -178,9 +182,12 @@ impl QueryBuilder {
     /// Selects the strategy family: which steps of the plan a
     /// [`QueryBuilder::bypass_cache`] run executes, and what EXPLAIN says
     /// of them. The plan itself is the same under every strategy, and so
-    /// are the answers, by final pair verification; on the cached path
-    /// (the default) a miss is mined by plain Apriori over the side's
-    /// effective universe whatever the strategy.
+    /// are the answers, by final pair verification. The cached path (the
+    /// default) runs the same steps whatever the strategy: it narrows each
+    /// side by the plan's 1-var `allowed` filter and its Figs. 2–3
+    /// reductions, and a miss mines the narrowed universe with plain
+    /// Apriori — no required groups, no `J^k_max`, which would leave a
+    /// lattice complete over no universe.
     pub fn strategy(mut self, strategy: Optimizer) -> Self {
         self.req.strategy = strategy;
         self
@@ -272,15 +279,22 @@ pub(crate) fn explain(engine: &Arc<Engine>, req: &QueryRequest) -> Result<String
     let Prepared { plan, plan_cached, s_sup, t_sup, .. } = prepare(engine, req, &snap)?;
     let mut provenance = OutcomeProvenance { plan_cached, ..Default::default() };
     if !req.bypass_cache {
-        for (var, sup, slot) in [
-            (Var::S, s_sup, &mut provenance.s_lattice),
-            (Var::T, t_sup, &mut provenance.t_lattice),
-        ] {
-            let form = plan.form(var);
-            if !form.unsatisfiable() {
-                let eff = form.filter_universe(&domain(req, var, &snap.catalog));
-                *slot = engine.peek_source(&snap, &eff, sup);
-            }
+        let ([s, t], universes) = side_keys(req, &snap, &plan, [s_sup, t_sup]);
+        provenance.universes = universes;
+        provenance.s_lattice = engine.peek_source(&snap, &s.eff, &s.probe, s_sup);
+        provenance.t_lattice = engine.peek_source(&snap, &t.eff, &t.probe, t_sup);
+        // T is looked up after S: a miss on S that will be cached inserts
+        // the entry T then hits when it covers T's probe.
+        let s_inserts = provenance.s_lattice == LatticeSource::MinedCold
+            && req.max_level == 0
+            && !s.eff.is_empty();
+        if s_inserts
+            && provenance.t_lattice == LatticeSource::MinedCold
+            && !t.eff.is_empty()
+            && s_sup <= t_sup
+            && is_superset(&s.eff, &t.probe)
+        {
+            provenance.t_lattice = LatticeSource::Cached;
         }
     }
     Ok(format!("{}{}", plan.explain(&req.strategy, &snap.catalog), provenance.render()))
@@ -329,13 +343,18 @@ pub(crate) fn execute(engine: &Arc<Engine>, req: &QueryRequest) -> Result<QueryO
         };
         (req.strategy.execute_plan(&plan, &env)?, None)
     } else {
-        let s_side = run_side(engine, req, &snap, &plan, Var::S, s_sup, threads, trim, backend);
+        let ([s_keys, t_keys], universes) = side_keys(req, &snap, &plan, [s_sup, t_sup]);
+        let side = |var, keys, sup| {
+            run_side(engine, req, &snap, &plan, var, keys, sup, threads, trim, backend)
+        };
+        let s_side = side(Var::S, &s_keys, s_sup);
         let s_done = Instant::now();
-        let t_side = run_side(engine, req, &snap, &plan, Var::T, t_sup, threads, trim, backend);
+        let t_side = side(Var::T, &t_keys, t_sup);
         let mut sides =
             ExecutionOutcome::of_sides((s_side.sets, s_side.stats), (t_side.sets, t_side.stats));
         sides.provenance.s_lattice = s_side.source;
         sides.provenance.t_lattice = t_side.source;
+        sides.provenance.universes = universes;
         (sides, Some(s_done))
     };
     let sides_done = Instant::now();
@@ -365,9 +384,67 @@ pub(crate) fn execute(engine: &Arc<Engine>, req: &QueryRequest) -> Result<QueryO
     })
 }
 
-/// One variable's cache-first evaluation: effective universe, lattice
-/// (cached, coalesced, or mined), then the filter that carves this
-/// query's frequent valid sets out of the complete family.
+/// One side's keys on the cached path.
+struct SideKeys {
+    /// The effective universe, narrowed: what a miss mines and is cached
+    /// under.
+    eff: Vec<ItemId>,
+    /// The items of `eff` frequent at the side's threshold: what the cache
+    /// is searched with, and the side's level 1.
+    probe: Vec<ItemId>,
+}
+
+/// Both sides' keys on the cached path, S then T, and — when the plan
+/// pushes a 2-var constraint — each side's universe size before and after
+/// the Figs. 2–3 narrowing.
+///
+/// A side's effective universe starts as its domain filtered by the
+/// `allowed` part of its 1-var form (empty when the form is
+/// unsatisfiable). When the plan pushes anything, both sides' frequent
+/// items — read off the item-support column, no scan — are reduced once
+/// ([`reduce`]) and each universe loses the items an `allowed`-only
+/// condition rejects ([`cfq_core::Reductions::narrow`]). By Thm. 2 no set
+/// outside the narrowed universe is in a valid pair, and a complete
+/// lattice over it is as reusable as any. `J^k_max` bounds and
+/// required-group conditions stay one-shot: a lattice pruned by them is
+/// complete over no universe.
+fn side_keys(
+    req: &QueryRequest,
+    snap: &EpochState,
+    plan: &CfqPlan,
+    supports: [u64; 2],
+) -> ([SideKeys; 2], Option<[(usize, usize); 2]>) {
+    let frequent = |eff: &[ItemId], sup: u64| -> Vec<ItemId> {
+        eff.iter().copied().filter(|&i| snap.db.item_support(i) >= sup).collect()
+    };
+    let vars = [Var::S, Var::T];
+    let mut effs = vars.map(|var| {
+        let form = plan.form(var);
+        if form.unsatisfiable() {
+            Vec::new()
+        } else {
+            form.filter_universe(&domain(req, var, &snap.catalog))
+        }
+    });
+    let pushes = plan.trace().nodes.iter().any(|node| !node.pushed.is_empty());
+    let universes = pushes.then(|| {
+        let l1 = [0, 1].map(|i| frequent(&effs[i], supports[i]));
+        let reductions = reduce(plan, &l1[0], &l1[1], &snap.catalog);
+        [0, 1].map(|i| {
+            let before = effs[i].len();
+            reductions.narrow(vars[i], &mut effs[i], &snap.catalog);
+            (before, effs[i].len())
+        })
+    });
+    let [s, t] = effs;
+    let keys = [(s, supports[0]), (t, supports[1])]
+        .map(|(eff, sup)| SideKeys { probe: frequent(&eff, sup), eff });
+    (keys, universes)
+}
+
+/// One variable's cache-first evaluation: lattice (cached, coalesced, or
+/// mined) for its keys, then the filter that carves this query's frequent
+/// valid sets out of the complete family.
 #[allow(clippy::too_many_arguments)]
 fn run_side(
     engine: &Arc<Engine>,
@@ -375,6 +452,7 @@ fn run_side(
     snap: &EpochState,
     plan: &CfqPlan,
     var: Var,
+    keys: &SideKeys,
     min_support: u64,
     threads: usize,
     trim: bool,
@@ -382,13 +460,10 @@ fn run_side(
 ) -> SideOutcome {
     let form = plan.form(var);
     let mut stats = WorkStats::new();
-    if form.unsatisfiable() {
-        return SideOutcome { sets: Vec::new(), stats, source: LatticeSource::MinedCold };
-    }
-    let eff = form.filter_universe(&domain(req, var, &snap.catalog));
     let (lattice, source) = engine.lattice_for(
         snap,
-        &eff,
+        &keys.eff,
+        &keys.probe,
         min_support,
         req.max_level,
         threads,
@@ -398,11 +473,12 @@ fn run_side(
     );
 
     // A cached family may cover a wider universe, a lower threshold and
-    // more constraints than this query. `set ⊆ eff` restores the universe
-    // *and* the form's `allowed` part (`eff` is the universe filtered by
-    // it); the form's other three parts are exactly the rest of the
-    // conjunction (`tests/succinct_props.rs`), so together they decide
-    // what `eval_all_one` would — succinct parts by item membership alone.
+    // more constraints than this query. `set ⊆ eff` restores the universe,
+    // the form's `allowed` part and the narrowing (`eff` is the universe
+    // filtered by both); the form's other three parts are exactly the rest
+    // of the conjunction (`tests/succinct_props.rs`), so together they
+    // decide what `eval_all_one` would — succinct parts by item membership
+    // alone. A set the narrowing drops is in no valid pair.
     let membership_decides = form.required_groups.is_empty()
         && form.residual_am.is_empty()
         && form.post_filters.is_empty();
@@ -422,25 +498,26 @@ fn run_side(
         }
     };
 
-    // Level 1 is the column: `eff` lies inside the lattice's universe and
-    // this query's threshold is no lower than the lattice's, in the same
-    // epoch, so `{i ∈ eff : supp(i) ≥ min_support}` is exactly what the
-    // complete family holds there.
-    for &i in &eff {
-        let n = snap.db.item_support(i);
-        if n >= min_support {
-            keep(Itemset::singleton(i), n);
-        }
+    // Level 1 is the column: the probe, `{i ∈ eff : supp(i) ≥
+    // min_support}`, lies inside the lattice's universe and this query's
+    // threshold is no lower than the lattice's, in the same epoch, so it is
+    // exactly what the complete family holds there. A set of `eff` frequent
+    // at `min_support` has only probe items, so the probe also stands in
+    // for `eff` above level 1.
+    for &i in &keys.probe {
+        keep(Itemset::singleton(i), snap.db.item_support(i));
     }
-    let mut in_eff = vec![0u64; eff.last().map_or(0, |i| i.index() / 64 + 1)];
-    for item in &eff {
-        in_eff[item.index() / 64] |= 1 << (item.index() % 64);
+    let probe = &keys.probe;
+    let mut in_probe = vec![0u64; probe.last().map_or(0, |i| i.index() / 64 + 1)];
+    for item in probe {
+        in_probe[item.index() / 64] |= 1 << (item.index() % 64);
     }
-    let in_eff = |i: &ItemId| in_eff.get(i.index() / 64).is_some_and(|w| w >> (i.index() % 64) & 1 == 1);
+    let in_probe =
+        |i: &ItemId| in_probe.get(i.index() / 64).is_some_and(|w| w >> (i.index() % 64) & 1 == 1);
     let top = if req.max_level == 0 { lattice.n_levels() } else { req.max_level };
     for k in 2..=top.min(lattice.n_levels()) {
         for (set, n) in lattice.level(k) {
-            if *n < min_support || !set.as_slice().iter().all(in_eff) {
+            if *n < min_support || !set.as_slice().iter().all(in_probe) {
                 continue; // below this query's threshold, or outside its universe
             }
             keep(set.clone(), *n);
@@ -727,6 +804,32 @@ mod tests {
         let after = session.query(Q).min_support(2).explain().unwrap();
         assert!(after.contains("cache hit (reused mined lattice)"), "{after}");
         assert!(after.contains("plan cache hit"), "{after}");
+    }
+
+    /// EXPLAIN narrows and probes as execution does: on a cold engine it
+    /// predicts that T hits the entry S is about to mine, and it prints
+    /// both universes before and after Figs. 2–3.
+    #[test]
+    fn explain_predicts_the_narrowed_sides() {
+        let engine = crate::Engine::new(db(), catalog()).unwrap();
+        let session = engine.session();
+        // At support 4 item 5 (price 60) is infrequent. S: prices ≥ 20
+        // (items 1–5), narrowed to ≤ 50, T's dearest frequent item; T: every
+        // item, narrowed to ≥ 20 — items 1–5, one more than S mines, but
+        // only its frequent items 1–4 are looked up.
+        let q = "min(S.Price) >= 20 & max(T.Price) <= 60 & max(S.Price) <= min(T.Price)";
+        let lines = "  [S] freshly mined (cold)\n  [T] cache hit (reused mined lattice)\n  \
+                     S universe 5 → 4 items (Figs. 2–3)\n  T universe 6 → 5 items (Figs. 2–3)\n";
+        let predicted = session.query(q).min_support(4).explain().unwrap();
+        assert!(predicted.contains(lines), "{predicted}");
+        let ran = session.query(q).min_support(4).run().unwrap();
+        assert!(ran.pair_count() > 0);
+        assert!(ran.explain().contains(lines), "{}", ran.explain());
+        assert_eq!(engine.scheduler_stats().mining_passes, 1);
+
+        // A plan that pushes no 2-var constraint prints no universe line.
+        let plain = session.query(Q).min_support(2).explain().unwrap();
+        assert!(!plain.contains("universe"), "{plain}");
     }
 
     #[test]

@@ -81,7 +81,7 @@ pub fn latency_buckets() -> Vec<f64> {
     (0..20).map(|i| 1e-4 * (1u64 << i) as f64).collect()
 }
 
-/// Buckets for short waits (admission queues, batch windows) in seconds:
+/// Buckets for short waits (the scheduler's admission queue) in seconds:
 /// 10us .. ~5s, doubling. Finer at the bottom than [`latency_buckets`]
 /// because a healthy scheduler wait is sub-millisecond.
 pub fn wait_buckets() -> Vec<f64> {

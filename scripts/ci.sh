@@ -123,7 +123,7 @@ test -s "$OUT/BENCH_engine.json"
 grep -q '"warm_db_scans":0' "$OUT/BENCH_engine.json" || { echo "warm engine run scanned the database"; exit 1; }
 head -c 400 "$OUT/BENCH_engine.json"; echo
 
-echo "== cfq serve: boot, drive fig8a twice, scrape metrics (writes BENCH_serve.json)"
+echo "== cfq serve: boot, drive family b cold and fig8a twice, scrape metrics (writes BENCH_serve.json)"
 SERVE_DIR="$(mktemp -d)"
 SERVE_PID=""
 REPLICA_PID=""
@@ -146,13 +146,29 @@ if [ -z "$PORT" ] || [ -z "$MPORT" ]; then
   echo "serve did not come up:"; cat "$SERVE_DIR/serve.log"; exit 1
 fi
 
-# Drive the Fig. 8(a) query twice over one connection (bash /dev/tcp —
-# no netcat in the image), then pull the in-band metrics dump.
+# Drive family `b` once and the Fig. 8(a) query twice over one connection
+# (bash /dev/tcp — no netcat in the image), then pull the in-band metrics
+# dump.
 FIG8A='max(S.Price) <= min(T.Price)'
 exec 3<>"/dev/tcp/127.0.0.1/$PORT"
 printf ':support 0.1\n' >&3
 read -r SUPPORT_REPLY <&3
 echo "$SUPPORT_REPLY" | grep -q 'set to 0.1' || { echo ":support failed: $SUPPORT_REPLY"; exit 1; }
+# Family `b` on the empty cache: Figs. 2-3 narrow S to prices up to T's
+# dearest frequent item and T to prices from S's cheapest, so T's frequent
+# items lie inside the universe S mines and caches. T must hit that entry,
+# and the opening must cost exactly one mining pass.
+FAMILY_B='min(S.Price) >= 300 & max(T.Price) <= 700 & max(S.Price) <= min(T.Price)'
+mining_passes() {
+  exec 4<>"/dev/tcp/127.0.0.1/$MPORT"
+  printf 'GET /metrics HTTP/1.0\r\n\r\n' >&4
+  sed -n 's/^cfq_mining_passes_total \([0-9][0-9]*\)\r*$/\1/p' <&4
+  exec 4<&- 4>&-
+}
+PASSES_BEFORE="$(mining_passes)"
+printf '%s\n' "$FAMILY_B" >&3
+read -r FAMILY_B_REPLY <&3
+PASSES_AFTER="$(mining_passes)"
 t0=$(date +%s%N)
 printf '%s\n' "$FIG8A" >&3
 read -r COLD_REPLY <&3
@@ -176,6 +192,11 @@ echo "$COLD_REPLY" | grep -q 'valid pairs' || { echo "cold fig8a query failed"; 
 # that stops at level 1 reads the item-support column and scans nothing.
 echo "$WARM_REPLY" | grep -q '| 0 db scans | \[S\] cache hit .* \[T\] cache hit ' \
   || { echo "warm fig8a run was not answered from the cache"; exit 1; }
+echo "  family b, cold: $FAMILY_B_REPLY"
+echo "$FAMILY_B_REPLY" | grep -q '\[T\] cache hit' \
+  || { echo "family b's T side did not hit the entry its S side inserted"; exit 1; }
+[ -n "$PASSES_BEFORE" ] && [ "$PASSES_AFTER" = $((PASSES_BEFORE + 1)) ] \
+  || { echo "family b cost ${PASSES_BEFORE:-?} -> ${PASSES_AFTER:-?} mining passes, not one"; exit 1; }
 echo "$METRICS_ENVELOPE" | grep -q '"v":1' \
   || { echo "envelope metrics reply malformed: $METRICS_ENVELOPE"; exit 1; }
 echo "$METRICS_ENVELOPE" | grep -q 'cfq_queries_total' \
@@ -186,8 +207,8 @@ printf 'GET /metrics HTTP/1.0\r\n\r\n' >&4
 SCRAPE="$(cat <&4)"
 exec 4<&- 4>&-
 echo "$SCRAPE" | grep -q '200 OK' || { echo "metrics listener did not answer"; exit 1; }
-echo "$SCRAPE" | grep -q '^cfq_queries_total 2$' \
-  || { echo "metrics disagree: expected cfq_queries_total 2"; echo "$SCRAPE"; exit 1; }
+echo "$SCRAPE" | grep -q '^cfq_queries_total 3$' \
+  || { echo "metrics disagree: expected cfq_queries_total 3"; echo "$SCRAPE"; exit 1; }
 LATTICE_HITS="$(echo "$SCRAPE" | sed -n 's/^cfq_lattice_hits_total \([0-9][0-9]*\)$/\1/p')"
 [ "${LATTICE_HITS:-0}" -ge 1 ] \
   || { echo "metrics disagree: expected cfq_lattice_hits_total >= 1"; echo "$SCRAPE"; exit 1; }
@@ -202,7 +223,7 @@ grep -q 'shut down cleanly' "$SERVE_DIR/serve.log" \
 P50="$(echo "$SCRAPE" | sed -n 's/^cfq_query_seconds_p50 \(.*\)$/\1/p')"
 P95="$(echo "$SCRAPE" | sed -n 's/^cfq_query_seconds_p95 \(.*\)$/\1/p')"
 P99="$(echo "$SCRAPE" | sed -n 's/^cfq_query_seconds_p99 \(.*\)$/\1/p')"
-printf '{"bench":"serve","query":"%s","cold_ms":%s,"warm_ms":%s,"p50_s":%s,"p95_s":%s,"p99_s":%s,"queries_total":2,"lattice_hits":%s}\n' \
+printf '{"bench":"serve","query":"%s","cold_ms":%s,"warm_ms":%s,"p50_s":%s,"p95_s":%s,"p99_s":%s,"queries_total":3,"lattice_hits":%s}\n' \
   "$FIG8A" "$COLD_MS" "$WARM_MS" "${P50:-0}" "${P95:-0}" "${P99:-0}" "$LATTICE_HITS" \
   > "$OUT/BENCH_serve.json"
 test -s "$OUT/BENCH_serve.json"
@@ -518,7 +539,7 @@ echo "  restart cold: ${RESTART_COLD_MS}ms, warm: ${RESTART_WARM_MS}ms ($WAL_STA
 [ "$RESTART_WARM_MS" -le "$RESTART_COLD_MS" ] \
   || { echo "warm restart query (${RESTART_WARM_MS}ms) not faster than cold (${RESTART_COLD_MS}ms)"; exit 1; }
 
-printf '{"bench":"serve","query":"%s","cold_ms":%s,"warm_ms":%s,"p50_s":%s,"p95_s":%s,"p99_s":%s,"queries_total":2,"lattice_hits":%s,"restart_cold_ms":%s,"restart_warm_ms":%s}\n' \
+printf '{"bench":"serve","query":"%s","cold_ms":%s,"warm_ms":%s,"p50_s":%s,"p95_s":%s,"p99_s":%s,"queries_total":3,"lattice_hits":%s,"restart_cold_ms":%s,"restart_warm_ms":%s}\n' \
   "$FIG8A" "$COLD_MS" "$WARM_MS" "${P50:-0}" "${P95:-0}" "${P99:-0}" "$LATTICE_HITS" \
   "$RESTART_COLD_MS" "$RESTART_WARM_MS" > "$OUT/BENCH_serve.json"
 head -c 400 "$OUT/BENCH_serve.json"; echo

@@ -11,7 +11,11 @@
 //!   support and level cap a query carries, carving its answer out of a
 //!   cached wider lattice — level 1 off the column, the rest off the
 //!   entry — equals running the optimizer one-shot, and costs the
-//!   constraint checks it always did.
+//!   constraint checks it always did over the universe Figs. 2–3 narrow.
+//! * The narrowing: over every Fig. 1 cell whose reduction may be an
+//!   `allowed` filter, a cold opening, a refinement of it and both after
+//!   an append answer what the one-shot optimizer does; `avg ≤ avg` and
+//!   `sum ≤ sum` narrow nothing.
 
 use cfq::prelude::*;
 use proptest::prelude::*;
@@ -140,33 +144,131 @@ proptest! {
 
         // The work ledger: one check per 1-var constraint per cached set
         // that survives level cap, threshold and effective universe —
-        // whether or not the filter had to evaluate anything for it.
+        // whether or not the filter had to evaluate anything for it. The
+        // effective universe is narrowed by every reduced condition whose
+        // compiled form is an `allowed` filter alone, compiled here over
+        // the whole catalog.
         let bound = bind_query(&parse_query(&text).unwrap(), &catalog).unwrap();
-        for (var, universe, stats) in
-            [(Var::S, &req.s_universe, &w.s_stats), (Var::T, &req.t_universe, &w.t_stats)]
-        {
-            let one: Vec<OneVar> = bound.one_var_for(var).cloned().collect();
-            let form = SuccinctForm::compile(&one, &catalog);
+        let one = |var| bound.one_var_for(var).cloned().collect::<Vec<OneVar>>();
+        let effs = [(Var::S, &req.s_universe), (Var::T, &req.t_universe)].map(|(var, universe)| {
+            let form = SuccinctForm::compile(&one(var), &catalog);
             let universe = if universe.is_empty() { &all } else { universe };
-            let eff = form.filter_universe(universe);
-            let surviving = if form.unsatisfiable() {
-                0
-            } else {
-                cached
-                    .iter()
-                    .filter(|(set, n)| {
-                        (max_level == 0 || set.len() <= max_level)
-                            && *n >= support
-                            && set.iter().all(|i| eff.contains(&i))
-                    })
-                    .count()
-            };
+            if form.unsatisfiable() { Vec::new() } else { form.filter_universe(universe) }
+        });
+        let l1 = |eff: &[ItemId]| -> Vec<ItemId> {
+            eff.iter().copied().filter(|&i| db.item_support(i) >= support).collect()
+        };
+        let plan = cfq::core::plan(&bound, &catalog);
+        let reductions = cfq::core::reduce(&plan, &l1(&effs[0]), &l1(&effs[1]), &catalog);
+        for ((var, stats), eff) in [(Var::S, &w.s_stats), (Var::T, &w.t_stats)].into_iter().zip(effs) {
+            let mut eff = eff;
+            for c in reductions.conditions(var) {
+                let form = SuccinctForm::compile(std::slice::from_ref(&c), &catalog);
+                if form.required_groups.is_empty()
+                    && form.residual_am.is_empty()
+                    && form.post_filters.is_empty()
+                {
+                    eff = form.filter_universe(&eff);
+                }
+            }
+            let surviving = cached
+                .iter()
+                .filter(|(set, n)| {
+                    (max_level == 0 || set.len() <= max_level)
+                        && *n >= support
+                        && set.iter().all(|i| eff.contains(&i))
+                })
+                .count();
             prop_assert_eq!(
                 stats.constraint_checks,
-                (one.len() * surviving) as u64,
+                (one(var).len() * surviving) as u64,
                 "{:?} checks of `{}` {:?}", var, &text, &req
             );
         }
+    }
+}
+
+/// Fig. 1 cells for the narrowing property: every `max/min θ max/min`
+/// in both directions and `⊆` / `=` on a categorical attribute — the
+/// cells whose reduced conditions may compile to `allowed` filters — then
+/// the two that must not narrow: `avg ≤ avg` (induced, required groups)
+/// and `sum ≤ sum` (`J^k_max`).
+const REDUCED: [&str; 12] = [
+    "max(S.Price) <= min(T.Price)",
+    "max(S.Price) <= max(T.Price)",
+    "min(S.Price) <= min(T.Price)",
+    "min(S.Price) <= max(T.Price)",
+    "min(S.Price) >= max(T.Price)",
+    "min(S.Price) >= min(T.Price)",
+    "max(S.Price) >= max(T.Price)",
+    "max(S.Price) >= min(T.Price)",
+    "S.Type subset T.Type",
+    "S.Type = T.Type",
+    "avg(S.Price) <= avg(T.Price)",
+    "sum(S.Price) <= sum(T.Price)",
+];
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 120, ..ProptestConfig::default() })]
+
+    /// Cold opening, a refinement that narrows its 1-var bounds and raises
+    /// its support, then an append: at each step the cached path — sides
+    /// narrowed by Figs. 2–3, looked up by their frequent items — answers
+    /// exactly what the one-shot optimizer does.
+    #[test]
+    fn narrowed_answer_equals_bypass_answer(
+        rows in prop::collection::vec(prop::collection::vec(0u32..N_ITEMS, 1..6), 6..20),
+        delta in prop::collection::vec(prop::collection::vec(0u32..N_ITEMS, 1..6), 1..8),
+        prices in prop::collection::vec(1u32..40, N_ITEMS as usize),
+        types in prop::collection::vec(0u32..3, N_ITEMS as usize),
+        cell in 0usize..REDUCED.len(),
+        lo in 0u32..15,
+        hi in 25u32..41,
+        raise_lo in 0u32..10,
+        lower_hi in 0u32..10,
+        support in 1u64..3,
+        raise in 0u64..2,
+    ) {
+        let mut b = CatalogBuilder::new(N_ITEMS as usize);
+        b.num_attr("Price", prices.iter().map(|&p| p as f64).collect()).unwrap();
+        let labels: Vec<String> =
+            types.iter().map(|&t| ((b'a' + t as u8) as char).to_string()).collect();
+        b.cat_attr("Type", &labels).unwrap();
+        let db = |rows: &[Vec<u32>]| {
+            let rows: Vec<Vec<ItemId>> = rows
+                .iter()
+                .map(|r| Itemset::from_items(r.iter().map(|&i| ItemId(i))).iter().collect())
+                .collect();
+            TransactionDb::new(N_ITEMS as usize, rows).unwrap()
+        };
+        let engine = Engine::new(db(&rows), b.build()).unwrap();
+        let session = engine.session();
+        let text = |lo: u32, hi: u32| {
+            format!("min(S.Price) >= {lo} & max(T.Price) <= {hi} & {}", REDUCED[cell])
+        };
+        let check = |text: &str, support: u64| {
+            let mut req = QueryRequest::new(text);
+            req.support = SupportSpec::Abs(support, support);
+            let cached = session.execute(&req).unwrap();
+            req.bypass_cache = true;
+            let bypass = session.execute(&req).unwrap();
+            let (c, o) = (&cached.outcome, &bypass.outcome);
+            prop_assert_eq!(&c.s_sets, &o.s_sets, "S side of `{}` at {}", text, support);
+            prop_assert_eq!(&c.t_sets, &o.t_sets, "T side of `{}` at {}", text, support);
+            prop_assert_eq!(&c.pair_result.pairs, &o.pair_result.pairs, "`{}`", text);
+            if cell >= REDUCED.len() - 2 {
+                for (before, after) in c.provenance.universes.into_iter().flatten() {
+                    prop_assert_eq!(before, after, "`{}` must not narrow", text);
+                }
+            }
+        };
+
+        let (open, refined) = (text(lo, hi), text(lo + raise_lo, hi - lower_hi));
+        check(&open, support);
+        check(&refined, support + raise);
+        engine.append(db(&delta)).unwrap();
+        check(&refined, support + raise);
+        check(&open, support);
     }
 }
 
