@@ -35,13 +35,11 @@ use crate::args::Args;
 use crate::args::MiningArgs;
 use crate::commands::{load, wants_help};
 use cfq_engine::dispatch::PROTOCOL_HELP;
-use cfq_engine::wal::WalTailer;
 use cfq_engine::{Dispatcher, Engine, EngineConfig, ServerMetrics, SessionPool};
 use cfq_obs::{self as obs, SlowLog};
 use cfq_types::{CfqError, Result};
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -161,7 +159,6 @@ pub fn repl_loop<R: BufRead, W: Write>(
 /// [`MiningArgs::OPTIONS`] — with those, all that `cfq repl` takes.
 const ENGINE_OPTIONS: &[&str] = &[
     "data", "catalog", "trace", "max-inflight", "queue-depth", "wal-dir", "snapshot-every",
-    "follow",
 ];
 /// What `cfq serve` reads besides.
 const SERVE_OPTIONS: &[&str] =
@@ -176,33 +173,14 @@ fn build_engine(a: &Args) -> Result<Arc<Engine>> {
             .max_inflight_queries(a.num("max-inflight", defaults.max_inflight_queries)?)
             .max_queued_queries(a.num("queue-depth", defaults.max_queued_queries)?),
     );
-    match (a.get("wal-dir"), a.get("follow")) {
-        (Some(_), Some(_)) => {
-            return Err(CfqError::Config(
-                "--wal-dir and --follow are mutually exclusive: a primary owns its WAL \
-                 directory, a replica only tails one"
-                    .into(),
-            ));
-        }
-        (Some(dir), None) => {
-            builder = builder
-                .wal_dir(dir)
-                .snapshot_every(a.num("snapshot-every", defaults.snapshot_every)?);
-        }
-        (None, Some(dir)) => {
-            builder = builder.wal_dir(dir).follow(true);
-        }
-        (None, None) => {}
+    if let Some(dir) = a.get("wal-dir") {
+        builder = builder
+            .wal_dir(dir)
+            .snapshot_every(a.num("snapshot-every", defaults.snapshot_every)?);
     }
     let engine = Engine::with_config(db, catalog, builder.build())?;
     let d = engine.durability_stats();
-    let mode = if !d.enabled {
-        "ephemeral"
-    } else if d.follow {
-        "replica"
-    } else {
-        "durable"
-    };
+    let mode = if d.enabled { "durable" } else { "ephemeral" };
     println!(
         "engine up ({mode}): {} transactions over {} items, epoch {}",
         engine.db().len(),
@@ -216,38 +194,6 @@ fn build_engine(a: &Args) -> Result<Arc<Engine>> {
         );
     }
     Ok(engine)
-}
-
-/// Tails the primary's WAL directory on a `--follow` replica: polls for
-/// new fsynced records and replays them, keeping the replica's epoch
-/// (and FUP-maintained caches) converged with the writer. Runs until
-/// shutdown; transient read errors back off and retry, since the
-/// primary may be mid-rotation.
-fn follow_wal(engine: Arc<Engine>, dir: PathBuf, shutdown: Arc<AtomicBool>) {
-    let mut tailer = WalTailer::new(&dir, engine.epoch() + 1);
-    loop {
-        if shutdown.load(Ordering::SeqCst) || SIGINT_SEEN.load(Ordering::SeqCst) {
-            return;
-        }
-        match tailer.poll() {
-            Ok(records) => {
-                let caught_up = records.is_empty();
-                for rec in records {
-                    if let Err(e) = engine.replay_append(rec.delta) {
-                        eprintln!("replica replay failed at epoch {}: {e}", rec.epoch);
-                        return;
-                    }
-                }
-                if caught_up {
-                    std::thread::sleep(Duration::from_millis(50));
-                }
-            }
-            Err(e) => {
-                eprintln!("replica WAL poll error (will retry): {e}");
-                std::thread::sleep(Duration::from_millis(500));
-            }
-        }
-    }
 }
 
 /// Installs the tracing subscriber requested by `--trace LEVEL` (or the
@@ -642,7 +588,6 @@ pub fn serve(argv: Vec<String>) -> Result<()> {
              [--backend NAME]        default counting backend (horizontal|tidset|bitmap|auto)\n\
              [--wal-dir DIR]         durable mode: WAL + snapshots in DIR, warm restart on boot\n\
              [--snapshot-every N]    snapshot cadence in appends (default 8, 0 = manual :snapshot only)\n\
-             [--follow DIR]          read replica: tail the primary's WAL DIR (read-only)\n\
              [--slow-ms MS]          slow-query log threshold (default 500)\n\
              [--trace LEVEL]         stderr tracing (error|warn|info|debug|trace)\n\n\
              protocol: one request per line\n{PROTOCOL_HELP}\n\n\
@@ -688,19 +633,7 @@ pub fn serve(argv: Vec<String>) -> Result<()> {
         }));
     }
 
-    let mut follow_thread = None;
-    if engine.config().follow {
-        if let Some(dir) = engine.config().wal_dir.clone() {
-            let engine = Arc::clone(&engine);
-            let shutdown = Arc::clone(&opts.shutdown);
-            follow_thread = Some(std::thread::spawn(move || follow_wal(engine, dir, shutdown)));
-        }
-    }
-
     let result = serve_connections(listener, engine, opts);
-    if let Some(h) = follow_thread {
-        let _ = h.join();
-    }
     if let Some(h) = metrics_thread {
         let _ = h.join();
     }
@@ -1132,6 +1065,9 @@ mod tests {
         for (run, args, name) in [
             (serve as fn(_) -> _, &["--data", "d.txt", "--max-client", "4"][..], "max-client"),
             (repl, &["--data", "d.txt", "--listen", ":0"][..], "listen"),
+            // A removed option is refused by name, never read.
+            (serve, &["--data", "d.txt", "--follow", "wal"][..], "follow"),
+            (repl, &["--data", "d.txt", "--follow", "wal"][..], "follow"),
         ] {
             match run(argv(args)) {
                 Err(CfqError::Config(msg)) => assert_eq!(msg, format!("unknown option --{name}")),

@@ -170,9 +170,8 @@ impl Dispatcher {
                     return Ok("durability off (ephemeral engine; start with --wal-dir)".into());
                 }
                 Ok(format!(
-                    "{} | epoch {} | wal: {} records, {} bytes, {} fsyncs, {} replayed | \
+                    "primary | epoch {} | wal: {} records, {} bytes, {} fsyncs, {} replayed | \
                      snapshots: {} written ({} bytes), last at epoch {}",
-                    if d.follow { "replica (--follow)" } else { "primary" },
                     engine.epoch(),
                     d.wal_records,
                     d.wal_bytes,
@@ -344,13 +343,7 @@ impl Dispatcher {
 /// cache, and durability counters a control plane watches.
 fn status_json(engine: &Engine) -> String {
     let d = engine.durability_stats();
-    let mode = if !d.enabled {
-        "ephemeral"
-    } else if d.follow {
-        "replica"
-    } else {
-        "primary"
-    };
+    let mode = if d.enabled { "primary" } else { "ephemeral" };
     let c = engine.cache_stats();
     format!(
         "{{\"mode\":\"{mode}\",\"epoch\":{},\"transactions\":{},\

@@ -65,11 +65,6 @@ pub struct EngineConfig {
     /// Write a snapshot and rotate the WAL every N durable appends
     /// (default 8; 0 = snapshots only via [`Engine::snapshot_now`]).
     pub snapshot_every: u64,
-    /// Run as a read replica: recover from `wal_dir` but open no writer,
-    /// reject [`Engine::append`], and accept deltas only through
-    /// [`Engine::replay_append`] (fed by a WAL tailer). Requires
-    /// `wal_dir`.
-    pub follow: bool,
 }
 
 impl Default for EngineConfig {
@@ -84,7 +79,6 @@ impl Default for EngineConfig {
             max_queued_queries: 1024,
             wal_dir: None,
             snapshot_every: 8,
-            follow: false,
         }
     }
 }
@@ -98,7 +92,7 @@ impl EngineConfig {
 
 /// Fluent builder for [`EngineConfig`] — one method per knob, mirroring
 /// the `cfq serve` flags (`--backend`, `--max-inflight`, `--queue-depth`,
-/// `--wal-dir`, `--snapshot-every`, `--follow`).
+/// `--wal-dir`, `--snapshot-every`).
 #[derive(Clone, Debug)]
 pub struct EngineConfigBuilder {
     config: EngineConfig,
@@ -159,14 +153,8 @@ impl EngineConfigBuilder {
         self
     }
 
-    /// Read-replica mode (requires [`Self::wal_dir`]).
-    pub fn follow(mut self, follow: bool) -> Self {
-        self.config.follow = follow;
-        self
-    }
-
-    /// Finishes the builder. Validation (budget, follow/wal-dir
-    /// coherence) happens in [`Engine::with_config`].
+    /// Finishes the builder. Validation (the cache budget) happens in
+    /// [`Engine::with_config`].
     pub fn build(self) -> EngineConfig {
         self.config
     }
@@ -178,15 +166,13 @@ impl EngineConfigBuilder {
 pub struct DurabilityStats {
     /// Whether a WAL directory is configured.
     pub enabled: bool,
-    /// Whether this engine is a read replica.
-    pub follow: bool,
     /// WAL records written by this process.
     pub wal_records: u64,
     /// WAL payload bytes written by this process.
     pub wal_bytes: u64,
     /// WAL fsyncs issued by this process.
     pub wal_fsyncs: u64,
-    /// WAL records replayed (at boot, plus tailed records on a replica).
+    /// WAL records replayed at boot recovery.
     pub replayed_records: u64,
     /// Snapshots written by this process.
     pub snapshot_writes: u64,
@@ -214,8 +200,7 @@ pub struct SnapshotInfo {
 /// engine state lock.
 struct DurabilityState {
     dir: PathBuf,
-    /// `None` on replicas (they never write).
-    writer: Option<WalWriter>,
+    writer: WalWriter,
     snapshot_every: u64,
     appends_since_snapshot: u64,
     replayed_records: u64,
@@ -266,7 +251,8 @@ pub struct Engine {
     state: Mutex<EngineState>,
     /// Serializes appends with each other (never with queries).
     append_lock: Mutex<()>,
-    /// Lock order: `append_lock` → `durability` → `state`.
+    /// Lock order: `append_lock` → `durability` → `state`. Attached once
+    /// recovery has replayed the WAL; `None` on an ephemeral engine.
     durability: Option<Mutex<DurabilityState>>,
     scheduler: Scheduler,
     config: EngineConfig,
@@ -292,9 +278,8 @@ impl Engine {
 
     /// Creates an engine with explicit configuration. Fails with
     /// [`CfqError::Engine`] when the catalog covers fewer items than the
-    /// database references, with [`CfqError::CacheBudget`] on a zero
-    /// cache budget, and with [`CfqError::Config`] when `follow` is set
-    /// without `wal_dir`.
+    /// database references, and with [`CfqError::CacheBudget`] on a zero
+    /// cache budget.
     ///
     /// With `wal_dir` set, `db` is the *seed* for a fresh directory: when
     /// the directory already holds a snapshot or WAL, construction
@@ -319,52 +304,33 @@ impl Engine {
                 "the lattice cache budget must be positive".into(),
             ));
         }
-        if config.follow && config.wal_dir.is_none() {
-            return Err(CfqError::Config(
-                "follow mode needs a WAL directory to tail (--wal-dir / --follow DIR)".into(),
-            ));
-        }
         let current = Arc::new(EpochState {
             epoch: 0,
             db: Arc::new(db),
             catalog: Arc::new(catalog),
         });
-        let durability = config.wal_dir.as_ref().map(|dir| {
-            Mutex::new(DurabilityState {
-                dir: dir.clone(),
-                writer: None,
-                snapshot_every: config.snapshot_every,
-                appends_since_snapshot: 0,
-                replayed_records: 0,
-                snapshot_writes: 0,
-                snapshot_bytes: 0,
-                snapshot_failures: 0,
-                last_snapshot_epoch: 0,
-                retired_records: 0,
-                retired_bytes: 0,
-                retired_fsyncs: 0,
-            })
-        });
-        let engine = Engine {
+        let mut engine = Engine {
             state: Mutex::new(EngineState {
                 current,
                 lattices: LatticeCache::new(config.cache_budget_bytes),
                 plans: PlanCache::new(config.plan_cache_entries),
             }),
             append_lock: Mutex::new(()),
-            durability,
+            durability: None,
             scheduler: Scheduler::new(config.max_inflight_queries, config.max_queued_queries),
             config,
         };
         if let Some(dir) = engine.config.wal_dir.clone() {
-            engine.recover(&dir)?;
+            engine.durability = Some(Mutex::new(engine.recover(&dir)?));
         }
         Ok(Arc::new(engine))
     }
 
     /// Boot-time recovery: newest valid snapshot, then WAL replay, then
-    /// (primaries only) reopen or create the tail WAL segment.
-    fn recover(&self, dir: &Path) -> Result<()> {
+    /// reopen or create the tail WAL segment. Returns the durability state
+    /// for the caller to attach: replay runs before it is attached, so
+    /// [`Engine::append`] does not log the records it replays again.
+    fn recover(&self, dir: &Path) -> Result<DurabilityState> {
         std::fs::create_dir_all(dir)?;
         let mut span = obs::span(obs::Level::Info, "engine.recover")
             .str("dir", dir.display().to_string());
@@ -398,24 +364,28 @@ impl Engine {
             }
         }
         let after_epoch = self.epoch();
-        let summary = wal::replay(dir, after_epoch, |rec| {
-            self.apply_append(rec.delta, false).map(|_| ())
-        })?;
+        let summary = wal::replay(dir, after_epoch, |rec| self.append(rec.delta).map(|_| ()))?;
         span.record_u64("snapshot_epoch", snapshot_epoch);
         span.record_u64("replayed_records", summary.records);
         span.record_u64("epoch", self.epoch());
-        let d = self.durability.as_ref().expect("recover runs only with wal_dir");
-        let mut d = d.lock().unwrap_or_else(|e| e.into_inner());
-        d.replayed_records = summary.records;
-        d.appends_since_snapshot = summary.records;
-        d.last_snapshot_epoch = snapshot_epoch;
-        if !self.config.follow {
-            d.writer = Some(match summary.tail {
-                Some((path, valid_end)) => WalWriter::reopen(&path, valid_end)?,
-                None => WalWriter::create(dir, self.epoch() + 1)?,
-            });
-        }
-        Ok(())
+        let writer = match summary.tail {
+            Some((path, valid_end)) => WalWriter::reopen(&path, valid_end)?,
+            None => WalWriter::create(dir, self.epoch() + 1)?,
+        };
+        Ok(DurabilityState {
+            dir: dir.to_path_buf(),
+            writer,
+            snapshot_every: self.config.snapshot_every,
+            appends_since_snapshot: summary.records,
+            replayed_records: summary.records,
+            snapshot_writes: 0,
+            snapshot_bytes: 0,
+            snapshot_failures: 0,
+            last_snapshot_epoch: snapshot_epoch,
+            retired_records: 0,
+            retired_bytes: 0,
+            retired_fsyncs: 0,
+        })
     }
 
     fn locked(&self) -> MutexGuard<'_, EngineState> {
@@ -676,35 +646,8 @@ impl Engine {
     /// the epoch swap makes it visible, so an acknowledged append
     /// survives `kill -9`; a crash between the WAL write and the
     /// acknowledgment may replay an unacknowledged delta at recovery
-    /// (at-least-once, never lossy). On a `--follow` replica this fails
-    /// with [`CfqError::Engine`] — appends must go to the primary.
+    /// (at-least-once, never lossy).
     pub fn append(&self, delta: TransactionDb) -> Result<EpochInfo> {
-        if self.config.follow {
-            return Err(CfqError::Engine(
-                "this engine is a read-only replica (--follow); appends must go to the primary"
-                    .into(),
-            ));
-        }
-        self.apply_append(delta, true)
-    }
-
-    /// Applies a delta tailed from the primary's WAL. Only meaningful on
-    /// a `--follow` replica — everything else must use
-    /// [`Engine::append`] so the delta is logged.
-    pub fn replay_append(&self, delta: TransactionDb) -> Result<EpochInfo> {
-        if !self.config.follow {
-            return Err(CfqError::Engine(
-                "replay_append is reserved for --follow replicas; use append".into(),
-            ));
-        }
-        let info = self.apply_append(delta, false)?;
-        if let Some(d) = &self.durability {
-            d.lock().unwrap_or_else(|e| e.into_inner()).replayed_records += 1;
-        }
-        Ok(info)
-    }
-
-    fn apply_append(&self, delta: TransactionDb, durable: bool) -> Result<EpochInfo> {
         let _serialize =
             self.append_lock.lock().unwrap_or_else(|e| e.into_inner());
         let mut span = obs::span(obs::Level::Info, "engine.fup_append")
@@ -744,15 +687,10 @@ impl Engine {
         // Durable-before-visible: the record is on disk (fsynced) before
         // the swap below acknowledges the epoch. A failure here leaves
         // the in-memory state untouched.
-        if durable {
-            if let Some(d) = &self.durability {
-                let mut d = d.lock().unwrap_or_else(|e| e.into_inner());
-                if let Some(writer) = &mut d.writer {
-                    let record = WalRecord { epoch: snap.epoch + 1, delta };
-                    let bytes = writer.append(&record)?;
-                    span.record_u64("wal_bytes", bytes);
-                }
-            }
+        if let Some(d) = &self.durability {
+            let record = WalRecord { epoch: snap.epoch + 1, delta };
+            let bytes = d.lock().unwrap_or_else(|e| e.into_inner()).writer.append(&record)?;
+            span.record_u64("wal_bytes", bytes);
         }
         let upgraded_lattices = upgraded.len();
         let info = {
@@ -770,19 +708,17 @@ impl Engine {
                 old_db_recounts,
             }
         };
-        if durable {
-            if let Some(d) = &self.durability {
-                let mut d = d.lock().unwrap_or_else(|e| e.into_inner());
-                if d.writer.is_some() && d.snapshot_every > 0 {
-                    d.appends_since_snapshot += 1;
-                    if d.appends_since_snapshot >= d.snapshot_every {
-                        // The append already succeeded and its record is
-                        // on the WAL; a failed snapshot only defers
-                        // compaction to the next attempt.
-                        if let Err(e) = self.write_snapshot(&mut d) {
-                            d.snapshot_failures += 1;
-                            span.record_str("snapshot_error", e.to_string());
-                        }
+        if let Some(d) = &self.durability {
+            let mut d = d.lock().unwrap_or_else(|e| e.into_inner());
+            if d.snapshot_every > 0 {
+                d.appends_since_snapshot += 1;
+                if d.appends_since_snapshot >= d.snapshot_every {
+                    // The append already succeeded and its record is on
+                    // the WAL; a failed snapshot only defers compaction to
+                    // the next attempt.
+                    if let Err(e) = self.write_snapshot(&mut d) {
+                        d.snapshot_failures += 1;
+                        span.record_str("snapshot_error", e.to_string());
                     }
                 }
             }
@@ -795,16 +731,8 @@ impl Engine {
 
     /// Writes a snapshot of the current epoch (database plus every cached
     /// lattice of that epoch) and rotates the WAL. Fails with
-    /// [`CfqError::Config`] on an ephemeral engine and with
-    /// [`CfqError::Engine`] on a replica (the WAL directory belongs to
-    /// the primary).
+    /// [`CfqError::Config`] on an ephemeral engine.
     pub fn snapshot_now(&self) -> Result<SnapshotInfo> {
-        if self.config.follow {
-            return Err(CfqError::Engine(
-                "a --follow replica does not own the WAL directory; snapshot on the primary"
-                    .into(),
-            ));
-        }
         let d = self.durability.as_ref().ok_or_else(|| {
             CfqError::Config("snapshots need a durability directory (--wal-dir)".into())
         })?;
@@ -814,8 +742,8 @@ impl Engine {
         self.write_snapshot(&mut d)
     }
 
-    /// Snapshot + WAL rotation. Caller holds `append_lock` (or is still
-    /// single-threaded construction) and the durability lock.
+    /// Snapshot + WAL rotation. Caller holds `append_lock` and the
+    /// durability lock.
     fn write_snapshot(&self, d: &mut DurabilityState) -> Result<SnapshotInfo> {
         let mut span = obs::span(obs::Level::Info, "engine.snapshot");
         let (epoch, db, entries) = {
@@ -840,18 +768,12 @@ impl Engine {
         // or below the snapshot can be pruned. Skip when no epoch has
         // passed since the last rotation (back-to-back manual
         // snapshots) — the segment already starts past the snapshot.
-        let next_segment = wal::wal_path(&d.dir, epoch + 1);
-        let rotate = d
-            .writer
-            .as_ref()
-            .is_some_and(|w| w.path() != next_segment.as_path());
-        if rotate {
+        if d.writer.path() != wal::wal_path(&d.dir, epoch + 1) {
             let fresh = WalWriter::create(&d.dir, epoch + 1)?;
-            if let Some(old) = d.writer.replace(fresh) {
-                d.retired_records += old.records;
-                d.retired_bytes += old.bytes;
-                d.retired_fsyncs += old.fsyncs;
-            }
+            let old = std::mem::replace(&mut d.writer, fresh);
+            d.retired_records += old.records;
+            d.retired_bytes += old.bytes;
+            d.retired_fsyncs += old.fsyncs;
             let _pruned = wal::prune(&d.dir, epoch)?;
         }
         d.snapshot_writes += 1;
@@ -867,16 +789,11 @@ impl Engine {
             return DurabilityStats::default();
         };
         let d = d.lock().unwrap_or_else(|e| e.into_inner());
-        let (wal_records, wal_bytes, wal_fsyncs) = d
-            .writer
-            .as_ref()
-            .map_or((0, 0, 0), |w| (w.records, w.bytes, w.fsyncs));
         DurabilityStats {
             enabled: true,
-            follow: self.config.follow,
-            wal_records: d.retired_records + wal_records,
-            wal_bytes: d.retired_bytes + wal_bytes,
-            wal_fsyncs: d.retired_fsyncs + wal_fsyncs,
+            wal_records: d.retired_records + d.writer.records,
+            wal_bytes: d.retired_bytes + d.writer.bytes,
+            wal_fsyncs: d.retired_fsyncs + d.writer.fsyncs,
             replayed_records: d.replayed_records,
             snapshot_writes: d.snapshot_writes,
             snapshot_bytes: d.snapshot_bytes,

@@ -207,7 +207,7 @@ impl ServerMetrics {
             wal_fsyncs: r.counter("cfq_wal_fsyncs_total", "WAL fsyncs issued by this process."),
             wal_replayed: r.counter(
                 "cfq_wal_replayed_records_total",
-                "WAL records replayed (boot recovery plus replica tailing).",
+                "WAL records replayed at boot recovery.",
             ),
             snapshot_writes: r
                 .counter("cfq_snapshot_writes_total", "Snapshots written by this process."),

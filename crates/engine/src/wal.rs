@@ -4,8 +4,7 @@
 //! length-prefixed, checksummed binary record per delta, fsync'd before
 //! the new epoch is installed — so a `kill -9` after the acknowledgement
 //! can never lose the append. On boot the engine replays the log over the
-//! latest snapshot (see [`crate::snapshot`]); a read replica tails the
-//! same files with [`WalTailer`] and applies records as they land.
+//! latest snapshot (see [`crate::snapshot`]).
 //!
 //! The codec is hand-rolled (the workspace is dependency-free, same
 //! precedent as the JSON codec in [`crate::json`]):
@@ -21,8 +20,7 @@
 //! fresh file at every snapshot and prunes generations the snapshot made
 //! redundant. A torn tail — a partial frame or a checksum mismatch at the
 //! end of the newest file — is an unacknowledged append mid-write: boot
-//! recovery truncates it, a tailing replica retries the same offset until
-//! the frame completes or disappears.
+//! recovery truncates it.
 
 use cfq_types::{CfqError, ItemId, Result, TransactionDb};
 use std::fs::{self, File, OpenOptions};
@@ -313,9 +311,9 @@ pub enum WalItem {
     Record(WalRecord),
     /// End of file, cleanly on a frame boundary.
     Eof,
-    /// A partial or checksum-failing frame starting at `offset` —
-    /// either an append crashed mid-write (recovery truncates it) or the
-    /// writer is mid-write right now (a tailer retries the same offset).
+    /// A partial or checksum-failing frame starting at `offset`: at the
+    /// end of the newest file an append that crashed mid-write (recovery
+    /// truncates it), anywhere else corruption.
     Torn {
         /// File offset of the first byte of the torn frame.
         offset: u64,
@@ -343,17 +341,6 @@ impl WalReader {
         Ok(WalReader { file, offset: WAL_MAGIC.len() as u64 })
     }
 
-    /// Opens `path` positioned at `offset` (a frame boundary from an
-    /// earlier read) — how a tailer resumes.
-    pub fn open_at(path: &Path, offset: u64) -> Result<WalReader> {
-        let mut r = WalReader::open(path)?;
-        if offset > r.offset {
-            r.file.seek(SeekFrom::Start(offset))?;
-            r.offset = offset;
-        }
-        Ok(r)
-    }
-
     /// The frame boundary the next read starts from.
     pub fn offset(&self) -> u64 {
         self.offset
@@ -361,7 +348,7 @@ impl WalReader {
 
     /// Reads the next frame. Distinguishes a clean EOF from a torn tail;
     /// a checksum mismatch is reported as [`WalItem::Torn`] (the caller
-    /// decides whether that is a crash artifact or in-flight write).
+    /// decides whether that is a crash artifact or corruption).
     pub fn next_item(&mut self) -> Result<WalItem> {
         let start = self.offset;
         let mut head = [0u8; FRAME_HEAD];
@@ -489,8 +476,10 @@ pub fn replay(
 
 /// Deletes WAL files made redundant by a snapshot at `snapshot_epoch`:
 /// every file whose records all land at or below the snapshot, except the
-/// newest such file — one old generation is kept as a grace window for
-/// replicas still tailing it.
+/// newest such file. That one holds the records above the previous
+/// snapshot, which recovery replays when the newest snapshot fails its
+/// checksum and [`crate::snapshot::load_latest`] falls back to the older
+/// generation.
 pub fn prune(dir: &Path, snapshot_epoch: u64) -> Result<usize> {
     let files = wal_files(dir)?;
     // A file's records are all <= snapshot_epoch iff the *next* file
@@ -503,7 +492,8 @@ pub fn prune(dir: &Path, snapshot_epoch: u64) -> Result<usize> {
             redundant.push(path.clone());
         }
     }
-    // Keep the newest redundant generation for tailing replicas.
+    // Keep the newest redundant generation: the older snapshot's fallback
+    // replays it.
     redundant.pop();
     let removed = redundant.len();
     for path in redundant {
@@ -513,107 +503,6 @@ pub fn prune(dir: &Path, snapshot_epoch: u64) -> Result<usize> {
         fsync_dir(dir);
     }
     Ok(removed)
-}
-
-// ---------------------------------------------------------------------
-// Tailer (read replicas)
-// ---------------------------------------------------------------------
-
-/// Follows a writer's WAL directory, yielding records in epoch order as
-/// they are fsync'd — the read-replica transport.
-pub struct WalTailer {
-    dir: PathBuf,
-    /// The epoch the next yielded record must install.
-    next_epoch: u64,
-    /// The file currently being read and the frame boundary reached.
-    current: Option<(PathBuf, u64)>,
-}
-
-impl WalTailer {
-    /// A tailer that yields records from `next_epoch` on.
-    pub fn new(dir: &Path, next_epoch: u64) -> WalTailer {
-        WalTailer { dir: dir.to_path_buf(), next_epoch, current: None }
-    }
-
-    /// The epoch the next record will install (how far behind the
-    /// primary this tailer is).
-    pub fn next_epoch(&self) -> u64 {
-        self.next_epoch
-    }
-
-    /// Picks the file that contains (or will contain) `next_epoch`: the
-    /// newest file starting at or below it.
-    fn pick_file(&self) -> Result<Option<PathBuf>> {
-        let files = wal_files(&self.dir)?;
-        let mut best: Option<(u64, PathBuf)> = None;
-        for (start, path) in &files {
-            if *start <= self.next_epoch {
-                best = Some((*start, path.clone()));
-            }
-        }
-        match best {
-            Some((_, path)) => Ok(Some(path)),
-            None => match files.first() {
-                // The writer pruned past us: the records we need are gone.
-                Some((start, _)) => Err(CfqError::Io(format!(
-                    "replica fell behind: needs epoch {} but the oldest WAL starts at {start} \
-                     (restart the replica to recover from the latest snapshot)",
-                    self.next_epoch
-                ))),
-                None => Ok(None),
-            },
-        }
-    }
-
-    /// Drains every intact record currently available, in epoch order.
-    /// Returns an empty vec when caught up (including mid-write torn
-    /// tails, which a later poll retries).
-    pub fn poll(&mut self) -> Result<Vec<WalRecord>> {
-        let mut out = Vec::new();
-        loop {
-            if self.current.is_none() {
-                match self.pick_file()? {
-                    Some(path) => self.current = Some((path, 0)),
-                    None => return Ok(out),
-                }
-            }
-            let (path, offset) = self.current.clone().expect("current set above");
-            let mut reader = if offset == 0 {
-                WalReader::open(&path)?
-            } else {
-                WalReader::open_at(&path, offset)?
-            };
-            let mut progressed = false;
-            while let WalItem::Record(rec) = reader.next_item()? {
-                if rec.epoch >= self.next_epoch {
-                    if rec.epoch != self.next_epoch {
-                        return Err(CfqError::Io(format!(
-                            "WAL gap while tailing {}: expected epoch {}, found {}",
-                            path.display(),
-                            self.next_epoch,
-                            rec.epoch
-                        )));
-                    }
-                    self.next_epoch += 1;
-                    out.push(rec);
-                    progressed = true;
-                }
-            }
-            self.current = Some((path, reader.offset()));
-            // At this file's end: a rotation puts the next epoch in a
-            // newer file — switch to it and keep draining.
-            let rotated = wal_files(&self.dir)?
-                .into_iter()
-                .any(|(start, p)| start == self.next_epoch && p != self.current.as_ref().expect("set").0);
-            if rotated {
-                self.current = None;
-                continue;
-            }
-            if !progressed {
-                return Ok(out);
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -726,29 +615,6 @@ mod tests {
     }
 
     #[test]
-    fn tailer_follows_appends_and_rotation() {
-        let dir = tmp_dir("tail");
-        let mut w = WalWriter::create(&dir, 1).unwrap();
-        let mut t = WalTailer::new(&dir, 1);
-        assert!(t.poll().unwrap().is_empty());
-
-        w.append(&WalRecord { epoch: 1, delta: delta(&[&[0]]) }).unwrap();
-        w.append(&WalRecord { epoch: 2, delta: delta(&[&[1]]) }).unwrap();
-        let got = t.poll().unwrap();
-        assert_eq!(got.iter().map(|r| r.epoch).collect::<Vec<_>>(), vec![1, 2]);
-        assert!(t.poll().unwrap().is_empty(), "caught up");
-
-        // Rotate (as a snapshot would) and keep appending.
-        drop(w);
-        let mut w = WalWriter::create(&dir, 3).unwrap();
-        w.append(&WalRecord { epoch: 3, delta: delta(&[&[2]]) }).unwrap();
-        let got = t.poll().unwrap();
-        assert_eq!(got.iter().map(|r| r.epoch).collect::<Vec<_>>(), vec![3]);
-        assert_eq!(t.next_epoch(), 4);
-        fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn prune_keeps_one_old_generation() {
         let dir = tmp_dir("prune");
         for start in [1u64, 3, 5] {
@@ -757,8 +623,8 @@ mod tests {
             w.append(&WalRecord { epoch: start + 1, delta: delta(&[&[1]]) }).unwrap();
         }
         // Snapshot at epoch 4: files starting at 1 and 3 are redundant;
-        // the newest redundant one (3) is kept as the replica grace
-        // window.
+        // the newest redundant one (3) is kept: it holds the records a
+        // fallback to the previous snapshot replays.
         let removed = prune(&dir, 4).unwrap();
         assert_eq!(removed, 1);
         let starts: Vec<u64> = wal_files(&dir).unwrap().into_iter().map(|(s, _)| s).collect();

@@ -19,8 +19,8 @@
 //! * **durability-metric** — the `cfq_wal_*` / `cfq_snapshot_*`
 //!   families are a closed catalog: a registration outside
 //!   [`DURABILITY_METRICS`], or with the wrong instrument kind, is a
-//!   finding. Primaries and replicas must export the same durability
-//!   surface, so new families are added to the catalog deliberately.
+//!   finding. Dashboards read the durability surface, so new families
+//!   are added to the catalog deliberately.
 //! * **span-guard-bound** — `obs::span(...)` in statement position is a
 //!   guard dropped immediately (the span closes before the work runs);
 //!   it must be bound to a local.
@@ -67,7 +67,7 @@ pub struct Finding {
 /// The closed catalog of durability metric families with their
 /// instrument kinds. Every `cfq_wal_*` / `cfq_snapshot_*` registration
 /// in the workspace must appear here — the durability surface is part
-/// of the wire contract between primaries, replicas and dashboards, so
+/// of the wire contract with dashboards, so
 /// growing it is a deliberate edit to this table, not a drive-by
 /// `.counter(...)` call.
 pub const DURABILITY_METRICS: &[(&str, &str)] = &[

@@ -126,8 +126,7 @@ head -c 400 "$OUT/BENCH_engine.json"; echo
 echo "== cfq serve: boot, drive family b cold and fig8a twice, scrape metrics (writes BENCH_serve.json)"
 SERVE_DIR="$(mktemp -d)"
 SERVE_PID=""
-REPLICA_PID=""
-trap 'for p in "$SERVE_PID" "$REPLICA_PID"; do [ -n "$p" ] && kill "$p" 2>/dev/null || true; done; rm -rf "$SERVE_DIR"' EXIT
+trap '[ -n "$SERVE_PID" ] && kill "$SERVE_PID" 2>/dev/null || true; rm -rf "$SERVE_DIR"' EXIT
 ./target/release/cfq gen --items 60 --transactions 400 --avg-trans-len 8 --patterns 40 \
   --out "$SERVE_DIR/tx.txt"
 ./target/release/cfq gen-catalog --items 60 --num Price:uniform:0:1000 --cat Type:6 \
@@ -438,11 +437,12 @@ kill -INT "$SERVE_PID"
 wait "$SERVE_PID" || { echo "backend serve exited non-zero on SIGINT"; cat "$SERVE_DIR/backend.log"; exit 1; }
 SERVE_PID=""
 
-echo "== removed options are rejected, not swallowed: --shards, --backbone, --batch-window-ms, \"shards\""
-# `--shards N`, `mine --backbone NAME`, `serve --batch-window-ms MS` and
-# the `shards` request field are gone. Each must fail naming itself — a
-# lenient parser would take the next token as the option's value and run.
-for GONE in "query shards 2" "mine backbone fpgrowth" "serve batch-window-ms 2"; do
+echo "== removed options are rejected, not swallowed: --shards, --backbone, --batch-window-ms, --follow, \"shards\""
+# `--shards N`, `mine --backbone NAME`, `serve --batch-window-ms MS`,
+# `serve --follow DIR` and the `shards` request field are gone. Each must
+# fail naming itself — a lenient parser would take the next token as the
+# option's value and run.
+for GONE in "query shards 2" "mine backbone fpgrowth" "serve batch-window-ms 2" "serve follow /tmp"; do
   read -r CMD OPT VAL <<< "$GONE"
   if ERR="$(./target/release/cfq "$CMD" "--$OPT" "$VAL" --data "$SERVE_DIR/tx.txt" "$FIG8A" 2>&1 > /dev/null)"; then
     echo "cfq $CMD --$OPT $VAL ran instead of failing"; exit 1
@@ -452,7 +452,7 @@ for GONE in "query shards 2" "mine backbone fpgrowth" "serve batch-window-ms 2";
 done
 echo "$GONE_REPLY" | grep -qF '"kind":"parse"' && echo "$GONE_REPLY" | grep -qF 'unknown request field `shards`' \
   || { echo "a request with \"shards\" did not get the typed unknown-field error: $GONE_REPLY"; exit 1; }
-echo "  --shards, --backbone, --batch-window-ms and the \"shards\" field are each refused by name"
+echo "  --shards, --backbone, --batch-window-ms, --follow and the \"shards\" field are each refused by name"
 
 echo "== durability: WAL + snapshot survive kill -9, restart serves warm (extends BENCH_serve.json)"
 WAL_DIR="$SERVE_DIR/wal"
@@ -544,70 +544,19 @@ printf '{"bench":"serve","query":"%s","cold_ms":%s,"warm_ms":%s,"p50_s":%s,"p95_
   "$RESTART_COLD_MS" "$RESTART_WARM_MS" > "$OUT/BENCH_serve.json"
 head -c 400 "$OUT/BENCH_serve.json"; echo
 
-echo "== replica: --follow tails the primary's WAL and answers bit-equal over the v1 envelope"
-./target/release/cfq serve --data "$SERVE_DIR/tx-durable.txt" --catalog "$SERVE_DIR/catalog.txt" \
-  --follow "$WAL_DIR" --listen 127.0.0.1:0 \
-  > "$SERVE_DIR/replica.log" 2>&1 &
-REPLICA_PID=$!
-for _ in $(seq 1 100); do
-  grep -q '^listening on ' "$SERVE_DIR/replica.log" 2>/dev/null && break
-  sleep 0.1
-done
-RPORT="$(sed -n 's/^listening on .*:\([0-9][0-9]*\)$/\1/p' "$SERVE_DIR/replica.log")"
-[ -n "$RPORT" ] || { echo "replica did not come up:"; cat "$SERVE_DIR/replica.log"; exit 1; }
-grep -q '^engine up (replica)' "$SERVE_DIR/replica.log" \
-  || { echo "replica not in follow mode"; cat "$SERVE_DIR/replica.log"; exit 1; }
-
+# The restarted primary answers the envelope and keeps taking appends.
 ENVELOPE_Q='{"v":1,"cmd":"query","req":{"query":"count(S) >= 4 & count(T) >= 4 & max(S.Price) <= min(T.Price)","support":{"frac":0.05}}}'
-ask() { # $1 = port; envelope query twice, keep the second reply so both
-        # sides answer from a warmed plan cache; wait_us zeroed (timing)
-  exec 6<>"/dev/tcp/127.0.0.1/$1"
-  printf '%s\n%s\n:quit\n' "$ENVELOPE_Q" "$ENVELOPE_Q" >&6
-  head -2 <&6 | tail -1 | sed 's/"wait_us":[0-9]*/"wait_us":0/'
-  exec 6<&- 6>&-
-}
-P_REPLY="$(ask "$PORT")"
-R_REPLY="$(ask "$RPORT")"
-echo "$P_REPLY" | grep -q '"pair_count"' || { echo "primary envelope query failed: $P_REPLY"; exit 1; }
-[ "$P_REPLY" = "$R_REPLY" ] \
-  || { echo "replica answer diverges:"; echo "  primary: $P_REPLY"; echo "  replica: $R_REPLY"; exit 1; }
-
-# The primary moves on; the replica tails the WAL and converges.
 exec 3<>"/dev/tcp/127.0.0.1/$PORT"
-printf ':append %s\n:quit\n' "$SERVE_DIR/delta.txt" >&3
-APPEND3="$(head -1 <&3)"
+printf '%s\n:append %s\n:quit\n' "$ENVELOPE_Q" "$SERVE_DIR/delta.txt" >&3
+read -r ENVELOPE_REPLY <&3
+read -r APPEND3 <&3
 exec 3<&- 3>&-
-echo "$APPEND3" | grep -q 'now epoch 3' || { echo "primary append failed: $APPEND3"; exit 1; }
-CAUGHT_UP=""
-for _ in $(seq 1 100); do
-  exec 6<>"/dev/tcp/127.0.0.1/$RPORT"
-  printf '{"v":1,"cmd":"status"}\n:quit\n' >&6
-  R_STATUS="$(head -1 <&6)"
-  exec 6<&- 6>&-
-  if echo "$R_STATUS" | grep -q '"epoch":3'; then CAUGHT_UP=1; break; fi
-  sleep 0.1
-done
-[ -n "$CAUGHT_UP" ] || { echo "replica never reached epoch 3: $R_STATUS"; exit 1; }
-P_REPLY="$(ask "$PORT")"
-R_REPLY="$(ask "$RPORT")"
-[ "$P_REPLY" = "$R_REPLY" ] \
-  || { echo "replica diverges after tailing:"; echo "  primary: $P_REPLY"; echo "  replica: $R_REPLY"; exit 1; }
-
-# Writes go to the primary, never the replica.
-exec 6<>"/dev/tcp/127.0.0.1/$RPORT"
-printf ':append %s\n:quit\n' "$SERVE_DIR/delta.txt" >&6
-R_APPEND="$(head -1 <&6)"
-exec 6<&- 6>&-
-echo "$R_APPEND" | grep -q 'read-only replica' \
-  || { echo "replica accepted a write: $R_APPEND"; exit 1; }
-
-kill -INT "$REPLICA_PID"
-wait "$REPLICA_PID" || { echo "replica exited non-zero on SIGINT"; cat "$SERVE_DIR/replica.log"; exit 1; }
-REPLICA_PID=""
+echo "$ENVELOPE_REPLY" | grep -q '"pair_count"' \
+  || { echo "restarted primary's envelope query failed: $ENVELOPE_REPLY"; exit 1; }
+echo "$APPEND3" | grep -q 'now epoch 3' || { echo "third append failed: $APPEND3"; exit 1; }
 kill -INT "$SERVE_PID"
 wait "$SERVE_PID" || { echo "durable serve exited non-zero on SIGINT"; cat "$SERVE_DIR/restart.log"; exit 1; }
 SERVE_PID=""
-echo "  replica bit-equal at epochs 2 and 3; writes correctly rejected"
 
 echo "== BENCH_substrate.json carries the backend comparison"
 grep -q '"config":"bitmap"' "$OUT/BENCH_substrate.json" \

@@ -1,12 +1,10 @@
-//! Crash-recovery and replication properties of the durable engine.
+//! Crash-recovery properties of the durable engine.
 //!
 //! The contract under test: an *acknowledged* `Engine::append` is on the
 //! fsynced WAL before the epoch swap makes it visible, so killing the
 //! process at any point and rebooting from the same directory recovers
-//! exactly the acknowledged state — and a `--follow` replica tailing the
-//! same WAL answers queries bit-equal to the primary.
+//! exactly the acknowledged state.
 
-use cfq::engine::wal::WalTailer;
 use cfq::prelude::*;
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -262,58 +260,42 @@ fn previous_snapshot_format_recovers_and_old_readers_refuse_the_new() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A `--follow` replica recovered from the primary's WAL answers
-/// bit-equal (modulo scheduler wait time) and stays bit-equal as it
-/// tails later appends; writing to it is rejected.
+/// Recovery falls back to the older of the two snapshot generations when
+/// the newest fails its checksum, and replays from there: the records it
+/// needs are in the WAL generation `wal::prune` keeps. Cadence 2 over
+/// five appends leaves snapshots at epochs 2 and 4 and segments starting
+/// at epochs 3 and 5.
 #[test]
-fn replica_answers_bit_equal_and_is_read_only() {
-    let dir = temp_dir("replica");
-    let primary_cfg = EngineConfig::builder().wal_dir(&dir).snapshot_every(0).build();
-    let primary = Engine::with_config(seed_db(), catalog(), primary_cfg).unwrap();
-    primary.append(TransactionDb::from_u32(6, &[&[0, 2, 4], &[1, 3, 5]])).unwrap();
-
-    let follower_cfg = EngineConfig::builder().wal_dir(&dir).follow(true).build();
-    let follower = Engine::with_config(seed_db(), catalog(), follower_cfg).unwrap();
-    assert_eq!(follower.epoch(), primary.epoch());
-
-    let bit_equal = |min_support: u64| {
-        let respond = |e: &Arc<Engine>| {
-            let out = e.session().query(QUERY).min_support(min_support).run().unwrap();
-            let mut r = QueryResponse::from_outcome(&out);
-            r.wait_us = 0; // scheduler wait is timing, not answer
-            r
-        };
-        let p = respond(&primary);
-        let f = respond(&follower);
-        assert_eq!(p.to_json(), f.to_json(), "support {min_support}");
-    };
-    bit_equal(2);
-
-    // The primary moves on; the replica tails the WAL and converges.
-    primary.append(TransactionDb::from_u32(6, &[&[2, 3], &[0, 1, 5]])).unwrap();
-    let mut tailer = WalTailer::new(&dir, follower.epoch() + 1);
-    let mut rounds = 0;
-    while follower.epoch() < primary.epoch() {
-        for rec in tailer.poll().unwrap() {
-            follower.replay_append(rec.delta).unwrap();
-        }
-        rounds += 1;
-        assert!(rounds < 100, "replica never caught up");
+fn newest_snapshot_corrupt_recovers_from_the_older_and_the_kept_wal() {
+    let dir = temp_dir("fallback");
+    let config = EngineConfig::builder().wal_dir(&dir).snapshot_every(2).build();
+    let durable = Engine::with_config(seed_db(), catalog(), config.clone()).unwrap();
+    let reference = Engine::new(seed_db(), catalog()).unwrap();
+    let _ = answer(&durable, 2); // the snapshots carry a lattice
+    let deltas: [&[&[u32]]; 5] =
+        [&[&[0, 1, 2]], &[&[3, 4, 5], &[0, 3]], &[&[1, 4]], &[&[2, 5], &[0, 1, 3]], &[&[2, 3, 4]]];
+    for rows in deltas {
+        durable.append(TransactionDb::from_u32(6, rows)).unwrap();
+        reference.append(TransactionDb::from_u32(6, rows)).unwrap();
     }
-    assert_eq!(follower.epoch(), primary.epoch());
-    bit_equal(2);
-    bit_equal(3);
-    assert!(follower.durability_stats().follow);
+    drop(durable);
 
-    let err = follower.append(TransactionDb::from_u32(6, &[&[0]])).unwrap_err();
-    assert!(err.to_string().contains("read-only replica"), "{err}");
-    let err = follower.snapshot_now().unwrap_err();
-    assert!(err.to_string().contains("primary"), "{err}");
+    let newest = cfq::engine::snapshot::snapshot_path(&dir, 4);
+    let mut bytes = std::fs::read(&newest).unwrap();
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0xff;
+    std::fs::write(&newest, bytes).unwrap();
+
+    let recovered = Engine::with_config(seed_db(), catalog(), config).unwrap();
+    let stats = recovered.durability_stats();
+    assert_eq!((stats.last_snapshot_epoch, stats.replayed_records), (2, 3));
+    assert_eq!(recovered.epoch(), reference.epoch());
+    assert_eq!(db_rows(&recovered.db()), db_rows(&reference.db()));
+    assert_eq!(answer(&recovered, 2), answer(&reference, 2));
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The builder covers every knob and `with_config` enforces the
-/// follow/wal-dir coherence rule.
+/// The builder covers every knob.
 #[test]
 fn builder_round_trips_and_validates() {
     let cfg = EngineConfig::builder()
@@ -326,7 +308,6 @@ fn builder_round_trips_and_validates() {
         .max_queued_queries(9)
         .wal_dir("/tmp/cfq-nowhere")
         .snapshot_every(5)
-        .follow(true)
         .build();
     assert_eq!(cfg.cache_budget_bytes, 1 << 20);
     assert_eq!(cfg.plan_cache_entries, 7);
@@ -337,13 +318,4 @@ fn builder_round_trips_and_validates() {
     assert_eq!(cfg.max_queued_queries, 9);
     assert_eq!(cfg.wal_dir.as_deref(), Some(std::path::Path::new("/tmp/cfq-nowhere")));
     assert_eq!(cfg.snapshot_every, 5);
-    assert!(cfg.follow);
-
-    let err = Engine::with_config(
-        seed_db(),
-        catalog(),
-        EngineConfig::builder().follow(true).build(),
-    )
-    .unwrap_err();
-    assert!(err.to_string().contains("follow"), "{err}");
 }
