@@ -10,17 +10,14 @@
 //! `CFQ_SEED`, `CFQ_SUPPORT` (relative support, default 0.004),
 //! `CFQ_THREADS` (counting threads, default 0 = all cores), `CFQ_TRIM`
 //! (per-level database trimming, default on; `0`/`off`/`false` disables).
-//! The `substrate` target additionally writes `BENCH_substrate.json`
-//! (path override: `CFQ_BENCH_OUT`); the `audit` target statically audits
-//! every workload plan and writes `BENCH_audit.json` (path override:
-//! `CFQ_AUDIT_OUT`); the `engine` target times cold/warm/FUP-upgraded
-//! session-engine runs and writes `BENCH_engine.json` (path override:
-//! `CFQ_ENGINE_OUT`).
+//! The `audit` target statically audits every workload plan and writes
+//! `BENCH_audit.json` (path override: `CFQ_AUDIT_OUT`). The system's own
+//! timings are not here: `benchmark/run.sh` measures the request path.
 
 use cfq_bench::experiments as exp;
 use cfq_bench::ExpEnv;
 
-const USAGE: &str = "usage: repro [fig8a|table-levels|table-ranges|fig8b|table-72|table-73|fig1|cap-suite|ablations|substrate|audit|engine|all]...";
+const USAGE: &str = "usage: repro [fig8a|table-levels|table-ranges|fig8b|table-72|table-73|fig1|cap-suite|ablations|audit|all]...";
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -40,7 +37,7 @@ fn main() {
     let targets: Vec<&str> = if args.is_empty() || args.iter().any(|a| a == "all") {
         vec![
             "fig1", "fig8a", "table-levels", "table-ranges", "fig8b", "table-72", "table-73",
-            "cap-suite", "ablations", "substrate", "audit", "engine",
+            "cap-suite", "ablations", "audit",
         ]
     } else {
         args.iter().map(|s| s.as_str()).collect()
@@ -48,9 +45,7 @@ fn main() {
     for t in targets {
         match t {
             "fig1" => exp::fig1().print(),
-            "substrate" => exp::substrate(&env).print(),
             "audit" => exp::audit(&env).print(),
-            "engine" => exp::engine(&env).print(),
             "fig8a" => exp::fig8a(&env).print(),
             "table-levels" => exp::table_levels(&env).print(),
             "table-ranges" => exp::table_ranges(&env).print(),

@@ -12,9 +12,7 @@ use cfq_constraints::{bind_query, classify_two, parse_query, BoundQuery, TwoVar}
 use cfq_core::{ExecutionOutcome, Optimizer, QueryEnv};
 use cfq_datagen::scenario::range_overlap_percent;
 use cfq_datagen::{QuestConfig, Scenario, ScenarioBuilder};
-use cfq_engine::Engine;
-use cfq_mining::CountingBackend;
-use cfq_types::{Catalog, ItemId, TransactionDb};
+use cfq_types::Catalog;
 use std::time::Instant;
 
 /// Experiment environment: workload scale and seeds, read once from the
@@ -555,346 +553,8 @@ pub fn cap_suite(e: &ExpEnv) -> Table {
     t
 }
 
-/// Aggregates scan extents by level: `[(level, rows, items)]`.
-fn levels_scanned(extents: &[cfq_mining::ScanExtent]) -> Vec<(usize, u64, u64)> {
-    let mut agg: std::collections::BTreeMap<usize, (u64, u64)> = std::collections::BTreeMap::new();
-    for x in extents {
-        let e = agg.entry(x.level).or_default();
-        e.0 += x.rows;
-        e.1 += x.items;
-    }
-    agg.into_iter().map(|(l, (r, i))| (l, r, i)).collect()
-}
-
 fn json_escape(s: &str) -> String {
     s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
-/// **E12 (mining substrate)** — end-to-end optimizer runs on the Fig. 8(a)
-/// (16.6% overlap) and Fig. 8(b) (40% Type overlap) workloads, comparing the
-/// untrimmed sequential substrate against per-level database trimming +
-/// parallel counting and against the `bitmap` and `auto` backends.
-/// Returns the report table and the machine-readable JSON document
-/// (`BENCH_substrate.json`).
-pub fn substrate_report(e: &ExpEnv) -> (Table, String) {
-    let mut t = Table::new(
-        "Mining substrate: per-level DB trimming + parallel counting vs untrimmed sequential",
-        &[
-            "workload", "config", "time", "counted", "rows scanned", "items scanned",
-            "KiB scanned", "trim dropped (rows/items)", "speedup",
-        ],
-    );
-    // The Fig. 8(a) workload runs at half the environment support so the
-    // lattice reaches level 3+: level 1 is always a full scan, so a 2-level
-    // run structurally caps the items-scanned reduction below 2x.
-    let workloads: Vec<(&str, Scenario, &str, u64)> = vec![
-        (
-            "fig8a_overlap16.6",
-            ScenarioBuilder::new(e.quest())
-                .split_uniform_prices((400.0, 1000.0), (0.0, 500.0))
-                .expect("scenario"),
-            "max(S.Price) <= min(T.Price)",
-            2,
-        ),
-        (
-            "fig8b_type_overlap40",
-            ScenarioBuilder::new(e.quest())
-                .typed_overlap(400.0, 600.0, TYPES_PER_SIDE, 40.0)
-                .expect("scenario"),
-            FIG8B_QUERY,
-            1,
-        ),
-    ];
-    let mut json_workloads: Vec<String> = Vec::new();
-    // At small scales the full matrix runs; at (or near) paper scale the
-    // untrimmed sequential baseline alone would dwarf the rest of the
-    // report's wall clock, so the trimmed horizontal config becomes the
-    // reference the backends are measured against.
-    let full_matrix = e.scale <= 0.25;
-    for (name, sc, query, support_div) in &workloads {
-        let support = (e.abs_support(sc.db.len()) / support_div).max(1);
-        let q = bind(query, &sc.catalog);
-        let mk_env = |trim: bool, threads: usize, backend: CountingBackend| {
-            QueryEnv::new(&sc.db, &sc.catalog, support)
-                .with_s_universe(sc.s_items.clone())
-                .with_t_universe(sc.t_items.clone())
-                .with_trim(trim)
-                .with_counting_threads(threads)
-                .with_backend(backend)
-        };
-        let mut runs: Vec<(&str, f64, ExecutionOutcome)> = Vec::new();
-        if full_matrix {
-            let (base, tb) =
-                timed(&Optimizer::default(), &q, &mk_env(false, 1, CountingBackend::Horizontal));
-            runs.push(("untrimmed_sequential", tb, base));
-        }
-        let (opt, to) = timed(
-            &Optimizer::default(),
-            &q,
-            &mk_env(true, e.threads, CountingBackend::Horizontal),
-        );
-        let trimmed_wall = to;
-        runs.push(("trimmed_parallel", to, opt));
-        for (cfg, backend) in
-            [("bitmap", CountingBackend::Bitmap), ("auto", CountingBackend::Auto)]
-        {
-            let (out, wall) = timed(&Optimizer::default(), &q, &mk_env(true, e.threads, backend));
-            runs.push((cfg, wall, out));
-        }
-        let (baseline_wall, base) = (runs[0].1, &runs[0].2);
-        for (cfg, _, out) in &runs[1..] {
-            assert_eq!(
-                base.pair_result.count, out.pair_result.count,
-                "{name}/{cfg}: answers must agree"
-            );
-            assert_eq!(base.s_sets, out.s_sets, "{name}/{cfg}: S answers must agree");
-            assert_eq!(base.t_sets, out.t_sets, "{name}/{cfg}: T answers must agree");
-        }
-        let base_items_scanned = base.scan.items_scanned;
-
-        let mut json_configs: Vec<String> = Vec::new();
-        for (i, (cfg, wall, out)) in runs.iter().enumerate() {
-            let (cfg, wall) = (*cfg, *wall);
-            let sp = if i == 0 { "1.00x".to_string() } else { speedup(baseline_wall, wall) };
-            t.row(vec![
-                name.to_string(),
-                cfg.to_string(),
-                secs(wall),
-                counted(out).to_string(),
-                out.scan.rows_scanned.to_string(),
-                out.scan.items_scanned.to_string(),
-                format!("{:.1}", out.scan.bytes_scanned() as f64 / 1024.0),
-                format!("{}/{}", out.scan.trim_rows_dropped, out.scan.trim_items_dropped),
-                sp,
-            ]);
-            let levels: Vec<String> = levels_scanned(&out.scan.extents)
-                .into_iter()
-                .map(|(l, r, i)| format!("{{\"level\":{l},\"rows\":{r},\"items\":{i}}}"))
-                .collect();
-            json_configs.push(format!(
-                concat!(
-                    "{{\"config\":\"{}\",\"wall_clock_s\":{:.6},\"candidates_counted\":{},",
-                    "\"rows_scanned\":{},\"items_scanned\":{},\"bytes_scanned\":{},",
-                    "\"trim_passes\":{},\"trim_rows_dropped\":{},\"trim_items_dropped\":{},",
-                    "\"pairs\":{},\"speedup_vs_trimmed_parallel\":{:.3},\"levels\":[{}]}}"
-                ),
-                cfg,
-                wall,
-                counted(out),
-                out.scan.rows_scanned,
-                out.scan.items_scanned,
-                out.scan.bytes_scanned(),
-                out.scan.trim_passes,
-                out.scan.trim_rows_dropped,
-                out.scan.trim_items_dropped,
-                out.pair_result.count,
-                trimmed_wall / wall.max(1e-9),
-                levels.join(","),
-            ));
-        }
-        let trimmed_items = runs
-            .iter()
-            .find(|r| r.0 == "trimmed_parallel")
-            .map(|r| r.2.scan.items_scanned)
-            .unwrap_or(base_items_scanned);
-        let reduction = base_items_scanned as f64 / (trimmed_items.max(1)) as f64;
-        json_workloads.push(format!(
-            concat!(
-                "{{\"workload\":\"{}\",\"query\":\"{}\",\"transactions\":{},\"support\":{},",
-                "\"configs\":[{}],\"speedup\":{:.3},\"items_scanned_reduction\":{:.3}}}"
-            ),
-            json_escape(name),
-            json_escape(query),
-            sc.db.len(),
-            support,
-            json_configs.join(","),
-            baseline_wall / trimmed_wall.max(1e-9),
-            reduction,
-        ));
-    }
-    let json = format!(
-        concat!(
-            "{{\"bench\":\"substrate\",\"scale\":{},\"seed\":{},\"support_frac\":{},",
-            "\"threads\":{},\"workloads\":[{}]}}\n"
-        ),
-        e.scale,
-        e.seed,
-        e.support_frac,
-        e.threads,
-        json_workloads.join(","),
-    );
-    (t, json)
-}
-
-/// Runs [`substrate_report`] and writes the JSON document to
-/// `BENCH_substrate.json` (override the path with `CFQ_BENCH_OUT`).
-pub fn substrate(e: &ExpEnv) -> Table {
-    let (t, json) = substrate_report(e);
-    let path =
-        std::env::var("CFQ_BENCH_OUT").unwrap_or_else(|_| "BENCH_substrate.json".to_string());
-    match std::fs::write(&path, &json) {
-        Ok(()) => eprintln!("wrote {path}"),
-        Err(err) => eprintln!("could not write {path}: {err}"),
-    }
-    t
-}
-
-/// **E14 (session engine)** — the Fig. 8(a) and Fig. 8(b) workloads run
-/// through the long-lived session [`Engine`]: a cold first evaluation
-/// (mines and caches the per-side lattices), a warm identical re-run
-/// (must answer with **zero** database scans), a delta append (FUP
-/// upgrades the cached lattices in place), and a warm re-run at the new
-/// epoch. Every engine answer is cross-checked against the one-shot
-/// optimizer on the same database. Returns the report table and the
-/// machine-readable JSON document (`BENCH_engine.json`).
-pub fn engine_report(e: &ExpEnv) -> (Table, String) {
-    let mut t = Table::new(
-        "Session engine: cold mine vs warm cache vs FUP upgrade on append",
-        &[
-            "workload", "cold", "warm", "append+FUP", "warm@epoch1", "warm scans",
-            "pairs", "warm speedup",
-        ],
-    );
-    let workloads: Vec<(&str, Scenario, &str)> = vec![
-        (
-            "fig8a_overlap16.6",
-            ScenarioBuilder::new(e.quest())
-                .split_uniform_prices((400.0, 1000.0), (0.0, 500.0))
-                .expect("scenario"),
-            "max(S.Price) <= min(T.Price)",
-        ),
-        (
-            "fig8b_type_overlap40",
-            ScenarioBuilder::new(e.quest())
-                .typed_overlap(400.0, 600.0, TYPES_PER_SIDE, 40.0)
-                .expect("scenario"),
-            FIG8B_QUERY,
-        ),
-    ];
-    let mut json_workloads: Vec<String> = Vec::new();
-    for (name, sc, query) in workloads {
-        // 90/10 base/delta split: the engine starts on the base and the
-        // delta arrives later as an append.
-        let rows: Vec<Vec<ItemId>> = sc.db.iter().map(|r| r.to_vec()).collect();
-        let cut = (rows.len() * 9 / 10).max(1);
-        let base = TransactionDb::new(sc.db.n_items(), rows[..cut].to_vec()).expect("base split");
-        let delta = TransactionDb::new(sc.db.n_items(), rows[cut..].to_vec()).expect("delta split");
-        let combined = base.concat(&delta).expect("combined db");
-        let support = e.abs_support(base.len());
-
-        let engine = Engine::new(base.clone(), sc.catalog).expect("engine");
-        let session = engine.session();
-        let catalog = engine.catalog();
-        let run = |label: &str| {
-            let start = Instant::now();
-            let out = session
-                .query(query)
-                .min_support(support)
-                .s_universe(sc.s_items.clone())
-                .t_universe(sc.t_items.clone())
-                .counting_threads(e.threads)
-                .trim(e.trim)
-                .run()
-                .expect(label);
-            let wall = start.elapsed().as_secs_f64();
-            (out, wall)
-        };
-        let reference = |db: &TransactionDb| {
-            let q = bind(query, &catalog);
-            let env = QueryEnv::new(db, &catalog, support)
-                .with_s_universe(sc.s_items.clone())
-                .with_t_universe(sc.t_items.clone())
-                .with_counting_threads(e.threads)
-                .with_trim(e.trim);
-            Optimizer::default().evaluate(&q, &env).expect("reference run")
-        };
-
-        let (cold, t_cold) = run("cold run");
-        let base_ref = reference(&base);
-        assert_eq!(cold.outcome.pair_result.count, base_ref.pair_result.count, "{name}: cold");
-        assert_eq!(cold.outcome.s_sets, base_ref.s_sets, "{name}: cold S answers");
-        assert_eq!(cold.outcome.t_sets, base_ref.t_sets, "{name}: cold T answers");
-
-        let (warm, t_warm) = run("warm run");
-        assert_eq!(warm.outcome.db_scans, 0, "{name}: warm re-run must not scan the database");
-        assert_eq!(warm.outcome.pair_result.count, cold.outcome.pair_result.count, "{name}: warm");
-
-        let start = Instant::now();
-        let info = engine.append(delta).expect("append");
-        let t_append = start.elapsed().as_secs_f64();
-        assert!(info.upgraded_lattices > 0, "{name}: append should FUP-upgrade cached lattices");
-
-        let (after, t_after) = run("warm run after append");
-        assert_eq!(after.epoch, 1, "{name}: post-append run sees the new epoch");
-        assert_eq!(after.outcome.db_scans, 0, "{name}: FUP-upgraded cache must serve scan-free");
-        let combined_ref = reference(&combined);
-        assert_eq!(after.outcome.pair_result.count, combined_ref.pair_result.count, "{name}");
-        assert_eq!(after.outcome.s_sets, combined_ref.s_sets, "{name}: post-append S answers");
-        assert_eq!(after.outcome.t_sets, combined_ref.t_sets, "{name}: post-append T answers");
-
-        let stats = engine.cache_stats();
-        t.row(vec![
-            name.to_string(),
-            secs(t_cold),
-            secs(t_warm),
-            secs(t_append),
-            secs(t_after),
-            warm.outcome.db_scans.to_string(),
-            cold.outcome.pair_result.count.to_string(),
-            speedup(t_cold, t_warm),
-        ]);
-        json_workloads.push(format!(
-            concat!(
-                "{{\"workload\":\"{}\",\"query\":\"{}\",\"transactions\":{},\"delta\":{},",
-                "\"support\":{},\"pairs\":{},\"cold_s\":{:.6},\"warm_s\":{:.6},",
-                "\"append_fup_s\":{:.6},\"warm_after_append_s\":{:.6},\"warm_db_scans\":{},",
-                "\"warm_after_append_db_scans\":{},\"upgraded_lattices\":{},",
-                "\"old_db_recounts\":{},\"lattice_hits\":{},\"scans_saved\":{},",
-                "\"warm_speedup\":{:.3}}}"
-            ),
-            json_escape(name),
-            json_escape(query),
-            info.transactions,
-            info.transactions - base.len(),
-            support,
-            cold.outcome.pair_result.count,
-            t_cold,
-            t_warm,
-            t_append,
-            t_after,
-            warm.outcome.db_scans,
-            after.outcome.db_scans,
-            info.upgraded_lattices,
-            info.old_db_recounts,
-            stats.lattice_hits,
-            stats.scans_saved,
-            t_cold / t_warm.max(1e-9),
-        ));
-    }
-    let json = format!(
-        concat!(
-            "{{\"bench\":\"engine\",\"scale\":{},\"seed\":{},\"support_frac\":{},",
-            "\"threads\":{},\"workloads\":[{}]}}\n"
-        ),
-        e.scale,
-        e.seed,
-        e.support_frac,
-        e.threads,
-        json_workloads.join(","),
-    );
-    (t, json)
-}
-
-/// Runs [`engine_report`] and writes the JSON document to
-/// `BENCH_engine.json` (override the path with `CFQ_ENGINE_OUT`).
-pub fn engine(e: &ExpEnv) -> Table {
-    let (t, json) = engine_report(e);
-    let path = std::env::var("CFQ_ENGINE_OUT").unwrap_or_else(|_| "BENCH_engine.json".to_string());
-    match std::fs::write(&path, &json) {
-        Ok(()) => eprintln!("wrote {path}"),
-        Err(err) => eprintln!("could not write {path}: {err}"),
-    }
-    t
 }
 
 /// **E13 (plan soundness audit)** — statically audits the optimizer plans
@@ -1003,52 +663,6 @@ mod tests {
             assert!(json.contains(key), "JSON missing {key}: {json}");
         }
         assert!(!json.contains("\"sound\": false"));
-    }
-
-    #[test]
-    fn substrate_report_is_consistent() {
-        // Tiny workload: the report must agree between configs and the JSON
-        // document must carry the headline counters.
-        let e = ExpEnv { scale: 0.01, threads: 2, ..ExpEnv::default() };
-        let (t, json) = substrate_report(&e);
-        assert_eq!(t.rows.len(), 8, "two workloads x four configs");
-        for key in [
-            "\"bench\":\"substrate\"",
-            "\"workload\":\"fig8a_overlap16.6\"",
-            "\"workload\":\"fig8b_type_overlap40\"",
-            "\"config\":\"untrimmed_sequential\"",
-            "\"config\":\"trimmed_parallel\"",
-            "\"config\":\"bitmap\"",
-            "\"config\":\"auto\"",
-            "\"speedup_vs_trimmed_parallel\"",
-            "\"items_scanned_reduction\"",
-            "\"levels\":[{\"level\":2,",
-        ] {
-            assert!(json.contains(key), "JSON missing {key}: {json}");
-        }
-        // The untrimmed config never drops anything.
-        assert!(json.contains("\"trim_passes\":0"));
-    }
-
-    #[test]
-    fn engine_report_is_scan_free_when_warm() {
-        let e = ExpEnv { scale: 0.01, ..ExpEnv::default() };
-        let (t, json) = engine_report(&e);
-        assert_eq!(t.rows.len(), 2, "two workloads, one row each");
-        for key in [
-            "\"bench\":\"engine\"",
-            "\"workload\":\"fig8a_overlap16.6\"",
-            "\"workload\":\"fig8b_type_overlap40\"",
-            "\"warm_db_scans\":0",
-            "\"warm_after_append_db_scans\":0",
-            "\"cold_s\"",
-            "\"append_fup_s\"",
-            "\"upgraded_lattices\"",
-            "\"scans_saved\"",
-        ] {
-            assert!(json.contains(key), "JSON missing {key}: {json}");
-        }
-        assert!(!json.contains("\"warm_db_scans\":1"), "warm runs must never scan");
     }
 
     #[test]

@@ -9,16 +9,14 @@
 //! * [`table`] — report rendering.
 //!
 //! The `repro` binary drives the runners
-//! (`cargo run -p cfq-bench --release --bin repro -- all`); the criterion
-//! benches (`cargo bench`) measure the headline configurations with
-//! statistical rigor.
+//! (`cargo run -p cfq-bench --release --bin repro -- all`). The system's
+//! own timings (request path, layers, workloads) are `benchmark/`'s.
 
 pub mod experiments;
 pub mod table;
 
 pub use experiments::{
     ablation_bound_tightness, ablation_dovetail, ablation_layers, audit, audit_report, cap_suite,
-    fig1, fig8a, fig8b, substrate, substrate_report, table_72, table_73, table_levels,
-    table_ranges, ExpEnv,
+    fig1, fig8a, fig8b, table_72, table_73, table_levels, table_ranges, ExpEnv,
 };
 pub use table::Table;

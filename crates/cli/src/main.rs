@@ -16,7 +16,6 @@
 mod args;
 mod check;
 mod commands;
-mod loadgen;
 mod serve;
 
 use cfq_types::Result;
@@ -33,7 +32,6 @@ commands:
   stats        summarize a transaction database
   repl         interactive session over a long-lived caching engine
   serve        line-protocol TCP server; all connections share one engine
-  loadgen      replay seeded adversarial CFQ scenarios against a live serve
   model        exhaustively model-check the engine's concurrency protocols
   lint         token-level lint of the workspace sources (invariant pass)
 
@@ -55,7 +53,6 @@ fn main() {
         "stats" => commands::stats(argv),
         "repl" => serve::repl(argv),
         "serve" => serve::serve(argv),
-        "loadgen" => loadgen::loadgen(argv),
         "model" => check::model(argv),
         "lint" => check::lint(argv),
         other => {

@@ -542,6 +542,68 @@ mod tests {
                 "parse",
                 "error",
             ),
+            // The adversarial corpus: every line envelope-shaped, so every
+            // reply is a typed JSON error, never prose.
+            (r#"{"v":1,"cmd":"query""#, "protocol", "not valid JSON"),
+            (r#"{"v":1}"#, "protocol", "string `cmd` field"),
+            (r#"{"v":1,"cmd":7}"#, "protocol", "string `cmd` field"),
+            (r#"{"v":1,"cmd":"status","cmd":"snapshot"}"#, "protocol", "`cmd` is given twice"),
+            (r#"{"v":1,"cmd":"reboot"}"#, "unknown_command", "unknown command `reboot`"),
+            (r#"{"v":1,"cmd":"query","extra":1}"#, "protocol", "unknown envelope field `extra`"),
+            (r#"{}"#, "protocol", "numeric `v` field"),
+            (r#"{"v":1.5,"cmd":"status"}"#, "protocol", "numeric `v` field"),
+            (r#"{"v":true,"cmd":"query"}"#, "protocol", "numeric `v` field"),
+            (r#"{"v":1,"cmd":"query","req":[]}"#, "parse", "must be a JSON object"),
+            (
+                r#"{"v":1,"cmd":"query","req":{"quary":"x"}}"#,
+                "parse",
+                "unknown request field `quary`",
+            ),
+            (
+                r#"{"v":1,"cmd":"query","req":{"query":"count(S) >= 1","shards":0}}"#,
+                "parse",
+                "unknown request field `shards`",
+            ),
+            (
+                r#"{"v":1,"cmd":"query","req":{"query":"count(S) >= 1","backend":"vertical"}}"#,
+                "parse",
+                "unknown backend `vertical`",
+            ),
+            (
+                r#"{"v":1,"cmd":"query","req":{"query":"count(S) >= 1","strategy":"warp"}}"#,
+                "parse",
+                "unknown strategy `warp`",
+            ),
+            (
+                r#"{"v":1,"cmd":"query","req":{"query":"count(S) >= 1","max_level":true}}"#,
+                "parse",
+                "`max_level` must be a non-negative integer",
+            ),
+            (
+                r#"{"v":1,"cmd":"query","req":{"query":"max(S.Price <= 10","support":0.25}}"#,
+                "parse",
+                "expected `)`",
+            ),
+            (
+                r#"{"v":1,"cmd":"query","req":{"query":"   ","support":0.25}}"#,
+                "config",
+                "non-empty CFQ conjunction",
+            ),
+            (
+                r#"{"v":1,"cmd":"query","req":{"query":"count(S) >= 1","support":0}}"#,
+                "config",
+                "support fraction 0 is outside",
+            ),
+            (
+                r#"{"v":1,"cmd":"query","req":{"query":"count(S) >= 1","support":1.5}}"#,
+                "config",
+                "support fraction 1.5 is outside",
+            ),
+            (
+                r#"{"v":1,"cmd":"query","req":{"query":"count(S) >= 1","support":{"s":0,"t":2}}}"#,
+                "config",
+                "absolute minimum support must be at least 1",
+            ),
         ] {
             let reply = handle_line(&mut state, line).unwrap();
             let v = json::parse(&reply)

@@ -315,6 +315,7 @@ proptest! {
         let _ = run();
         let info = engine.append(delta).unwrap();
         prop_assert_eq!(info.epoch, 1);
+        prop_assert!(info.upgraded_lattices > 0, "`{}`: the append upgraded no lattice", query);
 
         let upgraded = run();
         prop_assert_eq!(upgraded.epoch, 1, "query `{}` should see the new epoch", query);
