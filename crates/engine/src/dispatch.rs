@@ -93,12 +93,27 @@ impl Dispatcher {
     /// query and command errors are rendered into the reply, because a
     /// bad query must not kill a shared server loop.
     pub fn handle(&mut self, line: &str, out: &mut impl Write) -> io::Result<bool> {
+        self.handle_on(line, out, |_| Duration::ZERO)
+    }
+
+    /// [`handle`](Dispatcher::handle) into an `out` that may wait on a
+    /// socket before a reply is complete — a served connection's buffer,
+    /// which hands every full chunk of a large reply on at once.
+    /// `waited(out)` is how long `out` has waited so far; what a reply
+    /// waits while it is encoded is left out of the `encode` stage, and
+    /// is the caller's to count as `write`.
+    pub fn handle_on<W: Write>(
+        &mut self,
+        line: &str,
+        out: &mut W,
+        waited: fn(&W) -> Duration,
+    ) -> io::Result<bool> {
         let line = line.trim();
         if line == ":quit" || line == ":q" {
             return Ok(false);
         }
         if looks_like_envelope(line) {
-            self.envelope(line, out)?;
+            self.envelope(line, out, waited)?;
         } else if !line.is_empty() {
             match self.operator(line) {
                 Ok(reply) => writeln!(out, "{reply}")?,
@@ -236,7 +251,12 @@ impl Dispatcher {
     /// line to `out` — `{"v":1,"result":...}` or a typed error object. An
     /// answered query is encoded from its outcome straight into `out`;
     /// every other reply is small and goes through a `String`.
-    fn envelope(&mut self, line: &str, out: &mut impl Write) -> io::Result<()> {
+    fn envelope<W: Write>(
+        &mut self,
+        line: &str,
+        out: &mut W,
+        waited: fn(&W) -> Duration,
+    ) -> io::Result<()> {
         let engine = self.pool.engine();
         let reply = match wire::parse_envelope(line) {
             Err(e) => {
@@ -245,9 +265,10 @@ impl Dispatcher {
             }
             Ok(wire::WireCmd::Query(req)) => match self.run_request(&req) {
                 Ok((outcome, _)) => {
-                    let start = Instant::now();
+                    let (start, before) = (Instant::now(), waited(out));
                     wire::write_query_reply(out, &outcome)?;
-                    self.metrics.stage_seconds.encode.observe(start.elapsed().as_secs_f64());
+                    let encode = start.elapsed().saturating_sub(waited(out) - before);
+                    self.metrics.stage_seconds.encode.observe(encode.as_secs_f64());
                     return Ok(());
                 }
                 Err(e) => wire::error_from(&e),

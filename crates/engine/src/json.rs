@@ -9,7 +9,7 @@
 //! on whitespace.
 
 use cfq_types::{CfqError, Result};
-use std::io::{self, Write};
+use std::io;
 
 /// Deepest nesting of arrays and objects [`parse`] accepts. The wire
 /// protocol needs three levels (envelope, `req`, `support`); the parser is
@@ -123,7 +123,7 @@ const CONTROL_ESCAPES: &str = "\\u0000\\u0001\\u0002\\u0003\\u0004\\u0005\\u0006
 
 /// Feeds `s` as a JSON string literal (with quotes) to `emit`, piece by
 /// piece: runs that need no escaping, and the escapes between them.
-fn escaped(s: &str, mut emit: impl FnMut(&str) -> io::Result<()>) -> io::Result<()> {
+pub(crate) fn escaped(s: &str, mut emit: impl FnMut(&str) -> io::Result<()>) -> io::Result<()> {
     emit("\"")?;
     let mut start = 0;
     for (i, b) in s.bytes().enumerate() {
@@ -154,11 +154,6 @@ pub fn write_escaped(out: &mut String, s: &str) {
     });
 }
 
-/// [`write_escaped`] into a byte sink.
-pub fn write_escaped_to(out: &mut impl Write, s: &str) -> io::Result<()> {
-    escaped(s, |piece| out.write_all(piece.as_bytes()))
-}
-
 /// The decimal digits of 00..=99, two bytes each.
 const DIGIT_PAIRS: &[u8; 200] = b"0001020304050607080910111213141516171819\
 2021222324252627282930313233343536373839\
@@ -166,27 +161,29 @@ const DIGIT_PAIRS: &[u8; 200] = b"0001020304050607080910111213141516171819\
 6061626364656667686970717273747576777879\
 8081828384858687888990919293949596979899";
 
-/// Writes `n` in decimal to `out`, two digits per table lookup — the
-/// result encoder writes hundreds of thousands of small integers per
-/// reply, which is where `core::fmt` spent half of a warm request.
-pub fn write_u64(out: &mut impl Write, mut n: u64) -> io::Result<()> {
-    let mut buf = [0u8; 20];
-    let mut at = buf.len();
+/// Writes `n` in decimal at the start of `out`, two digits per table
+/// lookup, and returns how many bytes that took (1 to 20). The length is
+/// known before the first digit, so the digits go straight to where they
+/// belong: the result encoder stores hundreds of thousands of integers a
+/// reply.
+#[inline]
+pub(crate) fn put_u64(out: &mut [u8], mut n: u64) -> usize {
+    let len = n.checked_ilog10().map_or(1, |log| log as usize + 1);
+    let digits = &mut out[..len];
+    let mut at = len;
     while n >= 100 {
         let pair = (n % 100) as usize * 2;
         n /= 100;
         at -= 2;
-        buf[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+        digits[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
     }
     if n >= 10 {
         let pair = n as usize * 2;
-        at -= 2;
-        buf[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+        digits[..2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
     } else {
-        at -= 1;
-        buf[at] = b'0' + n as u8;
+        digits[0] = b'0' + n as u8;
     }
-    out.write_all(&buf[at..])
+    len
 }
 
 struct Parser<'a> {
@@ -474,9 +471,10 @@ mod tests {
             0u64, 9, 10, 99, 100, 999, 1000, 9_999, 10_000, 12_345, 99_999, 100_000,
             u32::MAX as u64, u32::MAX as u64 + 1, u64::MAX - 1, u64::MAX,
         ] {
-            let mut out = b"x".to_vec();
-            write_u64(&mut out, n).unwrap();
-            assert_eq!(String::from_utf8(out).unwrap(), format!("x{n}"));
+            let mut out = [b'x'; 22];
+            let len = put_u64(&mut out[1..], n);
+            assert_eq!(std::str::from_utf8(&out[..1 + len]).unwrap(), format!("x{n}"));
+            assert_eq!(out[1 + len], b'x', "{n}: nothing written past the digits");
         }
     }
 
@@ -486,7 +484,11 @@ mod tests {
         let mut text = String::new();
         write_escaped(&mut text, &all);
         let mut bytes = Vec::new();
-        write_escaped_to(&mut bytes, &all).unwrap();
+        escaped(&all, |piece| {
+            bytes.extend_from_slice(piece.as_bytes());
+            Ok(())
+        })
+        .unwrap();
         assert_eq!(text.as_bytes(), bytes.as_slice());
         assert!(text.contains("\\u0001") && text.contains("\\u001f") && text.contains("\\n"));
         assert_eq!(parse(&text).unwrap().as_str().unwrap(), all);

@@ -84,12 +84,13 @@ pub struct StageSeconds {
     pub t_lattice: Arc<Histogram>,
     /// Pair formation and compaction.
     pub pairs: Arc<Histogram>,
-    /// Outcome to reply bytes (envelope queries) — including, for a reply
-    /// larger than the connection's buffer, the chunks that went to the
-    /// socket on the way.
+    /// Outcome to reply bytes (envelope queries), less the time a reply
+    /// larger than the connection's buffer waits on the socket while it
+    /// is being encoded.
     pub encode: Arc<Histogram>,
-    /// Flushing what is left of a reply to the socket (every reply on a
-    /// served connection).
+    /// Handing a reply to the socket (every reply on a served
+    /// connection): the chunks of a large one that leave while it is
+    /// encoded, and the final flush.
     pub write: Arc<Histogram>,
 }
 

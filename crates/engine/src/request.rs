@@ -480,52 +480,215 @@ struct ResultBody<'a, S, T> {
     wait_us: u64,
 }
 
-impl<S, T: Copy + Into<u32>> ResultBody<'_, S, T> {
-    fn write(&self, w: &mut impl Write) -> io::Result<()> {
-        w.write_all(b"{\"epoch\":")?;
-        json::write_u64(w, self.epoch)?;
-        w.write_all(b",\"pair_count\":")?;
-        json::write_u64(w, self.pair_count)?;
-        w.write_all(b",\"pairs\":[")?;
-        for (i, &(s, t)) in self.pairs.iter().enumerate() {
-            w.write_all(if i > 0 { b",[" } else { b"[" })?;
-            json::write_u64(w, u64::from(s))?;
-            w.write_all(b",")?;
-            json::write_u64(w, u64::from(t))?;
-            w.write_all(b"]")?;
+/// Bytes of reply [`ResultBody::write`] gathers on its stack before handing
+/// them to the sink: the serve path's `REPLY_CHUNK`, so that a full block
+/// passes a connection's buffer straight on to the socket instead of being
+/// copied into it.
+const BLOCK: usize = 64 << 10;
+
+/// Room past [`BLOCK`] for what is stored between two checks for a full
+/// block: a pair's two 16-byte index texts, or an integer with the bytes
+/// around it.
+const SLACK: usize = 64;
+
+/// A pre-rendered piece of a pair, `,[s,` or `t]`, in one 16-byte store:
+/// the text from byte 0, its length in byte 15. A `u32` index with its
+/// brackets and commas takes at most 13 bytes, so the two never meet.
+type IndexText = [u8; 16];
+
+/// `prefix`, `n` in decimal, `suffix`, as an [`IndexText`].
+fn index_text(prefix: &[u8], n: u32, suffix: &[u8]) -> IndexText {
+    let mut text = [0; 16];
+    text[..prefix.len()].copy_from_slice(prefix);
+    let mut len = prefix.len();
+    len += json::put_u64(&mut text[len..], u64::from(n));
+    text[len..len + suffix.len()].copy_from_slice(suffix);
+    text[15] = (len + suffix.len()) as u8;
+    text
+}
+
+/// The texts of the S side's indices, `,[s,`.
+fn s_text(s: u32) -> IndexText {
+    index_text(b",[", s, b",")
+}
+
+/// The texts of the T side's indices, `t]`.
+fn t_text(t: u32) -> IndexText {
+    index_text(b"", t, b"]")
+}
+
+/// One side's [`IndexText`]s for one reply: one per set in its list, and
+/// one rendered afresh for an index past it — a hand-built
+/// [`QueryResponse`] may hold one, and it encodes like any other.
+struct IndexTexts {
+    table: Vec<IndexText>,
+    render: fn(u32) -> IndexText,
+}
+
+impl IndexTexts {
+    fn new(sets: usize, render: fn(u32) -> IndexText) -> IndexTexts {
+        IndexTexts { table: (0..sets).map(|i| render(i as u32)).collect(), render }
+    }
+
+    /// The text of index `i`, rendered into `spare` if it has none.
+    #[inline]
+    fn get<'t>(&'t self, i: u32, spare: &'t mut IndexText) -> &'t IndexText {
+        match self.table.get(i as usize) {
+            Some(text) => text,
+            None => {
+                *spare = (self.render)(i);
+                spare
+            }
         }
-        w.write_all(b"]")?;
-        for (key, sets) in [("s_sets", self.s_sets), ("t_sets", self.t_sets)] {
-            w.write_all(b",\"")?;
-            w.write_all(key.as_bytes())?;
-            w.write_all(b"\":[")?;
+    }
+}
+
+/// The encoder's block: `buf` holds `len` bytes not yet handed to `sink`.
+/// [`Block::put`] and [`Block::room`] leave `len < BLOCK`, so the stores
+/// that follow one of them fit without a check of their own as long as
+/// they add up to at most [`SLACK`] bytes; a slice bounds check stands
+/// behind every store all the same.
+struct Block<'a> {
+    buf: &'a mut [u8; BLOCK + SLACK],
+    len: usize,
+    sink: &'a mut dyn Write,
+}
+
+impl Block<'_> {
+    /// Hands the block to the sink once it holds [`BLOCK`] bytes, which
+    /// makes room for the next [`SLACK`].
+    #[inline]
+    fn room(&mut self) -> io::Result<()> {
+        if self.len >= BLOCK {
+            self.sink.write_all(&self.buf[..self.len])?;
+            self.len = 0;
+        }
+        Ok(())
+    }
+
+    /// Appends `bytes`, however many, after whatever unchecked stores
+    /// came before, and leaves room for the next.
+    #[inline]
+    fn put(&mut self, bytes: &[u8]) -> io::Result<()> {
+        for piece in bytes.chunks(SLACK) {
+            self.room()?;
+            self.buf[self.len..self.len + piece.len()].copy_from_slice(piece);
+            self.len += piece.len();
+        }
+        self.room()
+    }
+
+    /// Stores pairs, each as its S text and its T text, until the block
+    /// is full or they run out, and returns the ones left. A text is one
+    /// 16-byte store, of which the bytes that count are kept.
+    #[inline]
+    fn pairs<'p>(
+        &mut self,
+        mut pairs: &'p [(u32, u32)],
+        s_texts: &IndexTexts,
+        t_texts: &IndexTexts,
+    ) -> &'p [(u32, u32)] {
+        let buf = &mut *self.buf;
+        let mut len = self.len;
+        let mut spare = [0; 16];
+        while let [(s, t), rest @ ..] = pairs {
+            if len >= BLOCK {
+                break;
+            }
+            let text = s_texts.get(*s, &mut spare);
+            buf[len..len + 16].copy_from_slice(text);
+            len += usize::from(text[15]);
+            let text = t_texts.get(*t, &mut spare);
+            buf[len..len + 16].copy_from_slice(text);
+            len += usize::from(text[15]);
+            pairs = rest;
+        }
+        self.len = len;
+        pairs
+    }
+
+    /// Stores `n` in decimal (at most 20 bytes).
+    #[inline]
+    fn digits(&mut self, n: u64) {
+        self.len += json::put_u64(&mut self.buf[self.len..], n);
+    }
+
+    /// Stores one byte.
+    #[inline]
+    fn byte(&mut self, b: u8) {
+        self.buf[self.len] = b;
+        self.len += 1;
+    }
+
+    /// Hands what is left to the sink.
+    fn finish(self) -> io::Result<()> {
+        self.sink.write_all(&self.buf[..self.len])
+    }
+}
+
+impl<S, T: Copy + Into<u32>> ResultBody<'_, S, T> {
+    /// Encodes the body into `w`, block by block. A pair costs two
+    /// fixed-width stores: its S index's `,[s,` and its T index's `t]`,
+    /// rendered once per reply into tables as long as the set lists, and
+    /// only when there is a pair to write.
+    fn write(&self, w: &mut dyn Write) -> io::Result<()> {
+        let mut buf = [0; BLOCK + SLACK];
+        let mut out = Block { buf: &mut buf, len: 0, sink: w };
+        out.put(b"{\"epoch\":")?;
+        out.digits(self.epoch);
+        out.put(b",\"pair_count\":")?;
+        out.digits(self.pair_count);
+        out.put(b",\"pairs\":")?;
+        if self.pairs.is_empty() {
+            out.put(b"[]")?;
+        } else {
+            let s_texts = IndexTexts::new(self.s_sets.len(), s_text);
+            let t_texts = IndexTexts::new(self.t_sets.len(), t_text);
+            let open = out.len;
+            let mut left = out.pairs(self.pairs, &s_texts, &t_texts);
+            // Every pair is stored as `,[s,t]`: the first one's comma
+            // opens the list.
+            out.buf[open] = b'[';
+            while !left.is_empty() {
+                out.room()?;
+                left = out.pairs(left, &s_texts, &t_texts);
+            }
+            out.put(b"]")?;
+        }
+        for (key, sets) in [(b"s_sets", self.s_sets), (b"t_sets", self.t_sets)] {
+            out.put(b",\"")?;
+            out.put(key)?;
+            out.put(b"\":[")?;
             for (i, (set, support)) in sets.iter().enumerate() {
-                w.write_all(if i > 0 { b",{\"items\":[" } else { b"{\"items\":[" })?;
+                out.put(if i > 0 { b",{\"items\":[" } else { b"{\"items\":[" })?;
                 for (j, &item) in (self.items)(set).iter().enumerate() {
                     if j > 0 {
-                        w.write_all(b",")?;
+                        out.byte(b',');
                     }
-                    json::write_u64(w, u64::from(item.into()))?;
+                    out.digits(u64::from(item.into()));
+                    out.room()?;
                 }
-                w.write_all(b"],\"support\":")?;
-                json::write_u64(w, *support)?;
-                w.write_all(b"}")?;
+                out.put(b"],\"support\":")?;
+                out.digits(*support);
+                out.byte(b'}');
+                out.room()?;
             }
-            w.write_all(b"]")?;
+            out.put(b"]")?;
         }
-        w.write_all(b",\"db_scans\":")?;
-        json::write_u64(w, self.db_scans)?;
-        w.write_all(b",\"s_lattice\":")?;
-        json::write_escaped_to(w, self.s_lattice)?;
-        w.write_all(b",\"t_lattice\":")?;
-        json::write_escaped_to(w, self.t_lattice)?;
-        w.write_all(if self.plan_cached {
+        out.put(b",\"db_scans\":")?;
+        out.digits(self.db_scans);
+        out.put(b",\"s_lattice\":")?;
+        json::escaped(self.s_lattice, |piece| out.put(piece.as_bytes()))?;
+        out.put(b",\"t_lattice\":")?;
+        json::escaped(self.t_lattice, |piece| out.put(piece.as_bytes()))?;
+        out.put(if self.plan_cached {
             b",\"plan_cached\":true,\"wait_us\":"
         } else {
             b",\"plan_cached\":false,\"wait_us\":"
         })?;
-        json::write_u64(w, self.wait_us)?;
-        w.write_all(b"}")
+        out.digits(self.wait_us);
+        out.byte(b'}');
+        out.finish()
     }
 }
 
@@ -642,14 +805,125 @@ mod tests {
             out.outcome.provenance.plan_cached = rng.below(2) == 1;
             out.epoch = rng.below(3) * rng.below(u64::MAX / 2);
             out.admission_wait = Duration::from_micros(wait_us);
-
-            let resp = QueryResponse::from_outcome(&out);
-            let reference = crate::wire::result_object(&to_json_fmt(&resp)) + "\n";
-            prop_assert_eq!(&crate::wire::result_object(&resp.to_json()), reference.trim_end());
-            let mut line = Vec::new();
-            crate::wire::write_query_reply(&mut line, &out).unwrap();
-            prop_assert_eq!(String::from_utf8(line).unwrap(), reference);
+            let (got, want) = encodings(&out);
+            prop_assert_eq!(&got[0], &want);
+            prop_assert_eq!(&got[1], &want);
         }
+    }
+
+    /// The reply line of `out` as the encoder writes it, each way it can
+    /// be asked for (`to_json` and `write_query_reply`), and the oracle's.
+    fn encodings(out: &QueryOutcome) -> ([String; 2], String) {
+        let resp = QueryResponse::from_outcome(out);
+        let mut line = Vec::new();
+        crate::wire::write_query_reply(&mut line, out).unwrap();
+        (
+            [crate::wire::result_object(&resp.to_json()) + "\n", String::from_utf8(line).unwrap()],
+            crate::wire::result_object(&to_json_fmt(&resp)) + "\n",
+        )
+    }
+
+    /// Asserts that every encoding of a long reply equals the oracle's,
+    /// naming where one parts from it rather than printing megabytes, and
+    /// returns the oracle's.
+    fn assert_encodings_match(out: &QueryOutcome) -> String {
+        let (got, want) = encodings(out);
+        for got in got {
+            let at = got.bytes().zip(want.bytes()).position(|(g, w)| g != w);
+            let at = at.unwrap_or(got.len().min(want.len()));
+            let around = at.saturating_sub(24)..at + 24;
+            let near = |s: &str| s.get(around.start..s.len().min(around.end)).map(String::from);
+            assert!(
+                got == want,
+                "{} bytes against the oracle's {}, parting at byte {at}: {:?} / {:?}",
+                got.len(),
+                want.len(),
+                near(&got),
+                near(&want),
+            );
+        }
+        want
+    }
+
+    /// A reply many blocks (and serve-path chunks) long: `n_s` × `n_t`
+    /// sets of one to eight items with ids up to `u32::MAX` and supports
+    /// up to `u64::MAX`, and `n_pairs` pairs (`kept` of them materialised)
+    /// whose indices mostly lie in the set lists, one in a hundred past
+    /// them with 5 to 7 digits, and the last pair at `u32::MAX` on both
+    /// sides.
+    fn large_outcome(n_s: usize, n_t: usize, n_pairs: usize, kept: usize) -> QueryOutcome {
+        let mut rng = TestRng::new(0x5EED);
+        let mut out = any_outcome();
+        // A number of 1 to `max` digits, the digit count drawn first.
+        let number = |rng: &mut TestRng, max: u32| {
+            let digits = 1 + rng.below(u64::from(max)) as u32;
+            10u64.pow(digits - 1) - u64::from(digits == 1) + rng.below(9 * 10u64.pow(digits - 1))
+        };
+        let mut sets = |n: usize| -> Vec<(Itemset, u64)> {
+            (0..n)
+                .map(|_| {
+                    let len = 1 + rng.below(8);
+                    let mut set: Itemset = (0..len)
+                        .map(|_| number(&mut rng, 10).min(u32::MAX.into()) as u32)
+                        .collect();
+                    if rng.below(50) == 0 {
+                        set = set.iter().map(|i| i.0).chain([u32::MAX]).collect();
+                    }
+                    let support = match rng.below(50) {
+                        0 => u64::MAX - rng.below(1000),
+                        _ => number(&mut rng, 19),
+                    };
+                    (set, support)
+                })
+                .collect()
+        };
+        out.outcome.s_sets = sets(n_s);
+        out.outcome.t_sets = sets(n_t);
+        let mut index = |n: usize| -> u32 {
+            match rng.below(100) {
+                // 5 to 7 digits: past a list of fewer than 10,000 sets.
+                0 => {
+                    let digits = 5 + rng.below(3) as u32;
+                    (10u64.pow(digits - 1) + rng.below(9 * 10u64.pow(digits - 1))) as u32
+                }
+                _ => rng.below(n as u64) as u32,
+            }
+        };
+        let mut pairs: Vec<(u32, u32)> = (1..n_pairs).map(|_| (index(n_s), index(n_t))).collect();
+        pairs.push((u32::MAX, u32::MAX));
+        pairs.truncate(kept);
+        out.outcome.pair_result = PairResult {
+            count: n_pairs as u64,
+            truncated: kept < n_pairs,
+            pairs,
+            checks: 0,
+            s_used: Vec::new(),
+            t_used: Vec::new(),
+        };
+        out.epoch = u64::MAX;
+        out.admission_wait = Duration::from_micros(123_456_789);
+        out
+    }
+
+    #[test]
+    fn a_reply_of_many_blocks_equals_the_fmt_reference() {
+        let out = large_outcome(1_200, 1_100, 150_001, usize::MAX);
+        let indices = out.outcome.pair_result.pairs.iter().flat_map(|&(s, t)| [s, t]);
+        let widths: std::collections::BTreeSet<usize> =
+            indices.map(|i| i.to_string().len()).collect();
+        assert_eq!(widths, (1..=7).chain([10]).collect(), "index widths");
+        let past = out.outcome.pair_result.pairs.iter().filter(|&&(s, _)| s >= 1_200).count();
+        assert!(past > 1_000, "{past} S indices past the list");
+        assert!(assert_encodings_match(&out).len() > 20 * BLOCK);
+    }
+
+    #[test]
+    fn a_count_only_reply_of_many_blocks_equals_the_fmt_reference() {
+        let out = large_outcome(3_000, 3_000, 150_001, 0);
+        assert!(out.outcome.pair_result.pairs.is_empty());
+        let reply = assert_encodings_match(&out);
+        assert!(reply.len() > 2 * BLOCK);
+        assert!(reply.contains("\"pair_count\":150001,\"pairs\":[],\"s_sets\""));
     }
 
     #[test]
