@@ -1,10 +1,9 @@
 //! Minimal argument parsing (no external dependencies): `--key value`
 //! options, `--flag` booleans, and positional arguments, each command
-//! naming the options it reads — plus [`MiningArgs`], the shared
-//! `--threads/--trim/--backend` surface every mining subcommand (`query`,
-//! `mine`, `serve`) parses exactly once.
+//! naming the options it reads — plus [`MiningArgs`], the
+//! `--threads/--trim/--backend` surface of the two offline mining
+//! subcommands (`query`, `mine`), parsed exactly once.
 
-use cfq_engine::EngineConfigBuilder;
 use cfq_mining::{AprioriConfig, CountingBackend};
 use cfq_types::{CfqError, Result};
 use std::collections::BTreeMap;
@@ -76,10 +75,11 @@ impl Args {
     }
 }
 
-/// The mining-knob flags shared by `cfq query`, `cfq mine`, and
-/// `cfq serve`: `--threads N`, `--trim on|off`,
-/// `--backend horizontal|tidset|bitmap|auto`. One parse, one validation,
-/// one application per target config.
+/// The mining-knob flags shared by `cfq query` and `cfq mine`:
+/// `--threads N`, `--trim on|off`,
+/// `--backend horizontal|tidset|bitmap|auto`. One parse, one validation.
+/// (`cfq serve` and `cfq repl` take none of them: a served query counts
+/// the engine's one way.)
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct MiningArgs {
     /// Support-counting threads (0 = all cores).
@@ -102,11 +102,9 @@ impl MiningArgs {
     /// list of each subcommand that takes them.
     pub const OPTIONS: &'static [&'static str] = &["threads", "trim", "backend"];
 
-    /// Parses the three shared flags out of `a`. `default_threads` differs
-    /// per subcommand: the one-shot CLI commands default to 0 (all
-    /// cores), `serve` to the engine default (1, for deterministic scan
-    /// accounting across requests).
-    pub fn from_args(a: &Args, default_threads: usize) -> Result<MiningArgs> {
+    /// Parses the three shared flags out of `a`; threads default to 0
+    /// (all cores).
+    pub fn from_args(a: &Args) -> Result<MiningArgs> {
         let backend = match a.get("backend") {
             None => CountingBackend::Horizontal,
             Some(name) => CountingBackend::parse(name).ok_or_else(|| {
@@ -122,14 +120,7 @@ impl MiningArgs {
                 return Err(CfqError::Config(format!("bad --trim `{other}` (use on|off)")))
             }
         };
-        Ok(MiningArgs { threads: a.num("threads", default_threads)?, trim, backend })
-    }
-
-    /// Applies the knobs to an [`EngineConfigBuilder`] — the `serve`
-    /// path, where they become the engine-wide defaults every request
-    /// inherits unless its `QueryRequest` overrides them.
-    pub fn apply_to(&self, b: EngineConfigBuilder) -> EngineConfigBuilder {
-        b.counting_threads(self.threads).trim(self.trim).backend(self.backend)
+        Ok(MiningArgs { threads: a.num("threads", 0)?, trim, backend })
     }
 
     /// Applies the knobs to an [`AprioriConfig`] — the `mine` path.
@@ -199,39 +190,33 @@ mod tests {
         assert!(a.require("data").is_err());
     }
 
-    fn mining(v: &[&str], default_threads: usize) -> Result<MiningArgs> {
-        MiningArgs::from_args(
-            &Args::parse_known(v.iter().map(|s| s.to_string()), &[], MiningArgs::OPTIONS)?,
-            default_threads,
-        )
+    fn mining(v: &[&str]) -> Result<MiningArgs> {
+        MiningArgs::from_args(&Args::parse_known(
+            v.iter().map(|s| s.to_string()),
+            &[],
+            MiningArgs::OPTIONS,
+        )?)
     }
 
     #[test]
     fn mining_args_defaults_and_parsing() {
-        let m = mining(&[], 0).unwrap();
+        let m = mining(&[]).unwrap();
         assert_eq!(m, MiningArgs { threads: 0, trim: true, backend: CountingBackend::Horizontal });
-        // The per-subcommand thread default threads through.
-        assert_eq!(mining(&[], 1).unwrap().threads, 1);
 
-        let m = mining(&["--threads", "4", "--trim", "off", "--backend", "bitmap"], 0).unwrap();
+        let m = mining(&["--threads", "4", "--trim", "off", "--backend", "bitmap"]).unwrap();
         assert_eq!(m, MiningArgs { threads: 4, trim: false, backend: CountingBackend::Bitmap });
     }
 
     #[test]
     fn mining_args_rejects_bad_values() {
-        assert!(mining(&["--trim", "sideways"], 0).is_err());
-        assert!(mining(&["--backend", "diagonal"], 0).is_err());
-        assert!(mining(&["--threads", "many"], 0).is_err());
+        assert!(mining(&["--trim", "sideways"]).is_err());
+        assert!(mining(&["--backend", "diagonal"]).is_err());
+        assert!(mining(&["--threads", "many"]).is_err());
     }
 
     #[test]
-    fn mining_args_apply_to_engine_builder_and_apriori() {
-        let m = mining(&["--threads", "2", "--trim", "off", "--backend", "auto"], 0).unwrap();
-        let cfg = m.apply_to(cfq_engine::EngineConfig::builder()).build();
-        assert_eq!(cfg.counting_threads, 2);
-        assert!(!cfg.trim);
-        assert_eq!(cfg.backend, CountingBackend::Auto);
-
+    fn mining_args_apply_to_apriori() {
+        let m = mining(&["--threads", "2", "--trim", "off", "--backend", "auto"]).unwrap();
         let apriori = m.apply_to_apriori(AprioriConfig::new(5));
         assert_eq!(apriori.counting_threads, 2);
         assert!(!apriori.trim);

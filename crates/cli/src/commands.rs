@@ -150,7 +150,7 @@ pub fn query(argv: Vec<String>) -> Result<()> {
 
     // The CLI defaults to all cores (0); the library default stays 1 so
     // programmatic runs are deterministic in their work accounting.
-    let mining = MiningArgs::from_args(&a, 0)?;
+    let mining = MiningArgs::from_args(&a)?;
     let env = QueryEnv::new(&db, &catalog, min_support)
         .with_counting_threads(mining.threads)
         .with_trim(mining.trim)
@@ -281,7 +281,7 @@ pub fn mine(argv: Vec<String>) -> Result<()> {
             ((db.len() as f64) * frac).round().max(1.0) as u64
         }
     };
-    let mining = MiningArgs::from_args(&a, 0)?;
+    let mining = MiningArgs::from_args(&a)?;
     let mut stats = WorkStats::new();
     let start = std::time::Instant::now();
     let fs = apriori(&db, &mining.apply_to_apriori(AprioriConfig::new(min_support)), &mut stats);

@@ -32,7 +32,6 @@
 //!   `--metrics-addr` HTTP scrape listener as well as in band.
 
 use crate::args::Args;
-use crate::args::MiningArgs;
 use crate::commands::{load, wants_help};
 use cfq_engine::dispatch::PROTOCOL_HELP;
 use cfq_engine::{Dispatcher, Engine, EngineConfig, ServerMetrics, SessionPool};
@@ -155,8 +154,8 @@ pub fn repl_loop<R: BufRead, W: Write>(
     Ok(())
 }
 
-/// The options [`build_engine`] and [`install_tracing`] read besides
-/// [`MiningArgs::OPTIONS`] — with those, all that `cfq repl` takes.
+/// The options [`build_engine`] and [`install_tracing`] read — all that
+/// `cfq repl` takes.
 const ENGINE_OPTIONS: &[&str] = &[
     "data", "catalog", "trace", "max-inflight", "queue-depth", "wal-dir", "snapshot-every",
 ];
@@ -167,12 +166,9 @@ const SERVE_OPTIONS: &[&str] =
 fn build_engine(a: &Args) -> Result<Arc<Engine>> {
     let (db, catalog) = load(a)?;
     let defaults = EngineConfig::default();
-    let mining = MiningArgs::from_args(a, defaults.counting_threads)?;
-    let mut builder = mining.apply_to(
-        EngineConfig::builder()
-            .max_inflight_queries(a.num("max-inflight", defaults.max_inflight_queries)?)
-            .max_queued_queries(a.num("queue-depth", defaults.max_queued_queries)?),
-    );
+    let mut builder = EngineConfig::builder()
+        .max_inflight_queries(a.num("max-inflight", defaults.max_inflight_queries)?)
+        .max_queued_queries(a.num("queue-depth", defaults.max_queued_queries)?);
     if let Some(dir) = a.get("wal-dir") {
         builder = builder
             .wal_dir(dir)
@@ -228,7 +224,7 @@ pub fn repl(argv: Vec<String>) -> Result<()> {
         );
         return Ok(());
     }
-    let a = Args::parse_known(argv, &[], &[ENGINE_OPTIONS, MiningArgs::OPTIONS].concat())?;
+    let a = Args::parse_known(argv, &[], ENGINE_OPTIONS)?;
     install_tracing(&a)?;
     let engine = build_engine(&a)?;
     let defaults = ServeOptions::default();
@@ -592,9 +588,6 @@ pub fn serve(argv: Vec<String>) -> Result<()> {
              [--max-inflight N]      concurrently executing queries (default 256, 0 = unlimited)\n\
              [--queue-depth N]       admission queue beyond the in-flight cap (default 1024, 0 = unlimited)\n\
              [--read-timeout SECS]   idle client timeout (default 300, 0 = none)\n\
-             [--threads N]           default support-counting threads (0 = all cores; default 1)\n\
-             [--trim on|off]         default per-level database reduction (default on)\n\
-             [--backend NAME]        default counting backend (horizontal|tidset|bitmap|auto)\n\
              [--wal-dir DIR]         durable mode: WAL + snapshots in DIR, warm restart on boot\n\
              [--snapshot-every N]    snapshot cadence in appends (default 8, 0 = manual :snapshot only)\n\
              [--slow-ms MS]          slow-query log threshold (default 500)\n\
@@ -604,7 +597,7 @@ pub fn serve(argv: Vec<String>) -> Result<()> {
         );
         return Ok(());
     }
-    let options = [ENGINE_OPTIONS, MiningArgs::OPTIONS, SERVE_OPTIONS].concat();
+    let options = [ENGINE_OPTIONS, SERVE_OPTIONS].concat();
     let a = Args::parse_known(argv, &[], &options)?;
     use_one_malloc_arena();
     install_tracing(&a)?;
@@ -1089,6 +1082,12 @@ mod tests {
             // A removed option is refused by name, never read.
             (serve, &["--data", "d.txt", "--follow", "wal"][..], "follow"),
             (repl, &["--data", "d.txt", "--follow", "wal"][..], "follow"),
+            (serve, &["--data", "d.txt", "--backend", "bitmap"][..], "backend"),
+            (repl, &["--data", "d.txt", "--backend", "bitmap"][..], "backend"),
+            (serve, &["--data", "d.txt", "--trim", "off"][..], "trim"),
+            (repl, &["--data", "d.txt", "--trim", "off"][..], "trim"),
+            (serve, &["--data", "d.txt", "--threads", "2"][..], "threads"),
+            (repl, &["--data", "d.txt", "--threads", "2"][..], "threads"),
         ] {
             match run(argv(args)) {
                 Err(CfqError::Config(msg)) => assert_eq!(msg, format!("unknown option --{name}")),

@@ -20,8 +20,8 @@
 //!   Eviction is least-recently-used under a byte budget that charges each
 //!   entry its stored levels and its key (`LatticeEntry::new`).
 //! * `PlanCache` — optimizer plans keyed by a fingerprint of the bound
-//!   query and strategy flags. Plans never read the data, so entries
-//!   survive epoch swaps; the cache is count-capped, not byte-budgeted.
+//!   query. Plans never read the data, so entries survive epoch swaps;
+//!   the cache is count-capped, not byte-budgeted.
 //!
 //! Neither cache is itself thread-safe; the engine serializes access
 //! through its state mutex and keeps mining *outside* that lock.
@@ -436,8 +436,8 @@ impl LatticeCache {
 }
 
 /// A count-capped LRU cache of optimizer plans. Plans depend only on the
-/// bound query, catalog and strategy flags — never on the data — so
-/// entries stay valid across epoch swaps.
+/// bound query and catalog — never on the strategy flags or the data — so
+/// one entry serves every strategy and stays valid across epoch swaps.
 pub(crate) struct PlanCache {
     entries: FxHashMap<u64, (Arc<CfqPlan>, u64)>,
     cap: usize,

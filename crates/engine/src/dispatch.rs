@@ -588,7 +588,7 @@ mod tests {
             (
                 r#"{"v":1,"cmd":"query","req":{"query":"count(S) >= 1","backend":"vertical"}}"#,
                 "parse",
-                "unknown backend `vertical`",
+                "unknown request field `backend`",
             ),
             (
                 r#"{"v":1,"cmd":"query","req":{"query":"count(S) >= 1","strategy":"warp"}}"#,
@@ -726,13 +726,12 @@ mod tests {
     #[test]
     fn backend_metrics_surface_in_scrapes() {
         let mut state = dispatcher(engine());
-        let reply = handle_line(&mut state, &query_envelope(", \"backend\": \"bitmap\"")).unwrap();
+        let reply = handle_line(&mut state, &query_envelope("")).unwrap();
         assert!(json::parse(&reply).unwrap().get("result").is_some(), "{reply}");
         let text = handle_line(&mut state, ":metrics").unwrap();
         for needle in [
-            "cfq_mining_backend_selected_total{backend=\"bitmap\"}",
-            "cfq_mining_backend_level_micros_total{backend=\"bitmap\"}",
-            "cfq_mining_backend_words_anded_total",
+            "cfq_mining_backend_selected_total{backend=\"horizontal\"}",
+            "cfq_mining_backend_level_micros_total{backend=\"horizontal\"}",
         ] {
             assert!(text.contains(needle), "missing `{needle}` in:\n{text}");
         }

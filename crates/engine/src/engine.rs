@@ -21,9 +21,9 @@ use crate::scheduler::{AdmissionPermit, GroupRole, Resolved, Scheduler, Schedule
 use crate::session::Session;
 use crate::snapshot::{self, LatticeView};
 use crate::wal::{self, WalRecord, WalWriter};
-use cfq_core::{CfqPlan, LatticeSource, Optimizer};
+use cfq_core::{CfqPlan, LatticeSource};
 use cfq_obs as obs;
-use cfq_mining::{apriori, fup_update_abs, AprioriConfig, CountingBackend, WorkStats};
+use cfq_mining::{apriori, fup_update_abs, AprioriConfig, WorkStats};
 use cfq_types::{Catalog, CfqError, ItemId, Result, TransactionDb};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -39,17 +39,6 @@ pub struct EngineConfig {
     pub cache_budget_bytes: usize,
     /// Entry cap of the plan cache (default 128; 0 disables it).
     pub plan_cache_entries: usize,
-    /// Default support-counting threads for sessions (1 = sequential,
-    /// 0 = one per core); overridable per query.
-    pub counting_threads: usize,
-    /// Default per-level database reduction for cold mining; overridable
-    /// per query. Cached lattices are identical either way, so entries
-    /// are shared across queries regardless of their trim setting.
-    pub trim: bool,
-    /// Default support-counting backend for cold mining; overridable per
-    /// query. All backends produce bit-identical lattices, so cache
-    /// entries are shared across queries regardless of backend.
-    pub backend: CountingBackend,
     /// Maximum concurrently executing queries (0 = unlimited;
     /// default 256).
     pub max_inflight_queries: usize,
@@ -72,9 +61,6 @@ impl Default for EngineConfig {
         EngineConfig {
             cache_budget_bytes: 64 << 20,
             plan_cache_entries: 128,
-            counting_threads: 1,
-            trim: true,
-            backend: CountingBackend::Horizontal,
             max_inflight_queries: 256,
             max_queued_queries: 1024,
             wal_dir: None,
@@ -91,8 +77,8 @@ impl EngineConfig {
 }
 
 /// Fluent builder for [`EngineConfig`] — one method per knob, mirroring
-/// the `cfq serve` flags (`--backend`, `--max-inflight`, `--queue-depth`,
-/// `--wal-dir`, `--snapshot-every`).
+/// the `cfq serve` flags (`--max-inflight`, `--queue-depth`, `--wal-dir`,
+/// `--snapshot-every`).
 #[derive(Clone, Debug)]
 pub struct EngineConfigBuilder {
     config: EngineConfig,
@@ -108,24 +94,6 @@ impl EngineConfigBuilder {
     /// Entry cap of the plan cache (0 disables it).
     pub fn plan_cache_entries(mut self, entries: usize) -> Self {
         self.config.plan_cache_entries = entries;
-        self
-    }
-
-    /// Default support-counting threads (1 = sequential, 0 = per core).
-    pub fn counting_threads(mut self, threads: usize) -> Self {
-        self.config.counting_threads = threads;
-        self
-    }
-
-    /// Default per-level database reduction for cold mining.
-    pub fn trim(mut self, trim: bool) -> Self {
-        self.config.trim = trim;
-        self
-    }
-
-    /// Default support-counting backend.
-    pub fn backend(mut self, backend: CountingBackend) -> Self {
-        self.config.backend = backend;
         self
     }
 
@@ -492,7 +460,6 @@ impl Engine {
     /// superset of `probe` at a threshold no higher serves. A miss mines,
     /// single-flights and inserts under the whole `universe`, so an item of
     /// it that an append makes frequent is in the entry FUP upgrades.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn lattice_for(
         &self,
         snap: &EpochState,
@@ -500,9 +467,6 @@ impl Engine {
         probe: &[ItemId],
         min_support: u64,
         max_level: usize,
-        threads: usize,
-        trim: bool,
-        backend: CountingBackend,
         stats: &mut WorkStats,
     ) -> (Arc<StoredLattice>, LatticeSource) {
         if universe.is_empty() {
@@ -521,6 +485,13 @@ impl Engine {
             span.record_u64("scans_saved", scans_cost);
             return (lattice, source);
         }
+        let mine = |max_level: usize| {
+            let cfg = AprioriConfig::new(min_support)
+                .with_universe(universe.to_vec())
+                .with_max_level(max_level);
+            let mut work = WorkStats::new();
+            (Arc::new(StoredLattice::new(apriori(&snap.db, &cfg, &mut work))), work)
+        };
 
         // Miss: resolve through the scheduler so concurrent misses share
         // one mining pass. A joined group may have mined at a lower
@@ -543,15 +514,9 @@ impl Engine {
                     found = Some(hit.source);
                     return Resolved { lattice: hit.lattice, scans_cost: hit.scans_cost, mined: false };
                 }
-                let mut mine = WorkStats::new();
-                let cfg = AprioriConfig::new(min_support)
-                    .with_universe(universe.to_vec())
-                    .with_trim(trim)
-                    .with_backend(backend)
-                    .with_counting_threads(threads);
-                let lattice = Arc::new(StoredLattice::new(apriori(&snap.db, &cfg, &mut mine)));
-                let scans_cost = mine.db_scans;
-                led_work = Some(mine);
+                let (lattice, work) = mine(0);
+                let scans_cost = work.db_scans;
+                led_work = Some(work);
                 let entry = LatticeEntry::new(
                     snap.epoch,
                     Arc::new(universe.to_vec()),
@@ -597,17 +562,10 @@ impl Engine {
                 // the requested cap, without caching.
                 stats.record_cache_miss();
                 span.record_str("source", "mined_cold");
-                let mut mine = WorkStats::new();
-                let cfg = AprioriConfig::new(min_support)
-                    .with_universe(universe.to_vec())
-                    .with_max_level(max_level)
-                    .with_trim(trim)
-                    .with_backend(backend)
-                    .with_counting_threads(threads);
-                let lattice = Arc::new(StoredLattice::new(apriori(&snap.db, &cfg, &mut mine)));
+                let (lattice, work) = mine(max_level);
                 self.scheduler.note_direct_mining();
-                span.record_u64("db_scans", mine.db_scans);
-                stats.absorb(&mine);
+                span.record_u64("db_scans", work.db_scans);
+                stats.absorb(&work);
                 (lattice, LatticeSource::MinedCold)
             }
         }
@@ -803,18 +761,13 @@ impl Engine {
     }
 }
 
-/// Fingerprint helper shared by `Session` and tests: hashes the strategy
-/// flags and the bound constraints' display forms (which include every
-/// resolved id and literal).
-pub(crate) fn plan_fingerprint(
-    strategy: &Optimizer,
-    bound: &cfq_constraints::BoundQuery,
-    catalog: &Catalog,
-) -> u64 {
+/// The plan cache's key: hashes the bound constraints' display forms
+/// (which include every resolved id and literal) — all that
+/// `cfq_core::plan` reads. The strategy is not a plan input, so one query
+/// under `full`, `cap1` and `apriori+` shares one plan.
+pub(crate) fn plan_fingerprint(bound: &cfq_constraints::BoundQuery, catalog: &Catalog) -> u64 {
     use std::hash::{Hash, Hasher};
     let mut h = cfq_types::FxHasher::default();
-    (strategy.push_one_var, strategy.push_two_var, strategy.use_jkmax, strategy.dovetail)
-        .hash(&mut h);
     for c in &bound.one_var {
         c.display(catalog).to_string().hash(&mut h);
     }
@@ -883,19 +836,35 @@ mod tests {
         assert!(matches!(err, CfqError::Engine(_)), "{err}");
     }
 
+    /// The plan cache's key is a function of the bound constraints alone:
+    /// stable across binds of one text, different for different
+    /// constraints.
+    #[test]
+    fn plan_fingerprint_is_stable_and_keyed_by_the_constraints() {
+        let cat = catalog(6);
+        let key = |q: &str| {
+            let parsed = cfq_constraints::parse_query(q).unwrap();
+            plan_fingerprint(&cfq_constraints::bind_query(&parsed, &cat).unwrap(), &cat)
+        };
+        let q = "max(S.Price) <= 30 & max(S.Price) <= min(T.Price)";
+        assert_eq!(key(q), key(q));
+        assert_ne!(key(q), key("max(S.Price) <= 40 & max(S.Price) <= min(T.Price)"));
+        assert_ne!(key(q), key("max(S.Price) <= 30 & max(S.Price) <= max(T.Price)"));
+    }
+
     #[test]
     fn lattice_for_caches_and_reuses() {
         let engine = Engine::new(db(), catalog(6)).unwrap();
         let snap = engine.snapshot();
         let universe: Vec<ItemId> = (0..6u32).map(ItemId).collect();
         let mut stats = WorkStats::new();
-        let (cold, src) = engine.lattice_for(&snap, &universe, &universe, 2, 0, 1, true, CountingBackend::Horizontal, &mut stats);
+        let (cold, src) = engine.lattice_for(&snap, &universe, &universe, 2, 0, &mut stats);
         assert_eq!(src, LatticeSource::MinedCold);
         assert!(stats.db_scans > 0);
         assert_eq!(stats.cache_misses, 1);
 
         let mut warm_stats = WorkStats::new();
-        let (warm, src) = engine.lattice_for(&snap, &universe, &universe, 2, 0, 1, true, CountingBackend::Horizontal, &mut warm_stats);
+        let (warm, src) = engine.lattice_for(&snap, &universe, &universe, 2, 0, &mut warm_stats);
         assert_eq!(src, LatticeSource::Cached);
         assert_eq!(warm_stats.db_scans, 0);
         assert_eq!(warm_stats.cache_hits, 1);
@@ -905,7 +874,7 @@ mod tests {
         // A subset universe at a higher threshold also hits.
         let sub: Vec<ItemId> = vec![ItemId(1), ItemId(2)];
         let mut sub_stats = WorkStats::new();
-        let (_, src) = engine.lattice_for(&snap, &sub, &sub, 3, 0, 1, true, CountingBackend::Horizontal, &mut sub_stats);
+        let (_, src) = engine.lattice_for(&snap, &sub, &sub, 3, 0, &mut sub_stats);
         assert_eq!(src, LatticeSource::Cached);
         assert_eq!(sub_stats.db_scans, 0);
     }
@@ -970,7 +939,7 @@ mod tests {
         let snap = engine.snapshot();
         let universe: Vec<ItemId> = (0..6u32).map(ItemId).collect();
         let mut stats = WorkStats::new();
-        let (_, src) = engine.lattice_for(&snap, &universe, &universe, 2, 1, 1, true, CountingBackend::Horizontal, &mut stats);
+        let (_, src) = engine.lattice_for(&snap, &universe, &universe, 2, 1, &mut stats);
         assert_eq!(src, LatticeSource::MinedCold);
         assert_eq!(engine.cache_stats().entries, 0);
     }
@@ -981,7 +950,7 @@ mod tests {
         let snap = engine.snapshot();
         let universe: Vec<ItemId> = (0..6u32).map(ItemId).collect();
         let mut stats = WorkStats::new();
-        engine.lattice_for(&snap, &universe, &universe, 2, 0, 1, true, CountingBackend::Horizontal, &mut stats);
+        engine.lattice_for(&snap, &universe, &universe, 2, 0, &mut stats);
 
         let delta = TransactionDb::from_u32(6, &[&[0, 1, 2], &[3, 4, 5], &[0, 3]]);
         let info = engine.append(delta.clone()).unwrap();
@@ -991,7 +960,7 @@ mod tests {
         // matches a cold re-mine of the combined database.
         let snap2 = engine.snapshot();
         let mut warm = WorkStats::new();
-        let (lattice, src) = engine.lattice_for(&snap2, &universe, &universe, 2, 0, 1, true, CountingBackend::Horizontal, &mut warm);
+        let (lattice, src) = engine.lattice_for(&snap2, &universe, &universe, 2, 0, &mut warm);
         assert_eq!(src, LatticeSource::FupUpgraded);
         assert_eq!(warm.db_scans, 0);
 

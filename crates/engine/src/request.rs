@@ -21,7 +21,6 @@
 use crate::json::{self, Json};
 use crate::session::QueryOutcome;
 use cfq_core::Strategy;
-use cfq_mining::CountingBackend;
 use cfq_types::{CfqError, ItemId, Itemset, Result};
 use std::fmt::Write as _;
 use std::io::{self, Write};
@@ -81,12 +80,6 @@ pub struct QueryRequest {
     pub max_level: usize,
     /// Pair materialization cap (`None` = materialize all).
     pub max_pairs: Option<usize>,
-    /// Support-counting thread override (`None` = engine default).
-    pub counting_threads: Option<usize>,
-    /// Per-level database reduction override (`None` = engine default).
-    pub trim: Option<bool>,
-    /// Support-counting backend override (`None` = engine default).
-    pub backend: Option<CountingBackend>,
     /// Strategy-family flags (plan shape; the executor when
     /// `bypass_cache` is set).
     pub strategy: Strategy,
@@ -105,9 +98,6 @@ impl QueryRequest {
             t_universe: Vec::new(),
             max_level: 0,
             max_pairs: None,
-            counting_threads: None,
-            trim: None,
-            backend: None,
             strategy: Strategy::default(),
             bypass_cache: false,
         }
@@ -119,9 +109,9 @@ impl QueryRequest {
     /// before taking an admission slot, and the v1 wire envelope right
     /// after decoding `req` — so a bad request is rejected identically
     /// whether it arrives through the builder or off the wire. (Unknown
-    /// backend/strategy *names* never reach this point: they fail JSON
-    /// decoding with a [`CfqError::Parse`], and the typed fields cannot
-    /// hold an invalid variant.)
+    /// strategy *names* and unknown fields never reach this point: they
+    /// fail JSON decoding with a [`CfqError::Parse`], and the typed fields
+    /// cannot hold an invalid variant.)
     pub fn validate(&self) -> Result<()> {
         if self.query.trim().is_empty() {
             return Err(CfqError::Config("`query` must be a non-empty CFQ conjunction".into()));
@@ -176,15 +166,6 @@ impl QueryRequest {
         if let Some(n) = self.max_pairs {
             let _ = write!(out, ",\"max_pairs\":{n}");
         }
-        if let Some(n) = self.counting_threads {
-            let _ = write!(out, ",\"counting_threads\":{n}");
-        }
-        if let Some(t) = self.trim {
-            let _ = write!(out, ",\"trim\":{t}");
-        }
-        if let Some(b) = self.backend {
-            let _ = write!(out, ",\"backend\":\"{}\"", b.name());
-        }
         match self.strategy.name() {
             Some(name) => {
                 let _ = write!(out, ",\"strategy\":\"{name}\"");
@@ -225,8 +206,8 @@ impl QueryRequest {
             _ => return Err(CfqError::Parse("request must be a JSON object".into())),
         };
         const KNOWN: &[&str] = &[
-            "query", "support", "s_universe", "t_universe", "max_level", "max_pairs",
-            "counting_threads", "trim", "backend", "strategy", "bypass_cache",
+            "query", "support", "s_universe", "t_universe", "max_level", "max_pairs", "strategy",
+            "bypass_cache",
         ];
         for (key, _) in fields {
             if !KNOWN.contains(&key.as_str()) {
@@ -273,41 +254,13 @@ impl QueryRequest {
                 .ok_or_else(|| CfqError::Parse("`max_level` must be a non-negative integer".into()))?
                 as usize;
         }
-        for (key, slot) in
-            [("max_pairs", &mut req.max_pairs), ("counting_threads", &mut req.counting_threads)]
-        {
-            match v.get(key) {
-                None => {}
-                Some(j) if j.is_null() => {}
-                Some(j) => {
-                    *slot = Some(j.as_u64().ok_or_else(|| {
-                        CfqError::Parse(format!("`{key}` must be a non-negative integer"))
-                    })? as usize);
-                }
-            }
-        }
-        match v.get("trim") {
+        match v.get("max_pairs") {
             None => {}
             Some(j) if j.is_null() => {}
             Some(j) => {
-                req.trim = Some(
-                    j.as_bool()
-                        .ok_or_else(|| CfqError::Parse("`trim` must be a boolean".into()))?,
-                );
-            }
-        }
-        match v.get("backend") {
-            None => {}
-            Some(j) if j.is_null() => {}
-            Some(j) => {
-                let name = j.as_str().ok_or_else(|| {
-                    CfqError::Parse("`backend` must be a backend name".into())
-                })?;
-                req.backend = Some(CountingBackend::parse(name).ok_or_else(|| {
-                    CfqError::Parse(format!(
-                        "unknown backend `{name}` (expected horizontal, tidset, bitmap, or auto)"
-                    ))
-                })?);
+                req.max_pairs = Some(j.as_u64().ok_or_else(|| {
+                    CfqError::Parse("`max_pairs` must be a non-negative integer".into())
+                })? as usize);
             }
         }
         if let Some(s) = v.get("strategy") {
@@ -943,9 +896,6 @@ mod tests {
             t_universe: vec![ItemId(4)],
             max_level: 3,
             max_pairs: Some(100),
-            counting_threads: Some(2),
-            trim: Some(false),
-            backend: Some(CountingBackend::Auto),
             strategy: Strategy::cap_one_var(),
             bypass_cache: true,
         };
@@ -980,7 +930,6 @@ mod tests {
         assert!(err.to_string().contains("bypass_cahce"), "{err}");
         assert!(QueryRequest::from_json(r#"{"support": 0.5}"#).is_err(), "query is required");
         assert!(QueryRequest::from_json(r#"{"query":"q","strategy":"fastest"}"#).is_err());
-        assert!(QueryRequest::from_json(r#"{"query":"q","backend":"vertical"}"#).is_err());
         // A repeated key is a contradiction, not "first wins".
         for twice in [
             r#"{"query":"count(S) >= 1","query":"count(S) >= 2"}"#,
@@ -994,18 +943,18 @@ mod tests {
         }
     }
 
+    /// The counting knobs left the wire: a served query counts the
+    /// engine's one way, and a request that still names one is refused by
+    /// name, like any other unknown field.
     #[test]
-    fn backend_round_trips_by_name() {
-        for name in ["horizontal", "tidset", "bitmap", "auto"] {
-            let req = QueryRequest::from_json(&format!(
-                r#"{{"query":"q","backend":"{name}"}}"#
-            ))
-            .unwrap();
-            assert_eq!(req.backend.unwrap().name(), name);
-            assert_eq!(QueryRequest::from_json(&req.to_json()).unwrap(), req);
+    fn counting_knobs_are_unknown_fields() {
+        let removed = [("backend", "\"bitmap\""), ("trim", "false"), ("counting_threads", "2")];
+        for (key, value) in removed {
+            let err = QueryRequest::from_json(&format!(r#"{{"query":"q","{key}":{value}}}"#))
+                .unwrap_err();
+            assert!(matches!(err, CfqError::Parse(_)), "{key} -> {err}");
+            assert_eq!(err.to_string(), format!("parse error: unknown request field `{key}`"));
         }
-        let dflt = QueryRequest::from_json(r#"{"query":"q","backend":null}"#).unwrap();
-        assert_eq!(dflt.backend, None);
     }
 
     #[test]

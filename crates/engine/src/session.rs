@@ -46,7 +46,7 @@ use cfq_core::{
     domain_or_all, plan, reduce, CfqPlan, ExecutionOutcome, LatticeSource, Optimizer,
     OutcomeProvenance, QueryEnv,
 };
-use cfq_mining::{CountingBackend, WorkStats};
+use cfq_mining::WorkStats;
 use cfq_obs as obs;
 use cfq_types::{Catalog, ItemId, Itemset, Result};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -193,26 +193,6 @@ impl QueryBuilder {
         self
     }
 
-    /// Overrides the engine's default support-counting thread count.
-    pub fn counting_threads(mut self, threads: usize) -> Self {
-        self.req.counting_threads = Some(threads);
-        self
-    }
-
-    /// Overrides the engine's default per-level database reduction.
-    pub fn trim(mut self, trim: bool) -> Self {
-        self.req.trim = Some(trim);
-        self
-    }
-
-    /// Overrides the engine's default support-counting backend. Every
-    /// backend produces bit-identical lattices; this only changes how
-    /// cold minings count.
-    pub fn backend(mut self, backend: CountingBackend) -> Self {
-        self.req.backend = Some(backend);
-        self
-    }
-
     /// Executes this query as a one-shot [`Optimizer`] run against the
     /// epoch snapshot — no lattice cache lookups, insertions, or
     /// single-flight groups. The plan cache is still used (plans never
@@ -266,7 +246,7 @@ struct Prepared {
 /// and resolves its thresholds.
 fn prepare(engine: &Arc<Engine>, req: &QueryRequest, snap: &EpochState) -> Result<Prepared> {
     let bound = bind_query(&parse_query(&req.query)?, &snap.catalog)?;
-    let fingerprint = plan_fingerprint(&req.strategy, &bound, &snap.catalog);
+    let fingerprint = plan_fingerprint(&bound, &snap.catalog);
     let (plan, plan_cached) = engine.plan_for(fingerprint, || plan(&bound, &snap.catalog));
     let (s_sup, t_sup) = req.support.resolve(snap.db.len())?;
     Ok(Prepared { plan, plan_cached, fingerprint, s_sup, t_sup })
@@ -317,9 +297,6 @@ pub(crate) fn execute(engine: &Arc<Engine>, req: &QueryRequest) -> Result<QueryO
         .u64("epoch", snap.epoch)
         .u64("wait_us", admission_wait.as_micros() as u64);
     let Prepared { plan, plan_cached, fingerprint, s_sup, t_sup } = prepare(engine, req, &snap)?;
-    let threads = req.counting_threads.unwrap_or(engine.config().counting_threads);
-    let trim = req.trim.unwrap_or(engine.config().trim);
-    let backend = req.backend.unwrap_or(engine.config().backend);
     let planned = Instant::now();
 
     // Two ways to the sides, neither forming pairs: that is a stage of its
@@ -328,25 +305,18 @@ pub(crate) fn execute(engine: &Arc<Engine>, req: &QueryRequest) -> Result<QueryO
         // The optimizer mines both lattices in one dovetailed run.
         query_span.record_str("path", "bypass_cache");
         let env = QueryEnv {
-            db: &snap.db,
-            catalog: &snap.catalog,
             s_universe: domain(req, Var::S, &snap.catalog),
             t_universe: domain(req, Var::T, &snap.catalog),
-            s_min_support: s_sup,
             t_min_support: t_sup,
             max_level: req.max_level,
             max_pairs: req.max_pairs,
             form_pairs: false,
-            counting_threads: threads,
-            trim,
-            backend,
+            ..QueryEnv::new(&snap.db, &snap.catalog, s_sup)
         };
         (req.strategy.execute_plan(&plan, &env)?, None)
     } else {
         let ([s_keys, t_keys], universes) = side_keys(req, &snap, &plan, [s_sup, t_sup]);
-        let side = |var, keys, sup| {
-            run_side(engine, req, &snap, &plan, var, keys, sup, threads, trim, backend)
-        };
+        let side = |var, keys, sup| run_side(engine, req, &snap, &plan, var, keys, sup);
         let s_side = side(Var::S, &s_keys, s_sup);
         let s_done = Instant::now();
         let t_side = side(Var::T, &t_keys, t_sup);
@@ -445,7 +415,6 @@ fn side_keys(
 /// One variable's cache-first evaluation: lattice (cached, coalesced, or
 /// mined) for its keys, then the filter that carves this query's frequent
 /// valid sets out of the complete family.
-#[allow(clippy::too_many_arguments)]
 fn run_side(
     engine: &Arc<Engine>,
     req: &QueryRequest,
@@ -454,23 +423,11 @@ fn run_side(
     var: Var,
     keys: &SideKeys,
     min_support: u64,
-    threads: usize,
-    trim: bool,
-    backend: CountingBackend,
 ) -> SideOutcome {
     let form = plan.form(var);
     let mut stats = WorkStats::new();
-    let (lattice, source) = engine.lattice_for(
-        snap,
-        &keys.eff,
-        &keys.probe,
-        min_support,
-        req.max_level,
-        threads,
-        trim,
-        backend,
-        &mut stats,
-    );
+    let (lattice, source) =
+        engine.lattice_for(snap, &keys.eff, &keys.probe, min_support, req.max_level, &mut stats);
 
     // A cached family may cover a wider universe, a lower threshold and
     // more constraints than this query. `set ⊆ eff` restores the universe,
@@ -584,7 +541,7 @@ impl QueryOutcome {
         &self.plan
     }
 
-    /// The plan-cache fingerprint of the bound query + strategy — what
+    /// The plan-cache fingerprint of the bound query — what
     /// the slow-query log records so identical plans group together.
     pub fn plan_fingerprint(&self) -> u64 {
         self.fingerprint
@@ -777,21 +734,21 @@ mod tests {
         assert_same_answer(&direct.outcome, &ask().max_pairs(0).run().unwrap().outcome);
     }
 
+    /// The plan is not a function of the strategy, so neither is its
+    /// cache key: a query planned under `full` is a plan-cache hit under
+    /// `cap1`, and only one plan is ever built.
     #[test]
-    fn backend_override_keeps_answers_and_cache_sharing() {
+    fn strategies_share_one_cached_plan() {
         let engine = crate::Engine::new(db(), catalog()).unwrap();
         let session = engine.session();
-        let reference = session.query(Q).min_support(2).run().unwrap();
-        for b in CountingBackend::all() {
-            // Lattices are backend-invariant, so every override is served
-            // by the entry the first run cached — and a bypass run that
-            // actually counts with the backend still matches.
-            let warm = session.query(Q).min_support(2).backend(b).run().unwrap();
-            assert_eq!(warm.outcome.db_scans, 0, "{b}: cache must serve any backend");
-            assert_same_answer(&reference.outcome, &warm.outcome);
-            let direct = session.query(Q).min_support(2).backend(b).bypass_cache().run().unwrap();
-            assert_same_answer(&reference.outcome, &direct.outcome);
-        }
+        let full = session.query(Q).min_support(2).run().unwrap();
+        assert!(!full.outcome.provenance.plan_cached);
+        let cap1 =
+            session.query(Q).min_support(2).strategy(Optimizer::cap_one_var()).run().unwrap();
+        assert!(cap1.outcome.provenance.plan_cached);
+        assert_eq!(cap1.plan_fingerprint(), full.plan_fingerprint());
+        let stats = engine.cache_stats();
+        assert_eq!((stats.plan_hits, stats.plan_misses), (1, 1), "one plan built, one entry");
     }
 
     #[test]

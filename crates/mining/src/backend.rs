@@ -180,10 +180,7 @@ impl<'a> CountingRun<'a> {
                     *db_scans += 1;
                     scan.record_extent(level, self.db.len() as u64, self.db.total_items() as u64);
                 }
-                let counter = BitmapCounter::new(self.bitmap.as_ref().unwrap());
-                let counts = counter.count(self.db, candidates);
-                metric_words_anded(counter.words_anded());
-                counts
+                BitmapCounter::new(self.bitmap.as_ref().unwrap()).count(self.db, candidates)
             }
         }
     }
@@ -211,18 +208,6 @@ pub fn metric_level_micros(backend: &'static str, micros: u64) {
             &[("backend", backend)],
         )
         .add(micros);
-}
-
-/// Adds to `cfq_mining_backend_words_anded_total` — u64 word operations
-/// performed by bitmap AND/popcount loops.
-pub fn metric_words_anded(n: u64) {
-    obs::metrics::global()
-        .counter_with(
-            "cfq_mining_backend_words_anded_total",
-            "u64 word operations performed by bitmap AND/popcount loops.",
-            &[],
-        )
-        .add(n);
 }
 
 #[cfg(test)]

@@ -27,7 +27,6 @@
 
 use crate::counter::SupportCounter;
 use cfq_types::{ItemId, Itemset, TransactionDb};
-use std::cell::Cell;
 
 /// Words ANDed per cache chunk: 512 × 8 B = 4 KiB, so a prefix chunk and
 /// an item chunk sit together comfortably inside L1 while the inner loop
@@ -220,25 +219,12 @@ fn bits_to_tids(words: &[u64], capacity: u64) -> Vec<u32> {
 /// the prefix has gone sparse at level ≥ 3 — by the diffset probe path.
 pub struct BitmapCounter<'a> {
     index: &'a BitmapIndex,
-    /// u64 word operations performed by AND/popcount loops (probe paths
-    /// count one per tid probed) — the `cfq_mining_backend_words_anded`
-    /// currency.
-    words_anded: Cell<u64>,
 }
 
 impl<'a> BitmapCounter<'a> {
     /// Wraps an index.
     pub fn new(index: &'a BitmapIndex) -> Self {
-        BitmapCounter { index, words_anded: Cell::new(0) }
-    }
-
-    /// Word operations performed so far (monotonic across `count` calls).
-    pub fn words_anded(&self) -> u64 {
-        self.words_anded.get()
-    }
-
-    fn add_words(&self, n: u64) {
-        self.words_anded.set(self.words_anded.get() + n);
+        BitmapCounter { index }
     }
 
     /// Counts one prefix group: candidates `prefix ∪ {last}` for each
@@ -253,7 +239,6 @@ impl<'a> BitmapCounter<'a> {
         }
         let prefix_set: Itemset = prefix.iter().copied().collect();
         let (prefix_words, prefix_support) = idx.bitmap(&prefix_set);
-        self.add_words((prefix.len() as u64) * words as u64);
         if prefix_support == 0 {
             out.extend(std::iter::repeat_n(0, lasts.len()));
             return;
@@ -267,7 +252,6 @@ impl<'a> BitmapCounter<'a> {
             let prefix_tids = bits_to_tids(&prefix_words, prefix_support);
             for &last in lasts {
                 let diff = prefix_tids.iter().filter(|&&t| !idx.contains(last, t)).count() as u64;
-                self.add_words(prefix_support);
                 out.push(prefix_support - diff);
             }
             return;
@@ -295,7 +279,6 @@ impl<'a> BitmapCounter<'a> {
                 } else {
                     p.iter().zip(w).map(|(&a, &b)| (a & b).count_ones() as u64).sum::<u64>()
                 };
-                self.add_words((chunk_end - chunk_start) as u64);
             }
         }
         for (ci, &last) in lasts.iter().enumerate() {
@@ -314,7 +297,6 @@ impl<'a> BitmapCounter<'a> {
                     .iter()
                     .filter(|&&t| prefix_words[t as usize >> 6] >> (t & 63) & 1 == 1)
                     .count() as u64;
-                self.add_words((list.len() as u64).max(1));
                 out[base + ci] = sup;
             }
         }
@@ -409,7 +391,6 @@ mod tests {
         let v = c.count(&d, &cands);
         let n = NaiveCounter.count(&d, &cands);
         assert_eq!(v, n);
-        assert!(c.words_anded() > 0, "AND accounting must move");
     }
 
     #[test]

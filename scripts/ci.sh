@@ -334,22 +334,31 @@ if [ -z "$PORT" ] || [ -z "$MPORT" ]; then
   echo "backend serve did not come up:"; cat "$SERVE_DIR/backend.log"; exit 1
 fi
 exec 3<>"/dev/tcp/127.0.0.1/$PORT"
-# First a request carrying the removed `shards` field (checked in the next
-# stage): the connection must outlive its error and serve the bitmap query.
-printf '{"v":1,"cmd":"query","req":{"query":"max(S.Price) <= min(T.Price)","support":{"frac":0.1},"shards":2}}\n' >&3
-printf '{"v":1,"cmd":"query","req":{"query":"max(S.Price) <= min(T.Price)","support":{"frac":0.1},"backend":"bitmap"}}\n:quit\n' >&3
-read -r GONE_REPLY <&3
+# First one request for each removed field — `shards`, `backend`, `trim`,
+# `counting_threads` (checked in the next stage): the connection must
+# outlive their errors and serve the plain query after them, which counts
+# the engine's one way.
+GONE_FIELDS='shards:2 backend:"bitmap" trim:false counting_threads:2'
+for F in $GONE_FIELDS; do
+  printf '{"v":1,"cmd":"query","req":{"query":"max(S.Price) <= min(T.Price)","support":{"frac":0.1},"%s":%s}}\n' \
+    "${F%%:*}" "${F#*:}" >&3
+done
+printf '{"v":1,"cmd":"query","req":{"query":"max(S.Price) <= min(T.Price)","support":{"frac":0.1}}}\n:quit\n' >&3
+GONE_REPLIES=()
+for F in $GONE_FIELDS; do
+  read -r LINE <&3
+  GONE_REPLIES+=("${F%%:*} $LINE")
+done
 read -r BK_REPLY <&3
 exec 3<&- 3>&-
 exec 4<>"/dev/tcp/127.0.0.1/$MPORT"
 printf 'GET /metrics HTTP/1.0\r\n\r\n' >&4
 BK_SCRAPE="$(cat <&4)"
 exec 4<&- 4>&-
-echo "$BK_REPLY" | grep -q '"pair_count"' || { echo "bitmap envelope query failed: $BK_REPLY"; exit 1; }
+echo "$BK_REPLY" | grep -q '"pair_count"' || { echo "envelope query failed: $BK_REPLY"; exit 1; }
 for M in \
-  'cfq_mining_backend_selected_total{backend="bitmap"}' \
-  'cfq_mining_backend_level_micros_total{backend="bitmap"}' \
-  'cfq_mining_backend_words_anded_total'; do
+  'cfq_mining_backend_selected_total{backend="horizontal"}' \
+  'cfq_mining_backend_level_micros_total{backend="horizontal"}'; do
   echo "$BK_SCRAPE" | grep -qF "$M" \
     || { echo "scrape missing $M"; echo "$BK_SCRAPE"; exit 1; }
 done
@@ -357,12 +366,14 @@ kill -INT "$SERVE_PID"
 wait "$SERVE_PID" || { echo "backend serve exited non-zero on SIGINT"; cat "$SERVE_DIR/backend.log"; exit 1; }
 SERVE_PID=""
 
-echo "== removed names are rejected, not swallowed: --shards, --backbone, --batch-window-ms, --follow, \"shards\", loadgen, repro substrate|engine"
+echo "== removed names are rejected, not swallowed: --shards, --backbone, --batch-window-ms, --follow, serve --backend|--trim|--threads, \"shards\"|\"backend\"|\"trim\"|\"counting_threads\", loadgen, repro substrate|engine"
 # `--shards N`, `mine --backbone NAME`, `serve --batch-window-ms MS`,
-# `serve --follow DIR` and the `shards` request field are gone. Each must
-# fail naming itself — a lenient parser would take the next token as the
-# option's value and run.
-for GONE in "query shards 2" "mine backbone fpgrowth" "serve batch-window-ms 2" "serve follow /tmp"; do
+# `serve --follow DIR`, `serve --backend|--trim|--threads` and the
+# `shards`, `backend`, `trim` and `counting_threads` request fields are
+# gone. Each must fail naming itself — a lenient parser would take the
+# next token as the option's value and run.
+for GONE in "query shards 2" "mine backbone fpgrowth" "serve batch-window-ms 2" "serve follow /tmp" \
+  "serve backend bitmap" "serve trim off" "serve threads 2"; do
   read -r CMD OPT VAL <<< "$GONE"
   if ERR="$(./target/release/cfq "$CMD" "--$OPT" "$VAL" --data "$SERVE_DIR/tx.txt" "$FIG8A" 2>&1 > /dev/null)"; then
     echo "cfq $CMD --$OPT $VAL ran instead of failing"; exit 1
@@ -370,8 +381,11 @@ for GONE in "query shards 2" "mine backbone fpgrowth" "serve batch-window-ms 2" 
   echo "$ERR" | grep -qF "unknown option --$OPT" \
     || { echo "cfq $CMD --$OPT $VAL failed without naming the option: $ERR"; exit 1; }
 done
-echo "$GONE_REPLY" | grep -qF '"kind":"parse"' && echo "$GONE_REPLY" | grep -qF 'unknown request field `shards`' \
-  || { echo "a request with \"shards\" did not get the typed unknown-field error: $GONE_REPLY"; exit 1; }
+for GONE_REPLY in "${GONE_REPLIES[@]}"; do
+  read -r FIELD LINE <<< "$GONE_REPLY"
+  echo "$LINE" | grep -qF '"kind":"parse"' && echo "$LINE" | grep -qF "unknown request field \`$FIELD\`" \
+    || { echo "a request with \"$FIELD\" did not get the typed unknown-field error: $LINE"; exit 1; }
+done
 # `cfq loadgen` and `repro substrate|engine` are gone too (benchmark/ is
 # the one timing instrument): each exits 2 naming what it does not know.
 if ERR="$(./target/release/cfq loadgen --addr 127.0.0.1:1 2>&1 > /dev/null)"; then
@@ -388,7 +402,7 @@ for T in substrate engine; do
       || { echo "repro $T failed without naming the target: $ERR"; exit 1; }
   fi
 done
-echo "  --shards, --backbone, --batch-window-ms, --follow, the \"shards\" field, loadgen and repro substrate|engine are each refused by name"
+echo "  --shards, --backbone, --batch-window-ms, --follow, serve --backend|--trim|--threads, the \"shards\", \"backend\", \"trim\" and \"counting_threads\" fields, loadgen and repro substrate|engine are each refused by name"
 
 echo "== durability: WAL + snapshot survive kill -9, restart serves warm"
 WAL_DIR="$SERVE_DIR/wal"

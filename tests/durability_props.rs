@@ -301,9 +301,6 @@ fn builder_round_trips_and_validates() {
     let cfg = EngineConfig::builder()
         .cache_budget_bytes(1 << 20)
         .plan_cache_entries(7)
-        .counting_threads(2)
-        .trim(false)
-        .backend(CountingBackend::Bitmap)
         .max_inflight_queries(3)
         .max_queued_queries(9)
         .wal_dir("/tmp/cfq-nowhere")
@@ -311,9 +308,6 @@ fn builder_round_trips_and_validates() {
         .build();
     assert_eq!(cfg.cache_budget_bytes, 1 << 20);
     assert_eq!(cfg.plan_cache_entries, 7);
-    assert_eq!(cfg.counting_threads, 2);
-    assert!(!cfg.trim);
-    assert_eq!(cfg.backend, CountingBackend::Bitmap);
     assert_eq!(cfg.max_inflight_queries, 3);
     assert_eq!(cfg.max_queued_queries, 9);
     assert_eq!(cfg.wal_dir.as_deref(), Some(std::path::Path::new("/tmp/cfq-nowhere")));

@@ -22,7 +22,11 @@
 //! was edited by hand once, when cached lattices stopped storing level 1
 //! and the batch window went: the two cache byte counts
 //! (`"cache_bytes"`, `cfq_cache_bytes`) and the three
-//! `cfq_scheduler_batched_total` lines are all that changed.
+//! `cfq_scheduler_batched_total` lines are all that changed. It was edited
+//! by hand a second time when the plan cache stopped keying plans by
+//! strategy (one plan serves `full`, `cap1` and `apriori+`): EXPLAIN's
+//! `plan:` line after `:strategy cap1`, the two `:stats` plan-cache counts
+//! and `cfq_plan_hits_total` / `cfq_plan_misses_total` are all that changed.
 //! One `#[test]`, so the process-wide mining registry the scrape ends
 //! with counts this transcript and nothing else.
 
