@@ -22,7 +22,7 @@
 use crate::bound::OneVar;
 use crate::classify::classify_one;
 use crate::lang::{Agg, CmpOp, SetRel};
-use cfq_types::{Catalog, ItemId, Itemset};
+use cfq_types::{intersect_sorted, Catalog, ItemId, Itemset};
 
 /// The compiled, executable form of a conjunction of 1-var constraints on a
 /// single variable.
@@ -56,15 +56,12 @@ impl SuccinctForm {
             || self.required_groups.iter().any(|g| g.is_empty())
     }
 
-    /// Restricts a universe to the allowed items (ascending input/output).
+    /// Restricts a universe to the allowed items (ascending, duplicate-free
+    /// input and output).
     pub fn filter_universe(&self, universe: &[ItemId]) -> Vec<ItemId> {
         match &self.allowed {
             None => universe.to_vec(),
-            Some(a) => universe
-                .iter()
-                .copied()
-                .filter(|i| a.binary_search(i).is_ok())
-                .collect(),
+            Some(a) => intersect_sorted(universe, a),
         }
     }
 
@@ -120,10 +117,7 @@ impl SuccinctForm {
         debug_assert!(items.windows(2).all(|w| w[0] < w[1]));
         self.allowed = Some(match self.allowed.take() {
             None => items,
-            Some(cur) => cur
-                .into_iter()
-                .filter(|i| items.binary_search(i).is_ok())
-                .collect(),
+            Some(cur) => intersect_sorted(&cur, &items),
         });
     }
 
@@ -140,7 +134,7 @@ impl SuccinctForm {
         // satisfy the group either).
         if let Some(allowed) = &self.allowed {
             for g in &mut self.required_groups {
-                g.retain(|i| allowed.binary_search(i).is_ok());
+                *g = intersect_sorted(g, allowed);
             }
         }
         // Deduplicate identical groups; sort largest-last so the engine can

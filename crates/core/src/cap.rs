@@ -32,7 +32,7 @@
 
 use cfq_constraints::{OneVar, SuccinctForm, Var};
 use cfq_mining::{generate_candidates, FrequentSets, PairCounts, WorkStats};
-use cfq_types::{Catalog, ItemId, Itemset};
+use cfq_types::{Catalog, ItemBits, ItemId, Itemset};
 use std::time::Instant;
 
 /// Static configuration of one lattice.
@@ -55,6 +55,9 @@ pub struct LatticeRun<'a> {
     form: SuccinctForm,
     /// Universe after `allowed` filtering.
     universe_eff: Vec<ItemId>,
+    /// Membership in `universe_eff` of the items the catalog describes,
+    /// rebuilt whenever it is set.
+    in_catalog_universe: ItemBits,
     /// The natively pushed required group (ascending item ids).
     pushed_group: Option<Vec<ItemId>>,
     /// Item → rank (dense, `u32::MAX` = not in universe). Built lazily
@@ -120,6 +123,7 @@ impl<'a> LatticeRun<'a> {
     pub fn new(cfg: LatticeConfig, form: SuccinctForm, catalog: &'a Catalog) -> Self {
         let universe_eff = form.filter_universe(&cfg.universe);
         LatticeRun {
+            in_catalog_universe: ItemBits::new(&universe_eff, catalog.n_items()),
             cfg,
             catalog,
             form,
@@ -213,6 +217,7 @@ impl<'a> LatticeRun<'a> {
         }
         self.form.normalize();
         self.universe_eff = self.form.filter_universe(&self.cfg.universe);
+        self.in_catalog_universe = ItemBits::new(&self.universe_eff, self.catalog.n_items());
     }
 
     /// Injects/replaces the extra anti-monotone conditions applied to
@@ -491,10 +496,19 @@ impl<'a> LatticeRun<'a> {
 
     /// Validity test for a single frequent set (see [`Self::valid_sets`]).
     pub fn is_valid_output(&self, s: &Itemset) -> bool {
-        s.iter().all(|i| self.universe_eff.binary_search(&i).is_ok())
+        s.as_slice().iter().all(|&i| self.in_universe(i))
             && self.form.satisfies_required(s)
             && self.form.admits_candidate(s, self.catalog)
             && self.form.passes_post(s, self.catalog)
+    }
+
+    /// Whether `item` is in the effective universe: one bit for an item the
+    /// catalog describes, a search for any other (a caller's domain may
+    /// name such ids; no bitset is sized by them).
+    fn in_universe(&self, item: ItemId) -> bool {
+        self.in_catalog_universe.contains(item)
+            || (item.index() >= self.catalog.n_items()
+                && self.universe_eff.binary_search(&item).is_ok())
     }
 
     fn ensure_ranks(&mut self) {

@@ -515,17 +515,22 @@ impl Reductions {
 
     /// Drops from `universe` every item that no `var`-set of a valid pair
     /// can hold: those an `allowed`-only condition on `var` rejects
-    /// ([`SuccinctForm::allowed_only`]), one pass over `universe` a
-    /// condition. The other conditions — required groups, per-set checks —
+    /// ([`SuccinctForm::allowed_only`]), all conditions in one pass over
+    /// `universe`. The other conditions — required groups, per-set checks —
     /// say nothing of a single item; pair formation re-verifies what they
     /// would have pruned.
     pub fn narrow(&self, var: Var, universe: &mut Vec<ItemId>, catalog: &Catalog) {
-        let conds = self.0.iter().flat_map(|(_, r)| match var {
-            Var::S => &r.s_conds,
-            Var::T => &r.t_conds,
-        });
-        for c in conds.filter(|c| SuccinctForm::allowed_only(c)) {
-            universe.retain(|&i| SuccinctForm::allows_item(c, i, catalog));
+        let conds: Vec<&OneVar> = self
+            .0
+            .iter()
+            .flat_map(|(_, r)| match var {
+                Var::S => &r.s_conds,
+                Var::T => &r.t_conds,
+            })
+            .filter(|c| SuccinctForm::allowed_only(c))
+            .collect();
+        if !conds.is_empty() {
+            universe.retain(|&i| conds.iter().all(|c| SuccinctForm::allows_item(c, i, catalog)));
         }
     }
 }

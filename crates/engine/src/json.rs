@@ -372,6 +372,9 @@ impl<'a> Parser<'a> {
         while matches!(self.peek(), Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')) {
             self.pos += 1;
         }
+        if let Some(n) = integer_token(&self.bytes[start..self.pos]) {
+            return Ok(Json::Num(n));
+        }
         // Only ASCII sign/digit/exponent bytes were consumed, so the
         // slice is valid UTF-8; map the impossible failure to a protocol
         // error rather than panicking the worker.
@@ -385,6 +388,23 @@ impl<'a> Parser<'a> {
         }
         Ok(Json::Num(n))
     }
+}
+
+/// The value of a token of an optional `-` and 1–15 ASCII digits — an item
+/// id, a support, a count — without the float parser; `None` for any other
+/// token, which [`Parser::number`] hands to `str::parse::<f64>`. Below
+/// 10^15 < 2^53 every integer is exact in an `f64`, so the value is the
+/// parser's, `-0` included.
+fn integer_token(token: &[u8]) -> Option<f64> {
+    let (negative, digits) = match token.split_first() {
+        Some((b'-', digits)) => (true, digits),
+        _ => (false, token),
+    };
+    if !(1..=15).contains(&digits.len()) || !digits.iter().all(u8::is_ascii_digit) {
+        return None;
+    }
+    let n = digits.iter().fold(0u64, |n, d| n * 10 + u64::from(d - b'0')) as f64;
+    Some(if negative { -n } else { n })
 }
 
 #[cfg(test)]
@@ -436,6 +456,46 @@ mod tests {
         assert_eq!(a[2].as_u64(), Some(2000));
         assert_eq!(a[3].as_arr().unwrap()[0].as_bool(), Some(true));
         assert!(a[4].get("k").unwrap().is_null());
+    }
+
+    /// The integer fast path returns the float parser's value, bit for bit,
+    /// on every token it takes; a token of 16 digits or with `.`, `e` or
+    /// `+` falls through to the float parser, which reads it as before.
+    #[test]
+    fn integer_tokens_read_as_the_float_parser_reads_them() {
+        for token in [
+            "0", "-0", "7", "-7", "007", "-007", "000000000000000", "100000000000000",
+            "999999999999999", "-999999999999999", "4294967295", "4294967296",
+        ] {
+            let float: f64 = token.parse().unwrap();
+            let fast = integer_token(token.as_bytes()).map(f64::to_bits);
+            assert_eq!(fast, Some(float.to_bits()), "`{token}`");
+            assert_eq!(parse(token).unwrap(), Json::Num(float), "`{token}`");
+        }
+        for token in [
+            "1000000000000000", "9007199254740993", "0000000000000000", "1.0", "1e3", "1E3",
+            "1e+3", "-1.5", "-", "1-2", "+1", "",
+        ] {
+            assert_eq!(integer_token(token.as_bytes()), None, "`{token}` must fall through");
+        }
+        for token in ["1000000000000000", "9007199254740993", "1.0", "1e3", "1E3", "1e+3", "-1.5"] {
+            assert_eq!(parse(token).unwrap(), Json::Num(token.parse().unwrap()), "`{token}`");
+        }
+        for (token, error) in
+            [("-", "bad number `-` at byte 0"), ("1-2", "bad number `1-2` at byte 0")]
+        {
+            let err = parse(token).unwrap_err().to_string();
+            assert!(err.contains(error), "`{token}`: {err}");
+        }
+        // An item id is a `u32`: the largest is accepted, one more refused.
+        let request = |id: &str| {
+            crate::QueryRequest::from_json(&format!(
+                r#"{{"query":"max(S.Price) <= 30","s_universe":[{id}]}}"#
+            ))
+        };
+        assert_eq!(request("4294967295").unwrap().s_universe, [cfq_types::ItemId(u32::MAX)]);
+        let err = request("4294967296").unwrap_err().to_string();
+        assert!(err.contains("`s_universe` entries must be item ids"), "{err}");
     }
 
     #[test]

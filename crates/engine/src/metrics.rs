@@ -76,7 +76,8 @@ pub struct ServerMetrics {
 /// `encode` and `write` are the server's own. Together with the admission
 /// wait they add up to what a client sees, less the socket's transit.
 pub struct StageSeconds {
-    /// Snapshot, parse, bind, plan.
+    /// Snapshot, parse, bind, plan, and on the cached path both sides'
+    /// Reduction step (Figs. 2–3), which needs no lattice.
     pub plan: Arc<Histogram>,
     /// S lattice: cache lookup or mining, then this query's filter.
     pub s_lattice: Arc<Histogram>,

@@ -31,24 +31,25 @@
 //!   strategy, including a fully cold run.
 //!
 //! A warm re-run of a query therefore performs **zero database scans**
-//! (`outcome.db_scans == 0`), the property the `engine` benchmark target
-//! asserts. The converse does not hold: level 1 is read off the
-//! database's item-support column, so a cold run whose sides each keep
-//! fewer than two frequent items mines without passing over a row. Where
-//! a lattice came from is what `outcome.provenance` says, not what
-//! `db_scans` implies.
+//! (`outcome.db_scans == 0`), the property
+//! `tests/engine_props.rs::warm_answer_equals_bypass_answer` and the
+//! benchmark's `warm_refine` `db_scans` check assert. The converse does not
+//! hold: level 1 is read off the database's item-support column, so a cold
+//! run whose sides each keep fewer than two frequent items mines without
+//! passing over a row. Where a lattice came from is what
+//! `outcome.provenance` says, not what `db_scans` implies.
 
 use crate::cache::is_superset;
 use crate::engine::{plan_fingerprint, Engine, EpochState};
 use crate::request::QueryRequest;
-use cfq_constraints::{bind_query, parse_query, Var};
+use cfq_constraints::{bind_query, parse_query, SuccinctForm, Var};
 use cfq_core::{
     domain_or_all, plan, reduce, CfqPlan, ExecutionOutcome, LatticeSource, Optimizer,
     OutcomeProvenance, QueryEnv,
 };
 use cfq_mining::WorkStats;
 use cfq_obs as obs;
-use cfq_types::{Catalog, ItemId, Itemset, Result};
+use cfq_types::{intersect_sorted, Catalog, ItemBits, ItemId, Itemset, Result};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -223,13 +224,17 @@ impl QueryBuilder {
     }
 }
 
-/// `var`'s domain in `req`, or every item the catalog describes.
-fn domain(req: &QueryRequest, var: Var, catalog: &Catalog) -> Vec<ItemId> {
-    let given = match var {
+/// The universe `req` names for `var` (empty = every item).
+fn requested(req: &QueryRequest, var: Var) -> &[ItemId] {
+    match var {
         Var::S => &req.s_universe,
         Var::T => &req.t_universe,
-    };
-    domain_or_all(given, catalog.n_items())
+    }
+}
+
+/// `var`'s domain in `req`, or every item the catalog describes.
+fn domain(req: &QueryRequest, var: Var, catalog: &Catalog) -> Vec<ItemId> {
+    domain_or_all(requested(req, var), catalog.n_items())
 }
 
 /// What a validated request comes to on one snapshot, before any lattice
@@ -297,11 +302,25 @@ pub(crate) fn execute(engine: &Arc<Engine>, req: &QueryRequest) -> Result<QueryO
         .u64("epoch", snap.epoch)
         .u64("wait_us", admission_wait.as_micros() as u64);
     let Prepared { plan, plan_cached, fingerprint, s_sup, t_sup } = prepare(engine, req, &snap)?;
+    // The cached path's Reduction step (Fig. 7's box after level 1) needs
+    // no lattice, so it is booked to `plan`.
+    let keys = (!req.bypass_cache).then(|| side_keys(req, &snap, &plan, [s_sup, t_sup]));
     let planned = Instant::now();
 
     // Two ways to the sides, neither forming pairs: that is a stage of its
     // own below, whichever way they came.
-    let (sides, s_done) = if req.bypass_cache {
+    let (sides, s_done) = if let Some(([s_keys, t_keys], universes)) = keys {
+        let side = |var, keys, sup| run_side(engine, req, &snap, &plan, var, keys, sup);
+        let s_side = side(Var::S, &s_keys, s_sup);
+        let s_done = Instant::now();
+        let t_side = side(Var::T, &t_keys, t_sup);
+        let mut sides =
+            ExecutionOutcome::of_sides((s_side.sets, s_side.stats), (t_side.sets, t_side.stats));
+        sides.provenance.s_lattice = s_side.source;
+        sides.provenance.t_lattice = t_side.source;
+        sides.provenance.universes = universes;
+        (sides, Some(s_done))
+    } else {
         // The optimizer mines both lattices in one dovetailed run.
         query_span.record_str("path", "bypass_cache");
         let env = QueryEnv {
@@ -314,18 +333,6 @@ pub(crate) fn execute(engine: &Arc<Engine>, req: &QueryRequest) -> Result<QueryO
             ..QueryEnv::new(&snap.db, &snap.catalog, s_sup)
         };
         (req.strategy.execute_plan(&plan, &env)?, None)
-    } else {
-        let ([s_keys, t_keys], universes) = side_keys(req, &snap, &plan, [s_sup, t_sup]);
-        let side = |var, keys, sup| run_side(engine, req, &snap, &plan, var, keys, sup);
-        let s_side = side(Var::S, &s_keys, s_sup);
-        let s_done = Instant::now();
-        let t_side = side(Var::T, &t_keys, t_sup);
-        let mut sides =
-            ExecutionOutcome::of_sides((s_side.sets, s_side.stats), (t_side.sets, t_side.stats));
-        sides.provenance.s_lattice = s_side.source;
-        sides.provenance.t_lattice = t_side.source;
-        sides.provenance.universes = universes;
-        (sides, Some(s_done))
     };
     let sides_done = Instant::now();
 
@@ -370,46 +377,62 @@ struct SideKeys {
 ///
 /// A side's effective universe starts as its domain filtered by the
 /// `allowed` part of its 1-var form (empty when the form is
-/// unsatisfiable). When the plan pushes anything, both sides' frequent
-/// items — read off the item-support column, no scan — are reduced once
-/// ([`reduce`]) and each universe loses the items an `allowed`-only
-/// condition rejects ([`cfq_core::Reductions::narrow`]). By Thm. 2 no set
-/// outside the narrowed universe is in a valid pair, and a complete
-/// lattice over it is as reusable as any. `J^k_max` bounds and
-/// required-group conditions stay one-shot: a lattice pruned by them is
-/// complete over no universe.
+/// unsatisfiable). Its frequent items (`L1`) are read off the
+/// item-support column once, no scan. When the plan pushes anything, both
+/// sides' `L1`s are reduced once ([`reduce`]) and each universe loses the
+/// items an `allowed`-only condition rejects
+/// ([`cfq_core::Reductions::narrow`]); the probe is `L1` restricted to
+/// what is left. By Thm. 2 no set outside the narrowed universe is in a
+/// valid pair, and a complete lattice over it is as reusable as any.
+/// `J^k_max` bounds and required-group conditions stay one-shot: a
+/// lattice pruned by them is complete over no universe.
 fn side_keys(
     req: &QueryRequest,
     snap: &EpochState,
     plan: &CfqPlan,
     supports: [u64; 2],
 ) -> ([SideKeys; 2], Option<[(usize, usize); 2]>) {
-    let frequent = |eff: &[ItemId], sup: u64| -> Vec<ItemId> {
-        eff.iter().copied().filter(|&i| snap.db.item_support(i) >= sup).collect()
-    };
     let vars = [Var::S, Var::T];
-    let mut effs = vars.map(|var| {
-        let form = plan.form(var);
-        if form.unsatisfiable() {
-            Vec::new()
-        } else {
-            form.filter_universe(&domain(req, var, &snap.catalog))
-        }
+    let mut effs = vars.map(|var| effective_universe(req, var, plan.form(var), &snap.catalog));
+    let mut l1s: [Vec<ItemId>; 2] = [0, 1].map(|i| {
+        effs[i].iter().copied().filter(|&item| snap.db.item_support(item) >= supports[i]).collect()
     });
     let pushes = plan.trace().nodes.iter().any(|node| !node.pushed.is_empty());
     let universes = pushes.then(|| {
-        let l1 = [0, 1].map(|i| frequent(&effs[i], supports[i]));
-        let reductions = reduce(plan, &l1[0], &l1[1], &snap.catalog);
+        let reductions = reduce(plan, &l1s[0], &l1s[1], &snap.catalog);
         [0, 1].map(|i| {
             let before = effs[i].len();
             reductions.narrow(vars[i], &mut effs[i], &snap.catalog);
+            if effs[i].len() < before {
+                l1s[i] = intersect_sorted(&l1s[i], &effs[i]);
+            }
             (before, effs[i].len())
         })
     });
     let [s, t] = effs;
-    let keys = [(s, supports[0]), (t, supports[1])]
-        .map(|(eff, sup)| SideKeys { probe: frequent(&eff, sup), eff });
+    let [s_l1, t_l1] = l1s;
+    let keys = [SideKeys { eff: s, probe: s_l1 }, SideKeys { eff: t, probe: t_l1 }];
     (keys, universes)
+}
+
+/// `var`'s effective universe before any reduction: its domain filtered by
+/// the `allowed` part of `form`, empty when `form` is unsatisfiable. A
+/// request that names no universe has every item as its domain, so the
+/// filter leaves `allowed` itself (catalog items, ascending), or every
+/// item when the form has no `allowed` part.
+fn effective_universe(
+    req: &QueryRequest,
+    var: Var,
+    form: &SuccinctForm,
+    catalog: &Catalog,
+) -> Vec<ItemId> {
+    if form.unsatisfiable() {
+        return Vec::new();
+    }
+    match (&form.allowed, requested(req, var).is_empty()) {
+        (Some(allowed), true) => allowed.clone(),
+        _ => form.filter_universe(&domain(req, var, catalog)),
+    }
 }
 
 /// One variable's cache-first evaluation: lattice (cached, coalesced, or
@@ -464,17 +487,13 @@ fn run_side(
     for &i in &keys.probe {
         keep(Itemset::singleton(i), snap.db.item_support(i));
     }
-    let probe = &keys.probe;
-    let mut in_probe = vec![0u64; probe.last().map_or(0, |i| i.index() / 64 + 1)];
-    for item in probe {
-        in_probe[item.index() / 64] |= 1 << (item.index() % 64);
-    }
-    let in_probe =
-        |i: &ItemId| in_probe.get(i.index() / 64).is_some_and(|w| w >> (i.index() % 64) & 1 == 1);
+    // Probe items are frequent at a threshold of at least 1, so they occur
+    // in the database and the catalog describes every one.
+    let in_probe = ItemBits::new(&keys.probe, snap.catalog.n_items());
     let top = if req.max_level == 0 { lattice.n_levels() } else { req.max_level };
     for k in 2..=top.min(lattice.n_levels()) {
         for (set, n) in lattice.level(k) {
-            if *n < min_support || !set.as_slice().iter().all(in_probe) {
+            if *n < min_support || !set.as_slice().iter().all(|&i| in_probe.contains(i)) {
                 continue; // below this query's threshold, or outside its universe
             }
             keep(set.clone(), *n);
@@ -495,7 +514,10 @@ struct SideOutcome {
 /// (with its own `encode` and `write`) as `cfq_request_stage_seconds`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StageMicros {
-    /// Snapshot, parse, bind and plan (or plan-cache hit).
+    /// Snapshot, parse, bind and plan (or plan-cache hit) and, on the
+    /// cached path, both sides' Reduction step (Fig. 7's Reduction box,
+    /// Figs. 2–3): effective universes, `L1` off the item-support column,
+    /// narrowing and probes. It needs no lattice.
     pub plan: u64,
     /// The S side: lattice lookup (or mining) and this query's filter. A
     /// `bypass_cache` run mines both sides in one dovetailed optimizer

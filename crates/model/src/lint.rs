@@ -27,6 +27,11 @@
 //! * **missing-docs** — `pub` items in non-bench crates carry a doc
 //!   comment (`pub(...)`-scoped items and `pub use` re-exports are
 //!   exempt).
+//! * **sorted-filter** — in `crates/{constraints,core,engine}`, a
+//!   `.binary_search(` inside a `filter`/`retain`/`all`/`any` closure is
+//!   a per-item search over a sorted list on the query path: intersect the
+//!   two sorted lists with `cfq_types::intersect_sorted`, or test
+//!   membership in a `cfq_types::ItemBits`.
 //!
 //! `#[cfg(test)]` modules and `#[test]` functions are excluded by brace
 //! matching on the token stream; files under `tests/`, `benches/` or
@@ -484,6 +489,9 @@ pub fn lint_source(path: &str, class: FileClass, src: &str) -> (Vec<Finding>, Ve
     let mut findings = Vec::new();
     let mut metrics = Vec::new();
     let in_obs_crate = path.contains("crates/obs/") || path.starts_with("obs/");
+    let on_query_path = ["crates/constraints/", "crates/core/", "crates/engine/"]
+        .iter()
+        .any(|dir| path.contains(dir));
 
     let finding = |line: u32, rule: &'static str, message: String| Finding {
         file: path.to_string(),
@@ -631,6 +639,28 @@ pub fn lint_source(path: &str, class: FileClass, src: &str) -> (Vec<Finding>, Ve
             }
         }
 
+        // sorted-filter: `.binary_search(` inside the closure of a
+        // `.filter(` / `.retain(` / `.all(` / `.any(` call, on the query
+        // path's crates.
+        if on_query_path
+            && t.kind == TokKind::Ident
+            && t.text == "binary_search"
+            && prev.map(|p| p.text.as_str()) == Some(".")
+            && next.map(|n| n.text.as_str()) == Some("(")
+        {
+            if let Some(call) = enclosing_filter_call(&toks, i) {
+                findings.push(finding(
+                    t.line,
+                    "sorted-filter",
+                    format!(
+                        "`.binary_search(` inside a `.{call}(` closure searches a sorted list \
+                         once per item — merge the two sorted lists with \
+                         `cfq_types::intersect_sorted` (or test an `ItemBits`) instead"
+                    ),
+                ));
+            }
+        }
+
         // missing-docs: `pub` items (not `pub(...)`, not `pub use`).
         if t.kind == TokKind::Ident && t.text == "pub" {
             if matches!(next.map(|n| n.text.as_str()), Some("(") | Some("use")) {
@@ -698,6 +728,31 @@ pub fn lint_source(path: &str, class: FileClass, src: &str) -> (Vec<Finding>, Ve
     }
 
     (findings, metrics)
+}
+
+/// The method (`filter`, `retain`, `all` or `any`) whose argument list
+/// encloses token `at`, at any depth, if there is one.
+fn enclosing_filter_call(toks: &[Tok], at: usize) -> Option<&'static str> {
+    let mut depth = 0usize;
+    for j in (0..at).rev() {
+        match toks[j].text.as_str() {
+            ")" | "]" | "}" => depth += 1,
+            "(" | "[" | "{" if depth > 0 => depth -= 1,
+            "(" => {
+                let method = j.checked_sub(1).map(|m| toks[m].text.as_str());
+                let dot = j.checked_sub(2).map(|d| toks[d].text.as_str());
+                if dot == Some(".") {
+                    if let Some(call) =
+                        ["filter", "retain", "all", "any"].into_iter().find(|c| method == Some(c))
+                    {
+                        return Some(call);
+                    }
+                }
+            }
+            _ => {}
+        }
+    }
+    None
 }
 
 // ---------------------------------------------------------------------
@@ -934,6 +989,35 @@ mod tests {
                 && x.message.contains("counter")),
             "{hits:?}"
         );
+    }
+
+    #[test]
+    fn binary_search_in_a_filter_closure_is_flagged_on_the_query_path() {
+        let src = "
+            fn a(u: &[u32], s: &[u32]) -> Vec<u32> {
+                u.iter().copied().filter(|i| s.binary_search(i).is_ok()).collect()
+            }
+            fn b(u: &mut Vec<u32>, s: &[u32]) { u.retain(|i| { keep(s.binary_search(i)) }); }
+            fn c(u: &[u32], s: &[u32]) -> bool { u.iter().all(|i| s.binary_search(i).is_ok()) }
+            fn d(u: &[u32], s: &[u32]) -> bool { u.iter().any(|i| s.binary_search(i).is_ok()) }
+            fn e(s: &[u32], k: u32) -> bool { s.binary_search(&k).is_ok() }
+            fn f(c: &Cat, s: &[u64]) -> Vec<u32> { c.items_where(|k| s.binary_search(&k).is_ok()) }
+            #[cfg(test)]
+            mod tests {
+                fn t(u: &[u32], s: &[u32]) -> usize {
+                    u.iter().filter(|i| s.binary_search(i).is_ok()).count()
+                }
+            }
+        ";
+        let (f, _) = lint_source("crates/core/src/cap.rs", FileClass::Normal, src);
+        let lines: Vec<u32> = f.iter().map(|x| x.line).collect();
+        assert_eq!(lines, [3, 5, 6, 7], "{f:?}");
+        assert!(f.iter().all(|x| x.rule == "sorted-filter"), "{f:?}");
+        assert!(f[0].message.contains("`.filter(`") && f[0].message.contains("intersect_sorted"));
+        assert!(f[1].message.contains("`.retain(`"), "{f:?}");
+        // Off the query path's crates, the same source is not this rule's.
+        let (f, _) = lint_source("crates/mining/src/apriori.rs", FileClass::Normal, src);
+        assert!(f.is_empty(), "{f:?}");
     }
 
     #[test]

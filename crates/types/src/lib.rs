@@ -31,6 +31,6 @@ pub mod transaction;
 pub use catalog::{AttrId, AttrKind, Catalog, CatalogBuilder, SymbolId};
 pub use error::{CfqError, Result};
 pub use hash::{FxHashMap, FxHashSet, FxHasher};
-pub use item::ItemId;
+pub use item::{intersect_sorted, ItemBits, ItemId};
 pub use itemset::Itemset;
 pub use transaction::{contains_sorted, DbChunk, TransactionDb};

@@ -2,10 +2,53 @@
 //! else trusts.
 
 use cfq::prelude::*;
+use cfq::types::{intersect_sorted, ItemBits};
 use proptest::prelude::*;
 
 fn arb_itemset() -> impl Strategy<Value = Itemset> {
     prop::collection::vec(0u32..24, 0..12).prop_map(|v| v.into_iter().collect())
+}
+
+/// An ascending, duplicate-free id list in one of three bands: small ids
+/// (lists overlap often), ids spread over the whole `u32` range, or ids
+/// ending at `u32::MAX`.
+fn sorted_ids(raw: Vec<u32>, band: u32) -> Vec<ItemId> {
+    let mut ids: Vec<ItemId> = raw
+        .into_iter()
+        .map(|x| match band {
+            0 => x,
+            1 => x.wrapping_mul(0x9E37_79B9),
+            _ => u32::MAX - x,
+        })
+        .map(ItemId)
+        .collect();
+    ids.sort_unstable();
+    ids.dedup();
+    ids
+}
+
+/// What `intersect_sorted` replaced: `a` filtered by a search of `b`.
+fn searched(a: &[ItemId], b: &[ItemId]) -> Vec<ItemId> {
+    a.iter().copied().filter(|i| b.binary_search(i).is_ok()).collect()
+}
+
+#[test]
+fn intersect_sorted_on_edge_lists() {
+    let ids = |v: &[u32]| v.iter().copied().map(ItemId).collect::<Vec<_>>();
+    let top = u32::MAX;
+    for (a, b) in [
+        (ids(&[]), ids(&[])),
+        (ids(&[]), ids(&[1, 2, 3])),
+        (ids(&[1, 2, 3]), ids(&[])),
+        (ids(&[1, 3, 5]), ids(&[2, 4, 6])),
+        (ids(&[1, 2, 3]), ids(&[1, 2, 3])),
+        (ids(&[0, 1, top]), ids(&[top])),
+        (ids(&[0, top - 1, top]), ids(&[1, top - 1, top])),
+        (ids(&[7]), ids(&[0, 1, 2, 3, 4, 5, 6, 7, 8])),
+    ] {
+        assert_eq!(intersect_sorted(&a, &b), searched(&a, &b), "{a:?} ∩ {b:?}");
+        assert_eq!(intersect_sorted(&b, &a), searched(&a, &b), "{b:?} ∩ {a:?}");
+    }
 }
 
 proptest! {
@@ -37,6 +80,33 @@ proptest! {
         // Commutativity.
         prop_assert_eq!(u, b.union(&a));
         prop_assert_eq!(i, b.intersection(&a));
+    }
+
+    #[test]
+    fn intersect_sorted_equals_the_binary_search_filter(
+        a in prop::collection::vec(0u32..48, 0..40),
+        b in prop::collection::vec(0u32..48, 0..40),
+        band in 0u32..3,
+    ) {
+        let (a, b) = (sorted_ids(a, band), sorted_ids(b, band));
+        prop_assert_eq!(intersect_sorted(&a, &b), searched(&a, &b));
+        prop_assert_eq!(intersect_sorted(&b, &a), searched(&a, &b));
+        prop_assert_eq!(intersect_sorted(&a, &a), a.clone());
+    }
+
+    #[test]
+    fn item_bits_membership_equals_binary_search(
+        a in prop::collection::vec(0u32..200, 0..40),
+        b in prop::collection::vec(0u32..200, 0..40),
+        band in 0u32..3,
+        span in 0usize..260,
+    ) {
+        let (a, b) = (sorted_ids(a, band), sorted_ids(b, band));
+        let bits = ItemBits::new(&a, span);
+        for &i in a.iter().chain(&b) {
+            let member = i.index() < span && a.binary_search(&i).is_ok();
+            prop_assert_eq!(bits.contains(i), member, "{:?} span {}", i, span);
+        }
     }
 
     #[test]
