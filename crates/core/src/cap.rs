@@ -53,10 +53,9 @@ pub struct LatticeRun<'a> {
     cfg: LatticeConfig,
     catalog: &'a Catalog,
     form: SuccinctForm,
-    /// Universe after `allowed` filtering.
+    /// Universe after `allowed` filtering, inside the catalog.
     universe_eff: Vec<ItemId>,
-    /// Membership in `universe_eff` of the items the catalog describes,
-    /// rebuilt whenever it is set.
+    /// Membership in `universe_eff`, rebuilt whenever it is set.
     in_catalog_universe: ItemBits,
     /// The natively pushed required group (ascending item ids).
     pushed_group: Option<Vec<ItemId>>,
@@ -119,8 +118,11 @@ impl PairLevel {
 }
 
 impl<'a> LatticeRun<'a> {
-    /// Creates a run with the compiled 1-var form.
-    pub fn new(cfg: LatticeConfig, form: SuccinctForm, catalog: &'a Catalog) -> Self {
+    /// Creates a run with the compiled 1-var form. Ids of the universe past
+    /// the catalog are dropped: no row holds one, and nothing the run
+    /// allocates is sized by them.
+    pub fn new(mut cfg: LatticeConfig, form: SuccinctForm, catalog: &'a Catalog) -> Self {
+        cfg.universe.retain(|i| i.index() < catalog.n_items());
         let universe_eff = form.filter_universe(&cfg.universe);
         LatticeRun {
             in_catalog_universe: ItemBits::new(&universe_eff, catalog.n_items()),
@@ -496,19 +498,10 @@ impl<'a> LatticeRun<'a> {
 
     /// Validity test for a single frequent set (see [`Self::valid_sets`]).
     pub fn is_valid_output(&self, s: &Itemset) -> bool {
-        s.as_slice().iter().all(|&i| self.in_universe(i))
+        s.as_slice().iter().all(|&i| self.in_catalog_universe.contains(i))
             && self.form.satisfies_required(s)
             && self.form.admits_candidate(s, self.catalog)
             && self.form.passes_post(s, self.catalog)
-    }
-
-    /// Whether `item` is in the effective universe: one bit for an item the
-    /// catalog describes, a search for any other (a caller's domain may
-    /// name such ids; no bitset is sized by them).
-    fn in_universe(&self, item: ItemId) -> bool {
-        self.in_catalog_universe.contains(item)
-            || (item.index() >= self.catalog.n_items()
-                && self.universe_eff.binary_search(&item).is_ok())
     }
 
     fn ensure_ranks(&mut self) {
@@ -523,10 +516,7 @@ impl<'a> LatticeRun<'a> {
             .find(|g| !g.is_empty() && g.len() < self.universe_eff.len())
             .cloned();
 
-        let n_total = self.catalog.n_items().max(
-            self.universe_eff.last().map(|i| i.index() + 1).unwrap_or(0),
-        );
-        let mut rank_of = vec![u32::MAX; n_total];
+        let mut rank_of = vec![u32::MAX; self.catalog.n_items()];
         let mut item_of = Vec::with_capacity(self.universe_eff.len());
         match &self.pushed_group {
             Some(group) => {

@@ -40,9 +40,10 @@ pub struct QueryEnv<'a> {
     pub db: &'a TransactionDb,
     /// The attribute catalog.
     pub catalog: &'a Catalog,
-    /// Domain of `S` (empty = all items).
+    /// Domain of `S` (empty = every item of the catalog; ids past it are
+    /// dropped, see [`domain_or_all`]).
     pub s_universe: Vec<ItemId>,
-    /// Domain of `T` (empty = all items).
+    /// Domain of `T` (as `s_universe`).
     pub t_universe: Vec<ItemId>,
     /// Absolute minimum support for `S`.
     pub s_min_support: u64,
@@ -140,14 +141,14 @@ impl<'a> QueryEnv<'a> {
         self
     }
 
-    /// The domain of `var`: as given (normalized), or every item of the
-    /// database.
+    /// The domain of `var`: as given (normalized, ids past the catalog
+    /// dropped), or every item the catalog describes.
     pub(crate) fn universe(&self, var: Var) -> Vec<ItemId> {
         let given = match var {
             Var::S => &self.s_universe,
             Var::T => &self.t_universe,
         };
-        domain_or_all(given, self.db.n_items())
+        domain_or_all(given, self.catalog.n_items())
     }
 
     pub(crate) fn min_support(&self, var: Var) -> u64 {
@@ -173,13 +174,17 @@ impl<'a> QueryEnv<'a> {
     }
 }
 
-/// A variable's domain as a caller gave it — ascending, duplicates dropped
-/// — or every one of `n_items` items when none was given.
+/// A variable's domain as a caller gave it — ascending, duplicates and ids
+/// at or past `n_items` (the catalog's size) dropped — or every one of
+/// `n_items` items when none was given. An id past the catalog occurs in no
+/// row, so at any threshold of one or more dropping it changes no answer;
+/// and nothing downstream is then sized by an id a caller chose. A domain
+/// that loses every id stays empty.
 pub fn domain_or_all(given: &[ItemId], n_items: usize) -> Vec<ItemId> {
     if given.is_empty() {
         return (0..n_items as u32).map(ItemId).collect();
     }
-    let mut domain = given.to_vec();
+    let mut domain: Vec<ItemId> = given.iter().copied().filter(|i| i.index() < n_items).collect();
     domain.sort_unstable();
     domain.dedup();
     domain

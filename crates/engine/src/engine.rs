@@ -255,8 +255,13 @@ impl Engine {
     /// lattices, every image gated by `TransactionDb::validate` and the
     /// lattice shape checks), then replay every WAL record above its
     /// epoch — and serves warm from the recovered state.
+    ///
+    /// The engine fills its database's pair-support column
+    /// ([`TransactionDb::fill_pair_supports`], one pass; the recovered
+    /// snapshot's too) and every append carries it into the next epoch, so
+    /// every cold run it serves reads its level 2 off that column.
     pub fn with_config(
-        db: TransactionDb,
+        mut db: TransactionDb,
         catalog: Catalog,
         config: EngineConfig,
     ) -> Result<Arc<Engine>> {
@@ -272,6 +277,7 @@ impl Engine {
                 "the lattice cache budget must be positive".into(),
             ));
         }
+        db.fill_pair_supports();
         let current = Arc::new(EpochState {
             epoch: 0,
             db: Arc::new(db),
@@ -303,7 +309,7 @@ impl Engine {
         let mut span = obs::span(obs::Level::Info, "engine.recover")
             .str("dir", dir.display().to_string());
         let mut snapshot_epoch = 0u64;
-        if let Some(image) = snapshot::load_latest(dir)? {
+        if let Some(mut image) = snapshot::load_latest(dir)? {
             let mut st = self.locked();
             if image.db.n_items() > st.current.catalog.n_items() {
                 return Err(CfqError::Engine(format!(
@@ -313,6 +319,7 @@ impl Engine {
                 )));
             }
             snapshot_epoch = image.epoch;
+            image.db.fill_pair_supports();
             st.current = Arc::new(EpochState {
                 epoch: image.epoch,
                 db: Arc::new(image.db),

@@ -324,8 +324,10 @@ pub(crate) fn execute(engine: &Arc<Engine>, req: &QueryRequest) -> Result<QueryO
         // The optimizer mines both lattices in one dovetailed run.
         query_span.record_str("path", "bypass_cache");
         let env = QueryEnv {
-            s_universe: domain(req, Var::S, &snap.catalog),
-            t_universe: domain(req, Var::T, &snap.catalog),
+            // As requested: the optimizer resolves the domain itself, and an
+            // empty list means every item to it.
+            s_universe: requested(req, Var::S).to_vec(),
+            t_universe: requested(req, Var::T).to_vec(),
             t_min_support: t_sup,
             max_level: req.max_level,
             max_pairs: req.max_pairs,

@@ -17,7 +17,8 @@
 //!   deep levels count on the projection there is no crossover to decide.
 //!
 //! Level 1 is outside the axis: under every backend it is a read of the
-//! database's item-support column ([`crate::substrate`]).
+//! database's item-support column ([`crate::substrate`]). So is level 2 of
+//! the default path on a database that carries its pair-support column.
 //!
 //! [`CountingRun`] owns the per-run state of the vertical backends: lazily
 //! built indices (whose one inversion pass is accounted as a database
@@ -123,18 +124,30 @@ impl ResolvedBackend {
     }
 
     /// What counts `level` of a run on this backend, for
-    /// [`crate::stats::LevelStats::counted_by`]: the item-support column at
-    /// level 1, the kernel on the default path (`projected`: the level is
-    /// counted while writing, or on, the rank-space projection), the
-    /// backend's own name elsewhere.
-    pub fn kernel(&self, level: usize, projected: bool) -> &'static str {
-        match (self, level, projected) {
-            (_, 1, _) => "column",
-            (ResolvedBackend::Horizontal, 2, true) => "triangle",
-            (ResolvedBackend::Horizontal, _, true) => "projection",
+    /// [`crate::stats::LevelStats::counted_by`]: a column of the database
+    /// at level 1 (item supports) and at a level 2 read off the pair
+    /// supports, the kernel on the default path (`triangle` for the
+    /// level-2 pass that writes the rank-space projection, `projection`
+    /// below it), the backend's own name elsewhere.
+    pub(crate) fn kernel(&self, level: usize, on: CountedOn) -> &'static str {
+        match (self, level, on) {
+            (_, 1, _) | (_, _, CountedOn::Column) => "column",
+            (ResolvedBackend::Horizontal, 2, CountedOn::Projection) => "triangle",
+            (ResolvedBackend::Horizontal, _, CountedOn::Projection) => "projection",
             _ => self.name(),
         }
     }
+}
+
+/// What a counted level read, for [`ResolvedBackend::kernel`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum CountedOn {
+    /// A column of the database: no row was read.
+    Column,
+    /// The rank-space projection, or the pass that wrote it.
+    Projection,
+    /// The rows of the database or of a trimmed copy, or a vertical index.
+    Rows,
 }
 
 /// Per-run state of the vertical backends: lazily built indices over the

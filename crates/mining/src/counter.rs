@@ -12,7 +12,9 @@
 //! instances.
 
 use cfq_types::transaction::contains_sorted;
-use cfq_types::{DbChunk, ItemId, Itemset, TransactionDb};
+use cfq_types::{
+    triangle_cells, DbChunk, ItemId, Itemset, PairSupports, TransactionDb, MAX_TRIANGLE_CELLS,
+};
 
 /// A strategy for counting the supports of a candidate batch in one pass.
 pub trait SupportCounter {
@@ -352,9 +354,6 @@ impl BatchPlan {
     }
 }
 
-/// Largest pair triangle a worker allocates per batch (cells of `u32`:
-/// 16 MiB, reached just under 2,900 distinct items).
-pub(crate) const MAX_TRIANGLE_CELLS: usize = 1 << 22;
 /// Triangle cells one unit of trie work pays for: zeroing a cell costs
 /// about an eighth of a trie merge step.
 const CELLS_PER_TRIE_STEP: usize = 8;
@@ -370,11 +369,6 @@ fn dense_pairs_fit(n_candidates: usize, n_items: usize, rows: usize) -> bool {
     let cells = triangle_cells(n_items);
     let trie_steps = n_candidates.saturating_add(rows.saturating_mul(n_items));
     cells <= MAX_TRIANGLE_CELLS && cells <= CELLS_PER_TRIE_STEP.saturating_mul(trie_steps)
-}
-
-/// Cells of the upper triangle over `m` ranks: one per unordered pair.
-pub(crate) fn triangle_cells(m: usize) -> usize {
-    m * m.saturating_sub(1) / 2
 }
 
 /// Marks an item without a rank in a `u16` rank table.
@@ -393,6 +387,24 @@ impl PairCounts {
     pub fn new(m: usize) -> PairCounts {
         let row_start = (0..m).map(|a| a * (2 * m - a - 1) / 2).collect();
         PairCounts { row_start, cells: vec![0u32; triangle_cells(m)] }
+    }
+
+    /// The supports of every pair of `items` (ascending), ranked by
+    /// position in that list, read off a database's pair-support column:
+    /// no row is touched. An item past the column's universe occurs in no
+    /// row.
+    pub fn gather(column: &PairSupports, items: &[ItemId]) -> PairCounts {
+        debug_assert!(items.windows(2).all(|w| w[0] < w[1]));
+        let mut counts = PairCounts::new(items.len());
+        for (a, &first) in items.iter().enumerate() {
+            let start = counts.row_start[a];
+            let cells = &mut counts.cells[start..start + items.len() - a - 1];
+            let row = column.row(first);
+            for (cell, second) in cells.iter_mut().zip(&items[a + 1..]) {
+                *cell = row.get(second.index() - first.index() - 1).copied().unwrap_or(0);
+            }
+        }
+        counts
     }
 
     /// Number of ranks the triangle ranges over.

@@ -13,15 +13,24 @@
 //! `min_len = 2`, so scan and trim accounting are those of the trimmed
 //! database (property-tested in `tests/trim_props.rs`).
 //!
+//! A database that carries its pair-support column
+//! ([`TransactionDb::pair_supports`], filled once per epoch by a serving
+//! engine) needs no such pass at level 2: its pair supports are read off
+//! the column's cells ([`PairCounts::gather`]). The run's one pass over
+//! rows is then level 3's, [`Projection::project`], onto the items of the
+//! level-3 candidates and keeping rows with at least three of them — what
+//! the level-2 pass followed by the level-3 trim would have kept, written
+//! once.
+//!
 //! From level 3 on the projection shrinks in place ([`Projection::retain`],
 //! the per-level trim) and candidates are counted by AND + popcount over
 //! tid-bitmaps built from its current rows ([`Projection::count`]): few
 //! rows, few live items, no scan of the source database.
 
 use crate::bitmap::{BitmapCounter, BitmapIndex};
-use crate::counter::{resolve_threads, triangle_cells, PairCounts, MAX_TRIANGLE_CELLS, NO_RANK};
+use crate::counter::{resolve_threads, PairCounts, NO_RANK};
 use crate::stats::ScanStats;
-use cfq_types::{DbChunk, ItemId, Itemset, TransactionDb};
+use cfq_types::{triangle_cells, DbChunk, ItemId, Itemset, TransactionDb, MAX_TRIANGLE_CELLS};
 
 /// A database projected onto its live items, in rank space.
 pub struct Projection {
@@ -91,6 +100,42 @@ impl Projection {
         let mut item_of: Vec<ItemId> = sides.concat();
         item_of.sort_unstable();
         item_of.dedup();
+        Projection::pass(db, item_of, sides, 2, threads, scan)
+    }
+
+    /// The pass of a run whose level 2 was read off the database's
+    /// pair-support column: projects `db` onto `items` (ascending — the
+    /// items of the level-`min_len` candidates), keeping the rows that hold
+    /// at least `min_len` of them, exactly what [`crate::trim::trim_db`]
+    /// keeps for that live set and `min_len`. Recorded in `scan` as one
+    /// trim pass.
+    ///
+    /// # Panics
+    /// If `items` outrun the `u16` ranks.
+    pub fn project(
+        db: &TransactionDb,
+        items: Vec<ItemId>,
+        min_len: usize,
+        threads: usize,
+        scan: &mut ScanStats,
+    ) -> Projection {
+        assert!(items.len() < usize::from(NO_RANK), "{} items outrun u16 ranks", items.len());
+        debug_assert!(items.windows(2).all(|w| w[0] < w[1]));
+        Projection::pass(db, items, &[], min_len.max(1), threads, scan).0
+    }
+
+    /// One projecting pass onto `item_of` (ascending), keeping rows of at
+    /// least `min_len` live items and counting, per side of `sides` (each a
+    /// subset of `item_of`), the pair supports of the rows it keeps.
+    fn pass(
+        db: &TransactionDb,
+        item_of: Vec<ItemId>,
+        sides: &[&[ItemId]],
+        min_len: usize,
+        threads: usize,
+        scan: &mut ScanStats,
+    ) -> (Projection, Vec<PairCounts>) {
+        let sizes: Vec<usize> = sides.iter().map(|s| s.len()).collect();
         let n_ids = item_of.last().map_or(0, |i| i.index() + 1).max(db.n_items());
         let mut rank_of = vec![NO_RANK; n_ids];
         for (r, i) in item_of.iter().enumerate() {
@@ -122,7 +167,7 @@ impl Projection {
                     side_row.resize(t.len(), 0);
                 }
                 let live = filter_ranks(t.iter().map(|i| rank_of[i.index()]), &mut row);
-                if live.len() < 2 {
+                if live.len() < min_len {
                     continue;
                 }
                 part.ranks.extend_from_slice(live);
@@ -371,6 +416,25 @@ mod tests {
         assert_eq!(counts[0], NaiveCounter.count(&d, &triples));
         assert!(counts[1].is_empty());
         assert_eq!(counts[2], NaiveCounter.count(&d, &quads));
+    }
+
+    #[test]
+    fn project_is_the_trim_for_a_deeper_level() {
+        let d = db();
+        for (live, min_len) in [(&[1u32, 2, 3, 4][..], 3), (&[0, 2, 3, 5, 6], 2), (&[], 3)] {
+            for threads in [1usize, 2] {
+                let mut scan = ScanStats::default();
+                let p = Projection::project(&d, items(live), min_len, threads, &mut scan);
+                let trimmed = trim_db(&d, &LiveSet::from_items(8, items(live)), min_len);
+                let want: Vec<Vec<ItemId>> = trimmed.db.iter().map(|r| r.to_vec()).collect();
+                assert_eq!(rows_of(&p), want, "{live:?} min_len={min_len} threads={threads}");
+                assert_eq!(p.provenance(), trimmed.provenance);
+                assert_eq!(p.items(), items(live));
+                assert_eq!(scan.trim_passes, 1);
+                assert_eq!(scan.trim_rows_dropped, trimmed.rows_dropped);
+                assert_eq!(scan.trim_items_dropped, trimmed.items_dropped);
+            }
+        }
     }
 
     #[test]

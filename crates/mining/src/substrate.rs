@@ -6,19 +6,36 @@
 //! ([`TransactionDb::item_supports`]) and no scan is recorded, so the
 //! first pass a run makes over rows is its level-2 pass.
 //! The default configuration (backend resolving to `horizontal`, trim on,
-//! sides that [`Projection::fits`]) counts level 2 straight off L1 with
-//! the pass that writes the rank-space [`Projection`]
-//! ([`Substrate::count_pairs`]) and every deeper level on that projection.
+//! sides that [`Projection::fits`]) counts level 2 straight off L1
+//! ([`Substrate::count_pairs`]) in one of two ways:
+//!
+//! * on a database that carries its pair-support column
+//!   ([`TransactionDb::pair_supports`] — a serving engine's epochs do,
+//!   one-shot runs do not), each side's pair supports are read off the
+//!   column's cells and no row is touched. The first deeper level then
+//!   makes the run's one projecting pass, onto the items of its
+//!   candidates only ([`Projection::project`]); a side with no level-3
+//!   candidate reads no row at all;
+//! * otherwise, by the pass that writes the rank-space [`Projection`]
+//!   ([`Projection::pairs`]).
+//!
+//! Every deeper level is counted on that projection, shrinking in place.
 //! That leaves two other outcomes: an explicit `tidset`/`bitmap` counts on
 //! the vertical indices of a [`CountingRun`], and per-level scans — of a
 //! `trim_db` copy per level when the sides are too wide to fit (the only
 //! fallback the input selects), of the database itself with trim off.
+//!
+//! The ledger is the same whichever way level 2 goes: `db_scans` counts the
+//! levels ≥ 2 counted against the data, so a column read books its level's
+//! scan with a zero-row extent. Only the scan volume and the trim passes
+//! tell the two apart.
+//!
 //! Both callers — [`crate::apriori`](mod@crate::apriori) and the optimizer's
 //! dovetailed executor in `cfq-core` — hand their candidates (or, at level
 //! 2, their L1 items) to a [`Substrate`] and read the scan ledger back
 //! from it.
 
-use crate::backend::{self, CountingBackend, CountingRun, ResolvedBackend};
+use crate::backend::{self, CountedOn, CountingBackend, CountingRun, ResolvedBackend};
 use crate::counter::{count_supports_with, singleton_supports, PairCounts};
 use crate::projection::Projection;
 use crate::stats::ScanStats;
@@ -37,8 +54,12 @@ pub struct Substrate<'a> {
     /// scan-free.
     crun: CountingRun<'a>,
     /// The default configuration's working database below level 2: what
-    /// the level-2 pass wrote, shrinking in place level by level.
+    /// the level-2 pass (or, after a column read, the level-3 pass) wrote,
+    /// shrinking in place level by level.
     projection: Option<Projection>,
+    /// Level 2 was read off the pair-support column: the next level
+    /// projects the database afresh.
+    columned: bool,
     /// The per-level-scan path's working database: the last level's
     /// trimmed copy.
     trimmed: Option<TransactionDb>,
@@ -59,6 +80,7 @@ impl<'a> Substrate<'a> {
             resolved: backend.resolved(),
             crun: CountingRun::new(db),
             projection: None,
+            columned: false,
             trimmed: None,
             db_scans: 0,
             scan: ScanStats::default(),
@@ -74,6 +96,7 @@ impl<'a> Substrate<'a> {
     /// database again. Vertical indices (already charged) are kept.
     pub fn restart_trim(&mut self) {
         self.projection = None;
+        self.columned = false;
         self.trimmed = None;
     }
 
@@ -88,11 +111,19 @@ impl<'a> Substrate<'a> {
             && Projection::fits(l1_sizes)
     }
 
-    /// Level 2 straight off L1: one pass projects the database onto the
-    /// union of `sides` (the live items of the lattices sharing the scan,
-    /// each ascending) — the working database of every level below — and
-    /// returns, per side, the support of every pair of its items.
+    /// Level 2 straight off L1: per side of `sides` (the live items of the
+    /// lattices sharing the level, each ascending), the support of every
+    /// pair of its items. Read off the database's pair-support column when
+    /// it has one — a scan of zero rows — and otherwise counted by one pass
+    /// that projects the database onto the union of `sides`, the working
+    /// database of every level below.
     pub fn count_pairs(&mut self, sides: &[&[ItemId]]) -> Vec<PairCounts> {
+        if let Some(column) = self.db.pair_supports() {
+            self.projection = None;
+            self.columned = true;
+            self.record_scan(2, 0, 0);
+            return sides.iter().map(|side| PairCounts::gather(column, side)).collect();
+        }
         let (projection, pairs) = Projection::pairs(self.db, sides, self.threads, &mut self.scan);
         self.record_scan(2, projection.len(), projection.total_items());
         self.projection = Some(projection);
@@ -122,8 +153,18 @@ impl<'a> Substrate<'a> {
         // the live set shrinks monotonically and re-trimming the already
         // trimmed database stays exact.
         let min_len = batches.iter().filter_map(|b| b.first()).map(Itemset::len).min().unwrap_or(1);
-        if let Some(p) = &mut self.projection {
+        if std::mem::take(&mut self.columned) {
+            // The run's first pass over rows, onto what this level needs.
+            let mut items: Vec<ItemId> =
+                batches.iter().flat_map(|b| b.iter()).flat_map(|c| c.iter()).collect();
+            items.sort_unstable();
+            items.dedup();
+            self.projection =
+                Some(Projection::project(self.db, items, min_len, self.threads, &mut self.scan));
+        } else if let Some(p) = &mut self.projection {
             p.retain(batches, min_len, &mut self.scan);
+        }
+        if let Some(p) = &self.projection {
             let (rows, items) = (p.len(), p.total_items());
             let counts = p.count(batches);
             self.record_scan(level, rows, items);
@@ -148,14 +189,22 @@ impl<'a> Substrate<'a> {
     pub fn publish_level(&self, level: usize, micros: u64) -> &'static str {
         backend::metric_selected(self.resolved.name());
         backend::metric_level_micros(self.resolved.name(), micros);
-        self.resolved.kernel(level, self.projection.is_some())
+        let on = if self.columned {
+            CountedOn::Column
+        } else if self.projection.is_some() {
+            CountedOn::Projection
+        } else {
+            CountedOn::Rows
+        };
+        self.resolved.kernel(level, on)
     }
 
     fn count_vertical(&mut self, cands: &[Itemset], level: usize) -> Vec<u64> {
         self.crun.count_vertical(self.resolved, cands, level, &mut self.db_scans, &mut self.scan)
     }
 
-    /// One scan of a working database of `rows` rows / `items` occurrences.
+    /// One scan of a working database of `rows` rows / `items` occurrences
+    /// (none for a level read off a column).
     fn record_scan(&mut self, level: usize, rows: usize, items: usize) {
         self.db_scans += 1;
         self.scan.record_extent(level, rows as u64, items as u64);
@@ -208,7 +257,9 @@ mod tests {
     /// candidate lists from level 2 on and counted on a `trim_db` copy per
     /// level. No test can cheaply build 2,897 frequent items, so whole runs
     /// take that route by never calling `count_pairs`, beside the route
-    /// `apriori` takes, and must account like it level for level.
+    /// `apriori` takes, and must account like it level for level. A third
+    /// run on the same rows with the pair-support column reads level 2 off
+    /// it and must find the same sets, scan count and deeper extents.
     #[test]
     fn per_level_scans_account_like_the_projection() {
         let matrix = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/golden/ledger/matrix.tx");
@@ -219,8 +270,11 @@ mod tests {
             let keep = |cands: &[Itemset], counts: Vec<u64>| -> Vec<(Itemset, u64)> {
                 cands.iter().cloned().zip(counts).filter(|&(_, n)| n >= min_support).collect()
             };
+            let mut columned_db = db.clone();
+            assert!(columned_db.fill_pair_supports());
             let mut projected = Substrate::new(db, CountingBackend::Horizontal, true, 1);
             let mut scanned = Substrate::new(db, CountingBackend::Horizontal, true, 1);
+            let mut columned = Substrate::new(&columned_db, CountingBackend::Horizontal, true, 1);
             let singles: Vec<Itemset> = (0..db.n_items() as u32).map(|i| [i].into()).collect();
             let l1 = keep(&singles, projected.count(1, &[&singles]).remove(0));
             let mut sets: Vec<Itemset> = l1.into_iter().map(|(s, _)| s).collect();
@@ -233,15 +287,28 @@ mod tests {
                 }
                 let tag = format!("{} rows, support {min_support}, level {level}", db.len());
                 let listed = keep(&cands, scanned.count(level, &[&cands]).remove(0));
-                let frequent = if projected.counts_pairs(level, &[items.len()]) {
-                    projected.count_pairs(&[&items])[0].frequent(&items, min_support)
-                } else {
-                    keep(&cands, projected.count(level, &[&cands]).remove(0))
+                let by_pairs = |sub: &mut Substrate| {
+                    if sub.counts_pairs(level, &[items.len()]) {
+                        sub.count_pairs(&[&items])[0].frequent(&items, min_support)
+                    } else {
+                        keep(&cands, sub.count(level, &[&cands]).remove(0))
+                    }
                 };
+                let frequent = by_pairs(&mut projected);
                 assert_eq!(listed, frequent, "{tag}");
+                assert_eq!(by_pairs(&mut columned), frequent, "{tag}");
                 assert_eq!(ledger(&scanned), ledger(&projected), "{tag}");
+                // Read off the column, level 2 books a scan of no row and
+                // trims nothing; level 3's pass projects straight onto what
+                // the projection's level-2 pass and level-3 trim keep.
+                let (scans, mut extents, [passes, rows, occurrences]) = ledger(&projected);
+                extents[0] = ScanExtent { level: 2, rows: 0, items: 0 };
+                let trimmed = if level == 2 { [0; 3] } else { [passes - 1, rows, occurrences] };
+                assert_eq!(ledger(&columned), (scans, extents, trimmed), "{tag}");
                 let kernel = if level == 2 { "triangle" } else { "projection" };
                 assert_eq!(projected.publish_level(level, 0), kernel, "{tag}");
+                let kernel = if level == 2 { "column" } else { "projection" };
+                assert_eq!(columned.publish_level(level, 0), kernel, "{tag}");
                 assert_eq!(scanned.publish_level(level, 0), "horizontal", "{tag}");
                 sets = frequent.into_iter().map(|(s, _)| s).collect();
                 deepest = level;

@@ -10,7 +10,8 @@
 //! * [`TransactionDb`] — a horizontal transaction database, plus projection
 //!   onto derived domains (e.g. the *Type* domain of the paper's `itemInfo`
 //!   relation, so that the second query variable `T` may range over a domain
-//!   different from `Item`).
+//!   different from `Item`), with its item-support column and, once
+//!   filled, its [`PairSupports`] column.
 //! * [`Catalog`] — a columnar attribute store modelling the paper's
 //!   auxiliary relation `itemInfo(Item, Type, Price, ...)`.
 //! * [`hash`] — a fast Fx-style hasher used for itemset hash maps.
@@ -26,6 +27,7 @@ pub mod error;
 pub mod hash;
 pub mod item;
 pub mod itemset;
+pub mod pair_supports;
 pub mod transaction;
 
 pub use catalog::{AttrId, AttrKind, Catalog, CatalogBuilder, SymbolId};
@@ -33,4 +35,5 @@ pub use error::{CfqError, Result};
 pub use hash::{FxHashMap, FxHashSet, FxHasher};
 pub use item::{intersect_sorted, ItemBits, ItemId};
 pub use itemset::Itemset;
+pub use pair_supports::{triangle_cells, PairSupports, MAX_TRIANGLE_CELLS};
 pub use transaction::{contains_sorted, DbChunk, TransactionDb};

@@ -4,7 +4,9 @@
 use crate::catalog::{AttrId, Catalog};
 use crate::item::ItemId;
 use crate::itemset::Itemset;
+use crate::pair_supports::PairSupports;
 use crate::{CfqError, Result};
+use std::sync::Arc;
 
 /// A horizontal transaction database in flat CSR layout.
 ///
@@ -21,6 +23,12 @@ use crate::{CfqError, Result};
 /// of every item ([`TransactionDb::item_supports`]): every constructor
 /// fills it while it has the rows in hand, so level 1 of any mining run is
 /// a read of this column and never a pass over the rows.
+///
+/// A database may carry a second column, the support of every pair of
+/// items ([`TransactionDb::pair_supports`]). No constructor fills it: one
+/// explicit call ([`TransactionDb::fill_pair_supports`]) does, for a
+/// database that serves many runs, and [`TransactionDb::concat`] carries it
+/// into the next epoch.
 ///
 /// ```
 /// use cfq_types::TransactionDb;
@@ -40,11 +48,19 @@ pub struct TransactionDb {
     /// `supports[i]` is the number of rows holding item `i`; one entry per
     /// item of the universe.
     supports: Vec<u32>,
+    /// The support of every pair of items, once filled; shared by clones.
+    pairs: Option<Arc<PairSupports>>,
 }
 
 impl Default for TransactionDb {
     fn default() -> Self {
-        TransactionDb { items: Vec::new(), offsets: vec![0], n_items: 0, supports: Vec::new() }
+        TransactionDb {
+            items: Vec::new(),
+            offsets: vec![0],
+            n_items: 0,
+            supports: Vec::new(),
+            pairs: None,
+        }
     }
 }
 
@@ -90,7 +106,7 @@ impl TransactionDb {
             offsets.push(items.len() as u32);
         }
         let supports = item_supports_of(n_items, &items);
-        Ok(TransactionDb { items, offsets, n_items, supports })
+        Ok(TransactionDb { items, offsets, n_items, supports, pairs: None })
     }
 
     /// Builds directly from CSR parts. Rows must already be sorted and
@@ -106,7 +122,7 @@ impl TransactionDb {
             "offsets must end at the arena length"
         );
         let supports = item_supports_of(n_items, &items);
-        let db = TransactionDb { items, offsets, n_items, supports };
+        let db = TransactionDb { items, offsets, n_items, supports, pairs: None };
         debug_assert!(db.validate().is_ok(), "{}", db.validate().unwrap_err());
         db
     }
@@ -118,7 +134,8 @@ impl TransactionDb {
     ///   (every row is an in-bounds arena slice);
     /// * every row is strictly sorted (sorted and duplicate-free);
     /// * every item id is below the universe size;
-    /// * the item-support column equals a recount of the rows.
+    /// * the item-support column equals a recount of the rows;
+    /// * the pair-support column, when filled, equals a recount of the rows.
     ///
     /// [`TransactionDb::from_parts`] runs this in debug builds; the CLI's
     /// `--audit` gate and the trim-pass invariant checks run it explicitly.
@@ -163,6 +180,9 @@ impl TransactionDb {
                 "item-support column says item {i} is in {} rows but {} hold it",
                 self.supports[i], recount[i]
             ));
+        }
+        if self.pairs.as_deref().is_some_and(|p| Some(p) != PairSupports::of(self).as_ref()) {
+            return fail("pair-support column differs from a recount of the rows".into());
         }
         Ok(())
     }
@@ -215,6 +235,25 @@ impl TransactionDb {
     #[inline]
     pub fn item_support(&self, item: ItemId) -> u64 {
         self.supports.get(item.index()).map_or(0, |&n| u64::from(n))
+    }
+
+    /// Fills the pair-support column ([`TransactionDb::pair_supports`]) in
+    /// one pass over the rows, unless it is filled already or the universe
+    /// is wider than [`crate::MAX_TRIANGLE_CELLS`] allows. Returns whether
+    /// the column is there.
+    pub fn fill_pair_supports(&mut self) -> bool {
+        if self.pairs.is_none() {
+            self.pairs = PairSupports::of(self).map(Arc::new);
+        }
+        self.pairs.is_some()
+    }
+
+    /// The support of every pair of items, when
+    /// [`TransactionDb::fill_pair_supports`] filled it (or the database it
+    /// was [`concat`](TransactionDb::concat)enated from had it).
+    #[inline]
+    pub fn pair_supports(&self) -> Option<&PairSupports> {
+        self.pairs.as_deref()
     }
 
     /// The `i`-th transaction as a sorted item slice.
@@ -290,6 +329,8 @@ impl TransactionDb {
     /// arena is memcpy'd, the delta arena is appended, the delta's offsets
     /// are rebased and the two item-support columns are added — no row is
     /// re-sorted, re-validated beyond the universe check, or recounted.
+    /// When this database carries the pair-support column, the result
+    /// carries a copy with `delta`'s rows counted in.
     ///
     /// Fails with [`CfqError::Engine`] when the universes differ and with
     /// [`CfqError::Config`] when the combined arena would overflow the
@@ -317,7 +358,8 @@ impl TransactionDb {
         offsets.extend(delta.offsets[1..].iter().map(|&o| o + base));
         // No entry can overflow: each is at most the combined arena length.
         let supports = self.supports.iter().zip(&delta.supports).map(|(a, b)| a + b).collect();
-        Ok(TransactionDb { items, offsets, n_items: self.n_items, supports })
+        let pairs = self.pairs.as_ref().map(|p| Arc::new(p.folded(delta)));
+        Ok(TransactionDb { items, offsets, n_items: self.n_items, supports, pairs })
     }
 
     /// Projects the database onto a *derived domain*: transactions become
@@ -351,7 +393,7 @@ impl TransactionDb {
             offsets.push(items.len() as u32);
         }
         let supports = item_supports_of(keys.len(), &items);
-        (TransactionDb { items, offsets, n_items: keys.len(), supports }, keys)
+        (TransactionDb { items, offsets, n_items: keys.len(), supports, pairs: None }, keys)
     }
 }
 
@@ -500,6 +542,7 @@ mod tests {
             offsets: offsets.to_vec(),
             n_items: 2,
             supports: supports.to_vec(),
+            pairs: None,
         };
         // Non-monotone offsets.
         let bad = raw(&[0, 1], &[0, 2, 1, 2], &[1, 1]);
@@ -565,6 +608,25 @@ mod tests {
         // Universe mismatch is an engine error.
         let wrong = TransactionDb::from_u32(3, &[&[1]]);
         assert!(matches!(d.concat(&wrong), Err(CfqError::Engine(_))));
+    }
+
+    #[test]
+    fn the_pair_column_is_filled_on_request_and_carried_by_concat() {
+        let mut d = db();
+        let delta = TransactionDb::from_u32(5, &[&[0, 4], &[3, 4]]);
+        assert!(d.pair_supports().is_none(), "no constructor fills it");
+        assert!(d.concat(&delta).unwrap().pair_supports().is_none());
+        assert!(d.fill_pair_supports());
+        assert_eq!(d.pair_supports(), PairSupports::of(&db()).as_ref());
+        let both = d.concat(&delta).unwrap();
+        assert_eq!(both.pair_supports(), PairSupports::of(&both).as_ref());
+        assert!(both.validate().is_ok());
+        // A column that disagrees with the rows is caught.
+        let mut stale = both.clone();
+        stale.pairs = d.pairs.clone();
+        assert!(stale.validate().unwrap_err().to_string().contains("pair-support"));
+        let mut wide = TransactionDb::new(3000, vec![vec![ItemId(1), ItemId(2999)]]).unwrap();
+        assert!(!wide.fill_pair_supports() && wide.pair_supports().is_none());
     }
 
     #[test]

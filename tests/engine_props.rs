@@ -363,3 +363,36 @@ proptest! {
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
+
+/// `db_scans` counts the levels ≥ 2 counted against the data, whichever
+/// way they were counted: a cold side whose last level is 2 reads that
+/// level off the epoch's pair-support column — no row touched — and still
+/// books one scan for it, on the cached path and on `bypass_cache` alike.
+/// Only a lattice served from the cache reports none. (`scripts/ci.sh`
+/// asserts the same over TCP.)
+#[test]
+fn a_cold_side_that_stops_at_level_two_books_its_column_read_as_a_scan() {
+    // Pairs {0, 1} and {2, 3} are frequent at support 2, no triple is a
+    // candidate.
+    let rows: &[&[u32]] = &[&[0, 1], &[0, 1, 4], &[2, 3], &[2, 3], &[0, 2], &[4]];
+    let engine = Engine::new(TransactionDb::from_u32(5, rows), Catalog::empty(5)).unwrap();
+    assert!(engine.db().pair_supports().is_some(), "an engine fills the column");
+    let query = |bypass: bool| {
+        let q = engine.session().query("count(S) >= 1 & count(T) >= 1").min_support(2);
+        if bypass { q.bypass_cache() } else { q }.run().unwrap().outcome
+    };
+    for (bypass, tag) in [(true, "bypass_cache"), (false, "cold cached path")] {
+        let cold = query(bypass);
+        assert_eq!(cold.provenance.s_lattice, LatticeSource::MinedCold, "{tag}");
+        assert!(cold.db_scans >= 1, "{tag}: a level-2 column read is a scan");
+        assert_eq!((cold.scan.rows_scanned, cold.scan.items_scanned), (0, 0), "{tag}");
+        for stats in [&cold.s_stats, &cold.t_stats].into_iter().filter(|s| !s.levels.is_empty()) {
+            let last = stats.levels.last().unwrap();
+            assert_eq!((last.level, last.frequent, last.counted_by), (2, 2, "column"), "{tag}");
+        }
+        assert_eq!(cold.s_sets.len(), 5 + 2, "{tag}: five items and two pairs");
+    }
+    let warm = query(false);
+    assert_eq!(warm.provenance.s_lattice, LatticeSource::Cached);
+    assert_eq!(warm.db_scans, 0, "a lattice served from the cache scans nothing");
+}
